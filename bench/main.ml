@@ -1887,35 +1887,46 @@ let compile_smoke () =
 
 module Telemetry = Wasai_telemetry.Telemetry
 
-(* Best-of-[reps] wall-clock of the pure-execution sweep (symbolic
-   feedback off) over a corpus slice, telemetry off vs on, interleaved
-   so machine drift hits both sides equally.  Minima, not means: the
-   question is the probes' intrinsic cost, and every slower run is
-   scheduler noise on top of it. *)
+(* CPU seconds of [reps] pure-execution sweeps (symbolic feedback off)
+   over a corpus slice, telemetry off vs on.  The two sides are
+   interleaved per target, in alternating order: host speed on a shared
+   VM drifts by tens of percent over seconds, while one target's off/on
+   pair runs within a few milliseconds, so drift lands on both sides
+   alike instead of on whichever whole sweep it happened to hit.  Each
+   side is still [reps] complete sweeps, so the ratio of the two totals
+   is the probes' end-to-end cost.  Totals, not minima: a minimum over a
+   few millisecond-long runs is itself noisy, while the totals average
+   every run.  CPU time (getrusage) is exact here: no other domain runs
+   during the sweeps, and time the host gives to other processes does
+   not count. *)
 let telemetry_overhead ~reps ~rounds samples =
-  let sweep ?(rounds = rounds) () =
-    let _, _, wall =
-      run_tier ~rounds ~backend:Core.Exec_backend.Auto samples
-    in
-    wall
+  let run ~tele ~rounds sample =
+    if tele then Telemetry.enable () else Telemetry.disable ();
+    let t0 = Sys.time () in
+    ignore (run_tier ~rounds ~backend:Core.Exec_backend.Auto [ sample ]);
+    let cpu = Sys.time () -. t0 in
+    Telemetry.disable ();
+    cpu
   in
   (* Warm up first: the opening sweep pays one-off costs (code paging,
      compiled-pool population, GC sizing) that would otherwise land on
      whichever side runs first. *)
-  Telemetry.disable ();
-  ignore (sweep ~rounds:(max 2 (rounds / 8)) ());
-  let best_off = ref infinity and best_on = ref infinity in
-  for _ = 1 to reps do
-    Telemetry.disable ();
+  List.iter
+    (fun s -> ignore (run ~tele:false ~rounds:(max 2 (rounds / 8)) s))
+    samples;
+  let off = ref 0. and on = ref 0. in
+  for rep = 1 to reps do
     Telemetry.reset ();
-    best_off := Float.min !best_off (sweep ());
-    Telemetry.reset ();
-    Telemetry.enable ();
-    best_on := Float.min !best_on (sweep ());
-    Telemetry.disable ()
+    List.iteri
+      (fun i s ->
+        let time_off () = off := !off +. run ~tele:false ~rounds s in
+        let time_on () = on := !on +. run ~tele:true ~rounds s in
+        if (i + rep) land 1 = 0 then (time_off (); time_on ())
+        else (time_on (); time_off ()))
+      samples
   done;
   Telemetry.reset ();
-  (!best_off, !best_on)
+  (!off, !on)
 
 let telemetry_exp (opts : options) =
   Printf.printf "\n=== Telemetry: per-stage critical path + probe overhead ===\n%!";
@@ -1945,8 +1956,8 @@ let telemetry_exp (opts : options) =
   let off, on = telemetry_overhead ~reps:3 ~rounds:16 samples in
   let ratio = on /. Float.max 1e-9 off in
   Printf.printf
-    "  overhead on the compile-smoke corpus (best of 3): off=%.3fs on=%.3fs \
-     -> %.2f%%\n"
+    "  overhead on the compile-smoke corpus (3 sweeps, interleaved per \
+     target, CPU s): off=%.3fs on=%.3fs -> %.2f%%\n"
     off on
     (100. *. (ratio -. 1.));
   json_record ~experiment:"telemetry"
@@ -1969,12 +1980,11 @@ let telemetry_smoke () =
   Printf.printf
     "\n=== Telemetry smoke (byte-identity + stage coverage + overhead) ===\n%!";
   (* Probe overhead first, while the process is quiet: the campaign and
-     serve phases below leave worker domains' GC debris behind that
-     makes wall-clock deltas noisy.  The sweep must also dwarf timer
-     jitter (a 30 ms sweep makes 1 ms of noise read as 3%), hence the
-     branch-rich coverage contracts at ~100 ms per sweep. *)
+     serve phases below spawn worker domains, whose CPU time would count
+     and whose GC debris makes deltas noisy.  The branch-rich coverage
+     contracts give ~100 ms per sweep. *)
   let off, on =
-    telemetry_overhead ~reps:4 ~rounds:48 (BG.Corpus.coverage_set ~count:30 ())
+    telemetry_overhead ~reps:8 ~rounds:48 (BG.Corpus.coverage_set ~count:30 ())
   in
   let ratio = on /. Float.max 1e-9 off in
   let overhead_ok = ratio <= 1.03 in
@@ -2130,8 +2140,8 @@ let telemetry_smoke () =
     "journal byte-identity off/on at jobs 1+2 (header stamp only): %b; \
      verdict reports identical: %b; on-report covers \
      exec/solver/oracle/journal stages: %b; serve METRICS exposition \
-     parses: %b; probe overhead best-of-4 off=%.3fs on=%.3fs (%.2f%%, \
-     bound 3%%): %b -> %s\n"
+     parses: %b; probe overhead over 8 sweeps interleaved per target: \
+     off=%.3fs on=%.3fs CPU (%.2f%%, bound 3%%): %b -> %s\n"
     identity_ok report_ok stages_ok metrics_ok off on
     (100. *. (ratio -. 1.))
     overhead_ok

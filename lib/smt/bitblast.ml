@@ -8,17 +8,30 @@
 
 type ctx = {
   sat : Sat.t;
-  var_bits : (int, int array) Hashtbl.t;  (** expr var id → literals *)
-  cache : (int, int array) Hashtbl.t;  (** expr tag → literals *)
+  mutable var_bits : (int, int array) Hashtbl.t;  (** expr var id → literals *)
+  mutable cache : (int, int array) Hashtbl.t;  (** expr tag → literals *)
   true_lit : int;
 }
 
+(* Variable 0, asserted by a unit clause, is the constant-true literal. *)
+let pin_true sat =
+  let true_lit = Sat.lit_of_var (Sat.new_var sat) ~positive:true in
+  ignore (Sat.add_clause sat [ true_lit ]);
+  true_lit
+
 let create () =
   let sat = Sat.create () in
-  let tv = Sat.new_var sat in
-  let true_lit = Sat.lit_of_var tv ~positive:true in
-  ignore (Sat.add_clause sat [ true_lit ]);
+  let true_lit = pin_true sat in
   { sat; var_bits = Hashtbl.create 64; cache = Hashtbl.create 256; true_lit }
+
+(* Fresh tables rather than [Hashtbl.clear]: clearing an old table
+   overwrites every bucket, and each overwritten chain is work for the
+   major GC's write barrier. *)
+let reset ctx =
+  Sat.reset ctx.sat;
+  ctx.var_bits <- Hashtbl.create 64;
+  ctx.cache <- Hashtbl.create 256;
+  ignore (pin_true ctx.sat)
 
 let false_lit ctx = Sat.neg ctx.true_lit
 

@@ -4,12 +4,20 @@
 
 type ctx = {
   sat : Sat.t;
-  var_bits : (int, int array) Hashtbl.t;  (** expression variable id -> literals *)
-  cache : (int, int array) Hashtbl.t;  (** expression tag -> literals *)
+  mutable var_bits : (int, int array) Hashtbl.t;
+      (** expression variable id -> literals *)
+  mutable cache : (int, int array) Hashtbl.t;  (** expression tag -> literals *)
   true_lit : int;  (** a literal pinned true *)
 }
 
 val create : unit -> ctx
+
+val reset : ctx -> unit
+(** Return [ctx] to the state [create ()] leaves it in: the SAT solver is
+    {!Sat.reset}, both tables are replaced by empty ones and variable 0
+    is pinned true again, so [true_lit] stays valid and re-blasting a
+    query numbers every variable and clause exactly as a fresh context
+    would. *)
 
 val blast : ctx -> Expr.t -> int array
 (** Literals of an expression (cached structurally). *)

@@ -185,7 +185,13 @@ let intern (n : node) : t =
 let hashcons_stats () =
   (Node_tbl.length (Domain.DLS.get intern_tbl), Atomic.get tag_counter)
 
-let hashcons_compact ?(threshold = 1 lsl 17) () =
+(* A session's variables are its own, so nodes interned by earlier
+   sessions are mostly garbage the table keeps alive.  The default bound
+   also keeps the table's bucket array small: marking it pushes about
+   one mark-stack entry per bucket, and the OCaml 5.1 runtime compresses
+   a mark stack above 1/32 of the heap in an address-dependent way,
+   which makes GC counts differ between identical runs. *)
+let hashcons_compact ?(threshold = 1 lsl 14) () =
   let tbl = Domain.DLS.get intern_tbl in
   if Node_tbl.length tbl > threshold then Node_tbl.reset tbl
 
@@ -596,8 +602,9 @@ let contains_var_memo (memo : (int, bool) Hashtbl.t) pred e =
 let contains_var pred e = contains_var_memo (Hashtbl.create 64) pred e
 let has_any_var e = e.evars
 
-(** Substitute variables by [f]; [None] keeps the variable. *)
-let subst (f : var -> t option) (e : t) : t =
+(** Substitute variables by [f] in each expression; [None] keeps the
+    variable.  One memo, keyed by tag, serves the whole list. *)
+let subst_all (f : var -> t option) (es : t list) : t list =
   let memo = Hashtbl.create 64 in
   let rec go e =
     if not e.evars then e
@@ -621,7 +628,7 @@ let subst (f : var -> t option) (e : t) : t =
           Hashtbl.add memo e.tag r;
           r
   in
-  go e
+  List.map go es
 
 (** Evaluate under a full assignment; raises [Not_found] on unassigned
     variables. *)

@@ -147,10 +147,11 @@ val contains_var_memo : (int, bool) Hashtbl.t -> (var -> bool) -> t -> bool
 val has_any_var : t -> bool
 (** O(1): reads the precomputed [evars]. *)
 
-val subst : (var -> t option) -> t -> t
-(** Substitute variables; [None] keeps the variable.  Rebuilds through
-    the smart constructors, so substitution also simplifies; memoized
-    per shared node within the call. *)
+val subst_all : (var -> t option) -> t list -> t list
+(** Substitute variables in each expression; [None] keeps the variable.
+    Rebuilds through the smart constructors, so substitution also
+    simplifies; memoized per shared node across the whole list, so a
+    subterm shared between the expressions is rebuilt once. *)
 
 val eval : (int, int64) Hashtbl.t -> t -> int64
 (** Evaluate under a full assignment (variable id -> value); raises
@@ -165,7 +166,7 @@ val hashcons_stats : unit -> int * int
 
 val hashcons_compact : ?threshold:int -> unit -> unit
 (** Drop this domain's intern table if it holds more than [threshold]
-    nodes (default [2^17]).  Existing expressions stay valid; later
+    nodes (default [2^14]).  Existing expressions stay valid; later
     constructions simply stop sharing with pre-compaction nodes.  Only
     call at a session boundary — mid-session compaction would degrade
     sharing (never correctness: equality falls back to a structural

@@ -4,25 +4,26 @@
     per-query cap: deterministic, so experiments reproduce exactly.
 
     Literal encoding: variable [v] (0-based) has positive literal [2v] and
-    negative literal [2v+1]; negation is [lxor 1]. *)
+    negative literal [2v+1]; negation is [lxor 1].
+
+    The solver holds no OCaml pointers besides its vectors: clauses live
+    back to back in one flat literal store and are named by their offset
+    in it, so watch lists, reasons and the trail are all int arrays.  A
+    solver reused across queries ({!reset}) therefore never writes a
+    pointer into an old array, which keeps the GC's write barrier and
+    marking work out of steady-state solving. *)
 
 type result = Sat | Unsat | Unknown
 
-type clause = {
-  lits : int array;  (** watched literals are lits.(0) and lits.(1) *)
-  learnt : bool;
-  mutable cact : float;
-}
-
-(* Growable int/clause vectors. *)
+(* Growable int vectors. *)
 module Vec = struct
-  type 'a t = { mutable data : 'a array; mutable size : int; dummy : 'a }
+  type t = { mutable data : int array; mutable size : int }
 
-  let create dummy = { data = Array.make 16 dummy; size = 0; dummy }
+  let create () = { data = Array.make 16 0; size = 0 }
 
   let push v x =
     if v.size = Array.length v.data then begin
-      let bigger = Array.make (2 * v.size) v.dummy in
+      let bigger = Array.make (2 * v.size) 0 in
       Array.blit v.data 0 bigger 0 v.size;
       v.data <- bigger
     end;
@@ -30,27 +31,31 @@ module Vec = struct
     v.size <- v.size + 1
 
   let get v i = v.data.(i)
-  let set v i x = v.data.(i) <- x
   let size v = v.size
-  let shrink v n = v.size <- n
-  let _clear v = v.size <- 0
+  let shrink v n = if v.size <> n then v.size <- n
 end
+
+(* A clause is the offset [c] of its header in [lits]: [lits.(c)] is its
+   length and its literals follow, the watched two first. *)
+let no_reason = -1
 
 type t = {
   mutable nvars : int;
-  clauses : clause Vec.t;
-  learnts : clause Vec.t;
-  mutable watches : clause Vec.t array;  (** indexed by literal *)
+  lits : Vec.t;  (** every clause, problem and learnt, back to back *)
+  mutable watches : Vec.t array;
+      (** indexed by literal; clauses to visit when it becomes true, i.e.
+          those watching its negation.  [no_watches] until the literal's
+          first watch *)
   mutable assign : int array;  (** -1 unassigned, else 0/1 *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : int array;  (** implying clause, or [no_reason] *)
   mutable activity : float array;
   mutable polarity : bool array;  (** phase saving *)
-  trail : int Vec.t;  (** assigned literals in order *)
-  trail_lim : int Vec.t;  (** decision-level boundaries *)
+  mutable seen : bool array;  (** [analyze] scratch; all false between calls *)
+  trail : Vec.t;  (** assigned literals in order *)
+  trail_lim : Vec.t;  (** decision-level boundaries *)
   mutable qhead : int;
   mutable var_inc : float;
-  mutable cla_inc : float;
   (* Activity-ordered heap of candidate decision variables. *)
   mutable heap : int array;
   mutable heap_size : int;
@@ -59,24 +64,26 @@ type t = {
   mutable conflicts : int;
 }
 
-let dummy_clause = { lits = [||]; learnt = false; cact = 0.0 }
+(* The one watch list every literal starts with.  It is shared by all
+   solvers and never written: [watch] swaps in a literal's own vector on
+   its first push, so growing [watches] allocates no vectors at all. *)
+let no_watches = { Vec.data = [||]; size = 0 }
 
 let create () =
   {
     nvars = 0;
-    clauses = Vec.create dummy_clause;
-    learnts = Vec.create dummy_clause;
-    watches = Array.init 2 (fun _ -> Vec.create dummy_clause);
+    lits = Vec.create ();
+    watches = Array.make 2 no_watches;
     assign = Array.make 1 (-1);
     level = Array.make 1 0;
-    reason = Array.make 1 None;
+    reason = Array.make 1 no_reason;
     activity = Array.make 1 0.0;
     polarity = Array.make 1 false;
-    trail = Vec.create 0;
-    trail_lim = Vec.create 0;
+    seen = Array.make 1 false;
+    trail = Vec.create ();
+    trail_lim = Vec.create ();
     qhead = 0;
     var_inc = 1.0;
-    cla_inc = 1.0;
     heap = Array.make 1 0;
     heap_size = 0;
     heap_pos = Array.make 1 (-1);
@@ -163,16 +170,39 @@ let new_var s : int =
     let n = 2 * s.nvars in
     s.assign <- grow_array s.assign n (-1);
     s.level <- grow_array s.level n 0;
-    s.reason <- grow_array s.reason n None;
+    s.reason <- grow_array s.reason n no_reason;
     s.activity <- grow_array s.activity n 0.0;
     s.polarity <- grow_array s.polarity n false;
+    s.seen <- grow_array s.seen n false;
     s.heap_pos <- grow_array s.heap_pos n (-1);
-    let w = Array.init (2 * n) (fun _ -> Vec.create dummy_clause) in
-    Array.blit s.watches 0 w 0 (Array.length s.watches);
-    s.watches <- w
+    s.watches <- grow_array s.watches (2 * n) no_watches
   end;
   heap_insert s v;
   v
+
+(* Only the first [nvars] variable slots and [2 * nvars] watch lists were
+   ever written, so clearing them leaves every array as [create] made it,
+   at the capacity it has grown to. *)
+let reset s =
+  Array.fill s.assign 0 s.nvars (-1);
+  Array.fill s.level 0 s.nvars 0;
+  Array.fill s.reason 0 s.nvars no_reason;
+  Array.fill s.activity 0 s.nvars 0.0;
+  Array.fill s.polarity 0 s.nvars false;
+  Array.fill s.seen 0 s.nvars false;
+  Array.fill s.heap_pos 0 s.nvars (-1);
+  for l = 0 to (2 * s.nvars) - 1 do
+    Vec.shrink s.watches.(l) 0
+  done;
+  Vec.shrink s.lits 0;
+  Vec.shrink s.trail 0;
+  Vec.shrink s.trail_lim 0;
+  s.nvars <- 0;
+  s.qhead <- 0;
+  s.var_inc <- 1.0;
+  s.heap_size <- 0;
+  s.ok <- true;
+  s.conflicts <- 0
 
 (* ---- assignment --------------------------------------------------- *)
 
@@ -199,18 +229,41 @@ let var_decay s = s.var_inc <- s.var_inc /. 0.95
 
 (* ---- clauses ------------------------------------------------------ *)
 
-let watch s l c = Vec.push s.watches.(l) c
+let watch s l c =
+  let ws = s.watches.(l) in
+  if ws == no_watches then begin
+    let ws = Vec.create () in
+    s.watches.(l) <- ws;
+    Vec.push ws c
+  end
+  else Vec.push ws c
+
+(* Append a clause of at least two literals to the store. *)
+let store s (lits : int list) : int =
+  let c = Vec.size s.lits in
+  Vec.push s.lits (List.length lits);
+  List.iter (Vec.push s.lits) lits;
+  c
+
+let watch_clause s c =
+  let lits = s.lits.Vec.data in
+  watch s (neg lits.(c + 1)) c;
+  watch s (neg lits.(c + 2)) c
 
 (** Add a clause; returns false if the instance is already unsat. *)
 let add_clause s (lits : int list) : bool =
   if not s.ok then false
   else begin
-    (* Remove duplicates and true/false literals at level 0. *)
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.mem (neg l) lits || lit_value s l = 1) lits
+    (* Remove duplicates and true/false literals at level 0.  Sorted, a
+       literal [2v] and its negation [2v+1] are neighbours. *)
+    let lits = List.sort_uniq Int.compare lits in
+    let rec tautology = function
+      | [] -> false
+      | [ l ] -> lit_value s l = 1
+      | l :: (l' :: _ as rest) ->
+          lit_value s l = 1 || l' = neg l || tautology rest
     in
-    if tautology then true
+    if tautology lits then true
     else begin
       let lits = List.filter (fun l -> lit_value s l <> 0) lits in
       match lits with
@@ -218,127 +271,113 @@ let add_clause s (lits : int list) : bool =
           s.ok <- false;
           false
       | [ l ] ->
-          enqueue s l None;
+          enqueue s l no_reason;
           true
       | _ ->
-          let c = { lits = Array.of_list lits; learnt = false; cact = 0.0 } in
-          Vec.push s.clauses c;
-          watch s (neg c.lits.(0)) c;
-          watch s (neg c.lits.(1)) c;
+          watch_clause s (store s lits);
           true
     end
   end
 
 (* ---- propagation --------------------------------------------------- *)
 
-exception Conflict of clause
-
-let propagate s : clause option =
-  try
-    while s.qhead < Vec.size s.trail do
-      let l = Vec.get s.trail s.qhead in
-      s.qhead <- s.qhead + 1;
-      (* Clauses watching (neg l) may become unit/conflicting. *)
-      let ws = s.watches.(l) in
-      let n = Vec.size ws in
-      let keep = ref 0 in
-      let i = ref 0 in
-      (try
-         while !i < n do
-           let c = Vec.get ws !i in
-           incr i;
-           (* Make sure the false literal is lits.(1). *)
-           if c.lits.(0) = neg l then begin
-             c.lits.(0) <- c.lits.(1);
-             c.lits.(1) <- neg l
-           end;
-           if lit_value s c.lits.(0) = 1 then begin
-             (* Clause satisfied; keep the watch. *)
-             Vec.set ws !keep c;
-             incr keep
-           end
-           else begin
-             (* Look for a new watch. *)
-             let found = ref false in
-             let k = ref 2 in
-             while (not !found) && !k < Array.length c.lits do
-               if lit_value s c.lits.(!k) <> 0 then begin
-                 let tmp = c.lits.(1) in
-                 c.lits.(1) <- c.lits.(!k);
-                 c.lits.(!k) <- tmp;
-                 watch s (neg c.lits.(1)) c;
-                 found := true
-               end;
-               incr k
-             done;
-             if not !found then begin
-               (* Unit or conflict. *)
-               Vec.set ws !keep c;
-               incr keep;
-               if lit_value s c.lits.(0) = 0 then begin
-                 (* Conflict: keep remaining watches then bail. *)
-                 while !i < n do
-                   Vec.set ws !keep (Vec.get ws !i);
-                   incr keep;
-                   incr i
-                 done;
-                 Vec.shrink ws !keep;
-                 s.qhead <- Vec.size s.trail;
-                 raise (Conflict c)
-               end
-               else enqueue s c.lits.(0) (Some c)
-             end
-           end
-         done;
-         Vec.shrink ws !keep
-       with Conflict _ as e -> raise e)
+(* Returns the conflicting clause, or [no_reason]. *)
+let propagate s : int =
+  let confl = ref no_reason in
+  while !confl = no_reason && s.qhead < Vec.size s.trail do
+    let l = Vec.get s.trail s.qhead in
+    s.qhead <- s.qhead + 1;
+    let nl = neg l in
+    (* Clauses watching (neg l) may become unit/conflicting.  No clause
+       is stored while propagating, so [lits] stays the live store. *)
+    let lits = s.lits.Vec.data in
+    let ws = s.watches.(l) in
+    let n = Vec.size ws in
+    let keep = ref 0 in
+    let i = ref 0 in
+    while !i < n do
+      let c = ws.Vec.data.(!i) in
+      incr i;
+      (* Make sure the false literal is the second watch. *)
+      if lits.(c + 1) = nl then begin
+        lits.(c + 1) <- lits.(c + 2);
+        lits.(c + 2) <- nl
+      end;
+      if lit_value s lits.(c + 1) = 1 then begin
+        (* Clause satisfied; keep the watch. *)
+        ws.Vec.data.(!keep) <- c;
+        incr keep
+      end
+      else begin
+        (* Look for a new watch. *)
+        let last = c + lits.(c) in
+        let found = ref false in
+        let k = ref (c + 3) in
+        while (not !found) && !k <= last do
+          let lk = lits.(!k) in
+          if lit_value s lk <> 0 then begin
+            lits.(!k) <- lits.(c + 2);
+            lits.(c + 2) <- lk;
+            watch s (neg lk) c;
+            found := true
+          end;
+          incr k
+        done;
+        if not !found then begin
+          (* Unit or conflict. *)
+          ws.Vec.data.(!keep) <- c;
+          incr keep;
+          if lit_value s lits.(c + 1) = 0 then begin
+            (* Conflict: keep the remaining watches, then stop. *)
+            while !i < n do
+              ws.Vec.data.(!keep) <- ws.Vec.data.(!i);
+              incr keep;
+              incr i
+            done;
+            s.qhead <- Vec.size s.trail;
+            confl := c
+          end
+          else enqueue s lits.(c + 1) c
+        end
+      end
     done;
-    None
-  with Conflict c -> Some c
+    Vec.shrink ws !keep
+  done;
+  !confl
 
 (* ---- conflict analysis --------------------------------------------- *)
 
-let cla_bump s c =
-  c.cact <- c.cact +. s.cla_inc;
-  if c.cact > 1e20 then begin
-    for i = 0 to Vec.size s.learnts - 1 do
-      let d = Vec.get s.learnts i in
-      d.cact <- d.cact *. 1e-20
-    done;
-    s.cla_inc <- s.cla_inc *. 1e-20
-  end
-
 (** First-UIP learning; returns (learnt clause lits with asserting literal
-    first, backtrack level). *)
-let analyze s (confl : clause) : int list * int =
-  let seen = Array.make s.nvars false in
+    first, backtrack level).  Every variable marked in [s.seen] is either
+    resolved away (and unmarked) or ends up in the learnt clause, so
+    unmarking the learnt literals restores the all-false array. *)
+let analyze s (confl : int) : int list * int =
+  let seen = s.seen in
   let learnt = ref [] in
   let counter = ref 0 in
   let p = ref (-1) in
-  let confl = ref (Some confl) in
+  let confl = ref confl in
   let idx = ref (Vec.size s.trail - 1) in
   let btlevel = ref 0 in
   let continue_ = ref true in
   while !continue_ do
-    (match !confl with
-     | None -> assert false
-     | Some c ->
-         if c.learnt then cla_bump s c;
-         Array.iter
-           (fun q ->
-             if q <> !p then begin
-               let v = var_of_lit q in
-               if (not seen.(v)) && s.level.(v) > 0 then begin
-                 seen.(v) <- true;
-                 var_bump s v;
-                 if s.level.(v) >= decision_level s then incr counter
-                 else begin
-                   learnt := q :: !learnt;
-                   if s.level.(v) > !btlevel then btlevel := s.level.(v)
-                 end
-               end
-             end)
-           c.lits);
+    assert (!confl <> no_reason);
+    let lits = s.lits.Vec.data and c = !confl in
+    for k = c + 1 to c + lits.(c) do
+      let q = lits.(k) in
+      if q <> !p then begin
+        let v = var_of_lit q in
+        if (not seen.(v)) && s.level.(v) > 0 then begin
+          seen.(v) <- true;
+          var_bump s v;
+          if s.level.(v) >= decision_level s then incr counter
+          else begin
+            learnt := q :: !learnt;
+            if s.level.(v) > !btlevel then btlevel := s.level.(v)
+          end
+        end
+      end
+    done;
     (* Select next literal to look at. *)
     let rec skip () =
       let l = Vec.get s.trail !idx in
@@ -356,6 +395,7 @@ let analyze s (confl : clause) : int list * int =
     decr counter;
     if !counter = 0 then continue_ := false
   done;
+  List.iter (fun q -> seen.(var_of_lit q) <- false) !learnt;
   (neg !p :: !learnt, !btlevel)
 
 let cancel_until s lvl =
@@ -366,7 +406,7 @@ let cancel_until s lvl =
       let v = var_of_lit l in
       s.polarity.(v) <- s.assign.(v) = 1;
       s.assign.(v) <- -1;
-      s.reason.(v) <- None;
+      s.reason.(v) <- no_reason;
       heap_insert s v
     done;
     Vec.shrink s.trail bound;
@@ -376,24 +416,21 @@ let cancel_until s lvl =
 
 let record_learnt s lits =
   match lits with
-  | [ l ] -> enqueue s l None
+  | [ l ] -> enqueue s l no_reason
   | l :: _ ->
-      let c = { lits = Array.of_list lits; learnt = true; cact = 0.0 } in
+      let c = store s lits in
       (* Second watch should be a literal from the conflict level. *)
-      let arr = c.lits in
-      let max_i = ref 1 in
-      for i = 1 to Array.length arr - 1 do
-        if s.level.(var_of_lit arr.(i)) > s.level.(var_of_lit arr.(!max_i)) then
+      let a = s.lits.Vec.data in
+      let max_i = ref (c + 2) in
+      for i = c + 3 to c + a.(c) do
+        if s.level.(var_of_lit a.(i)) > s.level.(var_of_lit a.(!max_i)) then
           max_i := i
       done;
-      let tmp = arr.(1) in
-      arr.(1) <- arr.(!max_i);
-      arr.(!max_i) <- tmp;
-      Vec.push s.learnts c;
-      watch s (neg arr.(0)) c;
-      watch s (neg arr.(1)) c;
-      cla_bump s c;
-      enqueue s l (Some c)
+      let tmp = a.(c + 2) in
+      a.(c + 2) <- a.(!max_i);
+      a.(!max_i) <- tmp;
+      watch_clause s c;
+      enqueue s l c
   | [] -> s.ok <- false
 
 (* ---- decisions ----------------------------------------------------- *)
@@ -419,45 +456,44 @@ let solve ?(conflict_budget = 200_000) (s : t) : result =
     let budget_exhausted = ref false in
     let answer = ref None in
     let restart_count = ref 0 in
-    (match propagate s with
-     | Some _ -> answer := Some Unsat
-     | None -> ());
+    if propagate s <> no_reason then answer := Some Unsat;
     while !answer = None && not !budget_exhausted do
       incr restart_count;
       let restart_limit = 100 * luby_seq !restart_count in
       let local_conflicts = ref 0 in
       let done_ = ref false in
       while not !done_ do
-        match propagate s with
-        | Some confl ->
-            s.conflicts <- s.conflicts + 1;
-            incr local_conflicts;
-            if decision_level s = 0 then begin
-              answer := Some Unsat;
+        let confl = propagate s in
+        if confl <> no_reason then begin
+          s.conflicts <- s.conflicts + 1;
+          incr local_conflicts;
+          if decision_level s = 0 then begin
+            answer := Some Unsat;
+            done_ := true
+          end
+          else begin
+            let learnt, btlevel = analyze s confl in
+            cancel_until s btlevel;
+            record_learnt s learnt;
+            var_decay s;
+            if s.conflicts >= conflict_budget then begin
+              budget_exhausted := true;
               done_ := true
             end
-            else begin
-              let learnt, btlevel = analyze s confl in
-              cancel_until s btlevel;
-              record_learnt s learnt;
-              var_decay s;
-              if s.conflicts >= conflict_budget then begin
-                budget_exhausted := true;
-                done_ := true
-              end
-              else if !local_conflicts >= restart_limit then begin
-                cancel_until s 0;
-                done_ := true
-              end
+            else if !local_conflicts >= restart_limit then begin
+              cancel_until s 0;
+              done_ := true
             end
-        | None -> (
-            match pick_branch_var s with
-            | None ->
-                answer := Some Sat;
-                done_ := true
-            | Some v ->
-                Vec.push s.trail_lim (Vec.size s.trail);
-                enqueue s (lit_of_var v ~positive:s.polarity.(v)) None)
+          end
+        end
+        else
+          match pick_branch_var s with
+          | None ->
+              answer := Some Sat;
+              done_ := true
+          | Some v ->
+              Vec.push s.trail_lim (Vec.size s.trail);
+              enqueue s (lit_of_var v ~positive:s.polarity.(v)) no_reason
       done
     done;
     match !answer with
@@ -475,5 +511,4 @@ let solve ?(conflict_budget = 200_000) (s : t) : result =
 let model_value s v = v < s.nvars && s.assign.(v) = 1
 
 let num_vars s = s.nvars
-let num_clauses s = Vec.size s.clauses
 let num_conflicts s = s.conflicts

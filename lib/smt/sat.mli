@@ -12,6 +12,14 @@ type t
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Empty the solver in place: afterwards it is indistinguishable from a
+    fresh [create ()] — same variable numbering, clause order, watch
+    order and VSIDS state, hence the same answers and models — but every
+    array keeps the capacity it has grown to.  Costs O(variables used)
+    and allocates nothing, so one solver can serve a stream of queries
+    as a reusable arena. *)
+
 val new_var : t -> int
 (** Allocate a fresh variable; returns its index. *)
 
@@ -31,5 +39,4 @@ val model_value : t -> int -> bool
     returned [Sat]; unassigned variables default to [false]). *)
 
 val num_vars : t -> int
-val num_clauses : t -> int
 val num_conflicts : t -> int

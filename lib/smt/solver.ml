@@ -10,10 +10,10 @@
        conflict budget standing in for the paper's 3,000 ms Z3 cap.
 
     Accounting and caching are per {!Session}: each engine run (one
-    target) owns a session carrying its conflict budget, counters, and a
-    bounded LRU of decided constraint sets, so campaign workers never
-    contend on shared state and never share cached verdicts across
-    domains. *)
+    target) owns a session carrying its conflict budget, counters, a
+    bounded LRU of decided constraint sets and the bit-blasting arena its
+    queries reuse, so campaign workers never contend on shared state and
+    never share cached verdicts across domains. *)
 
 type model = (int, int64) Hashtbl.t
 (** expr variable id → value *)
@@ -78,16 +78,13 @@ let rec invert (e : Expr.t) (value : int64) : (Expr.var * int64) option =
 let quick_path (constraints : Expr.t list) :
     [ `Solved of model | `Contradiction | `Residual of Expr.t list * model ] =
   let model : model = Hashtbl.create 8 in
-  let subst_known e =
-    Expr.subst
-      (fun v ->
-        match Hashtbl.find_opt model v.Expr.vid with
-        | Some value -> Some (Expr.const v.Expr.vwidth value)
-        | None -> None)
-      e
+  let known v =
+    match Hashtbl.find_opt model v.Expr.vid with
+    | Some value -> Some (Expr.const v.Expr.vwidth value)
+    | None -> None
   in
   let rec loop (cs : Expr.t list) =
-    let cs = List.map subst_known cs in
+    let cs = Expr.subst_all known cs in
     if List.exists Expr.is_false cs then `Contradiction
     else begin
       let cs = List.filter (fun c -> not (Expr.is_true c)) cs in
@@ -119,9 +116,9 @@ let quick_path (constraints : Expr.t list) :
 (* Full check                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let blast_check ~conflict_budget (constraints : Expr.t list)
-    (pre_model : model) : result =
-  let ctx = Bitblast.create () in
+(* [ctx] must be fresh: just created, or reset. *)
+let blast_check ~conflict_budget (ctx : Bitblast.ctx)
+    (constraints : Expr.t list) (pre_model : model) : result =
   List.iter (Bitblast.assert_true ctx) constraints;
   match Sat.solve ~conflict_budget ctx.Bitblast.sat with
   | Sat.Unsat -> Unsat
@@ -143,8 +140,10 @@ let blast_check ~conflict_budget (constraints : Expr.t list)
       Sat model
 
 (* Decide without any session bookkeeping; the second component says
-   which tier produced the answer so callers can tally. *)
-let solve_raw ~conflict_budget (constraints : Expr.t list) :
+   which tier produced the answer so callers can tally.  [arena] is
+   called once, and only when the query reaches bit-blasting. *)
+let solve_raw ~conflict_budget ~(arena : unit -> Bitblast.ctx)
+    (constraints : Expr.t list) :
     result * [ `Trivial | `Quick | `Blasted | `Blast_unknown ] =
   if List.exists Expr.is_false constraints then (Unsat, `Trivial)
   else
@@ -152,7 +151,7 @@ let solve_raw ~conflict_budget (constraints : Expr.t list) :
     | `Solved model -> (Sat model, `Quick)
     | `Contradiction -> (Unsat, `Trivial)
     | `Residual (residual, model) -> (
-        match blast_check ~conflict_budget residual model with
+        match blast_check ~conflict_budget (arena ()) residual model with
         | Unknown -> (Unknown, `Blast_unknown)
         | r -> (r, `Blasted))
 
@@ -180,6 +179,7 @@ module Session = struct
     mutable sx_hits : int;
     mutable sx_misses : int;
     mutable sx_subsumed : int;
+    mutable sx_arena : Bitblast.ctx option;
   }
 
   let create ?(conflict_budget = default_conflict_budget)
@@ -199,9 +199,24 @@ module Session = struct
       sx_hits = 0;
       sx_misses = 0;
       sx_subsumed = 0;
+      sx_arena = None;
     }
 
   let conflict_budget t = t.sx_budget
+
+  (* One bit-blasting arena per session, made by its first blasted query
+     and reset in place for each later one: a reset arena numbers
+     variables and clauses exactly as a fresh one, so reuse changes no
+     answer and no model. *)
+  let arena t () =
+    match t.sx_arena with
+    | Some ctx ->
+        Bitblast.reset ctx;
+        ctx
+    | None ->
+        let ctx = Bitblast.create () in
+        t.sx_arena <- Some ctx;
+        ctx
 
   (* Retuning the budget mid-session is sound with respect to the verdict
      cache: Sat and Unsat are budget-independent (a model or a refutation
@@ -333,7 +348,9 @@ let check ?session ?conflict_budget (constraints : Expr.t list) : result =
   in
   match session with
   | None ->
-      let result, tier = solve_raw ~conflict_budget:budget constraints in
+      let result, tier =
+        solve_raw ~conflict_budget:budget ~arena:Bitblast.create constraints
+      in
       T.stop (stage_of_tier tier) t0;
       result
   | Some s -> (
@@ -352,7 +369,10 @@ let check ?session ?conflict_budget (constraints : Expr.t list) : result =
             T.stop T.Solver_cache t0;
             Unsat
         | None ->
-            let result, tier = solve_raw ~conflict_budget:budget constraints in
+            let result, tier =
+              solve_raw ~conflict_budget:budget ~arena:(Session.arena s)
+                constraints
+            in
             (match tier with
             | `Trivial -> ()
             | `Quick -> s.Session.sx_quick <- s.Session.sx_quick + 1
@@ -372,8 +392,8 @@ let check ?session ?conflict_budget (constraints : Expr.t list) : result =
             T.stop (stage_of_tier tier) t0;
             result)
 
-(** Verify a model against constraints (defence in depth for the solver:
-    used by tests and by the engine before trusting a seed). *)
+(** Verify a model against constraints (defence in depth for the solver,
+    used by the tests; the engine does not re-check models). *)
 let validate_model (constraints : Expr.t list) (model : model) : bool =
   let env = Hashtbl.create 16 in
   Hashtbl.iter (fun k v -> Hashtbl.replace env k v) model;

@@ -8,9 +8,9 @@
 
     All accounting is per {!Session} — there is no global mutable solver
     state.  A session belongs to one engine run on one domain; it carries
-    the conflict budget, the solve counters, and a bounded LRU cache of
-    decided constraint sets keyed on their canonical (sorted-tag multiset)
-    form.  Cache hits return the memoized Sat model or Unsat verdict
+    the conflict budget, the solve counters, the SAT arena its blasted
+    queries reuse, and a bounded LRU cache of decided constraint sets
+    keyed on their canonical (sorted-tag multiset) form.  Cache hits return the memoized Sat model or Unsat verdict
     without re-blasting; Unknown is never cached.  Exact misses are
     additionally screened against the cached Unsat sets: a query whose
     key contains a cached Unsat set as a sub-multiset is answered Unsat
@@ -42,8 +42,15 @@ val stats_add : stats -> stats -> stats
 module Session : sig
   type t
   (** Per-engine-run solver context: conflict budget + counters + LRU
-      verdict cache.  Confined to the creating domain; never share a
-      session across campaign workers. *)
+      verdict cache + SAT arena.  The session owns one bit-blasting
+      context ({!Bitblast.ctx} and its {!Sat} solver), made by its first
+      blasted query and {!Bitblast.reset} before every later one, so
+      steady-state blasting reuses its arrays instead of reallocating
+      them; a reset arena is indistinguishable from a fresh one, so
+      answers and models equal those of a sessionless {!check}.  The
+      arena is mutable and unsynchronised: a session is confined to the
+      domain that created it; never share one across campaign
+      workers. *)
 
   val create : ?conflict_budget:int -> ?cache_capacity:int -> unit -> t
   (** [conflict_budget] defaults to 50_000 CDCL conflicts;
@@ -81,8 +88,10 @@ val check : ?session:Session.t -> ?conflict_budget:int -> Expr.t list -> result
 (** Decide the conjunction of constraints.  With [~session], the solve is
     accounted to (and cached in) the session, and the session's budget
     applies unless [?conflict_budget] overrides it.  Cached Sat models
-    are returned as fresh tables — callers may mutate them freely. *)
+    are returned as fresh tables — callers may mutate them freely.
+    Without a session every blasted query builds a fresh context. *)
 
 val validate_model : Expr.t list -> model -> bool
-(** Re-evaluate the constraints under a model (defence in depth: the
-    engine refuses to trust unverified seeds). *)
+(** Re-evaluate the constraints under a model.  Defence in depth for the
+    solver, used by the tests (every Sat model the solver tests see must
+    pass it); the engine, flip and campaign code do not call it. *)

@@ -638,6 +638,174 @@ let test_session_unsat_subsumption () =
    | _ -> Alcotest.fail "sat superset mis-refuted");
   Alcotest.(check int) "sat entries never subsume" 0 (Solver.Session.subsumed s2)
 
+(* ------------------------------------------------------------------ *)
+(* Per-session SAT arena                                                *)
+(* ------------------------------------------------------------------ *)
+
+let sorted_model (m : Solver.model) =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
+
+let same_result a b =
+  match (a, b) with
+  | Solver.Sat m, Solver.Sat m' -> sorted_model m = sorted_model m'
+  | Solver.Unsat, Solver.Unsat | Solver.Unknown, Solver.Unknown -> true
+  | _ -> false
+
+type arena_query =
+  | Pinned  (** x pinned, e == e(x, y) at a random point: Sat *)
+  | Free  (** e1 <u e2: any verdict *)
+  | Contra  (** c and not c: Unsat *)
+  | Starved  (** 32-bit factoring under a one-conflict budget: Unknown *)
+
+(* A session reuses one arena for every blasted query.  Sent through a
+   cache-less session, a random stream of Sat, Unsat and budget-starved
+   queries must get exactly the verdicts and models that fresh
+   sessionless calls give: a reset arena leaks nothing between
+   queries. *)
+let qcheck_arena_parity ~count width =
+  let x = Expr.fresh_var ~name:"ax" width and y = Expr.fresh_var ~name:"ay" width in
+  let fx = Expr.fresh_var ~name:"fx" 32 and fy = Expr.fresh_var ~name:"fy" 32 in
+  let budget = 200 in
+  let build (kind, e1, e2, xv, yv) =
+    let open Expr in
+    match kind with
+    | Pinned ->
+        let env = Hashtbl.create 2 in
+        Hashtbl.replace env x.vid xv;
+        Hashtbl.replace env y.vid yv;
+        ( [ eq (var x) (const width xv); eq e1 (const width (eval env e1)) ],
+          budget )
+    | Free -> ([ cmp Ult e1 e2 ], budget)
+    | Contra ->
+        let c = cmp Ult e1 e2 in
+        ([ c; not_ c ], budget)
+    | Starved ->
+        (* 65521 * 65519, both prime. *)
+        ( [
+            eq (binop Mul (var fx) (var fy)) (const 32 4292870399L);
+            cmp Ult (const 32 1L) (var fx);
+            cmp Ult (const 32 1L) (var fy);
+            cmp Ult (var fx) (const 32 0x10000L);
+            cmp Ult (var fy) (const 32 0x10000L);
+          ],
+          1 )
+  in
+  let gen_query =
+    QCheck.Gen.(
+      map3
+        (fun kind (e1, e2) (xv, yv) ->
+          (kind, e1, e2, Int64.of_int xv, Int64.of_int yv))
+        (oneofl [ Pinned; Free; Contra; Starved ])
+        (pair (gen_expr width x y) (gen_expr width x y))
+        (pair int int))
+  in
+  let print qs =
+    String.concat "\n"
+      (List.map
+         (fun q ->
+           String.concat " && " (List.map Expr.to_string (fst (build q))))
+         qs)
+  in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "arena reuse = fresh check (width %d)" width)
+    ~count
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 2 6) gen_query))
+    (fun qs ->
+      let session =
+        Solver.Session.create ~conflict_budget:budget ~cache_capacity:0 ()
+      in
+      List.for_all
+        (fun ((kind, _, _, _, _) as q) ->
+          let cs, conflict_budget = build q in
+          let fresh = Solver.check ~conflict_budget cs in
+          let reused = Solver.check ~session ~conflict_budget cs in
+          let expected =
+            match (kind, fresh) with
+            | Pinned, Solver.Sat m -> Solver.validate_model cs m
+            | Pinned, Solver.Unknown | Free, _ -> true
+            | Contra, Solver.Unsat | Starved, Solver.Unknown -> true
+            | _ -> false
+          in
+          expected && same_result fresh reused)
+        qs)
+
+(* Random constraint sets over two 8-bit variables, all sent through one
+   long-lived session (cache on, arena reused): Sat exactly when
+   enumerating all 2^16 assignments finds a model, and every Sat model
+   re-evaluates true. *)
+let qcheck_session_brute_force =
+  let x = Expr.fresh_var ~name:"bx" 8 and y = Expr.fresh_var ~name:"by" 8 in
+  let session = Solver.Session.create () in
+  let gen_constraint =
+    QCheck.Gen.(
+      quad
+        (oneofl Expr.[ Eq; Ult; Slt; Ule; Sle ])
+        gen_ntree gen_ntree bool)
+  in
+  let to_expr (op, a, b, negated) =
+    let c = Expr.cmp op (build_expr 8 x y a) (build_expr 8 x y b) in
+    if negated then Expr.not_ c else c
+  in
+  let holds xv yv (op, a, b, negated) =
+    Expr.eval_cmp 8 op (naive_eval 8 xv yv a) (naive_eval 8 xv yv b) <> negated
+  in
+  let satisfiable cs =
+    let rec go xv yv =
+      if xv > 255 then false
+      else if yv > 255 then go (xv + 1) 0
+      else
+        List.for_all (holds (Int64.of_int xv) (Int64.of_int yv)) cs
+        || go xv (yv + 1)
+    in
+    go 0 0
+  in
+  QCheck.Test.make ~name:"session answers = brute force (two 8-bit vars)"
+    ~count:100
+    (QCheck.make
+       ~print:(fun cs ->
+         String.concat " && " (List.map (fun c -> Expr.to_string (to_expr c)) cs))
+       QCheck.Gen.(list_size (int_range 1 3) gen_constraint))
+    (fun cs ->
+      let constraints = List.map to_expr cs in
+      match Solver.check ~session constraints with
+      | Solver.Sat m -> satisfiable cs && Solver.validate_model constraints m
+      | Solver.Unsat -> not (satisfiable cs)
+      | Solver.Unknown -> false)
+
+(* Steady-state blasting reuses the session's arena instead of building
+   a context per query.  The query is shaped like a flipped transfer
+   branch: a memo-length byte, an amount range and a flipped equality,
+   all left to bit-blasting.  Rebuilding the context per query allocates
+   about 134k minor words here; reusing the arena about 57k. *)
+let test_arena_allocation_guard () =
+  let open Expr in
+  let len = fresh_var ~name:"memo_len" 32 in
+  let amount = fresh_var ~name:"amount" 64 in
+  let cs =
+    [
+      cmp Ult (extract 7 0 (var len)) (const 8 33L);
+      cmp Slt (const 64 0L) (var amount);
+      cmp Sle (var amount) (const 64 1_000_000L);
+      ne (var amount) (const 64 5_000L);
+    ]
+  in
+  let s = Solver.Session.create ~cache_capacity:0 () in
+  ignore (Solver.check ~session:s cs);
+  let before = Gc.minor_words () in
+  let r = Solver.check ~session:s cs in
+  let words = Gc.minor_words () -. before in
+  (match r with
+   | Solver.Sat m ->
+       Alcotest.(check bool) "model validates" true (Solver.validate_model cs m)
+   | _ -> Alcotest.fail "expected sat");
+  Alcotest.(check int) "both solves blasted" 2
+    (Solver.Session.stats s).Solver.st_blasted;
+  let bound = 100_000. in
+  if words > bound then
+    Alcotest.failf "re-solve allocated %.0f minor words (bound %.0f)" words
+      bound
+
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "wasai_smt"
@@ -712,5 +880,14 @@ let () =
             test_session_budget_roundtrip;
           Alcotest.test_case "unsat subset subsumption" `Quick
             test_session_unsat_subsumption;
+        ] );
+      ( "arena",
+        [
+          qc (qcheck_arena_parity ~count:60 8);
+          qc (qcheck_arena_parity ~count:6 32);
+          qc (qcheck_arena_parity ~count:3 64);
+          qc qcheck_session_brute_force;
+          Alcotest.test_case "steady-state allocation" `Quick
+            test_arena_allocation_guard;
         ] );
     ]
