@@ -518,13 +518,9 @@ let run (cfg : config) (targets : target_spec list) : report =
     (match corpus_writer with
     | Some w ->
         let t_corpus = Telemetry.start () in
-        List.iter
-          (fun r ->
-            if Corpus.add corpus r then begin
-              Corpus.Writer.append w r;
-              incr corpus_added
-            end)
-          (corpus_records_of ~name stamp o);
+        corpus_added :=
+          !corpus_added
+          + Corpus.Writer.commit w corpus (corpus_records_of ~name stamp o);
         Telemetry.stop Telemetry.Corpus_io t_corpus
     | None -> ());
     (* Journal next: the entry must be durable before the target is

@@ -248,10 +248,11 @@ let setup ?(profile : Chain_profile.t option) ?(cell : int option)
   Chain.set_native chain fake_notif
     (agent_apply ~victim:target.tgt_account)
     { Abi.abi_actions = [] };
-  (* Instrument the target through the real binary pipeline. *)
+  (* The target enters through real bytecode: encoded, then decoded
+     before instrumentation. *)
   let bin = Wasm.Encode.encode target.tgt_module in
   let t_instr = Telemetry.start () in
-  let _bin', meta = Wasabi.Instrument.instrument_binary bin in
+  let _, meta = Wasabi.Instrument.instrument (Wasm.Decode.decode bin) in
   Telemetry.stop Telemetry.Instrument t_instr;
   Chain.set_code chain target.tgt_account meta.Wasabi.Trace.instrumented
     target.tgt_abi;

@@ -38,23 +38,20 @@ module type S = sig
 
   type prepared
 
-  val prepare : ?collector:Wasabi.Trace.t -> Wasm.Ast.module_ -> prepared
-  (** One-time translation of a validated module.  [collector], when
-      given, lets the backend bind the [wasai] instrumentation hooks to
-      direct trace appends — only sound when every instance of this
-      prepared module executes with the collector's target as receiver
-      (the engine guarantees this by installing the backend only on the
-      target account). *)
+  val prepare :
+    ?collector:Wasabi.Trace.t -> Chain.t -> Wasm.Ast.module_ -> prepared
+  (** One-time translation of a validated module that will run on the
+      given chain.  [collector], when given, lets the backend bind the
+      [wasai] instrumentation hooks to direct trace appends — only sound
+      when every instance of this prepared module executes with the
+      collector's target as receiver (the engine guarantees this by
+      installing the backend only on the target account). *)
 
   val run : prepared -> Chain.context -> unit
-  (** Execute one action: instantiate with the context's chain
-      extensions as resolver, expose the instance via [ctx_inst], invoke
-      [apply], and swallow [Eosio_exit]. *)
+  (** Execute one action: obtain an instance linked against the chain's
+      extensions ({!Chain.resolver}), invoke [apply], and swallow
+      [Eosio_exit]. *)
 end
-
-let resolver_of (ctx : Chain.context) : Wasm.Interp.resolver =
- fun mod_name item ->
-  List.find_map (fun ext -> ext ctx mod_name item) ctx.Chain.chain.Chain.extensions
 
 let apply_args (ctx : Chain.context) =
   [
@@ -68,18 +65,18 @@ module Interp_backend : S with type prepared = Wasm.Ast.module_ = struct
 
   type prepared = Wasm.Ast.module_
 
-  let prepare ?collector:_ m = m
+  let prepare ?collector:_ _ m = m
 
   (* Mirrors the Wasm branch of [Chain.run_contract] exactly; the
      engine's interp backend leaves no executor installed, so in
      production this code path only serves direct [run] callers (the
      differential tests). *)
   let run m (ctx : Chain.context) =
+    let chain = ctx.Chain.chain in
     let inst =
-      Wasm.Interp.instantiate ~fuel:ctx.Chain.chain.Chain.fuel_per_action
-        (resolver_of ctx) m
+      Wasm.Interp.instantiate ~fuel:chain.Chain.fuel_per_action
+        (Chain.resolver chain) m
     in
-    ctx.Chain.ctx_inst <- Some inst;
     try ignore (Wasm.Interp.invoke_export inst "apply" (apply_args ctx))
     with Chain.Eosio_exit -> ()
 end
@@ -131,20 +128,21 @@ module Compiled_backend : S with type prepared = Wasm.Compile.pool = struct
 
   type prepared = Wasm.Compile.pool
 
-  let prepare ?collector m =
+  let prepare ?collector chain m =
     Wasm.Compile.pool
       (match collector with
       | None -> Wasm.Compile.prepare m
       | Some c -> Wasm.Compile.prepare ~fast_host:(fast_hooks c) m)
+      (Chain.resolver chain)
 
   (* The pooled session is reset to the exact fresh-instantiate state per
-     action (imports rebound to this context's extensions, globals and
-     memory re-initialised, start re-run), so the observable behaviour
-     matches the interpreter's instance-per-action path. *)
+     action (globals and memory re-initialised, start re-run) and its
+     host functions read the running action from the chain, so the
+     observable behaviour matches the interpreter's instance-per-action
+     path. *)
   let run pl (ctx : Chain.context) =
     Wasm.Compile.with_session pl ~fuel:ctx.Chain.chain.Chain.fuel_per_action
-      (resolver_of ctx) (fun sess ->
-        ctx.Chain.ctx_inst <- Some (Wasm.Compile.instance sess);
+      (fun sess ->
         try ignore (Wasm.Compile.invoke_export sess "apply" (apply_args ctx))
         with Chain.Eosio_exit -> ())
 end
@@ -162,5 +160,5 @@ let install choice ?collector chain account (m : Wasm.Ast.module_) : unit =
   match choice with
   | Interp -> Chain.set_executor chain account None
   | Compiled | Auto ->
-      let prep = Compiled_backend.prepare ?collector m in
+      let prep = Compiled_backend.prepare ?collector chain m in
       Chain.set_executor chain account (Some (Compiled_backend.run prep))

@@ -29,18 +29,23 @@ module type S = sig
 
   type prepared
 
-  val prepare : ?collector:Wasabi.Trace.t -> Wasm.Ast.module_ -> prepared
-  (** One-time translation of a validated module.  [collector], when
-      given, lets the backend bind the [wasai] instrumentation hooks to
-      direct trace appends — only sound when every instance of this
-      prepared module executes with the collector's target as receiver
-      (the engine guarantees this by installing the backend only on the
-      target account). *)
+  val prepare :
+    ?collector:Wasabi.Trace.t ->
+    Wasai_eosio.Chain.t ->
+    Wasm.Ast.module_ ->
+    prepared
+  (** One-time translation of a validated module that will run on the
+      given chain.  [collector], when given, lets the backend bind the
+      [wasai] instrumentation hooks to direct trace appends — only sound
+      when every instance of this prepared module executes with the
+      collector's target as receiver (the engine guarantees this by
+      installing the backend only on the target account). *)
 
   val run : prepared -> Wasai_eosio.Chain.context -> unit
-  (** Execute one action: instantiate with the context's chain
-      extensions as resolver, expose the instance via [ctx_inst], invoke
-      [apply], and swallow [Eosio_exit]. *)
+  (** Execute one action: obtain an instance linked against the chain's
+      extensions ({!Wasai_eosio.Chain.resolver}), invoke [apply], and
+      swallow [Eosio_exit].  The compiled tier links its pooled instance
+      once, at the first action. *)
 end
 
 module Interp_backend : S with type prepared = Wasm.Ast.module_

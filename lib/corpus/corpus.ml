@@ -483,15 +483,21 @@ module Writer = struct
     if fresh then Wasai_support.Fsutil.fsync_dir (Filename.dirname path);
     { oc; wlock = Mutex.create () }
 
-  let append w r =
-    Mutex.protect w.wlock (fun () ->
-        output_string w.oc (line_of_record r);
-        output_char w.oc '\n';
-        flush w.oc;
-        (* The seed must reach disk before its target is journaled as
-           done: a crash-resumed campaign skips the target, so a seed
-           lost here would be lost forever. *)
-        Unix.fsync (Unix.descr_of_out_channel w.oc))
+  let commit w t records =
+    let fresh = List.filter (add t) records in
+    if fresh <> [] then
+      Mutex.protect w.wlock (fun () ->
+          List.iter
+            (fun r ->
+              output_string w.oc (line_of_record r);
+              output_char w.oc '\n')
+            fresh;
+          flush w.oc;
+          (* The seeds must reach disk before their target is journaled
+             as done: a crash-resumed campaign skips the target, so a
+             seed lost here would be lost forever. *)
+          Unix.fsync (Unix.descr_of_out_channel w.oc));
+    List.length fresh
 
   let close w = Mutex.protect w.wlock (fun () -> close_out_noerr w.oc)
 end

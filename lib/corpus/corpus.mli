@@ -117,15 +117,18 @@ val stats_text : t -> string
     edges), canonically ordered. *)
 
 (** Append-side handle, following the journal's crash-safety discipline:
-    each line is flushed and fsync'd before [append] returns.  [append]
-    does not deduplicate — pair it with {!add} on an in-memory corpus
-    (the campaign does) or dedupe at {!load} time. *)
+    every line is flushed and fsync'd before [commit] returns. *)
 module Writer : sig
   type w
 
   val open_ : string -> w
   (** Opens (creating if needed) in append mode. *)
 
-  val append : w -> record -> unit
+  val commit : w -> t -> record list -> int
+  (** Group commit of one target's seeds: {!add} each record to the
+      in-memory corpus, append the ones it accepts in list order, then
+      flush and fsync once.  Returns how many were new; writes nothing
+      when none are. *)
+
   val close : w -> unit
 end

@@ -40,9 +40,12 @@ and t = {
   mutable extensions : extension list;
       (** extra import namespaces (instrumentation hooks) *)
   mutable console : Buffer.t;
+  mutable running : context option;
+      (** the action whose contract code is executing, read by host
+          functions when they are called *)
 }
 
-and extension = context -> string -> string -> Interp.extern option
+and extension = t -> string -> string -> Interp.extern option
 
 (** Per-action execution context handed to host functions and native
     contracts. *)
@@ -51,7 +54,6 @@ and context = {
   ctx_receiver : Name.t;  (** the notified/executing account *)
   ctx_code : Name.t;  (** the account the action was sent to *)
   ctx_action : Action.t;
-  mutable ctx_inst : Interp.instance option;
   ctx_notify : Name.t Queue.t;  (** recipients queued by require_recipient *)
   ctx_inline : Action.t Queue.t;  (** actions queued by send_inline *)
 }
@@ -74,9 +76,19 @@ let create ?(fuel_per_action = 5_000_000) () =
     deferred = [];
     extensions = [];
     console = Buffer.create 256;
+    running = None;
   }
 
 let register_extension chain ext = chain.extensions <- ext :: chain.extensions
+
+let resolver chain : Interp.resolver =
+ fun mod_name item ->
+  List.find_map (fun ext -> ext chain mod_name item) chain.extensions
+
+let current chain =
+  match chain.running with
+  | Some ctx -> ctx
+  | None -> invalid_arg "host function called with no action running"
 
 let create_account chain name =
   match Hashtbl.find_opt chain.accounts name with
@@ -136,9 +148,8 @@ let console_output chain = Buffer.contents chain.console
 (* Action execution                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let run_contract (ctx : context) =
-  let acct = account ctx.chain ctx.ctx_receiver in
-  match acct with
+let dispatch (ctx : context) =
+  match account ctx.chain ctx.ctx_receiver with
   | None | Some { acc_contract = None; _ } ->
       (* No code: a plain account receiving an action or notification is a
          no-op (tokens still move because the token contract's own DB was
@@ -151,13 +162,10 @@ let run_contract (ctx : context) =
   | Some { acc_contract = Some (Wasm_contract m); _ } ->
       (* The env host API and the instrumentation hooks are both installed
          as extensions; see [Host.install]. *)
-      let resolver mod_name item =
-        List.find_map (fun ext -> ext ctx mod_name item) ctx.chain.extensions
-      in
       let inst =
-        Interp.instantiate ~fuel:ctx.chain.fuel_per_action resolver m
+        Interp.instantiate ~fuel:ctx.chain.fuel_per_action (resolver ctx.chain)
+          m
       in
-      ctx.ctx_inst <- Some inst;
       (try
          ignore
            (Interp.invoke_export inst "apply"
@@ -167,6 +175,19 @@ let run_contract (ctx : context) =
                 Wasm.Values.I64 ctx.ctx_action.Action.act_name;
               ])
        with Eosio_exit -> ())
+
+(* Host functions are linked once per instance and read the executing
+   action from [running], so it must name [ctx] for exactly the extent of
+   the receiver's code, exceptions included. *)
+let run_contract (ctx : context) =
+  let chain = ctx.chain in
+  let outer = chain.running in
+  chain.running <- Some ctx;
+  match dispatch ctx with
+  | () -> chain.running <- outer
+  | exception e ->
+      chain.running <- outer;
+      raise e
 
 (** Execute one action: the receiver's contract first, then every queued
     notification (with [code] preserved, which is what makes Fake Notif
@@ -188,7 +209,6 @@ let execute_action chain (act : Action.t) :
         ctx_receiver = receiver;
         ctx_code = act.Action.act_account;
         ctx_action = act;
-        ctx_inst = None;
         ctx_notify = Queue.create ();
         ctx_inline = Queue.create ();
       }

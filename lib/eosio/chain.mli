@@ -38,10 +38,18 @@ and t = {
   mutable extensions : extension list;
       (** extra import namespaces (host API, instrumentation hooks) *)
   mutable console : Buffer.t;
+  mutable running : context option;
+      (** The action whose contract code is executing: set by the chain
+          for the extent of the receiver's code (restored on return and
+          on exception), [None] between actions.  Host functions read it
+          when called; see {!current}. *)
 }
 
-and extension = context -> string -> string -> Interp.extern option
-(** Import resolver parameterised by the executing context. *)
+and extension = t -> string -> string -> Interp.extern option
+(** Import resolver for one namespace, given the chain it links for.
+    Instances link once and may run many actions, so the host functions
+    an extension returns must read the executing action from
+    {!current} when called, never capture it. *)
 
 (** Per-action execution context handed to host functions and native
     contracts. *)
@@ -50,7 +58,6 @@ and context = {
   ctx_receiver : Name.t;  (** the notified/executing account *)
   ctx_code : Name.t;  (** the account the action was sent to *)
   ctx_action : Action.t;
-  mutable ctx_inst : Interp.instance option;
   ctx_notify : Name.t Queue.t;  (** recipients queued by require_recipient *)
   ctx_inline : Action.t Queue.t;  (** actions queued by send_inline *)
 }
@@ -67,6 +74,18 @@ val create : ?fuel_per_action:int -> unit -> t
     API. *)
 
 val register_extension : t -> extension -> unit
+(** Add an import namespace.  Register extensions before the first
+    action whose contract imports from them: a pooled compiled instance
+    resolves its imports once, at its first action, and never again. *)
+
+val resolver : t -> Interp.resolver
+(** Resolve an import through the chain's extensions, most recently
+    registered first.  Both execution tiers link against it. *)
+
+val current : t -> context
+(** The running action's context, for host functions.  Raises
+    [Invalid_argument] when no action is running. *)
+
 val create_account : t -> Name.t -> account
 val account : t -> Name.t -> account option
 val is_account : t -> Name.t -> bool

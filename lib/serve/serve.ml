@@ -144,10 +144,9 @@ let merge_slice_set ~stamp (tn : tenant_state) name : Journal.entry =
       ~stamp outcome
   in
   let t_corpus = Telemetry.start () in
-  List.iter
-    (fun r ->
-      if Corpus.add tn.tn_corpus r then Corpus.Writer.append tn.tn_corpus_w r)
-    (Campaign.corpus_records_of ~name stamp outcome);
+  ignore
+    (Corpus.Writer.commit tn.tn_corpus_w tn.tn_corpus
+       (Campaign.corpus_records_of ~name stamp outcome));
   Telemetry.stop Telemetry.Corpus_io t_corpus;
   Journal.append tn.tn_journal entry;
   Hashtbl.replace tn.tn_done name entry;
@@ -336,11 +335,9 @@ let worker (t : t) () =
                           resume, so a seed lost here would be lost
                           forever (campaign discipline). *)
                        let t_corpus = Telemetry.start () in
-                       List.iter
-                         (fun r ->
-                           if Corpus.add tn.tn_corpus r then
-                             Corpus.Writer.append tn.tn_corpus_w r)
-                         recs;
+                       ignore
+                         (Corpus.Writer.commit tn.tn_corpus_w tn.tn_corpus
+                            recs);
                        Telemetry.stop Telemetry.Corpus_io t_corpus;
                        Journal.append tn.tn_journal entry;
                        Hashtbl.replace tn.tn_done jb.jb_name entry;

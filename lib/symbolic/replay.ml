@@ -202,15 +202,10 @@ let concrete_of_value (v : Values.value) : Expr.t =
 
 let import_name_of_callee (t : t) (instr : Ast.instr) : string option =
   match instr with
-  | Ast.Call fi -> (
-      let m = t.meta.Trace.instrumented in
-      let n_imp = Ast.num_func_imports m in
-      if fi < n_imp then
-        match (List.nth (Ast.func_imports m) fi).Ast.idesc with
-        | Ast.Func_import _ ->
-            Some (List.nth (Ast.func_imports m) fi).Ast.imp_name
-        | _ -> None
-      else None)
+  | Ast.Call fi ->
+      Option.map
+        (fun (i : Ast.import) -> i.Ast.imp_name)
+        (Ast.func_import_at t.meta.Trace.instrumented fi)
   | _ -> None
 
 let callee_arity (t : t) (instr : Ast.instr) : int * int =

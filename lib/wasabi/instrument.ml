@@ -389,10 +389,11 @@ module Interp = Wasm.Interp
     target — so auxiliary contracts stay silent even if instrumented. *)
 let runtime_extension (collector : Trace.t) ~(target : Wasai_eosio.Name.t) :
     Wasai_eosio.Chain.extension =
- fun ctx mod_name item ->
+ fun chain mod_name item ->
   if mod_name <> "wasai" then None
   else
     let if_target f args =
+      let ctx = Wasai_eosio.Chain.current chain in
       if Wasai_eosio.Name.equal ctx.Wasai_eosio.Chain.ctx_receiver target then
         f args;
       []

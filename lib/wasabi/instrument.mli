@@ -18,4 +18,5 @@ val instrument_binary : string -> string * Trace.meta
 val runtime_extension :
   Trace.t -> target:Wasai_eosio.Name.t -> Wasai_eosio.Chain.extension
 (** Chain extension binding the [wasai] hook imports to a collector,
-    restricted to one contract account (the fuzzing target). *)
+    restricted to one contract account (the fuzzing target): each hook
+    checks the receiver of {!Wasai_eosio.Chain.current} when it fires. *)

@@ -153,33 +153,55 @@ let empty_module = {
   datas = [];
 }
 
+(* The import-space lookups below run once per call site in validation,
+   compilation and trace replay, so each walks [m.imports] in place
+   rather than building the filtered list of function imports. *)
+
+let rec count_func_imports n = function
+  | [] -> n
+  | { idesc = Func_import _; _ } :: rest -> count_func_imports (n + 1) rest
+  | _ :: rest -> count_func_imports n rest
+
 (** Number of imported functions (they precede module-local functions in the
     function index space). *)
-let num_func_imports (m : module_) =
-  List.length
-    (List.filter (fun i -> match i.idesc with Func_import _ -> true | _ -> false)
-       m.imports)
+let num_func_imports (m : module_) = count_func_imports 0 m.imports
 
 let func_imports (m : module_) =
   List.filter (fun i -> match i.idesc with Func_import _ -> true | _ -> false)
     m.imports
 
+let rec nth_func_import k = function
+  | [] -> None
+  | ({ idesc = Func_import _; _ } as i) :: rest ->
+      if k = 0 then Some i else nth_func_import (k - 1) rest
+  | _ :: rest -> nth_func_import k rest
+
+(** The import behind absolute function index [idx], if it is imported. *)
+let func_import_at (m : module_) idx : import option =
+  if idx < 0 then None else nth_func_import idx m.imports
+
+(* [k] counts down over the function imports left in [imports]; once they
+   run out it is the module-local index. *)
+let rec func_type_from (m : module_) k = function
+  | [] -> m.types.(m.funcs.(k).ftype)
+  | { idesc = Func_import ti; _ } :: rest ->
+      if k = 0 then m.types.(ti) else func_type_from m (k - 1) rest
+  | _ :: rest -> func_type_from m k rest
+
 (** Type of the function at absolute index [idx] in the function index space. *)
 let func_type_at (m : module_) idx : Types.func_type =
-  let n_imp = num_func_imports m in
-  if idx < n_imp then
-    match (List.nth (func_imports m) idx).idesc with
-    | Func_import ti -> m.types.(ti)
-    | _ -> assert false
-  else m.types.(m.funcs.(idx - n_imp).ftype)
+  func_type_from m idx m.imports
+
+let rec func_name_from (m : module_) k = function
+  | [] -> m.funcs.(k).fname
+  | { idesc = Func_import _; imp_module; imp_name } :: rest ->
+      if k = 0 then Some (imp_module ^ "." ^ imp_name)
+      else func_name_from m (k - 1) rest
+  | _ :: rest -> func_name_from m k rest
 
 (** Debug name of the function at absolute index [idx], if any. *)
 let func_name_at (m : module_) idx : string option =
-  let n_imp = num_func_imports m in
-  if idx < n_imp then
-    let i = List.nth (func_imports m) idx in
-    Some (i.imp_module ^ "." ^ i.imp_name)
-  else m.funcs.(idx - n_imp).fname
+  func_name_from m idx m.imports
 
 let exported_func (m : module_) name : int option =
   List.find_map

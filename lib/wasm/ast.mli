@@ -138,9 +138,15 @@ type module_ = {
 val empty_module : module_
 
 val num_func_imports : module_ -> int
-(** Imported functions precede local functions in the index space. *)
+(** Imported functions precede local functions in the index space.  This
+    and the [*_at] lookups below walk the import list in place: they
+    allocate nothing beyond their result. *)
 
 val func_imports : module_ -> import list
+
+val func_import_at : module_ -> int -> import option
+(** The import behind an absolute function index; [None] for a
+    module-local function. *)
 
 val func_type_at : module_ -> int -> Types.func_type
 (** Type of the function at an absolute index. *)

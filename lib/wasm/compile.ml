@@ -1093,17 +1093,18 @@ let instantiate ?fuel ?max_depth (prep : prepared) (resolver : Interp.resolver)
    target runs tens of thousands of payloads: the dominant cost is
    [Bytes.make] for linear memory, not execution.  The pool keeps one
    live session per prepared module and returns it to the exact
-   post-allocation state before every reuse: imports rebound against the
-   caller's resolver (host functions close over per-action state),
-   globals re-evaluated, linear memory restored from the pre-start image
-   (dirty-watermark blit), fuel and call depth reset, then the start
-   function re-run — precisely the observable sequence of a fresh
-   [instantiate].  Tables are static in the MVP (no [table.set]/grow),
-   so only slots that hold imported host functions need refreshing after
-   a rebind. *)
+   post-allocation state before every reuse: globals re-evaluated,
+   linear memory restored from the pre-start image (dirty-watermark
+   blit), fuel and call depth reset, then the start function re-run —
+   precisely the observable sequence of a fresh [instantiate].  Imports
+   are linked once, at the first acquisition: the resolver is fixed per
+   pool and its host functions read their per-action state when called,
+   so a relink would bind the same functions again.  Tables are static in
+   the MVP (no [table.set]/grow), so they too survive reuse unchanged. *)
 
 type pool = {
   pl_prep : prepared;
+  pl_resolver : Interp.resolver;
   pl_poolable : bool;
       (** modules importing their linear memory share state with the
           embedder and cannot be reset locally; they always get a fresh
@@ -1117,7 +1118,7 @@ type pool = {
           fresh-instance-per-nested-run behaviour *)
 }
 
-let pool (prep : prepared) : pool =
+let pool (prep : prepared) (resolver : Interp.resolver) : pool =
   let poolable =
     not
       (List.exists
@@ -1127,6 +1128,7 @@ let pool (prep : prepared) : pool =
   in
   {
     pl_prep = prep;
+    pl_resolver = resolver;
     pl_poolable = poolable;
     pl_sess = None;
     pl_mem = None;
@@ -1137,19 +1139,8 @@ let pool (prep : prepared) : pool =
 (* Must match the default in [Interp.alloc_instance]. *)
 let default_max_depth = 256
 
-let reset_session (pl : pool) (s : session) (resolver : Interp.resolver)
-    (fuel : int option) : unit =
+let reset_session (pl : pool) (s : session) (fuel : int option) : unit =
   let inst = s.s_inst in
-  (* Raises [Link_error] before mutating anything, like linking does. *)
-  Interp.rebind_imports inst resolver;
-  (* Table slots initialised from imported functions still point at the
-     previous action's host closures; refresh them from the rebound
-     index space. *)
-  Array.iteri
-    (fun slot fi ->
-      if fi >= 0 && fi < s.s_prep.p_nimp then
-        inst.Interp.table.(slot) <- Some inst.Interp.funcs.(fi))
-    s.s_tsrc;
   Interp.reset_globals inst;
   (match (inst.Interp.memory, pl.pl_mem) with
   | Some mem, Some img -> Memory.restore mem img
@@ -1157,14 +1148,14 @@ let reset_session (pl : pool) (s : session) (resolver : Interp.resolver)
   Interp.set_fuel inst (Option.value fuel ~default:max_int);
   inst.Interp.depth <- 0
 
-let with_session (pl : pool) ?fuel ?max_depth (resolver : Interp.resolver)
-    (f : session -> 'a) : 'a =
+let with_session (pl : pool) ?fuel ?max_depth (f : session -> 'a) : 'a =
   let depth = Option.value max_depth ~default:default_max_depth in
   let reusable =
     pl.pl_poolable && (not pl.pl_busy)
     && match pl.pl_sess with None -> true | Some _ -> depth = pl.pl_depth
   in
-  if not reusable then f (instantiate ?fuel ?max_depth pl.pl_prep resolver)
+  if not reusable then
+    f (instantiate ?fuel ?max_depth pl.pl_prep pl.pl_resolver)
   else begin
     pl.pl_busy <- true;
     Fun.protect
@@ -1173,10 +1164,12 @@ let with_session (pl : pool) ?fuel ?max_depth (resolver : Interp.resolver)
         let s =
           match pl.pl_sess with
           | Some s ->
-              reset_session pl s resolver fuel;
+              reset_session pl s fuel;
               s
           | None ->
-              let s = instantiate_pre ?fuel ?max_depth pl.pl_prep resolver in
+              let s =
+                instantiate_pre ?fuel ?max_depth pl.pl_prep pl.pl_resolver
+              in
               pl.pl_mem <- Option.map Memory.snapshot s.s_inst.Interp.memory;
               pl.pl_sess <- Some s;
               pl.pl_depth <- depth;

@@ -71,18 +71,22 @@ type pool
 (** An instance pool over one {!prepared} module.  Instantiating a fresh
     instance per action is allocator churn (a new linear memory per
     payload); the pool keeps one live session and returns it to the
-    exact post-allocation state before each reuse — imports rebound,
-    globals re-evaluated, memory restored from the pre-start image, fuel
-    and depth reset, start function re-run.  Observationally identical
-    to a fresh {!instantiate} per acquisition. *)
+    exact post-allocation state before each reuse — globals
+    re-evaluated, memory restored from the pre-start image, fuel and
+    depth reset, start function re-run.  Imports are linked once, at the
+    first acquisition, against the pool's resolver: its host functions
+    must read any per-action state when called, never capture it at
+    link time.  Observationally identical to a fresh {!instantiate} per
+    acquisition. *)
 
-val pool : prepared -> pool
+val pool : prepared -> Interp.resolver -> pool
+(** A pool whose instances link against [resolver]. *)
 
 val with_session :
-  pool -> ?fuel:int -> ?max_depth:int -> Interp.resolver -> (session -> 'a) -> 'a
-(** Run [f] with a session for this pool's module, linked against
-    [resolver].  Reuses the pooled instance when possible; falls back to
-    a fresh {!instantiate} when the module imports its memory, when the
+  pool -> ?fuel:int -> ?max_depth:int -> (session -> 'a) -> 'a
+(** Run [f] with a session for this pool's module.  Reuses the pooled
+    instance when possible; falls back to a fresh {!instantiate} against
+    the pool's resolver when the module imports its memory, when the
     pool is already in use (re-entrant nested actions), or when
     [max_depth] differs from the pooled instance's.  Exceptions from [f]
     (and from linking or the start function) propagate unchanged. *)

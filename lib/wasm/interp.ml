@@ -54,11 +54,8 @@ let eval_const_expr (globals : Values.value array) (e : Ast.instr list) :
   | [ Ast.Global_get i ] -> globals.(i)
   | _ -> Values.trap "unsupported constant expression"
 
-(* Allocation phase of instantiation: imports, memory, globals, table,
-   element and data segments.  The public [instantiate] below also runs
-   the start function. *)
-(* Resolve every import of [m], raising [Link_error] exactly as linking
-   does.  Shared between first-time allocation and pooled re-linking. *)
+(* Resolve every import of [m], raising [Link_error] on the first
+   unresolved or mismatched one. *)
 let resolve_imports (resolver : resolver) (m : Ast.module_) :
     func_inst array * Memory.t option =
   let imported_funcs = ref [] in
@@ -92,6 +89,9 @@ let resolve_imports (resolver : resolver) (m : Ast.module_) :
     m.imports;
   (Array.of_list (List.rev !imported_funcs), !imported_memory)
 
+(* Allocation phase of instantiation: imports, memory, globals, table,
+   element and data segments.  The public [instantiate] below also runs
+   the start function. *)
 let alloc_instance ?(fuel = max_int) ?(max_depth = 256) (resolver : resolver)
     (m : Ast.module_) : instance =
   let imported_funcs, imported_memory = resolve_imports resolver m in
@@ -156,16 +156,7 @@ let get_memory inst =
   | Some m -> m
   | None -> Values.trap "no linear memory"
 
-(* Pooled-instance support: re-resolve the function imports against a new
-   resolver (host functions close over per-action state, so a reused
-   instance must rebind them), and return globals to their initial
-   values.  Both raise exactly as first-time allocation would, and
-   [rebind_imports] only mutates [funcs] after the whole import list has
-   resolved. *)
-let rebind_imports (inst : instance) (resolver : resolver) : unit =
-  let imported_funcs, _ = resolve_imports resolver inst.module_ in
-  Array.blit imported_funcs 0 inst.funcs 0 (Array.length imported_funcs)
-
+(* Pooled-instance support: return globals to their initial values. *)
 let reset_globals (inst : instance) : unit =
   Array.iteri
     (fun i (g : Ast.global) -> inst.globals.(i) <- eval_const_expr [||] g.ginit)

@@ -61,14 +61,6 @@ val eval_const_expr : Values.value array -> Ast.instr list -> Values.value
 
 val get_memory : instance -> Memory.t
 
-val rebind_imports : instance -> resolver -> unit
-(** Re-resolve the module's function imports against a new resolver and
-    patch them into the instance's function index space.  Host functions
-    close over per-invocation state (e.g. the action context), so a
-    pooled instance must rebind before every reuse.  Raises
-    {!Link_error} — with the same messages as {!instantiate} — before
-    mutating anything. *)
-
 val reset_globals : instance -> unit
 (** Re-evaluate every global initialiser, returning the globals to their
     post-instantiation values.  Used when resetting a pooled instance. *)

@@ -177,6 +177,151 @@ let test_corpus_tape_parity () =
     (corpus_samples ())
 
 (* ------------------------------------------------------------------ *)
+(* Host imports linked once, context read per call                      *)
+(* ------------------------------------------------------------------ *)
+
+let no_action_running (chain : Chain.t) =
+  Alcotest.(check bool) "no action running" true (chain.Chain.running = None)
+
+(* The compiled executor links its pooled instance at the first action
+   and never again, so its host functions must read each action's
+   context when called.  Alternate direct actions with forwarded
+   notifications, under different action data and auth, on one chain per
+   backend: every result and tape must match the interpreter's, which
+   links a fresh instance per action. *)
+let test_context_parity_across_actions () =
+  let s = List.nth (BG.Corpus.ground_truth ~scale:100 ()) 4 in
+  let mk backend =
+    Core.Engine.setup
+      (Core.Engine.make_config ~rounds:1 ~backend ())
+      (target_of_sample s)
+  in
+  let si = mk Core.Exec_backend.Interp and sc = mk Core.Exec_backend.Compiled in
+  let rng = Wasai_support.Rand.create 4242L in
+  let seeds =
+    List.concat_map
+      (fun def ->
+        List.init 2 (fun _ ->
+            Core.Seed.random rng ~identities:si.Core.Engine.identities def))
+      s.BG.Corpus.smp_abi.Abi.abi_actions
+  in
+  let run (sess : Core.Engine.session) i seed =
+    let ch = if i mod 2 = 0 then Core.Scanner.Ch_direct else Ch_fake_notif in
+    let ex = Core.Engine.run_one sess seed ch in
+    no_action_running sess.Core.Engine.chain;
+    ( result_string ex.Core.Engine.ex_result,
+      tape ex.Core.Engine.ex_trace,
+      Chain.console_output sess.Core.Engine.chain )
+  in
+  let outcomes = ref [] in
+  List.iteri
+    (fun i seed ->
+      let ri, ti, ci = run si i seed in
+      let rc, tc, cc = run sc i seed in
+      let label = Printf.sprintf "action %d" i in
+      outcomes := ri :: !outcomes;
+      Alcotest.(check string) (label ^ " result") ri rc;
+      Alcotest.(check (list string)) (label ^ " tape") ti tc;
+      Alcotest.(check string) (label ^ " console") ci cc)
+    seeds;
+  Alcotest.(check bool)
+    "both succeeding and failing actions" true
+    (List.exists (fun r -> String.sub r 0 4 = "true") !outcomes
+    && List.exists (fun r -> String.sub r 0 5 = "false") !outcomes)
+
+(* apply(receiver, code, action): "boom" traps, "deny" fails
+   [require_auth], anything else returns. *)
+let guard_contract () =
+  let open Wasm.Builder in
+  let open Wasm.Builder.I in
+  let b = create () in
+  let i64t = Wasm.Types.I64 in
+  let require_auth =
+    import_func b ~module_:"env" ~name:"require_auth"
+      (Wasm.Types.func_type [ i64t ])
+  in
+  let on name body =
+    [ local_get 2; i64 (Name.of_string name); i64_eq; if_ body [] ]
+  in
+  let apply =
+    add_func b ~name:"apply"
+      (Wasm.Types.func_type [ i64t; i64t; i64t ])
+      (on "boom" [ unreachable ]
+      @ on "deny" [ i64 (Name.of_string "alice"); call require_auth ])
+  in
+  export_func b "apply" apply;
+  build b
+
+let test_running_cleared () =
+  let chain = Host.create_chain () in
+  let inst = Wasm.Interp.instantiate (fun _ _ -> None) Wasm.Ast.empty_module in
+  List.iter
+    (fun (h : Wasm.Interp.host_func) ->
+      match h.Wasm.Interp.hf_fn inst [] with
+      | _ -> Alcotest.failf "env.%s ran with no action" h.Wasm.Interp.hf_name
+      | exception Invalid_argument msg ->
+          Alcotest.(check string)
+            ("env." ^ h.Wasm.Interp.hf_name)
+            "host function called with no action running" msg)
+    (Host.env_functions chain);
+  let guard = Name.of_string "guard" in
+  let m = guard_contract () in
+  List.iter
+    (fun backend ->
+      Chain.set_code chain guard m { Abi.abi_actions = [] };
+      Core.Exec_backend.install backend chain guard m;
+      List.iter
+        (fun (act, expect) ->
+          let r =
+            Chain.push_action chain
+              (Action.make ~account:guard ~name:(Name.of_string act) ~data:""
+                 ~auth:[])
+          in
+          Alcotest.(check string)
+            (Core.Exec_backend.to_string backend ^ " " ^ act)
+            expect
+            (Option.value ~default:"ok" r.Chain.tx_error);
+          no_action_running chain)
+        [
+          ("go", "ok");
+          ("boom", "trap: unreachable executed");
+          ("deny", "eosio_assert: missing authority of alice");
+          ("go", "ok");
+        ])
+    Core.Exec_backend.[ Interp; Compiled ]
+
+(* Steady-state cost of one payload transaction on a pooled target.
+   Re-linking the env host table before every action cost about 10k
+   minor words per [push_action]; linking once leaves about 1.3k. *)
+let test_push_action_allocation () =
+  let s = List.hd (BG.Corpus.ground_truth ~scale:100 ()) in
+  let sess =
+    Core.Engine.setup (Core.Engine.make_config ~rounds:1 ()) (target_of_sample s)
+  in
+  let rng = Wasai_support.Rand.create 77L in
+  let seed =
+    Core.Seed.random rng ~identities:sess.Core.Engine.identities
+      (List.hd s.BG.Corpus.smp_abi.Abi.abi_actions)
+  in
+  let act, _ = Core.Engine.payload sess seed Core.Scanner.Ch_genuine in
+  let push () =
+    Wasabi.Trace.reset sess.Core.Engine.collector;
+    ignore (Chain.push_action sess.Core.Engine.chain act)
+  in
+  for _ = 1 to 5 do
+    push ()
+  done;
+  let n = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    push ()
+  done;
+  let per_push = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_push >= 4000. then
+    Alcotest.failf "push_action allocates %.0f minor words (bound 4000)"
+      per_push
+
+(* ------------------------------------------------------------------ *)
 (* Fallback-boundary and fuel-exhaustion parity                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -496,6 +641,15 @@ let () =
             test_corpus_outcome_parity;
           Alcotest.test_case "per-payload trace tapes" `Quick
             test_corpus_tape_parity;
+        ] );
+      ( "host-linking",
+        [
+          Alcotest.test_case "context parity across actions" `Quick
+            test_context_parity_across_actions;
+          Alcotest.test_case "running cleared on every exit" `Quick
+            test_running_cleared;
+          Alcotest.test_case "steady-state push_action allocation" `Quick
+            test_push_action_allocation;
         ] );
       ( "fallback",
         [

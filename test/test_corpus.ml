@@ -226,15 +226,19 @@ let test_load_rejects_corrupt_line () =
 let test_writer_appends_durably () =
   let path = temp_path () in
   let w = Corpus.Writer.open_ path in
+  let c = Corpus.create () in
   let r1 = record () and r2 = record ~cover:[ (4, 0l) ] () in
-  Corpus.Writer.append w r1;
-  (* Visible before close: append is flush+fsync, not buffered. *)
-  let c = Corpus.load path in
-  Alcotest.(check int) "first append visible immediately" 1 (Corpus.size c);
-  Corpus.Writer.append w r2;
+  Alcotest.(check int) "repeat in one batch written once" 1
+    (Corpus.Writer.commit w c [ r1; r1 ]);
+  (* Visible before close: commit is flush+fsync, not buffered. *)
+  Alcotest.(check int) "first commit visible immediately" 1
+    (Corpus.size (Corpus.load path));
+  Alcotest.(check int) "known seed skipped" 1
+    (Corpus.Writer.commit w c [ r1; r2 ]);
   Corpus.Writer.close w;
   let w2 = Corpus.Writer.open_ path in
-  Corpus.Writer.append w2 r1;  (* duplicate: load dedupes *)
+  (* A fresh in-memory corpus re-appends r1: load dedupes. *)
+  ignore (Corpus.Writer.commit w2 (Corpus.create ()) [ r1 ]);
   Corpus.Writer.close w2;
   let c' = Corpus.load path in
   Alcotest.(check int) "reopen appends; load dedupes" 2 (Corpus.size c');

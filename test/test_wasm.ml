@@ -342,6 +342,92 @@ let expect_invalid name m =
   | () -> Alcotest.failf "%s: expected validation failure" name
   | exception Validate.Invalid _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Import-space lookups                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Seeded modules whose function imports are interleaved with memory,
+   table and global imports, checked against the obvious list-based
+   definitions of the function index space. *)
+let test_import_space_walks () =
+  let rng = Random.State.make [| 17 |] in
+  let types =
+    [|
+      ft [] ~results:[];
+      ft [ Types.I32 ] ~results:[];
+      ft [ Types.I64 ] ~results:[ Types.I32 ];
+    |]
+  in
+  let lim = { Types.lim_min = 1; lim_max = None } in
+  let random_import i =
+    let desc =
+      match Random.State.int rng 4 with
+      | 0 -> Ast.Memory_import { Types.mem_limits = lim }
+      | 1 -> Ast.Table_import { Types.tbl_limits = lim }
+      | 2 ->
+          Ast.Global_import
+            { Types.gt_mut = Types.Immutable; gt_type = Types.I32 }
+      | _ -> Ast.Func_import (Random.State.int rng (Array.length types))
+    in
+    {
+      Ast.imp_module = (if i mod 2 = 0 then "env" else "wasai");
+      imp_name = Printf.sprintf "i%d" i;
+      idesc = desc;
+    }
+  in
+  let random_func i =
+    {
+      Ast.ftype = Random.State.int rng (Array.length types);
+      locals = [];
+      body = [];
+      fname = (if i mod 3 = 0 then None else Some (Printf.sprintf "f%d" i));
+    }
+  in
+  for _ = 1 to 200 do
+    let m =
+      {
+        Ast.empty_module with
+        types;
+        imports = List.init (Random.State.int rng 9) random_import;
+        funcs = Array.init (Random.State.int rng 4) random_func;
+      }
+    in
+    let fimps =
+      List.filter
+        (fun (i : Ast.import) ->
+          match i.idesc with Ast.Func_import _ -> true | _ -> false)
+        m.imports
+    in
+    let n = List.length fimps in
+    Alcotest.(check int) "num_func_imports" n (Ast.num_func_imports m);
+    for idx = -1 to n + Array.length m.funcs do
+      let expect_import =
+        if idx >= 0 && idx < n then Some (List.nth fimps idx) else None
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "func_import_at %d" idx)
+        true
+        (Ast.func_import_at m idx = expect_import);
+      if idx >= 0 && idx < n + Array.length m.funcs then begin
+        let expect_type, expect_name =
+          match expect_import with
+          | Some { Ast.idesc = Ast.Func_import ti; imp_module; imp_name } ->
+              (types.(ti), Some (imp_module ^ "." ^ imp_name))
+          | _ ->
+              let f = m.funcs.(idx - n) in
+              (types.(f.ftype), f.fname)
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "func_type_at %d" idx)
+          (Types.string_of_func_type expect_type)
+          (Types.string_of_func_type (Ast.func_type_at m idx));
+        Alcotest.(check (option string))
+          (Printf.sprintf "func_name_at %d" idx)
+          expect_name (Ast.func_name_at m idx)
+      end
+    done
+  done
+
 let test_validate_rejects_type_mismatch () =
   let open Builder.I in
   expect_invalid "i64+i32"
@@ -661,6 +747,11 @@ let () =
           Alcotest.test_case "call depth" `Quick test_call_depth;
           Alcotest.test_case "data segments" `Quick test_start_and_data;
           Alcotest.test_case "memory instructions" `Quick test_memory_instrs;
+        ] );
+      ( "ast",
+        [
+          Alcotest.test_case "import-space walks" `Quick
+            test_import_space_walks;
         ] );
       ( "validate",
         [
