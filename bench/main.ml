@@ -5,17 +5,14 @@
     [--backend interp|compiled|auto] [--json FILE]]
 
     Experiments: fig3 table4 table5 table6 table-ext rq4 ablation solver
-    campaign campaign-smoke slice-smoke shard shard-smoke corpus corpus-smoke trace
+    campaign campaign-smoke shard shard-smoke corpus corpus-smoke trace
     trace-smoke serve-smoke oracle-smoke compile compile-smoke telemetry
     telemetry-smoke micro all (default: all).  [--scale]
     divides the corpus sizes (default 20; use [--full] for the paper-sized
     corpora — minutes of CPU).  [campaign] measures multi-domain scaling
     (1/2/4 workers) over a generated corpus plus an LPT-vs-name-order
     scheduling datapoint; [campaign-smoke] is a <10 s
-    parity + resume check; [slice-smoke] is a <10 s round-space
-    partitioning check (off-vs-sliced verdict parity, K=1/K=8 merge
-    byte-identity and a >= 1.5x modelled 4-worker makespan win on a
-    one-dominant-module corpus); [shard] measures distributed 2/4-way sharding
+    parity + resume check; [shard] measures distributed 2/4-way sharding
     against an unsharded baseline and verifies merge identity;
     [shard-smoke] is a <10 s 2-shard merge byte-identity check; [solver]
     is a <10 s cache-on/off microbenchmark over a repeated-flip
@@ -558,50 +555,7 @@ let campaign_exp (opts : options) =
     /. Float.max 1e-9 lpt.Campaign.Campaign.cr_wall)
     (String.equal
        (Campaign.Campaign.verdicts_text lpt)
-       (Campaign.Campaign.verdicts_text unsorted));
-  (* Intra-target slicing datapoint.  With a queue this deep (16 targets
-     for 4 workers) --slices auto declines to cut anything — fair-share
-     says whole targets already balance — while forcing --slices 4
-     quadruples the per-target seeding cost for no makespan gain.  The
-     payoff case, a queue shallower than the worker pool, is pinned by
-     [slice-smoke]. *)
-  let slice_cfg slices =
-    Campaign.Campaign.make_config ~jobs:4 ~slices
-      ~engine:(Core.Engine.make_config ~rounds:(rounds) ())
-      ()
-  in
-  let auto_plan = Campaign.Campaign.plan (slice_cfg Campaign.Campaign.Auto) targets in
-  let auto_units =
-    List.fold_left
-      (fun acc (r : Campaign.Campaign.plan_row) -> acc + r.Campaign.Campaign.pr_slices)
-      0 auto_plan.Campaign.Campaign.pl_rows
-  in
-  let forced =
-    Campaign.Campaign.run (slice_cfg (Campaign.Campaign.Fixed 4)) targets
-  in
-  (* Per-target flag agreement with the whole-target run: sliced cells
-     draw from disjoint RNG streams, so borderline targets may explore
-     differently — byte-identity is only promised between slice counts
-     of the same decomposition (K vs K'), which slice-smoke pins. *)
-  let agree =
-    let lines r =
-      String.split_on_char '\n' (Campaign.Campaign.flags_text r)
-    in
-    List.fold_left2
-      (fun acc a b -> if String.equal a b then acc + 1 else acc)
-      0 (lines serial) (lines forced)
-    - 1 (* both texts end with a trailing empty line *)
-  in
-  Printf.printf
-    "  slicing (4 domains): auto plans %d work units over %d targets \
-     (queue-deep, K=1); forced K=4 wall=%.2fs vs whole-target wall=%.2fs \
-     (%.2fx work amplification from per-cell seeding), flag agreement \
-     %d/%d targets\n"
-    auto_units count forced.Campaign.Campaign.cr_wall
-    lpt.Campaign.Campaign.cr_wall
-    (forced.Campaign.Campaign.cr_wall
-    /. Float.max 1e-9 lpt.Campaign.Campaign.cr_wall)
-    agree count
+       (Campaign.Campaign.verdicts_text unsorted))
 
 (* Quick local verification (<10 s): a tiny corpus through the parallel
    path plus an interrupt/resume round-trip on a throwaway journal. *)
@@ -646,159 +600,6 @@ let campaign_smoke () =
         };
       ]
     [ ("wall_s", full.Campaign.Campaign.cr_wall) ];
-  if not ok then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Campaign: intra-target slicing                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* A module whose fuzzing cost is round work rather than setup: deep
-   injected verification checks behind popcount-obfuscated guards keep
-   the solver busy every round, so a big round budget makes this one
-   module dominate a campaign's makespan. *)
-let dominant_target () =
-  let rng = Rand.create 7L in
-  let account = Wasai_eosio.Name.of_string "dominant" in
-  let spec =
-    {
-      (BG.Contracts.default_spec account) with
-      BG.Contracts.sp_fake_eos_guard = false;
-      sp_checks = BG.Verification.random_checks rng ~depth:6;
-    }
-  in
-  let m, abi = BG.Contracts.build spec in
-  let m = BG.Obfuscate.obfuscate m in
-  ( account,
-    { Core.Engine.tgt_account = account; tgt_module = m; tgt_abi = abi } )
-
-(* Longest-processing-time schedule length for [units] on [workers]
-   identical workers: the makespan model the campaign scheduler targets.
-   Modelling over serially-measured unit costs keeps the comparison
-   meaningful whatever the bench host's real core count. *)
-let lpt_makespan ~workers units =
-  let loads = Array.make workers 0.0 in
-  List.iter
-    (fun u ->
-      let best = ref 0 in
-      Array.iteri (fun i l -> if l < loads.(!best) then best := i) loads;
-      loads.(!best) <- loads.(!best) +. u)
-    (List.sort (fun a b -> compare (b : float) a) units);
-  Array.fold_left Float.max 0.0 loads
-
-(* Quick local verification (<10 s) of round-space partitioning: on a
-   one-dominant-module corpus (queue shallower than the worker pool)
-   slicing must (a) leave the verdict untouched — Off vs sliced agree on
-   every flag, K=1 vs K=8 merge byte-identically, and a campaign run
-   with --slices auto journals the same entry line — and (b) cut the
-   modelled 4-worker makespan by >= 1.5x even though each cell re-pays
-   seeding, because the idle workers absorb the split. *)
-let slice_smoke () =
-  Printf.printf
-    "\n=== Slice smoke (round-space partitioning: parity + makespan) ===\n%!";
-  let rounds = 1200 in
-  let cfg = Core.Engine.make_config ~rounds () in
-  let account, target = dominant_target () in
-  let name = Wasai_eosio.Name.to_string account in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
-  let whole, t_whole = time (fun () -> Core.Engine.fuzz ~cfg target) in
-  let k8 =
-    List.init 8 (fun i ->
-        time (fun () -> Core.Engine.Slice.run ~cfg ~slice:i ~count:8 target))
-  in
-  let k1, _ = time (fun () -> Core.Engine.Slice.run ~cfg ~slice:0 ~count:1 target) in
-  let stamp =
-    {
-      Campaign.Journal.js_shard = Campaign.Shard.whole;
-      js_seed = cfg.Core.Engine.cfg_rng_seed;
-      js_rounds = rounds;
-    }
-  in
-  let entry_line frags =
-    Campaign.Journal.line_of_entry
-      (Campaign.Journal.of_outcome ~name ~elapsed:0.0 ~stamp
-         (Core.Engine.Slice.outcome_of_fragment
-            (Core.Engine.Slice.merge frags)))
-  in
-  let merged = Core.Engine.Slice.merge (List.map fst k8) in
-  let parity =
-    (Core.Engine.Slice.outcome_of_fragment merged).Core.Engine.out_flags
-    = whole.Core.Engine.out_flags
-  in
-  let k_identity =
-    String.equal (entry_line (List.map fst k8)) (entry_line [ k1 ])
-  in
-  (* the production path: a 1-target campaign at --slices auto picks
-     K=2 for 2 workers and must journal the very same entry line *)
-  let spec =
-    {
-      Campaign.Campaign.sp_name = name;
-      sp_size =
-        String.length
-          (Wasai_wasm.Encode.encode target.Core.Engine.tgt_module);
-      sp_load = (fun () -> target);
-    }
-  in
-  let report =
-    Campaign.Campaign.run
-      (Campaign.Campaign.make_config ~jobs:2
-         ~slices:Campaign.Campaign.Auto
-         ~engine:(Core.Engine.make_config ~rounds ())
-         ())
-      [ spec ]
-  in
-  let campaign_identity =
-    match report.Campaign.Campaign.cr_results with
-    | [ e ] ->
-        String.equal
-          (Campaign.Journal.line_of_entry
-             { e with Campaign.Journal.je_elapsed = 0.0 })
-          (entry_line (List.map fst k8))
-    | _ -> false
-  in
-  (* makespan on 4 workers: Off schedules one indivisible unit (three
-     workers idle); sliced schedules the 8 measured slice units *)
-  let ms_off = lpt_makespan ~workers:4 [ t_whole ] in
-  let ms_sliced = lpt_makespan ~workers:4 (List.map snd k8) in
-  let ratio = ms_off /. Float.max 1e-9 ms_sliced in
-  let ok = parity && k_identity && campaign_identity && ratio >= 1.5 in
-  Printf.printf
-    "  verdict parity off-vs-sliced: %b   K=1 vs K=8 entry identity: %b\n"
-    parity k_identity;
-  Printf.printf "  campaign --slices auto journals the same entry: %b\n"
-    campaign_identity;
-  Printf.printf
-    "  4-worker makespan (modelled over measured unit costs): whole \
-     %.3fs vs 8 slices %.3fs -> %.2fx (target >= 1.5x)\n"
-    ms_off ms_sliced ratio;
-  Printf.printf "slice smoke: %s\n" (if ok then "OK" else "MISMATCH");
-  json_record ~experiment:"slice-smoke"
-    ~bounds:
-      [
-        {
-          jb_name = "verdict_parity";
-          jb_bound = "off and sliced agree on every flag";
-          jb_pass = parity;
-        };
-        {
-          jb_name = "merge_identity";
-          jb_bound = "K=1 and K=8 merge to byte-identical entries";
-          jb_pass = k_identity && campaign_identity;
-        };
-        {
-          jb_name = "makespan";
-          jb_bound = "sliced 4-worker makespan >= 1.5x better";
-          jb_pass = ratio >= 1.5;
-        };
-      ]
-    [
-      ("whole_s", t_whole);
-      ("sliced_makespan_s", ms_sliced);
-      ("makespan_ratio", ratio);
-    ];
   if not ok then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -2293,7 +2094,6 @@ let () =
     | "solver" -> solver_exp ()
     | "campaign" -> campaign_exp opts
     | "campaign-smoke" -> campaign_smoke ()
-    | "slice-smoke" -> slice_smoke ()
     | "shard" -> shard_exp opts
     | "shard-smoke" -> shard_smoke ()
     | "corpus" -> corpus_exp opts

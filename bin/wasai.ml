@@ -13,9 +13,7 @@
                    [--corpus] and a [--dry-run] plan printer;
                    [campaign merge J1 J2 ...] validates and merges shard
                    journals into the fleet report; [campaign report]
-                   rebuilds a report from a journal without fuzzing.
-                   Bare [campaign DIR] is a deprecated alias for
-                   [campaign run DIR]
+                   rebuilds a report from a journal without fuzzing
     - [corpus]     seed-corpus maintenance: [corpus stats FILE] summarises
                    coverage, [corpus minimize FILE] rewrites the file to a
                    greedy set-cover subset, [corpus import DST SRC...]
@@ -241,11 +239,8 @@ let emit_campaign_report ?(telemetry = false) out
    | None -> print_string text);
   if Campaign.Campaign.vulnerable_count report > 0 then exit 1
 
-let campaign_run_cmd ~deprecated common dir rounds backend resume shard seed corpus
-    telemetry slices dry_run =
-  if deprecated then
-    Printf.eprintf
-      "wasai campaign: the bare form is deprecated, use `wasai campaign run`\n%!";
+let campaign_run_cmd common dir rounds backend resume shard seed corpus
+    telemetry dry_run =
   let targets = Campaign.Discover.dir dir in
   if targets = [] then begin
     Printf.eprintf "campaign: no .wasm/.wat contracts in %s\n" dir;
@@ -270,7 +265,7 @@ let campaign_run_cmd ~deprecated common dir rounds backend resume shard seed cor
       common.co_jobs recommended;
   let cfg =
     Campaign.Campaign.make_config ~jobs:common.co_jobs
-      ~journal:common.co_journal ~resume ~shard ?corpus ~telemetry ~slices
+      ~journal:common.co_journal ~resume ~shard ?corpus ~telemetry
       ~progress:(fun (e : Campaign.Journal.entry) ->
         incr finished;
         Printf.eprintf "  [%d/%d] %s done (%.2fs)\n%!" !finished total
@@ -280,7 +275,7 @@ let campaign_run_cmd ~deprecated common dir rounds backend resume shard seed cor
       ()
   in
   if dry_run then begin
-    (* Print the scheduling decision (shard slices, resume skips, LPT
+    (* Print the scheduling decision (shard membership, resume skips, LPT
        order, corpus preloads) and stop before loading any contract. *)
     (try print_string (Campaign.Campaign.plan_text (Campaign.Campaign.plan cfg targets))
      with
@@ -381,11 +376,7 @@ let fired_flags (e : Campaign.Journal.entry) =
     (fun (f, fired) -> if fired then Some (Core.Scanner.string_of_flag f) else None)
     e.Campaign.Journal.je_flags
 
-let submit_cmd socket tenant slices path shutdown =
-  if slices < 1 then begin
-    Printf.eprintf "submit: --slices must be >= 1\n";
-    exit 2
-  end;
+let submit_cmd socket tenant path shutdown =
   let contracts =
     try Serve.Client.contracts_of_path path
     with Sys_error msg ->
@@ -425,7 +416,7 @@ let submit_cmd socket tenant slices path shutdown =
     | _ -> ()
   in
   let batch =
-    try Serve.Client.submit_batch ~progress ~slices client ~tenant contracts
+    try Serve.Client.submit_batch ~progress client ~tenant contracts
     with
     | Serve.Client.Protocol_error msg ->
         Printf.eprintf "submit: %s\n" msg;
@@ -669,7 +660,7 @@ let shard_conv =
   let print ppf t = Format.pp_print_string ppf (Campaign.Shard.to_string t) in
   Arg.conv (parse, print)
 
-let campaign_run_term ~deprecated =
+let campaign_run_term =
   let dir = Arg.(required & pos 0 (some dir) None & info [] ~docv:"DIR") in
   let resume =
     Arg.(
@@ -719,49 +710,18 @@ let campaign_run_term ~deprecated =
              per-target critical-path breakdown after the report, and stamp \
              the journal header with telemetry=on so resumes agree.")
   in
-  let slices =
-    let slices_conv =
-      Arg.conv
-        ( (fun s ->
-            match Campaign.Campaign.slicing_of_string s with
-            | Ok v -> Ok v
-            | Error e -> Error (`Msg e)),
-          fun ppf v ->
-            Format.pp_print_string ppf
-              (Campaign.Campaign.string_of_slicing v) )
-    in
-    Arg.(
-      value
-      & opt slices_conv Campaign.Campaign.Off
-      & info [ "slices" ] ~docv:"off|auto|K"
-          ~doc:
-            "Partition each target's round budget into parallel slices so \
-             several domains can work one target at once.  $(b,off) (the \
-             default) keeps whole-target scheduling; $(b,auto) picks a \
-             per-target K from queue depth vs --jobs; a fixed $(b,K) \
-             forces K slices per target (clamped to the round budget's \
-             granularity).  Any slicing yields byte-identical verdicts, \
-             corpus and journal entries whatever K; a resumed journal's \
-             recorded K wins over this flag.")
-  in
   let dry_run =
     Arg.(
       value & flag
       & info [ "dry-run" ]
           ~doc:
             "Print the scheduling plan — shard assignment, resume skips, \
-             execution order (biggest module first), per-target corpus \
-             preloads and the slice plan when --slices is active — then \
-             exit without fuzzing anything.")
+             execution order (biggest module first) and per-target corpus \
+             preloads — then exit without fuzzing anything.")
   in
   Term.(
-    const
-      (fun common dir rounds backend resume shard seed corpus telemetry
-           slices dry_run ->
-        campaign_run_cmd ~deprecated common dir rounds backend resume shard
-          seed corpus telemetry slices dry_run)
-    $ campaign_common_t $ dir $ rounds_arg $ backend_arg $ resume $ shard
-    $ seed $ corpus $ telemetry $ slices $ dry_run)
+    const campaign_run_cmd $ campaign_common_t $ dir $ rounds_arg $ backend_arg
+    $ resume $ shard $ seed $ corpus $ telemetry $ dry_run)
 
 let campaign_t =
   let run_t =
@@ -771,7 +731,7 @@ let campaign_t =
            "Fuzz a directory of contracts (*.wasm/*.wat with optional *.abi \
             sidecars) in parallel over OCaml domains, journaling each \
             completed target; exits 1 when any contract is flagged")
-      (campaign_run_term ~deprecated:false)
+      campaign_run_term
   in
   let merge_t =
     let journals =
@@ -802,9 +762,7 @@ let campaign_t =
     (Cmd.info "campaign"
        ~doc:
          "Fleet-scale fuzzing campaigns: $(b,run) a (shard of a) directory, \
-          $(b,merge) shard journals, or re-$(b,report) a journal.  The bare \
-          form `wasai campaign DIR` is a deprecated alias for $(b,run)")
-    ~default:(campaign_run_term ~deprecated:true)
+          $(b,merge) shard journals, or re-$(b,report) a journal")
     [ run_t; merge_t; report_t ]
 
 let corpus_t =
@@ -962,17 +920,6 @@ let submit_t =
       & info [] ~docv:"PATH"
           ~doc:"A contract file (*.wasm/*.wat) or a directory of them.")
   in
-  let slices =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "slices" ] ~docv:"K"
-          ~doc:
-            "Ask the daemon to split each submission's round budget into \
-             $(docv) parallel slices (the daemon clamps to its round \
-             budget's granularity).  The merged verdict is byte-identical \
-             whatever K; 1 (the default) keeps the classic wire form.")
-  in
   let shutdown =
     Arg.(
       value & flag
@@ -985,38 +932,15 @@ let submit_t =
          "Submit contracts to a running serve daemon and stream the \
           verdicts as they complete; exits 1 when any submission is \
           flagged vulnerable")
-    Term.(const submit_cmd $ socket_arg $ tenant $ slices $ path $ shutdown)
+    Term.(const submit_cmd $ socket_arg $ tenant $ path $ shutdown)
 
 let () =
-  (* `wasai campaign DIR` is the deprecated alias for `wasai campaign run
-     DIR`.  Cmdliner's group dispatch rejects DIR as an unknown command
-     before the default term can see it, so rewrite the spelling here. *)
-  let argv =
-    let argv = Sys.argv in
-    if
-      Array.length argv >= 3
-      && argv.(1) = "campaign"
-      && String.length argv.(2) > 0
-      && argv.(2).[0] <> '-'
-      && not (List.mem argv.(2) [ "run"; "merge"; "report" ])
-    then begin
-      Printf.eprintf
-        "wasai campaign: the bare form is deprecated, use `wasai campaign \
-         run`\n%!";
-      Array.concat
-        [
-          [| argv.(0); "campaign"; "run" |];
-          Array.sub argv 2 (Array.length argv - 2);
-        ]
-    end
-    else argv
-  in
   let info =
     Cmd.info "wasai" ~version:"1.0.0"
       ~doc:"Concolic fuzzer for Wasm (EOSIO) smart contracts"
   in
   exit
-    (Cmd.eval ~argv
+    (Cmd.eval
        (Cmd.group info
           [
             analyze_t; gen_t; dump_t; build_t; instrument_t; baseline_t; scan_t;

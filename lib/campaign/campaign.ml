@@ -22,32 +22,6 @@ type target_spec = {
   sp_load : unit -> Core.Engine.target;
 }
 
-(** Intra-target parallelism policy: how a target's round budget is cut
-    into schedulable slices (see {!Core.Engine.Slice}).  [Off] — the
-    default — is the exact legacy path: whole-target work units, no v5
-    fragment lines, byte-identical journals to earlier builds.  [Auto]
-    lets the scheduler pick K per target from its module size and the
-    remaining queue depth; [Fixed k] slices every target k ways (clamped
-    to the budget's granularity).  The merged results are byte-identical
-    across every K, so the policy only moves wall-clock time. *)
-type slicing = Off | Auto | Fixed of int
-
-let string_of_slicing = function
-  | Off -> "off"
-  | Auto -> "auto"
-  | Fixed k -> string_of_int k
-
-let slicing_of_string = function
-  | "off" -> Ok Off
-  | "auto" -> Ok Auto
-  | s -> (
-      match int_of_string_opt s with
-      | Some k when k >= 1 -> Ok (Fixed k)
-      | _ ->
-          Error
-            (Printf.sprintf
-               "bad slicing %S (want off, auto or a positive slice count)" s))
-
 type config = {
   cc_jobs : int;
   cc_engine : Core.Engine.config;
@@ -58,23 +32,16 @@ type config = {
   cc_shard : Shard.t;
   cc_corpus : string option;
   cc_telemetry : bool;
-  cc_slices : slicing;
 }
 
 let make_config ~jobs ?journal ?(resume = false) ?max_targets ?progress
-    ?(shard = Shard.whole) ?corpus ?(telemetry = false) ?(slices = Off)
-    ~engine () =
+    ?(shard = Shard.whole) ?corpus ?(telemetry = false) ~engine () =
   if jobs < 1 then
     invalid_arg (Printf.sprintf "Campaign.make_config: jobs %d < 1" jobs);
   if resume && journal = None then
     invalid_arg
       "Campaign.make_config: resume requires a journal (there is nothing to \
        resume from)";
-  (match slices with
-  | Fixed k when k < 1 ->
-      invalid_arg
-        (Printf.sprintf "Campaign.make_config: slice count %d < 1" k)
-  | _ -> ());
   {
     cc_jobs = jobs;
     cc_engine = engine;
@@ -85,7 +52,6 @@ let make_config ~jobs ?journal ?(resume = false) ?max_targets ?progress
     cc_shard = shard;
     cc_corpus = corpus;
     cc_telemetry = telemetry;
-    cc_slices = slices;
   }
 
 type report = {
@@ -184,50 +150,19 @@ let validate_header ~(context : string) ?(telemetry = false)
            (if telemetry then "on" else "off"))
   | _ -> ()
 
-(* Slice fragments carry the same three-field provenance as entries and
-   are validated just as strictly: a fragment recorded under another
-   fleet configuration must never seed a merge here. *)
-let validate_fragments ~(context : string) (stamp : Journal.stamp)
-    (frags : Journal.fragment list) : unit =
-  List.iter
-    (fun (f : Journal.fragment) ->
-      let st = f.Journal.jf_stamp in
-      if
-        not
-          (Shard.equal st.Journal.js_shard stamp.Journal.js_shard
-          && st.Journal.js_seed = stamp.Journal.js_seed
-          && st.Journal.js_rounds = stamp.Journal.js_rounds)
-      then
-        failwith
-          (Printf.sprintf
-             "%s: journal fragment %S slice %d/%d was recorded under \
-              shard=%s seed=%Ld budget=%d, but this run uses shard=%s \
-              seed=%Ld budget=%d; refusing to mix configurations"
-             context f.Journal.jf_name
-             f.Journal.jf_frag.Core.Engine.Slice.fg_slice
-             f.Journal.jf_frag.Core.Engine.Slice.fg_count
-             (Shard.to_string st.Journal.js_shard)
-             st.Journal.js_seed st.Journal.js_rounds
-             (Shard.to_string stamp.Journal.js_shard)
-             stamp.Journal.js_seed stamp.Journal.js_rounds))
-    frags
-
-(* Resume: a target is done iff its entry line reached the journal; a
-   slice is done iff its fragment line did. *)
-let load_prior (cfg : config) (stamp : Journal.stamp) :
-    Journal.entry list * Journal.fragment list =
-  let prior, frags =
+(* Resume: a target is done iff its entry line reached the journal. *)
+let load_prior (cfg : config) (stamp : Journal.stamp) : Journal.entry list =
+  let prior =
     match cfg.cc_journal with
     | Some path when cfg.cc_resume && Sys.file_exists path ->
-        let header, entries, frags = Journal.load_full path in
+        let header, entries = Journal.load_full path in
         validate_header ~context:"campaign" ~telemetry:cfg.cc_telemetry
           cfg.cc_engine.Core.Engine.cfg_backend header;
-        (entries, frags)
-    | _ -> ([], [])
+        entries
+    | _ -> []
   in
   validate_entries ~context:"campaign" stamp prior;
-  validate_fragments ~context:"campaign" stamp frags;
-  (prior, frags)
+  prior
 
 let load_corpus (cfg : config) : Corpus.t =
   match cfg.cc_corpus with
@@ -246,66 +181,6 @@ let order_targets (targets : target_spec list) : target_spec list =
       | 0 -> compare a.sp_name b.sp_name
       | c -> c)
     targets
-
-(* The scheduler's K-per-target decision, over the fresh (not-yet-done)
-   targets in LPT order.  [Auto] slices only when the queue is shallow
-   relative to the fleet — with >= 2 whole targets per domain, plain LPT
-   already keeps every domain busy and slicing would only multiply
-   per-slice setup costs — and then gives each target a K proportional
-   to its share of the remaining work (its size against the fair
-   per-domain share), clamped by the job count and by the round budget's
-   granularity.  Deterministic: a pure function of (policy, jobs,
-   budget, fresh set). *)
-let decide_slices (cfg : config) (fresh : target_spec list) :
-    (string * int) list =
-  let g =
-    Core.Engine.Slice.granularity
-      ~rounds:cfg.cc_engine.Core.Engine.cfg_rounds
-  in
-  let jobs = max 1 cfg.cc_jobs in
-  match cfg.cc_slices with
-  | Off -> List.map (fun t -> (t.sp_name, 1)) fresh
-  | Fixed k -> List.map (fun t -> (t.sp_name, max 1 (min k g))) fresh
-  | Auto ->
-      if List.length fresh >= jobs * 2 then
-        List.map (fun t -> (t.sp_name, 1)) fresh
-      else
-        let total =
-          List.fold_left (fun acc t -> acc + max 1 t.sp_size) 0 fresh
-        in
-        let fair = max 1 (total / jobs) in
-        List.map
-          (fun t ->
-            let want = (max 1 t.sp_size + fair - 1) / fair in
-            (t.sp_name, max 1 (min (min jobs g) want)))
-          fresh
-
-(* Reconstruct partially-completed slice sets from journaled fragments:
-   name -> (K, slice -> fragment).  Later lines win per (name, slice),
-   matching the last-entry-wins discipline for duplicate entries; one
-   name carrying fragments of two different Ks is a corrupt journal. *)
-let group_fragments ~(context : string) (frags : Journal.fragment list) :
-    (string, int * (int, Core.Engine.Slice.fragment) Hashtbl.t) Hashtbl.t =
-  let by_name = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Journal.fragment) ->
-      let fr = f.Journal.jf_frag in
-      let count = fr.Core.Engine.Slice.fg_count in
-      match Hashtbl.find_opt by_name f.Journal.jf_name with
-      | None ->
-          let tbl = Hashtbl.create 8 in
-          Hashtbl.replace tbl fr.Core.Engine.Slice.fg_slice fr;
-          Hashtbl.replace by_name f.Journal.jf_name (count, tbl)
-      | Some (k, tbl) ->
-          if k <> count then
-            failwith
-              (Printf.sprintf
-                 "%s: journal holds fragments of both a %d-slice and a \
-                  %d-slice set for %S; refusing to merge across slicings"
-                 context k count f.Journal.jf_name);
-          Hashtbl.replace tbl fr.Core.Engine.Slice.fg_slice fr)
-    frags;
-  by_name
 
 (* The corpus seeds each member target would preload, resolved once up
    front; workers read the table concurrently but never write it. *)
@@ -341,22 +216,13 @@ let corpus_records_of ~(name : string) (stamp : Journal.stamp)
       })
     o.Core.Engine.out_interesting
 
-(* In-flight state of one sliced target: its spec, its slice count, and
-   the fragments (journaled or freshly run) collected so far.  Guarded by
-   the campaign lock. *)
-type slice_agg = {
-  ag_spec : target_spec;
-  ag_count : int;
-  ag_frags : (int, Core.Engine.Slice.fragment) Hashtbl.t;
-}
-
 let run (cfg : config) (targets : target_spec list) : report =
   let seen = check_unique "run" targets in
   (* Shard first: every later count (requested, fuzzed, skipped) describes
      this machine's slice, and names outside it never touch the journal. *)
   let targets = List.filter (fun t -> Shard.member cfg.cc_shard t.sp_name) targets in
   let stamp = stamp_of_config cfg in
-  let prior, prior_frags = load_prior cfg stamp in
+  let prior = load_prior cfg stamp in
   let done_ = Hashtbl.create 64 in
   List.iter (fun (e : Journal.entry) -> Hashtbl.replace done_ e.Journal.je_name e) prior;
   (* Journal entries for targets outside this run's input set are ignored,
@@ -388,89 +254,8 @@ let run (cfg : config) (targets : target_spec list) : report =
   in
   let corpus_writer = Option.map Corpus.Writer.open_ cfg.cc_corpus in
   let corpus_added = ref 0 in
-  let sliced = cfg.cc_slices <> Off in
-  (* Journaled fragments for targets this run still has to fuzz: the
-     partially-completed slice sets resume must reconstruct.  Fragments
-     of already-done targets are stale leftovers of the run that merged
-     them and are ignored (their entry line is the truth). *)
-  let fragments_of =
-    let pending = Hashtbl.create 16 in
-    List.iter (fun t -> Hashtbl.replace pending t.sp_name ()) remaining;
-    group_fragments ~context:"campaign"
-      (List.filter
-         (fun (f : Journal.fragment) -> Hashtbl.mem pending f.Journal.jf_name)
-         prior_frags)
-  in
-  if (not sliced) && Hashtbl.length fragments_of > 0 then
-    failwith
-      (Printf.sprintf
-         "campaign: the journal holds slice fragments for %d pending \
-          target(s); resume with slicing enabled to finish them (the \
-          recorded slice counts are adopted)"
-         (Hashtbl.length fragments_of));
-  (* K per target: the scheduler's choice, except that a target with
-     journaled fragments keeps its recorded K — the queue composition
-     that drove the original decision is gone, and mixing Ks within one
-     slice set cannot merge. *)
-  let slices_of =
-    let planned = decide_slices cfg remaining in
-    fun (t : target_spec) ->
-      match Hashtbl.find_opt fragments_of t.sp_name with
-      | Some (k, _) -> k
-      | None -> ( match List.assoc_opt t.sp_name planned with
-                  | Some k -> k
-                  | None -> 1)
-  in
-  (* Work units: whole targets on the legacy path; slices otherwise,
-     minus the slices whose fragments already reached the journal.  LPT
-     over units — a slice's expected cost is its share of the target's
-     size — with deterministic (name, slice) tie-breaks. *)
-  let work_items =
-    if not sliced then
-      List.map (fun t -> (t, 0, 1)) remaining
-    else
-      let units =
-        List.concat_map
-          (fun t ->
-            let k = slices_of t in
-            let recorded =
-              match Hashtbl.find_opt fragments_of t.sp_name with
-              | Some (_, tbl) -> tbl
-              | None -> Hashtbl.create 1
-            in
-            List.filter_map
-              (fun i ->
-                if Hashtbl.mem recorded i then None else Some (t, i, k))
-              (List.init k Fun.id))
-          remaining
-      in
-      List.stable_sort
-        (fun (a, ai, ak) (b, bi, bk) ->
-          match compare (b.sp_size / bk) (a.sp_size / ak) with
-          | 0 -> (
-              match compare a.sp_name b.sp_name with
-              | 0 -> compare ai bi
-              | c -> c)
-          | c -> c)
-        units
-  in
-  (* One aggregator per sliced target, pre-seeded with its journaled
-     fragments. *)
-  let aggs = Hashtbl.create 16 in
-  if sliced then
-    List.iter
-      (fun t ->
-        let k = slices_of t in
-        let tbl = Hashtbl.create 8 in
-        (match Hashtbl.find_opt fragments_of t.sp_name with
-        | Some (_, recorded) ->
-            Hashtbl.iter (fun i f -> Hashtbl.replace tbl i f) recorded
-        | None -> ());
-        Hashtbl.replace aggs t.sp_name
-          { ag_spec = t; ag_count = k; ag_frags = tbl })
-      remaining;
   let queue = Work_queue.create () in
-  Work_queue.push_all queue work_items;
+  Work_queue.push_all queue remaining;
   Work_queue.close queue;
   let writer =
     Option.map
@@ -490,9 +275,9 @@ let run (cfg : config) (targets : target_spec list) : report =
   let results = ref prior_results in
   let failures = ref [] in
   let t0 = Unix.gettimeofday () in
-  (* Worker stderr is serialised under the campaign lock: slice workers
-     on the same target (or any two domains) must never interleave
-     partial warning lines.  Callers hold the lock. *)
+  (* Worker stderr is serialised under the campaign lock: two domains
+     must never interleave partial warning lines.  Callers hold the
+     lock. *)
   let warn_truncated name (o : Core.Engine.outcome) =
     if o.Core.Engine.out_truncated > 0 then
       Printf.eprintf
@@ -506,12 +291,12 @@ let run (cfg : config) (targets : target_spec list) : report =
               tx
         | None -> "")
   in
-  (* Durable-completion protocol, shared by both paths (caller holds the
-     lock): corpus seeds first, then the journal entry — once the target
-     is journaled as done, a resumed campaign never re-fuzzes it, so its
-     seeds must already be durable.  The in-memory corpus (mutated only
-     here, under the campaign lock) dedupes against both the loaded file
-     and this run's earlier inserts. *)
+  (* Durable-completion protocol (caller holds the lock): corpus seeds
+     first, then the journal entry — once the target is journaled as
+     done, a resumed campaign never re-fuzzes it, so its seeds must
+     already be durable.  The in-memory corpus (mutated only here, under
+     the campaign lock) dedupes against both the loaded file and this
+     run's earlier inserts. *)
   let complete_target ~name ~elapsed (o : Core.Engine.outcome) =
     warn_truncated name o;
     let entry = Journal.of_outcome ~name ~elapsed ~stamp o in
@@ -529,115 +314,37 @@ let run (cfg : config) (targets : target_spec list) : report =
     results := entry :: !results;
     Option.iter (fun f -> f entry) cfg.cc_progress
   in
-  (* Merge a complete slice set into the target's final result.  The
-     fold is over slices 0..K-1 in order, so the outcome — and with it
-     the journal entry, the corpus additions and the report — is
-     byte-identical for every K of the same budget.  Caller holds the
-     lock. *)
-  let finish_sliced (ag : slice_agg) =
-    let frags =
-      List.init ag.ag_count (fun i -> Hashtbl.find ag.ag_frags i)
-    in
-    let merged = Core.Engine.Slice.merge frags in
-    complete_target ~name:ag.ag_spec.sp_name
-      ~elapsed:merged.Core.Engine.Slice.fg_elapsed
-      (Core.Engine.Slice.outcome_of_fragment merged)
-  in
-  (* A target's module is decoded once and shared by its slice workers;
-     a racing duplicate load is benign (loads are pure) and the first
-     insert wins so every worker fuzzes the same value. *)
-  let load_cache = Hashtbl.create 16 in
-  let load_target (spec : target_spec) =
-    match
-      Mutex.protect lock (fun () -> Hashtbl.find_opt load_cache spec.sp_name)
-    with
-    | Some t -> t
-    | None ->
-        let t_load = Telemetry.start () in
-        let target = spec.sp_load () in
-        Telemetry.stop Telemetry.Load_validate t_load;
-        Mutex.protect lock (fun () ->
-            match Hashtbl.find_opt load_cache spec.sp_name with
-            | Some t -> t
-            | None ->
-                Hashtbl.replace load_cache spec.sp_name target;
-                target)
-  in
-  (* Slice sets completed by a previous run's fragments but never merged
-     (a crash between the last fragment and the entry): merge them now,
-     before any worker starts — no work units were queued for them. *)
-  Mutex.protect lock (fun () ->
-      Hashtbl.iter
-        (fun _ (ag : slice_agg) ->
-          if Hashtbl.length ag.ag_frags = ag.ag_count then finish_sliced ag)
-        aggs);
   let worker () =
     let rec loop () =
       match Work_queue.take queue with
       | None -> ()
-      | Some (spec, slice, count) ->
+      | Some spec ->
           (try
              (* Attribute every span this domain records — execution,
-                solving, scanning, journaling — to this work unit until
-                the next one is claimed; slices are first-class targets
-                in the telemetry breakdown ([name#i/K]).  Interning is a
-                lock-taking cold path, so skip it when telemetry is
-                off. *)
+                solving, scanning, journaling — to this target until the
+                next one is claimed.  Interning is a lock-taking cold
+                path, so skip it when telemetry is off. *)
              if Telemetry.enabled () then
-               Telemetry.set_target
-                 (Telemetry.target_id
-                    (if sliced then
-                       Printf.sprintf "%s#%d/%d" spec.sp_name slice count
-                     else spec.sp_name));
+               Telemetry.set_target (Telemetry.target_id spec.sp_name);
              let ecfg =
                match Hashtbl.find_opt preloads spec.sp_name with
                | Some seeds ->
                    { cfg.cc_engine with Core.Engine.cfg_preload = seeds }
                | None -> cfg.cc_engine
              in
-             if not sliced then begin
-               let t_load = Telemetry.start () in
-               let target = spec.sp_load () in
-               Telemetry.stop Telemetry.Load_validate t_load;
-               let s0 = Unix.gettimeofday () in
-               let o = Core.Engine.fuzz ~cfg:ecfg target in
-               Mutex.protect lock (fun () ->
-                   complete_target ~name:spec.sp_name
-                     ~elapsed:(Unix.gettimeofday () -. s0)
-                     o)
-             end
-             else begin
-               let target = load_target spec in
-               let frag =
-                 Core.Engine.Slice.run ~cfg:ecfg ~slice ~count target
-               in
-               Mutex.protect lock (fun () ->
-                   (* The fragment line is durable before the slice
-                      counts as done: a crash now costs at most the
-                      in-flight slices, and resume re-runs only those. *)
-                   Option.iter
-                     (fun w ->
-                       Journal.append_fragment w
-                         {
-                           Journal.jf_name = spec.sp_name;
-                           jf_stamp = stamp;
-                           jf_frag = frag;
-                         })
-                     writer;
-                   let ag = Hashtbl.find aggs spec.sp_name in
-                   Hashtbl.replace ag.ag_frags slice frag;
-                   if Hashtbl.length ag.ag_frags = ag.ag_count then
-                     finish_sliced ag)
-             end
+             let t_load = Telemetry.start () in
+             let target = spec.sp_load () in
+             Telemetry.stop Telemetry.Load_validate t_load;
+             let s0 = Unix.gettimeofday () in
+             let o = Core.Engine.fuzz ~cfg:ecfg target in
+             Mutex.protect lock (fun () ->
+                 complete_target ~name:spec.sp_name
+                   ~elapsed:(Unix.gettimeofday () -. s0)
+                   o)
            with exn ->
              let msg = Printexc.to_string exn in
-             let unit_name =
-               if sliced then
-                 Printf.sprintf "%s#%d/%d" spec.sp_name slice count
-               else spec.sp_name
-             in
              Mutex.protect lock (fun () ->
-                 failures := (unit_name, msg) :: !failures));
+                 failures := (spec.sp_name, msg) :: !failures));
           loop ()
     in
     loop ()
@@ -683,23 +390,12 @@ type plan_row = {
   pr_done : bool;
   pr_order : int option;
   pr_preload : int;
-  pr_slices : int;
-      (** K this target would be partitioned into (recorded K for a
-          resumed slice set, the scheduler's choice otherwise); 1 when
-          slicing is off or the target is not fuzzed *)
-  pr_slices_done : int;  (** journaled fragments a resume would keep *)
 }
 
 type plan = {
   pl_rows : plan_row list;
   pl_shard : Shard.t;
   pl_jobs : int;
-  pl_slicing : slicing;
-  pl_granularity : int;
-      (** cells per target at this round budget — the ceiling on K *)
-  pl_fair : int option;
-      (** [Auto]'s fair per-domain share of the fresh size total, when
-          the shallow-queue heuristic actually slices *)
 }
 
 (* Everything [run] would decide before spawning a single worker, without
@@ -708,7 +404,7 @@ type plan = {
 let plan (cfg : config) (targets : target_spec list) : plan =
   ignore (check_unique "plan" targets);
   let stamp = stamp_of_config cfg in
-  let prior, prior_frags = load_prior cfg stamp in
+  let prior = load_prior cfg stamp in
   let done_ = Hashtbl.create 64 in
   List.iter
     (fun (e : Journal.entry) -> Hashtbl.replace done_ e.Journal.je_name ())
@@ -731,23 +427,6 @@ let plan (cfg : config) (targets : target_spec list) : plan =
     | Some n -> take (max 0 n) ordered
     | None -> ordered
   in
-  (* The same K-per-target decision [run] would make, including the
-     recorded-K-wins rule for slice sets a resume would pick back up. *)
-  let fragments_of =
-    let pending = Hashtbl.create 64 in
-    List.iter (fun t -> Hashtbl.replace pending t.sp_name ()) fresh;
-    group_fragments ~context:"plan"
-      (List.filter
-         (fun (f : Journal.fragment) -> Hashtbl.mem pending f.Journal.jf_name)
-         prior_frags)
-  in
-  let planned_k = decide_slices cfg fresh in
-  let k_of name =
-    match Hashtbl.find_opt fragments_of name with
-    | Some (k, _) -> k
-    | None -> (
-        match List.assoc_opt name planned_k with Some k -> k | None -> 1)
-  in
   let row ?order t =
     let member = Shard.member cfg.cc_shard t.sp_name in
     {
@@ -760,11 +439,6 @@ let plan (cfg : config) (targets : target_spec list) : plan =
       pr_preload =
         (if member then List.length (Corpus.preload corpus ~target:t.sp_name)
          else 0);
-      pr_slices = (if order = None then 1 else k_of t.sp_name);
-      pr_slices_done =
-        (match Hashtbl.find_opt fragments_of t.sp_name with
-        | Some (_, tbl) when order <> None -> Hashtbl.length tbl
-        | _ -> 0);
     }
   in
   let planned = Hashtbl.create 64 in
@@ -774,24 +448,11 @@ let plan (cfg : config) (targets : target_spec list) : plan =
       (fun a b -> compare a.sp_name b.sp_name)
       (List.filter (fun t -> not (Hashtbl.mem planned t.sp_name)) targets)
   in
-  let jobs = max 1 cfg.cc_jobs in
   {
     pl_rows =
       List.mapi (fun i t -> row ~order:(i + 1) t) fresh @ List.map row rest;
     pl_shard = cfg.cc_shard;
-    pl_jobs = jobs;
-    pl_slicing = cfg.cc_slices;
-    pl_granularity =
-      Core.Engine.Slice.granularity
-        ~rounds:cfg.cc_engine.Core.Engine.cfg_rounds;
-    pl_fair =
-      (match cfg.cc_slices with
-      | Auto when List.length fresh < jobs * 2 && fresh <> [] ->
-          Some
-            (max 1
-               (List.fold_left (fun acc t -> acc + max 1 t.sp_size) 0 fresh
-               / jobs))
-      | _ -> None);
+    pl_jobs = max 1 cfg.cc_jobs;
   }
 
 let plan_text (p : plan) =
@@ -834,38 +495,6 @@ let plan_text (p : plan) =
         (Printf.sprintf "%s %-13s %8d %2d/%-2d  %-13s %7d\n" order r.pr_name
            r.pr_size r.pr_shard p.pl_shard.Shard.sh_count status r.pr_preload))
     p.pl_rows;
-  (* The slice plan rides along only when slicing is requested, keeping
-     the classic plan byte-identical for unsliced campaigns. *)
-  (if p.pl_slicing <> Off then begin
-     let fuzzed = List.filter (fun r -> r.pr_order <> None) p.pl_rows in
-     let units = List.fold_left (fun acc r -> acc + r.pr_slices) 0 fuzzed in
-     Buffer.add_string b
-       (Printf.sprintf
-          "slice plan (%s): %d work unit%s, granularity %d cell%s/target at \
-           this budget%s\n"
-          (string_of_slicing p.pl_slicing)
-          units
-          (if units = 1 then "" else "s")
-          p.pl_granularity
-          (if p.pl_granularity = 1 then "" else "s")
-          (match (p.pl_slicing, p.pl_fair) with
-          | Auto, Some fair ->
-              Printf.sprintf ", fair share %d size/domain over %d job%s" fair
-                p.pl_jobs
-                (if p.pl_jobs = 1 then "" else "s")
-          | Auto, None ->
-              Printf.sprintf
-                ", queue deep enough for %d job%s without slicing" p.pl_jobs
-                (if p.pl_jobs = 1 then "" else "s")
-          | _ -> ""));
-     Buffer.add_string b "      name          size   slices  resumed\n";
-     List.iter
-       (fun r ->
-         Buffer.add_string b
-           (Printf.sprintf "      %-13s %8d %4d  %4d/%-4d\n" r.pr_name
-              r.pr_size r.pr_slices r.pr_slices_done r.pr_slices))
-       fuzzed
-   end);
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)

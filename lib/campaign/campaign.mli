@@ -13,6 +13,10 @@
     provenance — recombine through {!merge} into the same canonical
     report an unsharded run would have produced.
 
+    Every target runs to completion as one {!Core.Engine.fuzz} loop on
+    one worker domain; parallelism is across targets (domains here,
+    shards across machines), never within one.
+
     Determinism: per-target verdicts depend only on
     [(cfg_engine.cfg_rng_seed, target)] — the engine seeds each target's
     RNG from its account name (see {!Core.Engine.fuzz}) — and the report
@@ -25,27 +29,6 @@ module Core = Wasai_core
 module Solver = Wasai_smt.Solver
 module Metrics = Wasai_support.Metrics
 module Corpus = Wasai_corpus.Corpus
-
-(** Intra-target parallelism policy: how a fresh target's round budget
-    is partitioned into independently schedulable slices
-    ({!Core.Engine.Slice}).  [Off] (the default) is the legacy
-    whole-target path, byte-identical to previous releases including the
-    journal (no v5 fragment lines are written).  [Fixed k] splits every
-    fresh target into [min k granularity] slices.  [Auto] lets the
-    scheduler decide per target: with at least two whole targets per
-    worker domain LPT already saturates the fleet, so nothing is sliced;
-    on a shallow queue each target gets a K proportional to its share of
-    the remaining work.  Whatever the policy and K, merged results are
-    byte-identical to the unpartitioned [Off] run of the same budget —
-    slicing affects wall-clock only. *)
-type slicing = Off | Auto | Fixed of int
-
-val string_of_slicing : slicing -> string
-(** ["off"], ["auto"] or the decimal K. *)
-
-val slicing_of_string : string -> (slicing, string) result
-(** Inverse of {!string_of_slicing}; any positive integer parses as
-    [Fixed]. *)
 
 type target_spec = {
   sp_name : string;
@@ -88,13 +71,6 @@ type config = {
           header with [telemetry=on] so resumes agree.  Off (the
           default) leaves journals, reports and verdicts byte-identical
           to a build without telemetry. *)
-  cc_slices : slicing;
-      (** partition fresh targets' round budgets into parallel slices;
-          {!run} journals each completed slice as a v5 fragment line and
-          appends the merged (byte-identical) v4 entry once the set is
-          complete.  Resume adopts the recorded K of any
-          partially-completed slice set, and refuses to resume a
-          journal holding pending fragments when set to [Off]. *)
 }
 
 val make_config :
@@ -106,17 +82,15 @@ val make_config :
   ?shard:Shard.t ->
   ?corpus:string ->
   ?telemetry:bool ->
-  ?slices:slicing ->
   engine:Core.Engine.config ->
   unit ->
   config
 (** The only supported way to build a {!config}: validates at
     construction time instead of deep inside {!run}.  Raises
-    [Invalid_argument] when [jobs < 1], when [resume] is requested
-    without a [journal], or when [slices] is [Fixed k] with [k < 1].
-    [resume] defaults to [false], [shard] to {!Shard.whole},
-    [telemetry] to [false], [slices] to [Off]; [journal],
-    [max_targets], [progress] and [corpus] default to absent. *)
+    [Invalid_argument] when [jobs < 1] or when [resume] is requested
+    without a [journal].  [resume] defaults to [false], [shard] to
+    {!Shard.whole}, [telemetry] to [false]; [journal], [max_targets],
+    [progress] and [corpus] default to absent. *)
 
 type report = {
   cr_results : Journal.entry list;  (** sorted by target name *)
@@ -166,24 +140,6 @@ val validate_entries :
     exported for external journal owners (the serve tenant registry).
     Raises [Failure] (prefixed with [context]) on the first mismatch;
     unstamped v1/v2 entries pass, as in {!run}. *)
-
-val validate_fragments :
-  context:string -> Journal.stamp -> Journal.fragment list -> unit
-(** The v5 counterpart of {!validate_entries}: every slice fragment must
-    carry exactly this (shard, seed, budget) provenance (fragments are
-    always stamped).  Raises [Failure] (prefixed with [context]) on the
-    first mismatch. *)
-
-val group_fragments :
-  context:string ->
-  Journal.fragment list ->
-  (string, int * (int, Core.Engine.Slice.fragment) Hashtbl.t) Hashtbl.t
-(** Reconstruct partially-completed slice sets from journaled fragments:
-    name to (K, slice-indexed fragments).  Later lines win per
-    (name, slice), matching the last-entry-wins discipline for duplicate
-    entries; raises [Failure] (prefixed with [context]) when one name
-    carries fragments of two different Ks.  {!run}'s resume path,
-    exported for external journal owners (the serve tenant registry). *)
 
 val validate_header :
   context:string ->
@@ -243,13 +199,6 @@ type plan_row = {
           would not be fuzzed (foreign shard, resumed, or capped by
           [cc_max_targets]) *)
   pr_preload : int;  (** corpus seeds this target's queue would receive *)
-  pr_slices : int;
-      (** K this target would be partitioned into (a resumed slice
-          set's recorded K wins over the scheduler's choice); 1 when
-          slicing is off or the target is not fuzzed *)
-  pr_slices_done : int;
-      (** journaled slice fragments a resume would keep instead of
-          re-running *)
 }
 
 type plan = {
@@ -258,14 +207,6 @@ type plan = {
           name order *)
   pl_shard : Shard.t;
   pl_jobs : int;
-  pl_slicing : slicing;
-  pl_granularity : int;
-      (** fixed cell count per target at this round budget
-          ({!Core.Engine.Slice.granularity}) — the ceiling on any K *)
-  pl_fair : int option;
-      (** [Auto]'s fair per-domain share of the fresh size total
-          (heuristic input), present only when the shallow-queue rule
-          actually slices *)
 }
 
 val plan : config -> target_spec list -> plan
@@ -277,11 +218,7 @@ val plan : config -> target_spec list -> plan
 
 val plan_text : plan -> string
 (** Human-readable rendering of {!plan}: summary lines then one row per
-    target, followed — only when slicing is on, so unsliced plans stay
-    byte-identical to previous releases — by the slice plan (K and
-    resumed-fragment count per fuzzed target, with the heuristic inputs:
-    granularity, fair share, job count).  The basis of
-    [wasai campaign run --dry-run]. *)
+    target.  The basis of [wasai campaign run --dry-run]. *)
 
 (** {2 Aggregation} *)
 

@@ -43,9 +43,6 @@
 
 module Core = Wasai_core
 module Solver = Wasai_smt.Solver
-module Name = Wasai_eosio.Name
-module Corpus = Wasai_corpus.Corpus
-module Wasabi = Wasai_wasabi
 
 (** Campaign provenance of an entry: which shard produced it, under which
     engine configuration.  Merge validation keys on all three fields. *)
@@ -76,22 +73,7 @@ type entry = {
 let magic_v1 = "wasai-journal-v1"
 let magic_v3 = "wasai-journal-v3"
 let magic_v4 = "wasai-journal-v4"
-let magic_v5 = "wasai-journal-v5"
 let magic_hdr = "wasai-journal-hdr"
-
-(** One slice's durable result: the v5 line format.  A sliced campaign
-    journals each completed slice as a fragment line the moment it
-    finishes (so a crash loses at most in-flight slices), then appends
-    the standard v4 entry once the whole slice set has merged — the
-    final line is byte-identical to the one an unsliced run would have
-    written.  [jf_stamp.js_rounds] carries the {e full} per-target
-    budget (not the slice's share): that is what merge-time cell
-    reconstruction and fleet-consistency validation key on. *)
-type fragment = {
-  jf_name : string;
-  jf_stamp : stamp;
-  jf_frag : Core.Engine.Slice.fragment;
-}
 
 (** File-level provenance, stamped once as the first line of a fresh
     journal: the execution backend the fleet ran under.  Verdicts are
@@ -165,7 +147,7 @@ let exploits_field (exploits : (Core.Scanner.flag * Core.Scanner.evidence) list)
 (* Legacy flags are always written in their fixed order; extension flags
    appear only when fired.  Lookups go through the canonical flag lists
    (not the record's order) so the field never depends on how the record
-   was built.  Shared by entry (v1-v4) and fragment (v5) lines. *)
+   was built. *)
 let flags_field (value_flags : (Core.Scanner.flag * bool) list) =
   let value f =
     match List.assoc_opt f value_flags with Some b -> b | None -> false
@@ -220,69 +202,6 @@ let line_of_entry (e : entry) =
             Printf.sprintf "budget=%d" st.js_rounds;
             "exploits=" ^ exploits_field e.je_exploits;
           ])
-
-(* The v5 interesting-seed field: [-] for none, else [;]-separated
-   [round@action@sig@new@cover@args] records.  The sub-separators are
-   safe by construction: action names use the EOSIO alphabet, the cover
-   list uses [,]/[:], and the corpus args wire is limited to hex, name
-   characters, [,] and [:] — none of them can contain [@] or [;]. *)
-let interesting_field (xs : Core.Engine.interesting list) =
-  match xs with
-  | [] -> "-"
-  | _ ->
-      String.concat ";"
-        (List.map
-           (fun (i : Core.Engine.interesting) ->
-             Printf.sprintf "%d@%s@%016Lx@%d@%s@%s" i.Core.Engine.is_round
-               (Name.to_string i.Core.Engine.is_action)
-               i.Core.Engine.is_signature i.Core.Engine.is_new_edges
-               (String.concat ","
-                  (List.map
-                     (fun (site, dir) -> Printf.sprintf "%d:%ld" site dir)
-                     i.Core.Engine.is_cover))
-               (Corpus.wire_of_args i.Core.Engine.is_args))
-           xs)
-
-let trunc_field (count : int) (first : (int * Name.t) option) =
-  match first with
-  | None -> Printf.sprintf "trunc=%d" count
-  | Some (tx, action) ->
-      Printf.sprintf "trunc=%d:%d:%s" count tx (Name.to_string action)
-
-let line_of_fragment (f : fragment) =
-  let fr = f.jf_frag in
-  let st = f.jf_stamp in
-  String.concat "\t"
-    [
-      magic_v5; f.jf_name;
-      Printf.sprintf "slice=%d/%d" fr.Core.Engine.Slice.fg_slice
-        fr.Core.Engine.Slice.fg_count;
-      flags_field fr.Core.Engine.Slice.fg_flags;
-      Printf.sprintf "branches=%d"
-        (List.length fr.Core.Engine.Slice.fg_edges);
-      Printf.sprintf "rounds=%d" fr.Core.Engine.Slice.fg_rounds;
-      Printf.sprintf "seeds=%d" fr.Core.Engine.Slice.fg_seeds_total;
-      Printf.sprintf "adaptive=%d" fr.Core.Engine.Slice.fg_adaptive_seeds;
-      Printf.sprintf "tx=%d" fr.Core.Engine.Slice.fg_transactions;
-      Printf.sprintf "sat=%d" fr.Core.Engine.Slice.fg_solver_sat;
-      Printf.sprintf "imprecise=%d" fr.Core.Engine.Slice.fg_imprecise;
-      Printf.sprintf "elapsed=%.6f" fr.Core.Engine.Slice.fg_elapsed;
-      Printf.sprintf "solver=q:%d,b:%d,u:%d,h:%d,m:%d,fb:%d"
-        fr.Core.Engine.Slice.fg_solver.Solver.st_quick
-        fr.Core.Engine.Slice.fg_solver.Solver.st_blasted
-        fr.Core.Engine.Slice.fg_solver.Solver.st_unknown
-        fr.Core.Engine.Slice.fg_solver.Solver.st_cache_hits
-        fr.Core.Engine.Slice.fg_solver.Solver.st_cache_misses
-        fr.Core.Engine.Slice.fg_final_budget;
-      Printf.sprintf "shard=%s" (Shard.to_string st.js_shard);
-      Printf.sprintf "seed=%Ld" st.js_seed;
-      Printf.sprintf "budget=%d" st.js_rounds;
-      "exploits=" ^ exploits_field fr.Core.Engine.Slice.fg_exploits;
-      "interesting=" ^ interesting_field fr.Core.Engine.Slice.fg_interesting;
-      Printf.sprintf "vround=%d" fr.Core.Engine.Slice.fg_verdict_round;
-      trunc_field fr.Core.Engine.Slice.fg_truncated
-        fr.Core.Engine.Slice.fg_first_truncated;
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Strict parsing                                                      *)
@@ -530,231 +449,6 @@ let entry_of_line (line : string) : (entry, string) result =
         (Printf.sprintf "expected 11, 12 or 16 tab-separated fields, got %d"
            (List.length fields))
 
-(* ------------------------------------------------------------------ *)
-(* v5 fragment parsing                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let parse_slice (field : string) : (int * int, string) result =
-  let ( let* ) = Result.bind in
-  let* v = keyed "slice" Option.some field in
-  match String.index_opt v '/' with
-  | Some i -> (
-      let a = String.sub v 0 i
-      and b = String.sub v (i + 1) (String.length v - i - 1) in
-      match (int_of_string_opt a, int_of_string_opt b) with
-      | Some i, Some k when k >= 1 && i >= 0 && i < k -> Ok (i, k)
-      | _ ->
-          Error
-            (Printf.sprintf "slice field %S: want i/K with 0 <= i < K" v))
-  | None -> Error (Printf.sprintf "slice field %S: want i/K" v)
-
-let parse_eosio_name ~what (s : string) : (Name.t, string) result =
-  match Name.of_string s with
-  | n -> Ok n
-  | exception Invalid_argument _ ->
-      Error (Printf.sprintf "%s: bad EOSIO name %S" what s)
-
-let parse_cover (s : string) : ((int * int32) list, string) result =
-  let ( let* ) = Result.bind in
-  let* cover =
-    List.fold_left
-      (fun acc part ->
-        let* acc = acc in
-        match String.index_opt part ':' with
-        | Some i -> (
-            let site = String.sub part 0 i
-            and dir = String.sub part (i + 1) (String.length part - i - 1) in
-            match (int_of_string_opt site, Int32.of_string_opt dir) with
-            | Some site, Some dir when site >= 0 -> Ok ((site, dir) :: acc)
-            | _ -> Error (Printf.sprintf "cover edge %S: want site:dir" part))
-        | None -> Error (Printf.sprintf "cover edge %S: want site:dir" part))
-      (Ok []) (String.split_on_char ',' s)
-    |> Result.map List.rev
-  in
-  let rec ascending = function
-    | a :: (b :: _ as rest) -> compare a b < 0 && ascending rest
-    | _ -> true
-  in
-  if cover = [] then Error "empty cover"
-  else if not (ascending cover) then
-    Error (Printf.sprintf "cover %S: not sorted strictly ascending" s)
-  else Ok cover
-
-(* One [round@action@sig@new@cover@args] record; the signature must
-   recompute from the cover, exactly as the corpus parser insists. *)
-let parse_interesting_record (rec_ : string) :
-    (Core.Engine.interesting, string) result =
-  let ( let* ) = Result.bind in
-  match String.split_on_char '@' rec_ with
-  | [ round; action; sig_; new_; cover; args ] -> (
-      match (int_of_string_opt round, int_of_string_opt new_) with
-      | Some is_round, Some is_new_edges when is_round >= 0 && is_new_edges >= 1
-        ->
-          let* is_action =
-            parse_eosio_name ~what:(Printf.sprintf "interesting %S" rec_)
-              action
-          in
-          let* is_signature =
-            if String.length sig_ = 16 then
-              match Int64.of_string_opt ("0x" ^ sig_) with
-              | Some s when Printf.sprintf "%016Lx" s = sig_ -> Ok s
-              | _ ->
-                  Error
-                    (Printf.sprintf "interesting %S: bad signature" rec_)
-            else
-              Error
-                (Printf.sprintf
-                   "interesting %S: signature is not 16 hex digits" rec_)
-          in
-          let* is_cover = parse_cover cover in
-          let* is_args =
-            Result.map_error
-              (fun e -> Printf.sprintf "interesting %S: %s" rec_ e)
-              (Corpus.args_of_wire args)
-          in
-          if Wasabi.Trace.edge_signature is_cover <> is_signature then
-            Error
-              (Printf.sprintf
-                 "interesting %S: signature does not match its cover" rec_)
-          else if is_new_edges > List.length is_cover then
-            Error
-              (Printf.sprintf
-                 "interesting %S: more new edges than cover edges" rec_)
-          else
-            Ok
-              {
-                Core.Engine.is_round; is_action; is_args; is_cover;
-                is_signature; is_new_edges;
-              }
-      | _ ->
-          Error
-            (Printf.sprintf "interesting %S: bad round or new-edge count"
-               rec_))
-  | _ ->
-      Error
-        (Printf.sprintf
-           "interesting %S: want round@action@sig@new@cover@args" rec_)
-
-let parse_interesting (field : string) :
-    (Core.Engine.interesting list, string) result =
-  let ( let* ) = Result.bind in
-  let* v = keyed "interesting" Option.some field in
-  if v = "-" then Ok []
-  else
-    let* xs =
-      List.fold_left
-        (fun acc rec_ ->
-          let* acc = acc in
-          let* x = parse_interesting_record rec_ in
-          Ok (x :: acc))
-        (Ok [])
-        (String.split_on_char ';' v)
-      |> Result.map List.rev
-    in
-    let sigs = List.map (fun i -> i.Core.Engine.is_signature) xs in
-    if List.length (List.sort_uniq compare sigs) <> List.length sigs then
-      Error (Printf.sprintf "interesting field %S: duplicate signature" v)
-    else Ok xs
-
-let parse_trunc (field : string) :
-    (int * (int * Name.t) option, string) result =
-  let ( let* ) = Result.bind in
-  let* v = keyed "trunc" Option.some field in
-  match String.split_on_char ':' v with
-  | [ n ] -> (
-      match int_of_string_opt n with
-      | Some 0 -> Ok (0, None)
-      | Some _ ->
-          Error
-            (Printf.sprintf
-               "trunc field %S: positive count needs its first witness" v)
-      | None -> Error (Printf.sprintf "trunc field %S: bad count" v))
-  | [ n; tx; action ] -> (
-      match (int_of_string_opt n, int_of_string_opt tx) with
-      | Some n, Some tx when n >= 1 && tx >= 1 ->
-          let* action =
-            parse_eosio_name ~what:(Printf.sprintf "trunc field %S" v) action
-          in
-          Ok (n, Some (tx, action))
-      | _ -> Error (Printf.sprintf "trunc field %S: bad counts" v))
-  | _ -> Error (Printf.sprintf "trunc field %S: want N or N:tx:action" v)
-
-let fragment_of_line (line : string) : (fragment, string) result =
-  let ( let* ) = Result.bind in
-  match String.split_on_char '\t' line with
-  | [ m; name; slice; flags; branches; rounds; seeds; adaptive; tx; sat;
-      imprecise; elapsed; solver; shard; seed; budget; exploits; interesting;
-      vround; trunc ]
-    when m = magic_v5 ->
-      if name = "" then Error "empty target name"
-      else
-        let* fg_slice, fg_count = parse_slice slice in
-        let* fg_flags = parse_flags flags in
-        let* branches = keyed "branches" int_of_string_opt branches in
-        let* fg_rounds = keyed "rounds" int_of_string_opt rounds in
-        let* fg_seeds_total = keyed "seeds" int_of_string_opt seeds in
-        let* fg_adaptive_seeds = keyed "adaptive" int_of_string_opt adaptive in
-        let* fg_transactions = keyed "tx" int_of_string_opt tx in
-        let* fg_solver_sat = keyed "sat" int_of_string_opt sat in
-        let* fg_imprecise = keyed "imprecise" int_of_string_opt imprecise in
-        let* fg_elapsed = keyed "elapsed" float_of_string_opt elapsed in
-        let* fg_solver, fg_final_budget =
-          parse_solver ~with_budget:true solver
-        in
-        let* jf_stamp = parse_stamp shard seed budget in
-        let* fg_exploits = parse_exploits exploits in
-        let* fg_interesting = parse_interesting interesting in
-        let* fg_verdict_round = keyed "vround" int_of_string_opt vround in
-        let* fg_truncated, fg_first_truncated = parse_trunc trunc in
-        if jf_stamp.js_rounds < 1 then
-          Error "budget field: a sliced run needs a positive round budget"
-        else if
-          fg_count > Core.Engine.Slice.granularity ~rounds:jf_stamp.js_rounds
-        then
-          Error
-            (Printf.sprintf
-               "slice count %d exceeds the granularity %d of a %d-round \
-                budget"
-               fg_count
-               (Core.Engine.Slice.granularity ~rounds:jf_stamp.js_rounds)
-               jf_stamp.js_rounds)
-        else if fg_verdict_round < 0 || fg_verdict_round > jf_stamp.js_rounds
-        then Error (Printf.sprintf "vround %d outside the round budget"
-                      fg_verdict_round)
-        else if fg_rounds > jf_stamp.js_rounds then
-          Error "rounds field exceeds the full budget"
-        else
-          let fg_edges =
-            List.sort_uniq compare
-              (List.concat_map
-                 (fun (i : Core.Engine.interesting) -> i.Core.Engine.is_cover)
-                 fg_interesting)
-          in
-          if List.length fg_edges <> branches then
-            Error
-              (Printf.sprintf
-                 "branches=%d disagrees with the %d distinct edges of the \
-                  interesting covers"
-                 branches (List.length fg_edges))
-          else
-            Ok
-              {
-                jf_name = name;
-                jf_stamp;
-                jf_frag =
-                  {
-                    Core.Engine.Slice.fg_slice; fg_count; fg_flags;
-                    fg_custom = []; fg_exploits; fg_edges; fg_rounds;
-                    fg_seeds_total; fg_adaptive_seeds; fg_transactions;
-                    fg_solver_sat; fg_imprecise; fg_solver; fg_final_budget;
-                    fg_interesting; fg_verdict_round; fg_truncated;
-                    fg_first_truncated; fg_timeline = []; fg_elapsed;
-                  };
-              }
-  | m :: _ when m = magic_v5 ->
-      Error "expected 20 tab-separated fields on a v5 fragment line"
-  | _ -> Error (Printf.sprintf "bad magic %S" magic_v5)
-
 exception Malformed of string
 
 let has_prefix ~prefix line =
@@ -774,49 +468,30 @@ let load_full path =
                  a corrupt journal"
                 path line_no reason))
       in
-      (* Entry (v1-v4) and fragment (v5) lines interleave freely after
-         the optional header; each list keeps file order. *)
-      let parse_line line_no line (entries, frags) k =
+      let parse_line line_no line =
         if has_prefix ~prefix:magic_hdr line then
           (* The header is only valid as line 1, where it was consumed
              below; anywhere else it is a torn or spliced file. *)
           bad line_no "header line after line 1"
-        else if has_prefix ~prefix:(magic_v5 ^ "\t") line then
-          match fragment_of_line line with
-          | Ok f -> k (entries, f :: frags)
-          | Error reason -> bad line_no reason
         else
           match entry_of_line line with
-          | Ok e -> k (e :: entries, frags)
+          | Ok e -> e
           | Error reason -> bad line_no reason
       in
       let rec go acc line_no =
         match input_line ic with
-        | exception End_of_file ->
-            let entries, frags = acc in
-            (List.rev entries, List.rev frags)
-        | line -> parse_line line_no line acc (fun acc -> go acc (line_no + 1))
+        | exception End_of_file -> List.rev acc
+        | line -> go (parse_line line_no line :: acc) (line_no + 1)
       in
       match input_line ic with
-      | exception End_of_file -> (None, [], [])
+      | exception End_of_file -> (None, [])
       | first when has_prefix ~prefix:magic_hdr first -> (
           match header_of_line first with
-          | Ok h ->
-              let entries, frags = go ([], []) 2 in
-              (Some h, entries, frags)
+          | Ok h -> (Some h, go [] 2)
           | Error reason -> bad 1 reason)
-      | first ->
-          parse_line 1 first ([], []) (fun acc ->
-              let entries, frags = go acc 2 in
-              (None, entries, frags)))
+      | first -> (None, go [ parse_line 1 first ] 2))
 
-let load_with_header path =
-  let header, entries, _frags = load_full path in
-  (header, entries)
-
-let load path =
-  let _, entries, _ = load_full path in
-  entries
+let load path = snd (load_full path)
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
@@ -843,7 +518,8 @@ let open_writer ?header path =
   | _ -> ());
   { oc; wlock = Mutex.create () }
 
-let append_line w line =
+let append w e =
+  let line = line_of_entry e in
   Mutex.protect w.wlock (fun () ->
       let t0 = Wasai_telemetry.Telemetry.start () in
       output_string w.oc line;
@@ -853,8 +529,5 @@ let append_line w line =
          a resume must never skip work whose result a crash threw away. *)
       Unix.fsync (Unix.descr_of_out_channel w.oc);
       Wasai_telemetry.Telemetry.stop Wasai_telemetry.Telemetry.Journal_fsync t0)
-
-let append w e = append_line w (line_of_entry e)
-let append_fragment w f = append_line w (line_of_fragment f)
 
 let close_writer w = Mutex.protect w.wlock (fun () -> close_out_noerr w.oc)

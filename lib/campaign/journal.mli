@@ -21,19 +21,7 @@
     additionally accepts v3 (16-field, 5 solver counters), v2 (12-field)
     and v1 (11-field) lines, whose absent counters read as zero and whose
     absent stamp/exploits read as none, so old journals still resume.
-
-    Sliced campaigns add a fifth line format: a 20-field v5 {e fragment}
-    line per completed slice ([slice=i/K] provenance, the slice's
-    verdict flags, counters, exploit payloads and interesting seeds),
-    journaled the moment the slice finishes so a crash loses at most
-    in-flight slices.  Once a target's whole slice set is on disk the
-    merged result is appended as a standard v4 entry — byte-identical to
-    the unpartitioned line — so v3/v4 consumers (merge, report, resume)
-    keep working; resume reconstructs partially-completed slice sets
-    from the fragment lines.  v5 parsing is as strict as the rest:
-    besides per-field validation, the interesting-seed covers must
-    recompute to their recorded signatures and union to the recorded
-    branch count. *)
+    No other line shape is accepted. *)
 
 module Core = Wasai_core
 module Solver = Wasai_smt.Solver
@@ -93,30 +81,6 @@ val entry_of_line : string -> (entry, string) result
 (** Accepts v1 (11 fields), v2 (12), v3 (16, 5 solver counters) and v4
     (16, 6 solver counters) lines; each field is validated strictly. *)
 
-(** One completed slice of a partitioned target, as journaled on a v5
-    line.  [jf_stamp.js_rounds] is the {e full} per-target budget — the
-    value cell reconstruction and fleet validation key on — while the
-    fragment's own [fg_rounds] counts the rounds its slice actually
-    ran. *)
-type fragment = {
-  jf_name : string;
-  jf_stamp : stamp;
-  jf_frag : Core.Engine.Slice.fragment;
-}
-
-val line_of_fragment : fragment -> string
-(** Single-line 20-field v5 record, no trailing newline.  [fg_custom]
-    and [fg_timeline] are not serialised (neither reaches a journal
-    entry); a parsed fragment reads them back empty. *)
-
-val fragment_of_line : string -> (fragment, string) result
-(** Strict inverse of {!line_of_fragment}: wrong magic or field count, a
-    slice index outside [0..K-1], a K above the budget's granularity, an
-    interesting record whose signature does not recompute from its
-    cover, a duplicate signature, a [branches=] count that is not the
-    cardinality of the union of the covers, or a positive truncation
-    count without its witness all reject the line. *)
-
 (** File-level provenance, stamped once as the first line of a fresh
     journal ([wasai-journal-hdr] followed by [backend=interp|compiled|auto]):
     the execution backend the fleet ran under.  Verdicts are
@@ -147,18 +111,10 @@ val load : string -> entry list
     {!Malformed} on any bad line and [Sys_error] if the file cannot be
     read. *)
 
-val load_with_header : string -> header option * entry list
+val load_full : string -> header option * entry list
 (** Like {!load}, also returning the header when the file starts with
     one ([None] on headerless legacy journals).  A header line anywhere
     but line 1 raises {!Malformed}. *)
-
-val load_full : string -> header option * entry list * fragment list
-(** Everything in the file: header, entries and v5 slice fragments, each
-    list in file order.  {!load} and {!load_with_header} are projections
-    of this (they still {e validate} fragment lines — a torn v5 line
-    raises {!Malformed} everywhere — but drop them), so entry-level
-    consumers like merge and report see a sliced journal as exactly its
-    completed targets. *)
 
 (** Append-side handle; [append] serialises concurrent writers with an
     internal mutex and fsyncs after every line. *)
@@ -172,9 +128,5 @@ val open_writer : ?header:header -> string -> writer
     validated their header already. *)
 
 val append : writer -> entry -> unit
-
-val append_fragment : writer -> fragment -> unit
-(** Same fsync-before-acknowledge discipline as {!append}: a slice only
-    counts as done once its fragment line is durable. *)
 
 val close_writer : writer -> unit

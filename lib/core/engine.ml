@@ -204,8 +204,8 @@ let agent_apply ~victim (ctx : Chain.context) =
    attackers on a test chain issue themselves arbitrary balances. *)
 let funding = 0x1000_0000_0000_0000L (* 2^60 units each *)
 
-let setup ?(profile : Chain_profile.t option) ?(cell : int option)
-    (cfg : config) (target : target) : session =
+let setup ?(profile : Chain_profile.t option) (cfg : config)
+    (target : target) : session =
   let chain = Host.create_chain ~fuel_per_action:cfg.cfg_fuel () in
   Token.bootstrap chain ~treasury ~supply:0x4000_0000_0000_0000L;
   List.iter
@@ -274,17 +274,10 @@ let setup ?(profile : Chain_profile.t option) ?(cell : int option)
      pair (cfg_rng_seed, tgt_account) alone — never from global state or
      from how many targets ran before this one — so a campaign scheduled
      over N domains produces the same per-target verdicts as a serial
-     run.  A partitioned run ([cell = Some c]) folds the cell index into
-     the derivation instead: every cell of the round space owns a stream
-     that depends only on the triple (seed, target, cell), never on
-     which slice grouping or worker executes it. *)
+     run. *)
   let rng =
     Wasai_support.Rand.create
-      (match cell with
-      | None -> Wasai_support.Rand.mix cfg.cfg_rng_seed target.tgt_account
-      | Some c ->
-          Wasai_support.Rand.mix3 cfg.cfg_rng_seed target.tgt_account
-            (Int64.of_int c))
+      (Wasai_support.Rand.mix cfg.cfg_rng_seed target.tgt_account)
   in
   let identities = [ attacker; player_one; player_two; target.tgt_account ] in
   let pool = Seed.create_pool () in
@@ -665,8 +658,8 @@ let channels =
     extension interface). *)
 let fuzz ?(cfg = default_config) ?(profile : Chain_profile.t option)
     ?(oracles : Wasabi.Trace.meta -> Scanner.custom_oracle list = fun _ -> [])
-    ?(cell : int option) (target : target) : outcome =
-  let s = setup ?profile ?cell cfg target in
+    (target : target) : outcome =
+  let s = setup ?profile cfg target in
   List.iter (Scanner.register_custom s.scanner) (oracles s.meta);
   let t0 = Unix.gettimeofday () in
   let timeline = ref [] in
@@ -856,260 +849,3 @@ let flagged (o : outcome) (f : Scanner.flag) : bool =
   match List.assoc_opt f o.out_flags with Some b -> b | None -> false
 
 let any_flagged (o : outcome) = List.exists snd o.out_flags
-
-(* ------------------------------------------------------------------ *)
-(* Partitionable round space                                            *)
-(* ------------------------------------------------------------------ *)
-
-(** Mergeable work units over a target's round budget.
-
-    The budget is first cut into a {e fixed} number of cells,
-    [granularity ~rounds] of them, each an independent full engine run
-    over its balanced share of the rounds with its own
-    [Rand.mix3]-derived stream.  A {e slice} — the schedulable unit — is
-    a contiguous range of cells, and a fragment is the ordered
-    associative fold of its cells' outcomes.  Because the cell partition
-    never depends on the slice count K, and every merge operation below
-    is associative under ordered contiguous grouping (per-flag OR,
-    first-wins exploit selection, sorted edge union, counter addition,
-    signature-deduplicated concatenation, min/max/first-[Some]), merging
-    the K fragments of {e any} K yields one identical outcome —
-    byte-identical journal lines, corpus additions and reports for
-    K = 1, 2, 4, ... at the same total budget. *)
-module Slice = struct
-  (* Eight cells keeps every cell a meaningful engine run (>= rounds/8
-     rounds of feedback) while still letting a campaign split one
-     dominant target across a typical worker fleet. *)
-  let max_cells = 8
-
-  let granularity ~rounds =
-    if rounds < 1 then invalid_arg "Engine.Slice.granularity: rounds < 1";
-    min rounds max_cells
-
-  (* Balanced partition of [total] items into [parts]: part [i] holds
-     [share] items starting at offset [base].  Remainder cells go to the
-     lowest indices, so the layout is a pure function of (total, parts). *)
-  let share total parts i =
-    (total / parts) + if i < total mod parts then 1 else 0
-
-  let base total parts i = (i * (total / parts)) + min i (total mod parts)
-
-  type fragment = {
-    fg_slice : int;  (** 0-based slice index *)
-    fg_count : int;  (** K, the slice count this fragment was cut under *)
-    fg_flags : (Scanner.flag * bool) list;  (** canonical [all_flags] order *)
-    fg_custom : (string * bool) list;
-    fg_exploits : (Scanner.flag * Scanner.evidence) list;
-    fg_edges : (int * int32) list;  (** sorted distinct (site, dir) edges *)
-    fg_rounds : int;
-    fg_seeds_total : int;
-    fg_adaptive_seeds : int;
-    fg_transactions : int;
-    fg_solver_sat : int;
-    fg_imprecise : int;
-    fg_solver : Solver.stats;
-    fg_final_budget : int;  (** min over the fragment's cells *)
-    fg_interesting : interesting list;
-        (** cell order, rounds globalised, distinct signatures *)
-    fg_verdict_round : int;  (** globalised; 0 = nothing ever fired *)
-    fg_truncated : int;
-    fg_first_truncated : (int * Name.t) option;
-    fg_timeline : (int * float * int) list;  (** rounds globalised *)
-    fg_elapsed : float;  (** summed wall seconds the fragment cost *)
-  }
-
-  let canonical_flags value =
-    List.map (fun f -> (f, value f)) Scanner.all_flags
-
-  let flag_value flags f =
-    match List.assoc_opt f flags with Some b -> b | None -> false
-
-  (* Keep first occurrence per signature, preserving order.  Signatures
-     are the corpus identity of a cover set, so this matches the
-     (target, signature) key [Corpus.add] dedupes on — which is what
-     makes the merged run's corpus additions K-invariant. *)
-  let dedup_interesting (xs : interesting list) : interesting list =
-    let seen = Hashtbl.create 32 in
-    List.filter
-      (fun (i : interesting) ->
-        if Hashtbl.mem seen i.is_signature then false
-        else begin
-          Hashtbl.replace seen i.is_signature ();
-          true
-        end)
-      xs
-
-  let fragment_of_outcome ~slice ~count ~round_base ~elapsed (o : outcome) :
-      fragment =
-    let globalise (i : interesting) =
-      { i with is_round = i.is_round + round_base }
-    in
-    {
-      fg_slice = slice;
-      fg_count = count;
-      fg_flags = canonical_flags (flag_value o.out_flags);
-      fg_custom = o.out_custom;
-      fg_exploits =
-        List.filter_map
-          (fun f ->
-            Option.map (fun e -> (f, e)) (List.assoc_opt f o.out_exploits))
-          Scanner.all_flags;
-      (* The covers of the interesting seeds union to the run's final
-         branch set (every edge was new exactly once, under the seed
-         that introduced it), so the fragment needs no separate edge
-         dump from the engine. *)
-      fg_edges =
-        List.sort_uniq compare
-          (List.concat_map
-             (fun (i : interesting) -> i.is_cover)
-             o.out_interesting);
-      fg_rounds = o.out_rounds;
-      fg_seeds_total = o.out_seeds_total;
-      fg_adaptive_seeds = o.out_adaptive_seeds;
-      fg_transactions = o.out_transactions;
-      fg_solver_sat = o.out_solver_sat;
-      fg_imprecise = o.out_imprecise;
-      fg_solver = o.out_solver;
-      fg_final_budget = o.out_final_budget;
-      fg_interesting = List.map globalise o.out_interesting;
-      fg_verdict_round =
-        (if o.out_verdict_round = 0 then 0
-         else o.out_verdict_round + round_base);
-      fg_truncated = o.out_truncated;
-      fg_first_truncated = o.out_first_truncated;
-      fg_timeline =
-        List.map (fun (r, t, b) -> (r + round_base, t, b)) o.out_timeline;
-      fg_elapsed = elapsed;
-    }
-
-  (* Associative merge of two adjacent fragments ([a] covers the cells
-     just before [b]'s).  The caller owns fg_slice/fg_count bookkeeping. *)
-  let merge_adjacent (a : fragment) (b : fragment) : fragment =
-    {
-      fg_slice = a.fg_slice;
-      fg_count = a.fg_count;
-      fg_flags =
-        canonical_flags (fun f ->
-            flag_value a.fg_flags f || flag_value b.fg_flags f);
-      fg_custom =
-        (let extra =
-           List.filter
-             (fun (n, _) -> not (List.mem_assoc n a.fg_custom))
-             b.fg_custom
-         in
-         List.map
-           (fun (n, v) ->
-             (n, v || flag_value b.fg_custom n))
-           a.fg_custom
-         @ extra);
-      (* First fragment (in cell order) to fire a flag supplies its
-         exploit payload, mirroring the scanner's keep-first evidence. *)
-      fg_exploits =
-        List.filter_map
-          (fun f ->
-            match List.assoc_opt f a.fg_exploits with
-            | Some e -> Some (f, e)
-            | None ->
-                Option.map (fun e -> (f, e)) (List.assoc_opt f b.fg_exploits))
-          Scanner.all_flags;
-      fg_edges = List.sort_uniq compare (a.fg_edges @ b.fg_edges);
-      fg_rounds = a.fg_rounds + b.fg_rounds;
-      fg_seeds_total = a.fg_seeds_total + b.fg_seeds_total;
-      fg_adaptive_seeds = a.fg_adaptive_seeds + b.fg_adaptive_seeds;
-      fg_transactions = a.fg_transactions + b.fg_transactions;
-      fg_solver_sat = a.fg_solver_sat + b.fg_solver_sat;
-      fg_imprecise = a.fg_imprecise + b.fg_imprecise;
-      fg_solver = Solver.stats_add a.fg_solver b.fg_solver;
-      fg_final_budget = min a.fg_final_budget b.fg_final_budget;
-      fg_interesting = dedup_interesting (a.fg_interesting @ b.fg_interesting);
-      fg_verdict_round = max a.fg_verdict_round b.fg_verdict_round;
-      fg_truncated = a.fg_truncated + b.fg_truncated;
-      fg_first_truncated =
-        (match a.fg_first_truncated with
-        | Some _ as ft -> ft
-        | None -> b.fg_first_truncated);
-      fg_timeline = a.fg_timeline @ b.fg_timeline;
-      fg_elapsed = a.fg_elapsed +. b.fg_elapsed;
-    }
-
-  let run ?profile ?oracles ~cfg ~slice ~count (target : target) : fragment =
-    let g = granularity ~rounds:cfg.cfg_rounds in
-    if count < 1 || count > g then
-      invalid_arg
-        (Printf.sprintf
-           "Engine.Slice.run: slice count %d outside 1..%d (granularity of a \
-            %d-round budget)"
-           count g cfg.cfg_rounds);
-    if slice < 0 || slice >= count then
-      invalid_arg
-        (Printf.sprintf "Engine.Slice.run: slice %d outside 0..%d" slice
-           (count - 1));
-    let cell_lo = base g count slice and ncells = share g count slice in
-    let frags =
-      List.init ncells (fun j ->
-          let cell = cell_lo + j in
-          let ccfg = { cfg with cfg_rounds = share cfg.cfg_rounds g cell } in
-          let t0 = Unix.gettimeofday () in
-          let o = fuzz ~cfg:ccfg ?profile ?oracles ~cell target in
-          fragment_of_outcome ~slice ~count
-            ~round_base:(base cfg.cfg_rounds g cell)
-            ~elapsed:(Unix.gettimeofday () -. t0)
-            o)
-    in
-    match frags with
-    | [] -> assert false (* share g count slice >= 1 when count <= g *)
-    | f :: rest -> List.fold_left merge_adjacent f rest
-
-  let merge (frags : fragment list) : fragment =
-    match List.sort (fun a b -> compare a.fg_slice b.fg_slice) frags with
-    | [] -> invalid_arg "Engine.Slice.merge: no fragments"
-    | first :: _ as sorted ->
-        let count = first.fg_count in
-        if List.length sorted <> count then
-          invalid_arg
-            (Printf.sprintf
-               "Engine.Slice.merge: %d fragment(s) of a %d-slice set"
-               (List.length sorted) count);
-        List.iteri
-          (fun i (f : fragment) ->
-            if f.fg_count <> count then
-              invalid_arg
-                (Printf.sprintf
-                   "Engine.Slice.merge: fragment %d/%d mixed with a %d-slice \
-                    set"
-                   f.fg_slice f.fg_count count);
-            if f.fg_slice <> i then
-              invalid_arg
-                (Printf.sprintf
-                   "Engine.Slice.merge: slice set is not exactly 0..%d \
-                    (missing or duplicate slice %d)"
-                   (count - 1) i))
-          sorted;
-        let m =
-          match sorted with
-          | f :: rest -> List.fold_left merge_adjacent f rest
-          | [] -> assert false
-        in
-        { m with fg_slice = 0; fg_count = 1 }
-
-  let outcome_of_fragment (f : fragment) : outcome =
-    {
-      out_flags = f.fg_flags;
-      out_custom = f.fg_custom;
-      out_exploits = f.fg_exploits;
-      out_branches = List.length f.fg_edges;
-      out_timeline = f.fg_timeline;
-      out_rounds = f.fg_rounds;
-      out_seeds_total = f.fg_seeds_total;
-      out_adaptive_seeds = f.fg_adaptive_seeds;
-      out_transactions = f.fg_transactions;
-      out_solver_sat = f.fg_solver_sat;
-      out_imprecise = f.fg_imprecise;
-      out_solver = f.fg_solver;
-      out_interesting = f.fg_interesting;
-      out_verdict_round = f.fg_verdict_round;
-      out_final_budget = f.fg_final_budget;
-      out_truncated = f.fg_truncated;
-      out_first_truncated = f.fg_first_truncated;
-    }
-end

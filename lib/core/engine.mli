@@ -177,14 +177,12 @@ type session = {
   seen_seeds : (string, unit) Hashtbl.t;
 }
 
-val setup : ?profile:Chain_profile.t -> ?cell:int -> config -> target -> session
+val setup : ?profile:Chain_profile.t -> config -> target -> session
 (** Instrument, deploy and boot the local chain with the adversary
     auxiliaries (token, fake token, forwarding agent).  [profile] is the
     chain profile the detection oracles resolve host calls against
-    (default {!Chain_profile.eosio}).  [cell] selects the partitioned
-    RNG stream [Rand.mix3 cfg_rng_seed tgt_account cell] instead of the
-    whole-run stream [Rand.mix cfg_rng_seed tgt_account] — see
-    {!Slice}. *)
+    (default {!Chain_profile.eosio}).  The session's RNG is the
+    per-target stream [Rand.mix cfg_rng_seed tgt_account]. *)
 
 val payload : session -> Seed.t -> Scanner.channel -> Action.t * Abi.value list
 (** The action pushed for a seed on a channel, plus the argument vector
@@ -226,7 +224,6 @@ val fuzz :
   ?cfg:config ->
   ?profile:Chain_profile.t ->
   ?oracles:(Wasabi.Trace.meta -> Scanner.custom_oracle list) ->
-  ?cell:int ->
   target ->
   outcome
 (** Fuzz one contract to completion; [profile] selects the chain
@@ -254,94 +251,3 @@ val fuzz :
 
 val flagged : outcome -> Scanner.flag -> bool
 val any_flagged : outcome -> bool
-
-(** Mergeable work units over a target's round budget, for intra-target
-    parallelism.
-
-    The budget is cut into a fixed number of {e cells}
-    ([granularity ~rounds] of them, independent of the slice count K);
-    each cell is an independent engine run over its balanced share of
-    the rounds with its own disjoint RNG stream
-    ([Rand.mix3 seed target cell]).  A {e slice} — the unit a scheduler
-    dispatches — is a contiguous range of cells ([slice i] of [count K]),
-    and its {!fragment} is the ordered associative fold of its cells'
-    outcomes.  Every merge operation (per-flag OR, first-wins exploit
-    selection, sorted edge union, counter addition,
-    signature-deduplicated interesting concatenation, budget min,
-    verdict-round max, first-[Some] truncation witness) is associative
-    under ordered contiguous grouping, so {!merge} over the K fragments
-    of {e any} K in [1..granularity] produces one identical result:
-    journal lines, corpus additions and reports are byte-identical
-    across slice counts at the same total budget. *)
-module Slice : sig
-  val max_cells : int
-  (** The fixed cell-count ceiling (8). *)
-
-  val granularity : rounds:int -> int
-  (** [min rounds max_cells]: the number of cells a budget is cut into,
-      and therefore the largest admissible slice count. *)
-
-  val share : int -> int -> int -> int
-  (** [share total parts i]: size of part [i] of the balanced partition
-      of [total] into [parts] (remainder to the lowest indices). *)
-
-  val base : int -> int -> int -> int
-  (** [base total parts i]: starting offset of part [i]. *)
-
-  type fragment = {
-    fg_slice : int;  (** 0-based slice index *)
-    fg_count : int;  (** K, the slice count this fragment was cut under *)
-    fg_flags : (Scanner.flag * bool) list;  (** canonical [all_flags] order *)
-    fg_custom : (string * bool) list;
-    fg_exploits : (Scanner.flag * Scanner.evidence) list;
-    fg_edges : (int * int32) list;  (** sorted distinct (site, dir) edges *)
-    fg_rounds : int;
-    fg_seeds_total : int;
-    fg_adaptive_seeds : int;
-    fg_transactions : int;
-    fg_solver_sat : int;
-    fg_imprecise : int;
-    fg_solver : Solver.stats;
-    fg_final_budget : int;  (** min over the fragment's cells *)
-    fg_interesting : interesting list;
-        (** cell order, rounds globalised to the full budget's round
-            numbers, distinct signatures *)
-    fg_verdict_round : int;  (** globalised; 0 = nothing ever fired *)
-    fg_truncated : int;
-    fg_first_truncated : (int * Name.t) option;
-    fg_timeline : (int * float * int) list;  (** rounds globalised *)
-    fg_elapsed : float;  (** summed wall seconds the fragment cost *)
-  }
-
-  val run :
-    ?profile:Chain_profile.t ->
-    ?oracles:(Wasabi.Trace.meta -> Scanner.custom_oracle list) ->
-    cfg:config ->
-    slice:int ->
-    count:int ->
-    target ->
-    fragment
-  (** Execute slice [slice] of a [count]-way partition of [cfg]'s round
-      budget: run each cell in the slice's contiguous range and fold the
-      outcomes.  Raises [Invalid_argument] when [count] is outside
-      [1..granularity ~rounds:cfg.cfg_rounds] or [slice] outside
-      [0..count-1]. *)
-
-  val merge : fragment list -> fragment
-  (** Fold a complete slice set into one whole-run fragment.  The list
-      (in any order) must be exactly slices [0..K-1] of one [K]; raises
-      [Invalid_argument] on a missing, duplicate or mixed-K set.  The
-      result has [fg_slice = 0], [fg_count = 1] — byte-identical for
-      every K of the same budget. *)
-
-  val outcome_of_fragment : fragment -> outcome
-  (** View a (typically merged) fragment as a standard engine outcome;
-      [out_branches] is the edge-set cardinality. *)
-
-  val fragment_of_outcome :
-    slice:int -> count:int -> round_base:int -> elapsed:float -> outcome ->
-    fragment
-  (** Lift one engine outcome into a fragment, globalising its round
-      numbers by [round_base] (exposed for journal reconstruction and
-      tests; {!run} composes it over cells internally). *)
-end

@@ -43,16 +43,6 @@ type record = {
       (** producing run's final (adaptively retuned) conflict budget *)
 }
 
-val wire_of_args : Abi.value list -> string
-(** Whitespace-free argument-vector wire: ["-"] for the empty vector,
-    else comma-separated tagged values ([n:]/[u:]/[w:]/[a:]/[s:]).  The
-    alphabet is limited to hex digits, EOSIO name characters, [,] and
-    [:] — no [@], [;] or tabs — so the wire can be embedded verbatim in
-    the journal's [@]-structured interesting-seed records. *)
-
-val args_of_wire : string -> (Abi.value list, string) result
-(** Strict inverse of {!wire_of_args}. *)
-
 val line_of_record : record -> string
 (** Single-line record, no trailing newline. *)
 

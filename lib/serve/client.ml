@@ -95,8 +95,8 @@ type batch = {
   bt_errors : (string * string) list;
 }
 
-let submit_batch ?(progress = fun (_ : Wire.response) -> ()) ?(slices = 1) t
-    ~tenant contracts =
+let submit_batch ?(progress = fun (_ : Wire.response) -> ()) t ~tenant
+    contracts =
   let awaiting = Hashtbl.create 16 in
   let verdicts = ref [] in
   let errors = ref [] in
@@ -132,7 +132,7 @@ let submit_batch ?(progress = fun (_ : Wire.response) -> ()) ?(slices = 1) t
            rq_name = c.ct_name;
            rq_wasm = c.ct_wasm;
            rq_abi = c.ct_abi;
-           rq_slices = slices;
+           rq_slices = 1;
          });
     (* Interleaving: verdicts for earlier submissions may stream in
        before this submission's admission reply. *)

@@ -57,7 +57,6 @@ type batch = {
 
 val submit_batch :
   ?progress:(Wire.response -> unit) ->
-  ?slices:int ->
   t ->
   tenant:string ->
   contract list ->
@@ -66,7 +65,4 @@ val submit_batch :
     Streamed verdicts for earlier submissions are consumed (and handed
     to [progress]) while later admissions are still in flight; a [BUSY]
     reply sleeps for the daemon's [retry-after] hint and resubmits.
-    [slices] (default 1 — the classic wire form) asks the daemon to
-    partition each submission's round budget into K parallel slices;
-    the daemon clamps K and the verdict is byte-identical whatever K.
     Raises {!Protocol_error} on a protocol-level failure. *)

@@ -69,8 +69,6 @@ type job = {
   jb_wasm : string;
   jb_abi : string option;
   jb_submitted : float;
-  jb_slice : int;  (** 0-based slice index (0 on the whole-target path) *)
-  jb_count : int;  (** K; 1 = classic whole-target job *)
 }
 
 type tenant_state = {
@@ -80,10 +78,6 @@ type tenant_state = {
   tn_corpus_w : Corpus.Writer.w;
   tn_done : (string, Journal.entry) Hashtbl.t;
   tn_inflight : (string, unit) Hashtbl.t;
-  tn_frags : (string, int * (int, Core.Engine.Slice.fragment) Hashtbl.t) Hashtbl.t;
-      (** per-name partial slice sets: journaled by a previous daemon
-          run and/or collected by this one; merged into [tn_done] when
-          complete *)
   tn_qwait : Metrics.Histogram.t;
   tn_latency : Metrics.Histogram.t;
   mutable tn_submitted : int;
@@ -94,7 +88,7 @@ type tenant_state = {
 type conn = {
   cn_id : int;
   cn_fd : Unix.file_descr;
-  mutable cn_in : string;  (** bytes read, not yet split into a line *)
+  cn_in : Buffer.t;  (** bytes read, not yet split into a line *)
   mutable cn_out : string;  (** bytes queued, not yet written *)
   mutable cn_closing : bool;  (** close once [cn_out] drains *)
 }
@@ -116,6 +110,8 @@ type t = {
   wake_r : Unix.file_descr;  (** self-pipe: workers nudge the select loop *)
   wake_w : Unix.file_descr;
   conns : (int, conn) Hashtbl.t;
+  read_buf : Bytes.t;
+      (** every [read_conn] fills this; only the I/O loop reads *)
   mutable next_conn : int;
   mutable workers : unit Domain.t list;
 }
@@ -130,35 +126,11 @@ let wake t =
 (* Tenant registry                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Fold a tenant's complete slice set for [name] into its final journal
-   entry, with the campaign durability discipline: corpus seeds first,
-   then the (byte-identical for every K) merged v4 entry.  Caller holds
-   the daemon lock, or is single-threaded (tenant load). *)
-let merge_slice_set ~stamp (tn : tenant_state) name : Journal.entry =
-  let k, tbl = Hashtbl.find tn.tn_frags name in
-  let merged = Core.Engine.Slice.merge (List.init k (Hashtbl.find tbl)) in
-  let outcome = Core.Engine.Slice.outcome_of_fragment merged in
-  let entry =
-    Journal.of_outcome ~name
-      ~elapsed:merged.Core.Engine.Slice.fg_elapsed
-      ~stamp outcome
-  in
-  let t_corpus = Telemetry.start () in
-  ignore
-    (Corpus.Writer.commit tn.tn_corpus_w tn.tn_corpus
-       (Campaign.corpus_records_of ~name stamp outcome));
-  Telemetry.stop Telemetry.Corpus_io t_corpus;
-  Journal.append tn.tn_journal entry;
-  Hashtbl.replace tn.tn_done name entry;
-  Hashtbl.remove tn.tn_frags name;
-  entry
-
 let load_tenant ~root ~resume ~backend stamp tenant : tenant_state =
   let dir = tenant_dir ~root tenant in
   Fsutil.mkdir_p dir;
   let jpath = journal_path ~root tenant in
   let done_ = Hashtbl.create 64 in
-  let pending_frags = ref [] in
   if Sys.file_exists jpath then begin
     if not resume then
       failwith
@@ -166,67 +138,39 @@ let load_tenant ~root ~resume ~backend stamp tenant : tenant_state =
            "serve: tenant %S already has a journal under %s; pass --resume \
             to continue it"
            tenant root);
-    let header, entries, frags = Journal.load_full jpath in
+    let header, entries = Journal.load_full jpath in
     Campaign.validate_header
       ~context:(Printf.sprintf "serve tenant %s" tenant)
       backend header;
     Campaign.validate_entries
       ~context:(Printf.sprintf "serve tenant %s" tenant)
       stamp entries;
-    Campaign.validate_fragments
-      ~context:(Printf.sprintf "serve tenant %s" tenant)
-      stamp frags;
     (* Last entry per name wins, as campaign resume does. *)
-    List.iter (fun (e : Journal.entry) -> Hashtbl.replace done_ e.Journal.je_name e) entries;
-    (* Fragments of journaled names are stale leftovers of the run that
-       merged them; only pending sets are reconstructed. *)
-    pending_frags :=
-      List.filter
-        (fun (f : Journal.fragment) -> not (Hashtbl.mem done_ f.Journal.jf_name))
-        frags
+    List.iter (fun (e : Journal.entry) -> Hashtbl.replace done_ e.Journal.je_name e) entries
   end;
   let cpath = corpus_path ~root tenant in
   let corpus = if Sys.file_exists cpath then Corpus.load cpath else Corpus.create () in
-  let tn =
-    {
-      tn_name = tenant;
-      (* Tenant journals keep the legacy backend-only header even though
-         the daemon records telemetry: the [telemetry=] stamp exists so
-         campaign resumes agree about their report's breakdown, and serve
-         exposes its breakdown live over METRICS instead — journal bytes
-         stay identical to every earlier daemon build. *)
-      tn_journal =
-        Journal.open_writer
-          ~header:{ Journal.jh_backend = backend; jh_telemetry = false }
-          jpath;
-      tn_corpus = corpus;
-      tn_corpus_w = Corpus.Writer.open_ cpath;
-      tn_done = done_;
-      tn_inflight = Hashtbl.create 16;
-      tn_frags =
-        Campaign.group_fragments
-          ~context:(Printf.sprintf "serve tenant %s" tenant)
-          !pending_frags;
-      tn_qwait = Metrics.Histogram.create ();
-      tn_latency = Metrics.Histogram.create ();
-      tn_submitted = 0;
-      tn_completed = 0;
-      tn_rejected = 0;
-    }
-  in
-  (* Slice sets completed on disk but never merged (a crash between the
-     last fragment and the entry line): finish them now, so a
-     resubmission replays the cached verdict. *)
-  let complete =
-    Hashtbl.fold
-      (fun name (k, tbl) acc ->
-        if Hashtbl.length tbl = k then name :: acc else acc)
-      tn.tn_frags []
-  in
-  List.iter
-    (fun name -> ignore (merge_slice_set ~stamp tn name))
-    (List.sort compare complete);
-  tn
+  {
+    tn_name = tenant;
+    (* Tenant journals keep the legacy backend-only header even though
+       the daemon records telemetry: the [telemetry=] stamp exists so
+       campaign resumes agree about their report's breakdown, and serve
+       exposes its breakdown live over METRICS instead — journal bytes
+       stay identical to every earlier daemon build. *)
+    tn_journal =
+      Journal.open_writer
+        ~header:{ Journal.jh_backend = backend; jh_telemetry = false }
+        jpath;
+    tn_corpus = corpus;
+    tn_corpus_w = Corpus.Writer.open_ cpath;
+    tn_done = done_;
+    tn_inflight = Hashtbl.create 16;
+    tn_qwait = Metrics.Histogram.create ();
+    tn_latency = Metrics.Histogram.create ();
+    tn_submitted = 0;
+    tn_completed = 0;
+    tn_rejected = 0;
+  }
 
 let scan_root root =
   if not (Sys.file_exists root) then []
@@ -267,18 +211,6 @@ let run_job (t : t) (jb : job) : Core.Engine.outcome =
     Telemetry.set_target (Telemetry.target_id (jb.jb_tenant ^ "/" ^ jb.jb_name));
   Core.Engine.fuzz ~cfg:t.cfg.sv_engine (target_of_job jb)
 
-(* One slice of a partitioned submission: same decode, but only the
-   slice's cell range of the round budget runs; spans are attributed per
-   (submission, slice). *)
-let run_slice (t : t) (jb : job) : Core.Engine.Slice.fragment =
-  if Telemetry.enabled () then
-    Telemetry.set_target
-      (Telemetry.target_id
-         (Printf.sprintf "%s/%s#%d/%d" jb.jb_tenant jb.jb_name jb.jb_slice
-            jb.jb_count));
-  Core.Engine.Slice.run ~cfg:t.cfg.sv_engine ~slice:jb.jb_slice
-    ~count:jb.jb_count (target_of_job jb)
-
 let drop_inflight t jb =
   match Hashtbl.find_opt t.tenants jb.jb_tenant with
   | Some tn -> Hashtbl.remove tn.tn_inflight jb.jb_name
@@ -314,7 +246,7 @@ let worker (t : t) () =
            (* Simulated kill -9: the job dies un-journaled, exactly as a
               queued submission would under a real SIGKILL. *)
            Mutex.protect t.lock (fun () -> drop_inflight t jb)
-         else if jb.jb_count = 1 then begin
+         else
            let started = Unix.gettimeofday () in
            match run_job t jb with
            | outcome ->
@@ -350,66 +282,7 @@ let worker (t : t) () =
                      ( jb.jb_conn,
                        Wire.Err { rp_name = Some jb.jb_name; rp_reason = reason }
                      )
-                     t.completions)
-         end
-         else begin
-           let started = Unix.gettimeofday () in
-           match run_slice t jb with
-           | frag ->
-               Mutex.protect t.lock (fun () ->
-                   match Hashtbl.find_opt t.tenants jb.jb_tenant with
-                   | None -> ()
-                   | Some tn ->
-                       (* The fragment line is durable before the slice
-                          counts as done: a daemon crash costs at most
-                          the in-flight slices, and a resumed daemon
-                          reconstructs the set from these lines. *)
-                       Journal.append_fragment tn.tn_journal
-                         {
-                           Journal.jf_name = jb.jb_name;
-                           jf_stamp = t.stamp;
-                           jf_frag = frag;
-                         };
-                       let k, tbl =
-                         match Hashtbl.find_opt tn.tn_frags jb.jb_name with
-                         | Some kt -> kt
-                         | None ->
-                             let tbl = Hashtbl.create 8 in
-                             Hashtbl.replace tn.tn_frags jb.jb_name
-                               (jb.jb_count, tbl);
-                             (jb.jb_count, tbl)
-                       in
-                       Hashtbl.replace tbl jb.jb_slice frag;
-                       if Hashtbl.length tbl = k then
-                         finish_submission t jb ~started tn
-                           (merge_slice_set ~stamp:t.stamp tn jb.jb_name))
-           | exception e ->
-               (* One failed slice fails the submission (the first
-                  failure wins — sibling failures of the same name stay
-                  silent); fragments the other slices still journal stay
-                  pending and a resubmission re-runs only the missing
-                  ones. *)
-               let reason = Printexc.to_string e in
-               Mutex.protect t.lock (fun () ->
-                   let first_failure =
-                     match Hashtbl.find_opt t.tenants jb.jb_tenant with
-                     | Some tn -> Hashtbl.mem tn.tn_inflight jb.jb_name
-                     | None -> false
-                   in
-                   if first_failure then begin
-                     drop_inflight t jb;
-                     Queue.add
-                       ( jb.jb_conn,
-                         Wire.Err
-                           {
-                             rp_name = Some jb.jb_name;
-                             rp_reason =
-                               Printf.sprintf "slice %d/%d: %s" jb.jb_slice
-                                 jb.jb_count reason;
-                           } )
-                       t.completions
-                   end)
-         end);
+                     t.completions));
         (* Completion is enqueued before the decrement, so once the loop
            observes outstanding = 0 every verdict is already visible. *)
         Atomic.decr t.outstanding;
@@ -445,7 +318,7 @@ let find_or_create_tenant t tenant =
       Hashtbl.replace t.tenants tenant tn;
       tn
 
-let admit t conn_id now (tenant : string) (name : string) wasm abi slices :
+let admit t conn_id now (tenant : string) (name : string) wasm abi :
     Wire.response =
   Mutex.protect t.lock (fun () ->
       if Atomic.get t.stop_flag then
@@ -483,65 +356,24 @@ let admit t conn_id now (tenant : string) (name : string) wasm abi slices :
                     }
                 end
                 else begin
-                  (* The requested K, clamped to the budget's cell
-                     granularity — except that a name with journaled
-                     fragments keeps its recorded K (a mixed-K set
-                     cannot merge), and only its missing slices are
-                     enqueued. *)
-                  let k, have =
-                    match Hashtbl.find_opt tn.tn_frags name with
-                    | Some (k, tbl) -> (k, tbl)
-                    | None ->
-                        ( max 1
-                            (min slices
-                               (Core.Engine.Slice.granularity
-                                  ~rounds:
-                                    t.cfg.sv_engine.Core.Engine.cfg_rounds)),
-                          Hashtbl.create 1 )
-                  in
-                  let missing =
-                    List.filter
-                      (fun i -> not (Hashtbl.mem have i))
-                      (List.init k Fun.id)
-                  in
-                  if missing = [] then begin
-                    (* Complete sets are merged at tenant load, so this
-                       is unreachable in practice — but a daemon must
-                       not park a name in-flight with nothing queued. *)
-                    tn.tn_submitted <- tn.tn_submitted + 1;
-                    Wire.Verdict
-                      {
-                        rp_tenant = tenant;
-                        rp_kind = Wire.Cached;
-                        rp_wait_ms = 0;
-                        rp_entry = merge_slice_set ~stamp:t.stamp tn name;
-                      }
-                  end
-                  else begin
                   Hashtbl.replace tn.tn_inflight name ();
                   tn.tn_submitted <- tn.tn_submitted + 1;
-                  List.iter
-                    (fun slice ->
-                      Atomic.incr t.outstanding;
-                      Work_queue.push t.queue
-                        {
-                          jb_conn = conn_id;
-                          jb_tenant = tenant;
-                          jb_name = name;
-                          jb_wasm = wasm;
-                          jb_abi = abi;
-                          jb_submitted = now;
-                          jb_slice = slice;
-                          jb_count = k;
-                        })
-                    missing;
+                  Atomic.incr t.outstanding;
+                  Work_queue.push t.queue
+                    {
+                      jb_conn = conn_id;
+                      jb_tenant = tenant;
+                      jb_name = name;
+                      jb_wasm = wasm;
+                      jb_abi = abi;
+                      jb_submitted = now;
+                    };
                   Wire.Queued
                     {
                       rp_tenant = tenant;
                       rp_name = name;
                       rp_depth = Hashtbl.length tn.tn_inflight;
                     }
-                  end
                 end))
 
 let uptime_ms t = int_of_float (1000. *. (Unix.gettimeofday () -. t.started))
@@ -703,6 +535,7 @@ let create cfg : t =
       wake_r;
       wake_w;
       conns = Hashtbl.create 16;
+      read_buf = Bytes.create 65536;
       next_conn = 0;
       workers = [];
     }
@@ -730,10 +563,10 @@ let handle_request t conn (req : Wire.request) =
   | Wire.Stats tenant -> send_response conn (stats_reply t tenant)
   | Wire.Metrics ->
       send_response conn (Wire.MetricsReply { rp_body = metrics_body t })
-  | Wire.Submit { rq_tenant; rq_name; rq_wasm; rq_abi; rq_slices } ->
+  | Wire.Submit { rq_tenant; rq_name; rq_wasm; rq_abi; _ } ->
       send_response conn
         (admit t conn.cn_id (Unix.gettimeofday ()) rq_tenant rq_name rq_wasm
-           rq_abi rq_slices)
+           rq_abi)
   | Wire.Shutdown ->
       let completed = Mutex.protect t.lock (fun () -> total_completed t) in
       send_response conn (Wire.Bye { rp_completed = completed });
@@ -749,24 +582,42 @@ let handle_line t conn line =
       send_response conn (Wire.Err { rp_name = None; rp_reason = reason });
       conn.cn_closing <- true
 
-let feed_conn t conn chunk =
-  conn.cn_in <- conn.cn_in ^ chunk;
-  let rec split () =
-    match String.index_opt conn.cn_in '\n' with
-    | Some i ->
-        let line = String.sub conn.cn_in 0 i in
-        conn.cn_in <-
-          String.sub conn.cn_in (i + 1) (String.length conn.cn_in - i - 1);
-        if not conn.cn_closing then handle_line t conn line;
-        split ()
-    | None ->
-        if String.length conn.cn_in > max_line then begin
-          send_response conn
-            (Wire.Err { rp_name = None; rp_reason = "request line too long" });
-          conn.cn_closing <- true
-        end
+(* [n] fresh bytes of [t.read_buf] arrived on [conn].  Only the new
+   bytes are scanned for newlines; a partial line waits in [cn_in], so
+   each byte is copied and scanned a bounded number of times however
+   long the line grows. *)
+let feed_conn t conn n =
+  let buf = t.read_buf in
+  let rec newline i =
+    if i >= n || Bytes.get buf i = '\n' then i else newline (i + 1)
   in
-  split ()
+  let rec split start =
+    let i = newline start in
+    if i < n then begin
+      let line =
+        if Buffer.length conn.cn_in = 0 then
+          Bytes.sub_string buf start (i - start)
+        else begin
+          Buffer.add_subbytes conn.cn_in buf start (i - start);
+          let line = Buffer.contents conn.cn_in in
+          Buffer.reset conn.cn_in;
+          line
+        end
+      in
+      if not conn.cn_closing then handle_line t conn line;
+      split (i + 1)
+    end
+    else if not conn.cn_closing then begin
+      Buffer.add_subbytes conn.cn_in buf start (n - start);
+      if Buffer.length conn.cn_in > max_line then begin
+        Buffer.reset conn.cn_in;
+        send_response conn
+          (Wire.Err { rp_name = None; rp_reason = "request line too long" });
+        conn.cn_closing <- true
+      end
+    end
+  in
+  split 0
 
 let accept_conns t =
   let rec go () =
@@ -776,7 +627,13 @@ let accept_conns t =
         let id = t.next_conn in
         t.next_conn <- id + 1;
         Hashtbl.replace t.conns id
-          { cn_id = id; cn_fd = fd; cn_in = ""; cn_out = ""; cn_closing = false };
+          {
+            cn_id = id;
+            cn_fd = fd;
+            cn_in = Buffer.create 4096;
+            cn_out = "";
+            cn_closing = false;
+          };
         go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
@@ -812,10 +669,9 @@ let flush_completions t =
     pending
 
 let read_conn t conn =
-  let buf = Bytes.create 65536 in
-  match Unix.read conn.cn_fd buf 0 65536 with
+  match Unix.read conn.cn_fd t.read_buf 0 (Bytes.length t.read_buf) with
   | 0 -> close_conn t conn
-  | n -> feed_conn t conn (Bytes.sub_string buf 0 n)
+  | n -> feed_conn t conn n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()
   | exception Unix.Unix_error _ -> close_conn t conn
@@ -940,7 +796,7 @@ let tenants ~root = scan_root root
 
 let tenant_entries ~root ~engine tenant =
   let stamp = stamp_of_engine engine in
-  let header, entries = Journal.load_with_header (journal_path ~root tenant) in
+  let header, entries = Journal.load_full (journal_path ~root tenant) in
   Campaign.validate_header
     ~context:(Printf.sprintf "serve tenant %s" tenant)
     engine.Core.Engine.cfg_backend header;

@@ -138,10 +138,17 @@ let parse_keyed_str key s =
       Error (Printf.sprintf "%s token contains whitespace" key)
     else Ok v
 
+(* Reasons quote the offending input, which can be a whole request line
+   of up to [Serve.max_line] bytes; cutting them here bounds every ERR
+   reply whatever the client sent. *)
+let max_reason = 256
+
 let sanitize_reason reason =
-  let flat =
-    String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) reason
+  let cut =
+    if String.length reason <= max_reason then reason
+    else String.sub reason 0 max_reason ^ "..."
   in
+  let flat = String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) cut in
   if flat = "" then "error" else flat
 
 let check_tenant t =
@@ -174,20 +181,17 @@ let line_of_request = function
           (Printf.sprintf "Wire.line_of_request: invalid target name %S" rq_name);
       if rq_wasm = "" then
         invalid_arg "Wire.line_of_request: empty module bytes";
-      if rq_slices < 1 then
-        invalid_arg "Wire.line_of_request: slices must be >= 1";
+      if rq_slices <> 1 then
+        invalid_arg "Wire.line_of_request: slices must be 1";
       String.concat "\t"
-        ([
-           magic;
-           "SUBMIT";
-           rq_tenant;
-           rq_name;
-           hex_of_string rq_wasm;
-           (match rq_abi with Some abi -> hex_of_string abi | None -> "-");
-         ]
-        (* the unsliced form stays the classic 6-field line byte for
-           byte, so v1 peers interoperate *)
-        @ if rq_slices = 1 then [] else [ keyed "slices" rq_slices ])
+        [
+          magic;
+          "SUBMIT";
+          rq_tenant;
+          rq_name;
+          hex_of_string rq_wasm;
+          (match rq_abi with Some abi -> hex_of_string abi | None -> "-");
+        ]
 
 let request_of_line line =
   match String.split_on_char '\t' line with
@@ -198,13 +202,7 @@ let request_of_line line =
   | [ _; "STATS"; tenant ] ->
       let* tenant = check_tenant tenant in
       Ok (Stats tenant)
-  | [ _; "SUBMIT"; tenant; name; wasmhex; abihex ]
-  | [ _; "SUBMIT"; tenant; name; wasmhex; abihex; _ ] -> (
-      let slices_field =
-        match String.split_on_char '\t' line with
-        | [ _; _; _; _; _; _; s ] -> Some s
-        | _ -> None
-      in
+  | [ _; "SUBMIT"; tenant; name; wasmhex; abihex ] -> (
       let* tenant = check_tenant tenant in
       let* name = check_target name in
       let* wasm = string_of_hex wasmhex in
@@ -216,13 +214,6 @@ let request_of_line line =
             let* abi = string_of_hex abihex in
             Ok (Some abi)
         in
-        let* slices =
-          match slices_field with
-          | None -> Ok 1
-          | Some s ->
-              let* k = parse_keyed "slices" s in
-              if k < 1 then Error "slices must be >= 1" else Ok k
-        in
         Ok
           (Submit
              {
@@ -230,7 +221,7 @@ let request_of_line line =
                rq_name = name;
                rq_wasm = wasm;
                rq_abi = abi;
-               rq_slices = slices;
+               rq_slices = 1;
              }))
   | _ :: verb :: _ ->
       Error (Printf.sprintf "unknown or malformed request %S" verb)

@@ -10,7 +10,7 @@
 
     Requests (client to daemon), one per line:
     {v
-    wasai-serve-v1 <TAB> SUBMIT <TAB> tenant <TAB> name <TAB> wasmhex <TAB> abihex|- [<TAB> slices=K]
+    wasai-serve-v1 <TAB> SUBMIT <TAB> tenant <TAB> name <TAB> wasmhex <TAB> abihex|-
     wasai-serve-v1 <TAB> PING
     wasai-serve-v1 <TAB> STATS <TAB> tenant
     wasai-serve-v1 <TAB> METRICS
@@ -77,12 +77,9 @@ type request =
       rq_wasm : string;  (** raw module bytes (binary Wasm or .wat text) *)
       rq_abi : string option;  (** ABI sidecar text, [None] = canonical ABI *)
       rq_slices : int;
-          (** partition this submission's round budget into K parallel
-              slices ({!Wasai_campaign.Campaign.slicing}); 1 (the
-              default, and the classic 6-field line byte for byte) =
-              whole-target.  The daemon clamps K to the budget's
-              granularity; the merged verdict is byte-identical
-              whatever K. *)
+          (** always 1: every submission runs as one whole-target engine
+              loop.  {!request_of_line} sets it to 1 and
+              {!line_of_request} refuses any other value. *)
     }
   | Ping
   | Stats of string  (** tenant *)
@@ -129,15 +126,19 @@ type response =
 
 val line_of_request : request -> string
 (** Single line, no trailing newline.  Raises [Invalid_argument] on an
-    invalid tenant/target name, an empty [rq_wasm] or [rq_slices < 1] —
+    invalid tenant/target name, an empty [rq_wasm] or [rq_slices <> 1] —
     malformed requests must fail at the producer, not on the wire. *)
 
 val request_of_line : string -> (request, string) result
-(** Strict inverse of {!line_of_request}. *)
+(** Strict inverse of {!line_of_request}: a [SUBMIT] line has exactly
+    six fields, so a trailing seventh (such as [slices=K]) is rejected
+    as malformed. *)
 
 val line_of_response : response -> string
-(** Single line, no trailing newline.  [Err] reasons have tabs/newlines
-    flattened to spaces so the line stays well-formed. *)
+(** Single line, no trailing newline.  [Err] reasons are cut to their
+    first 256 bytes (then ["..."]) and have tabs/newlines flattened to
+    spaces, so the line stays well-formed and small whatever input the
+    reason quotes. *)
 
 val response_of_line : string -> (response, string) result
 (** Strict inverse of {!line_of_response}; [VERDICT] payloads are

@@ -73,10 +73,3 @@ let mix a b =
   let h = next_u64 t in
   t.state <- Int64.logxor h b;
   next_u64 t
-
-(** Three-way extension of {!mix}, for deriving a per-(target, cell) RNG
-    stream when a target's round budget is partitioned: the result depends
-    only on the triple, so every cell of every partitioning of the same
-    run draws from the same stream regardless of which worker or slice
-    executes it. *)
-let mix3 a b c = mix (mix a b) c

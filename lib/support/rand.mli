@@ -42,10 +42,3 @@ val mix : int64 -> int64 -> int64
     identity (e.g. an EOSIO account name) into a well-mixed derived seed.
     Depends only on the pair — not on call order — so parallel and serial
     schedules derive identical per-target seeds. *)
-
-val mix3 : int64 -> int64 -> int64 -> int64
-(** [mix3 root id idx] extends {!mix} with a third component, used to
-    derive the disjoint per-cell RNG streams of a partitioned round
-    budget: the seed depends only on the triple (never on which worker,
-    slice grouping or schedule runs the cell), which is what makes a
-    K-way sliced run merge to the same result as any other K'. *)

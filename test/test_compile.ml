@@ -522,7 +522,7 @@ let test_header_resume_discipline () =
           path
       in
       ignore w;
-      let header, entries = Campaign.Journal.load_with_header path in
+      let header, entries = Campaign.Journal.load_full path in
       Alcotest.(check int) "fresh journal has no entries" 0 (List.length entries);
       (match header with
       | Some h ->
@@ -577,7 +577,7 @@ let test_header_only_line_one () =
       let oc = open_out path in
       output_string oc (hdr ^ "\n" ^ hdr ^ "\n");
       close_out oc;
-      match Campaign.Journal.load_with_header path with
+      match Campaign.Journal.load_full path with
       | _ -> Alcotest.fail "duplicate header accepted"
       | exception Campaign.Journal.Malformed _ -> ())
 

@@ -122,14 +122,6 @@ let test_wire_request_roundtrip () =
           rq_abi = None;
           rq_slices = 1;
         };
-      Serve.Wire.Submit
-        {
-          rq_tenant = "alice";
-          rq_name = "lottery";
-          rq_wasm = "\x00asm\x01\x00\x00\x00";
-          rq_abi = None;
-          rq_slices = 4;
-        };
       Serve.Wire.Ping;
       Serve.Wire.Stats "alice";
       Serve.Wire.Metrics;
@@ -141,7 +133,21 @@ let test_wire_request_roundtrip () =
       match Serve.Wire.request_of_line (Serve.Wire.line_of_request rq) with
       | Ok rq' -> Alcotest.(check bool) "request round-trips" true (rq = rq')
       | Error e -> Alcotest.fail ("round-trip rejected: " ^ e))
-    reqs
+    reqs;
+  (* Every submission is one whole-target loop: a producer asking for
+     anything else fails before the wire. *)
+  Alcotest.check_raises "producer rejects slices other than 1"
+    (Invalid_argument "Wire.line_of_request: slices must be 1") (fun () ->
+      ignore
+        (Serve.Wire.line_of_request
+           (Serve.Wire.Submit
+              {
+                rq_tenant = "alice";
+                rq_name = "lottery";
+                rq_wasm = "\x00asm\x01\x00\x00\x00";
+                rq_abi = None;
+                rq_slices = 4;
+              })))
 
 let test_wire_request_strict () =
   let bad =
@@ -159,6 +165,7 @@ let test_wire_request_strict () =
       ("submit empty module", "wasai-serve-v1\tSUBMIT\talice\tdice\t\t-");
       ("submit zero slices", "wasai-serve-v1\tSUBMIT\talice\tdice\t00\t-\tslices=0");
       ("submit junk slices", "wasai-serve-v1\tSUBMIT\talice\tdice\t00\t-\tslices=x");
+      ("submit slices=4", "wasai-serve-v1\tSUBMIT\talice\tdice\t00\t-\tslices=4");
       ("submit wrong trailing key", "wasai-serve-v1\tSUBMIT\talice\tdice\t00\t-\tshards=2");
       ("ping with junk", "wasai-serve-v1\tPING\textra");
       ("metrics with junk", "wasai-serve-v1\tMETRICS\textra");
@@ -371,34 +378,6 @@ let test_serve_parity_and_cache () =
           Alcotest.(check string) "evidence parity with batch campaign"
             (Campaign.Campaign.evidence_text campaign_report)
             (Campaign.Campaign.evidence_text serve_report);
-          (* sliced submissions: the slice count K must be invisible in
-             the merged verdict — fresh tenants at K=2 and K=4 over the
-             same bytes produce byte-identical reports, and agree with
-             the unsliced run on every verdict flag (the round-space
-             decomposition draws from different RNG streams, so raw
-             counters may differ from the unsliced path) *)
-          let sliced_report tenant slices =
-            let b =
-              Serve.Client.submit_batch c ~tenant ~slices
-                (client_contracts contracts)
-            in
-            Alcotest.(check (list string))
-              (Printf.sprintf "sliced K=%d: no errors" slices)
-              []
-              (List.map fst b.Serve.Client.bt_errors);
-            Campaign.Campaign.of_entries
-              (List.map (fun (_, _, e) -> e) b.Serve.Client.bt_verdicts)
-          in
-          let k2 = sliced_report "bob" 2 and k4 = sliced_report "carol" 4 in
-          Alcotest.(check string) "K=2 and K=4 verdicts byte-identical"
-            (Campaign.Campaign.verdicts_text k2)
-            (Campaign.Campaign.verdicts_text k4);
-          Alcotest.(check string) "K=2 and K=4 evidence byte-identical"
-            (Campaign.Campaign.evidence_text k2)
-            (Campaign.Campaign.evidence_text k4);
-          Alcotest.(check string) "sliced flags match the unsliced run"
-            (Campaign.Campaign.flags_text serve_report)
-            (Campaign.Campaign.flags_text k4);
           (* resubmission replays from the journal without re-fuzzing *)
           let again =
             Serve.Client.submit_batch c ~tenant:"alice"
@@ -535,6 +514,59 @@ let test_serve_backpressure () =
           Alcotest.(check int) "retry loop completes the batch"
             (List.length contracts)
             (List.length batch.Serve.Client.bt_verdicts)))
+
+(* One malformed 16 MiB line: the I/O loop must consume it in time
+   linear in its length and answer with one short ERR, not echo the
+   line back. *)
+let test_serve_long_malformed_line () =
+  let dir = scratch "long" in
+  let cfg =
+    Serve.Serve.make_config ~root:(Filename.concat dir "root")
+      ~socket:(Filename.concat dir "s.sock") ~jobs:1 ~depth:4
+      ~engine:(engine 6) ()
+  in
+  with_daemon cfg (fun _ ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX cfg.Serve.Serve.sv_socket);
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+          let line = String.make (16 * 1024 * 1024) 'x' ^ "\n" in
+          let t0 = Unix.gettimeofday () in
+          let rec send off =
+            if off < String.length line then
+              send
+                (off
+                + Unix.write_substring fd line off (String.length line - off))
+          in
+          send 0;
+          let buf = Bytes.create 65536 in
+          let reply = Buffer.create 256 in
+          let first = ref nan in
+          let rec recv () =
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 -> ()
+            | n ->
+                if Float.is_nan !first then first := Unix.gettimeofday () -. t0;
+                Buffer.add_subbytes reply buf 0 n;
+                recv ()
+          in
+          recv ();
+          let reply = Buffer.contents reply in
+          Alcotest.(check bool)
+            (Printf.sprintf "first reply byte within 2 s (took %.2f s)" !first)
+            true (!first < 2.0);
+          Alcotest.(check bool)
+            (Printf.sprintf "reply under 1 KiB (%d bytes)" (String.length reply))
+            true
+            (String.length reply < 1024);
+          match String.split_on_char '\n' reply with
+          | [ err; "" ] -> (
+              match Serve.Wire.response_of_line err with
+              | Ok (Serve.Wire.Err { rp_name = None; _ }) -> ()
+              | _ -> Alcotest.fail ("expected one protocol ERR, got " ^ err))
+          | _ -> Alcotest.fail ("expected exactly one reply line: " ^ reply)))
 
 (* ------------------------------------------------------------------ *)
 (* Restart safety                                                      *)
@@ -680,6 +712,8 @@ let () =
             `Quick test_serve_parity_and_cache;
           Alcotest.test_case "saturated queue answers BUSY" `Quick
             test_serve_backpressure;
+          Alcotest.test_case "16 MiB malformed line answered promptly" `Quick
+            test_serve_long_malformed_line;
         ] );
       ( "restart",
         [
