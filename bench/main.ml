@@ -4,7 +4,7 @@
     Usage: [main.exe [experiment] [--scale N] [--rounds N] [--count N]
     [--backend interp|compiled|auto] [--json FILE]]
 
-    Experiments: fig3 table4 table5 table6 table-ext rq4 ablation solver
+    Experiments: fig3 table4 table5 table6 table-ext rq4 ablation
     campaign campaign-smoke shard shard-smoke corpus corpus-smoke trace
     trace-smoke serve-smoke oracle-smoke compile compile-smoke telemetry
     telemetry-smoke micro all (default: all).  [--scale]
@@ -14,9 +14,8 @@
     scheduling datapoint; [campaign-smoke] is a <10 s
     parity + resume check; [shard] measures distributed 2/4-way sharding
     against an unsharded baseline and verifies merge identity;
-    [shard-smoke] is a <10 s 2-shard merge byte-identity check; [solver]
-    is a <10 s cache-on/off microbenchmark over a repeated-flip
-    workload; [corpus] measures warm-vs-cold rounds-to-verdict with the
+    [shard-smoke] is a <10 s 2-shard merge byte-identity check;
+    [corpus] measures warm-vs-cold rounds-to-verdict with the
     persistent seed corpus; [corpus-smoke] is a <10 s warm-reuse parity
     check; [trace] measures the flat event-buffer collector against the
     historical list collector (records/sec and allocated bytes per
@@ -349,113 +348,6 @@ let ablation (opts : options) =
   Printf.printf
     "solver: 500 equality chains via quick path in %.4fs (quick-path hits +%d) | 20 popcount queries via bit-blasting in %.3fs (blasted %d)\n"
     t_quick st.Solver.st_quick t_blast st.Solver.st_blasted
-
-(* ------------------------------------------------------------------ *)
-(* Solver: per-session constraint cache                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Repeated-flip workload: the engine re-derives near-identical constraint
-   sets round after round (the same path prefix with one condition
-   negated), which is exactly what the per-session cache memoises.  Build
-   a ~10-deep path over symbolic inputs — equality guards the quick path
-   solves, plus small-width arithmetic conditions that force bit-blasting
-   — submit every (prefix, flipped) candidate, and repeat the whole sweep
-   for several rounds as the engine does.  Run once with the cache
-   disabled (capacity 0, the pre-cache baseline) and once with the
-   default session; verdict sequences must be identical. *)
-let solver_exp () =
-  Printf.printf "\n=== Solver: per-session constraint cache ===\n%!";
-  let open Wasai_smt in
-  let x = Expr.fresh_var ~name:"sx" 64 in
-  let y = Expr.fresh_var ~name:"sy" 16 in
-  let conds =
-    Array.init 10 (fun i ->
-        if i mod 3 = 2 then
-          (* Small-width multiply: outside the quick path, must blast. *)
-          Expr.(
-            cmp Ule
-              (binop Mul (var y) (const 16 (Int64.of_int (3 + i))))
-              (const 16 (Int64.of_int (6000 + (1000 * i)))))
-        else
-          (* Equality guard the propagation quick path picks off. *)
-          Expr.(
-            cmp Eq
-              (binop Add (var x) (const 64 (Int64.of_int (17 * i))))
-              (const 64 (Int64.of_int (1000 + (100 * i))))))
-  in
-  (* One query per flip candidate: the prefix as taken, then ¬cond. *)
-  let queries =
-    List.init (Array.length conds) (fun i ->
-        List.init i (fun j -> conds.(j)) @ [ Expr.not_ conds.(i) ])
-  in
-  let rounds = 8 in
-  let n = rounds * List.length queries in
-  let run session =
-    let verdicts = ref [] in
-    let _, t =
-      time_it (fun () ->
-          for _ = 1 to rounds do
-            List.iter
-              (fun q ->
-                verdicts :=
-                  (match Solver.check ~session q with
-                   | Solver.Sat _ -> `Sat
-                   | Solver.Unsat -> `Unsat
-                   | Solver.Unknown -> `Unknown)
-                  :: !verdicts)
-              queries
-          done)
-    in
-    (List.rev !verdicts, Solver.Session.stats session, t)
-  in
-  let v0, st0, t0 = run (Solver.Session.create ~cache_capacity:0 ()) in
-  let v1, st1, t1 = run (Solver.Session.create ()) in
-  let per_query t = 1e6 *. t /. float_of_int n in
-  Printf.printf
-    "  cache off: %d queries  quick=%d blasted=%d unknown=%d  %.4fs (%.1f us/query)\n"
-    n st0.Solver.st_quick st0.Solver.st_blasted st0.Solver.st_unknown t0
-    (per_query t0);
-  Printf.printf
-    "  cache on:  %d queries  quick=%d blasted=%d unknown=%d  hits=%s  %.4fs (%.1f us/query)\n"
-    n st1.Solver.st_quick st1.Solver.st_blasted st1.Solver.st_unknown
-    (Metrics.rate_string ~hits:st1.Solver.st_cache_hits
-       ~total:(st1.Solver.st_cache_hits + st1.Solver.st_cache_misses))
-    t1 (per_query t1);
-  let ok =
-    v0 = v1 && st1.Solver.st_cache_hits > 0
-    && st1.Solver.st_blasted < st0.Solver.st_blasted
-  in
-  Printf.printf
-    "  verdicts identical: %b  blasting runs saved: %d\n"
-    (v0 = v1)
-    (st0.Solver.st_blasted - st1.Solver.st_blasted);
-  json_record ~experiment:"solver"
-    ~bounds:
-      [
-        {
-          jb_name = "verdict_parity";
-          jb_bound = "cache on/off verdicts identical";
-          jb_pass = v0 = v1;
-        };
-        {
-          jb_name = "blasting_saved";
-          jb_bound = "cache hits > 0 and fewer blasts";
-          jb_pass =
-            st1.Solver.st_cache_hits > 0
-            && st1.Solver.st_blasted < st0.Solver.st_blasted;
-        };
-      ]
-    [
-      ("queries", float_of_int n);
-      ("cache_off_s", t0);
-      ("cache_on_s", t1);
-      ("cache_hits", float_of_int st1.Solver.st_cache_hits);
-      ("blasts_saved", float_of_int (st0.Solver.st_blasted - st1.Solver.st_blasted));
-    ];
-  if not ok then begin
-    Printf.printf "solver cache benchmark FAILED\n";
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Campaign: multi-domain scaling                                       *)
@@ -2091,7 +1983,6 @@ let () =
     | "table-ext" -> table_ext opts
     | "rq4" -> rq4 opts
     | "ablation" -> ablation opts
-    | "solver" -> solver_exp ()
     | "campaign" -> campaign_exp opts
     | "campaign-smoke" -> campaign_smoke ()
     | "shard" -> shard_exp opts
@@ -2115,7 +2006,6 @@ let () =
         table_ext opts;
         rq4 opts;
         ablation opts;
-        solver_exp ();
         campaign_exp opts;
         shard_exp opts;
         corpus_exp opts;

@@ -241,7 +241,13 @@ let emit_campaign_report ?(telemetry = false) out
 
 let campaign_run_cmd common dir rounds backend resume shard seed corpus
     telemetry dry_run =
-  let targets = Campaign.Discover.dir dir in
+  let targets =
+    try Campaign.Discover.dir dir
+    with Failure msg | Sys_error msg ->
+      (* Two files deriving one account, or an unreadable directory. *)
+      Printf.eprintf "%s\n" msg;
+      exit 2
+  in
   if targets = [] then begin
     Printf.eprintf "campaign: no .wasm/.wat contracts in %s\n" dir;
     exit 2

@@ -653,7 +653,7 @@ let total_branches (r : report) =
   List.fold_left (fun acc (e : Journal.entry) -> acc + e.Journal.je_branches) 0
     r.cr_results
 
-(* Fleet-wide solver/cache counters: a plain sum over per-target stats.
+(* Fleet-wide solver counters: a plain sum over per-target stats.
    Each target's counters are deterministic (sessions are per-target and
    never shared across domains), so the sum is too. *)
 let solver_totals (r : report) =
@@ -764,10 +764,8 @@ let to_text (r : report) =
     (flag_counts r);
   let st = solver_totals r in
   Buffer.add_string b
-    (Printf.sprintf "solver: quick=%d blasted=%d unknown=%d cache=%s\n"
-       st.Solver.st_quick st.Solver.st_blasted st.Solver.st_unknown
-       (Metrics.rate_string ~hits:st.Solver.st_cache_hits
-          ~total:(st.Solver.st_cache_hits + st.Solver.st_cache_misses)));
+    (Printf.sprintf "solver: quick=%d blasted=%d unknown=%d\n"
+       st.Solver.st_quick st.Solver.st_blasted st.Solver.st_unknown);
   if r.cr_corpus_preloaded > 0 || r.cr_corpus_added > 0 then
     Buffer.add_string b
       (Printf.sprintf "corpus: %d seeds preloaded, %d new seeds recorded\n"

@@ -230,7 +230,7 @@ val vulnerable_count : report -> int
 val total_branches : report -> int
 
 val solver_totals : report -> Solver.stats
-(** Fleet-wide sum of per-target solver/cache counters.  Deterministic
+(** Fleet-wide sum of per-target solver counters.  Deterministic
     for any [cc_jobs]: solver sessions are per-target and never shared
     across domains, so each addend is a function of its target alone. *)
 

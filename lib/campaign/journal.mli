@@ -53,8 +53,7 @@ type entry = {
   je_imprecise : int;
   je_elapsed : float;  (** seconds spent fuzzing this target *)
   je_solver : Solver.stats;
-      (** per-target solver/cache counters (zero when parsed from a v1
-          line) *)
+      (** per-target solver counters (zero when parsed from a v1 line) *)
   je_final_budget : int;
       (** the engine's final adaptive solver conflict budget
           ({!Core.Engine.outcome.out_final_budget}; 0 when parsed from a

@@ -135,7 +135,7 @@ type outcome = {
   out_imprecise : int;
   out_solver : Solver.stats;
       (** per-run solver counters (quick-path / blasted / unknown /
-          cache hits / cache misses) from the run's solver session *)
+          queries) from the run's solver session *)
   out_interesting : interesting list;
       (** coverage-advancing seeds, in discovery order; their covers
           union to the final branch set (every edge was new exactly
@@ -204,8 +204,7 @@ let agent_apply ~victim (ctx : Chain.context) =
    attackers on a test chain issue themselves arbitrary balances. *)
 let funding = 0x1000_0000_0000_0000L (* 2^60 units each *)
 
-let setup ?(profile : Chain_profile.t option) (cfg : config)
-    (target : target) : session =
+let setup (cfg : config) (target : target) : session =
   let chain = Host.create_chain ~fuel_per_action:cfg.cfg_fuel () in
   Token.bootstrap chain ~treasury ~supply:0x4000_0000_0000_0000L;
   List.iter
@@ -267,7 +266,7 @@ let setup ?(profile : Chain_profile.t option) (cfg : config)
   Exec_backend.install cfg.cfg_backend ~collector chain target.tgt_account
     meta.Wasabi.Trace.instrumented;
   let scanner =
-    Scanner.create ?profile ~fake_token_account:fake_token ~meta
+    Scanner.create ~fake_token_account:fake_token ~meta
       ~victim:target.tgt_account ~fake_notif_agent:fake_notif ()
   in
   (* Determinism contract: the per-target RNG seed is derived from the
@@ -330,8 +329,7 @@ let setup ?(profile : Chain_profile.t option) (cfg : config)
       identities;
       branches = Hashtbl.create 256;
       (* One solver session per engine run: its budget, counters and
-         verdict cache are confined to this target on this domain, so
-         caching cannot couple targets across a campaign's workers. *)
+         SAT arena are confined to this target on this domain. *)
       solver = Solver.Session.create ~conflict_budget:cfg.cfg_solver_budget ();
       exec_stage =
         (match cfg.cfg_backend with
@@ -656,10 +654,10 @@ let channels =
 (** Fuzz one contract to completion and report.  [oracles] builds
     additional detectors from the instrumentation metadata (the §5
     extension interface). *)
-let fuzz ?(cfg = default_config) ?(profile : Chain_profile.t option)
+let fuzz ?(cfg = default_config)
     ?(oracles : Wasabi.Trace.meta -> Scanner.custom_oracle list = fun _ -> [])
     (target : target) : outcome =
-  let s = setup ?profile cfg target in
+  let s = setup cfg target in
   List.iter (Scanner.register_custom s.scanner) (oracles s.meta);
   let t0 = Unix.gettimeofday () in
   let timeline = ref [] in

@@ -106,7 +106,7 @@ type outcome = {
   out_imprecise : int;
   out_solver : Solver.stats;
       (** per-run solver counters (quick-path / blasted / unknown /
-          cache hits / cache misses) from the run's solver session *)
+          queries) from the run's solver session *)
   out_interesting : interesting list;
       (** coverage-advancing seeds in discovery order; their covers union
           to the run's final branch set, so replaying them reproduces the
@@ -159,7 +159,7 @@ type session = {
   identities : Name.t list;
   branches : (int * int32, unit) Hashtbl.t;
   solver : Solver.Session.t;
-      (** the run's solver session: budget, counters, verdict cache;
+      (** the run's solver session: budget, counters, SAT arena;
           confined to this run's domain *)
   exec_stage : Wasai_telemetry.Telemetry.stage;
       (** the telemetry stage payload execution is attributed to — fixed
@@ -177,12 +177,10 @@ type session = {
   seen_seeds : (string, unit) Hashtbl.t;
 }
 
-val setup : ?profile:Chain_profile.t -> config -> target -> session
+val setup : config -> target -> session
 (** Instrument, deploy and boot the local chain with the adversary
-    auxiliaries (token, fake token, forwarding agent).  [profile] is the
-    chain profile the detection oracles resolve host calls against
-    (default {!Chain_profile.eosio}).  The session's RNG is the
-    per-target stream [Rand.mix cfg_rng_seed tgt_account]. *)
+    auxiliaries (token, fake token, forwarding agent).  The session's
+    RNG is the per-target stream [Rand.mix cfg_rng_seed tgt_account]. *)
 
 val payload : session -> Seed.t -> Scanner.channel -> Action.t * Abi.value list
 (** The action pushed for a seed on a channel, plus the argument vector
@@ -222,14 +220,12 @@ val run_one : session -> Seed.t -> Scanner.channel -> execution
 
 val fuzz :
   ?cfg:config ->
-  ?profile:Chain_profile.t ->
   ?oracles:(Wasabi.Trace.meta -> Scanner.custom_oracle list) ->
   target ->
   outcome
-(** Fuzz one contract to completion; [profile] selects the chain
-    profile the detection oracles match host calls against (default
-    {!Chain_profile.eosio}); [oracles] builds additional detectors from
-    the instrumentation metadata (the §5 extension interface).
+(** Fuzz one contract to completion; [oracles] builds additional
+    detectors from the instrumentation metadata (the §5 extension
+    interface).
 
     Determinism contract: given a fixed [cfg] (with [cfg_time_limit =
     None]) and a fixed target, every field of the outcome except
@@ -238,16 +234,7 @@ val fuzz :
     RNG is seeded with [Rand.mix cfg_rng_seed tgt_account] — never from
     global or sequential state — so fuzzing many targets concurrently
     (e.g. the campaign orchestrator's domains) yields byte-identical
-    verdicts to fuzzing them one after another, in any order.
-
-    The solver cache does not weaken this contract: each run owns a
-    private {!Solver.Session}, and its cache key is the multiset of
-    hash-consed constraint identities, so two queries collide iff they
-    assert structurally identical constraint sets.  The sequence of
-    queries is itself deterministic per target, hence so are the
-    hit/miss pattern, the returned models, and [out_solver].  Nothing
-    depends on the numeric values of expression tags or variable ids,
-    which {e are} scheduling-dependent. *)
+    verdicts to fuzzing them one after another, in any order. *)
 
 val flagged : outcome -> Scanner.flag -> bool
 val any_flagged : outcome -> bool

@@ -103,7 +103,6 @@ type host_ids = {
     fuzzing session. *)
 type env = {
   en_meta : Trace.meta;
-  en_profile : Chain_profile.t;
   en_ids : host_ids;
   en_victim : Name.t;
   en_fake_notif_agent : Name.t;
@@ -141,13 +140,11 @@ let resolve_ids (meta : Trace.meta) (p : Chain_profile.t) : host_ids =
     hi_effects = ids (Chain_profile.effects p);
   }
 
-let make_env ?(profile = Chain_profile.eosio) ~(meta : Trace.meta)
-    ~(victim : Name.t) ~(fake_notif_agent : Name.t) ~(fake_token : Name.t) () :
-    env =
+let make_env ~(meta : Trace.meta) ~(victim : Name.t)
+    ~(fake_notif_agent : Name.t) ~(fake_token : Name.t) () : env =
   {
     en_meta = meta;
-    en_profile = profile;
-    en_ids = resolve_ids meta profile;
+    en_ids = resolve_ids meta Chain_profile.eosio;
     en_victim = victim;
     en_fake_notif_agent = fake_notif_agent;
     en_fake_token = fake_token;
@@ -382,7 +379,7 @@ let register (d : def) =
 
 let registered () : def list = builtins @ List.rev !extra
 
-let instantiate ?profile ~(meta : Trace.meta) ~(victim : Name.t)
+let instantiate ~(meta : Trace.meta) ~(victim : Name.t)
     ~(fake_notif_agent : Name.t) ~(fake_token : Name.t) () : instance list =
-  let env = make_env ?profile ~meta ~victim ~fake_notif_agent ~fake_token () in
+  let env = make_env ~meta ~victim ~fake_notif_agent ~fake_token () in
   List.map (fun d -> d.od_make env) (registered ())

@@ -68,7 +68,6 @@ type host_ids = {
 
 type env = {
   en_meta : Trace.meta;
-  en_profile : Chain_profile.t;
   en_ids : host_ids;
   en_victim : Name.t;
   en_fake_notif_agent : Name.t;
@@ -96,14 +95,13 @@ type def = { od_name : string; od_flag : flag; od_make : env -> instance }
 val resolve_ids : Trace.meta -> Chain_profile.t -> host_ids
 
 val make_env :
-  ?profile:Chain_profile.t ->
   meta:Trace.meta ->
   victim:Name.t ->
   fake_notif_agent:Name.t ->
   fake_token:Name.t ->
   unit ->
   env
-(** [profile] defaults to {!Chain_profile.eosio}. *)
+(** Resolves {!Chain_profile.eosio} against the contract's imports. *)
 
 (** {1 Registry} *)
 
@@ -118,7 +116,6 @@ val register : def -> unit
 val registered : unit -> def list
 
 val instantiate :
-  ?profile:Chain_profile.t ->
   meta:Trace.meta ->
   victim:Name.t ->
   fake_notif_agent:Name.t ->

@@ -49,13 +49,9 @@ let to_text ?(verbose = false) (r : t) : string =
   (* Solver accounting in the main body: Unknown-heavy targets (budget
      exhaustion masking bugs) must be visible without a campaign run. *)
   let st = o.Engine.out_solver in
-  line "  solver: quick=%d blasted=%d unknown=%d cache=%s"
+  line "  solver: quick=%d blasted=%d unknown=%d"
     st.Wasai_smt.Solver.st_quick st.Wasai_smt.Solver.st_blasted
-    st.Wasai_smt.Solver.st_unknown
-    (Wasai_support.Metrics.rate_string ~hits:st.Wasai_smt.Solver.st_cache_hits
-       ~total:
-         (st.Wasai_smt.Solver.st_cache_hits
-         + st.Wasai_smt.Solver.st_cache_misses));
+    st.Wasai_smt.Solver.st_unknown;
   if o.Engine.out_truncated > 0 then
     line "  WARNING: %d payload trace%s truncated at the collector limit; verdicts are best-effort"
       o.Engine.out_truncated

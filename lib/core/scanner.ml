@@ -67,11 +67,11 @@ and evidence = {
   ev_payload : Wasai_eosio.Action.t;
 }
 
-let create ?(profile : Chain_profile.t option)
-    ?(fake_token_account = Name.of_string "fake.token") ~(meta : Trace.meta)
-    ~(victim : Name.t) ~(fake_notif_agent : Name.t) () : t =
+let create ?(fake_token_account = Name.of_string "fake.token")
+    ~(meta : Trace.meta) ~(victim : Name.t) ~(fake_notif_agent : Name.t) () :
+    t =
   let instances =
-    Oracle.instantiate ?profile ~meta ~victim ~fake_notif_agent
+    Oracle.instantiate ~meta ~victim ~fake_notif_agent
       ~fake_token:fake_token_account ()
   in
   {

@@ -69,16 +69,15 @@ and evidence = {
 }
 
 val create :
-  ?profile:Chain_profile.t ->
   ?fake_token_account:Name.t ->
   meta:Trace.meta ->
   victim:Name.t ->
   fake_notif_agent:Name.t ->
   unit ->
   t
-(** Instantiate every registered oracle against this contract.
-    [profile] defaults to {!Chain_profile.eosio}; [fake_token_account]
-    to the engine's counterfeit token account. *)
+(** Instantiate every registered oracle against this contract, matching
+    host calls through {!Chain_profile.eosio}; [fake_token_account]
+    defaults to the engine's counterfeit token account. *)
 
 val executed_ids : Trace.Buffer.t -> int list
 (** Function ids that began execution, in order (the id⃗ chain). *)

@@ -42,20 +42,3 @@ let eosio : t =
     cp_inline_send = [ "send_inline" ];
     cp_blockinfo = [ "tapos_block_prefix"; "tapos_block_num" ];
   }
-
-(* An eWASM-style demonstration profile (Ethereum-flavoured host
-   functions).  No generator targets it yet; it exists to keep the
-   oracle layer honest about chain-parametricity — every detector must
-   compile against it without EOSIO assumptions. *)
-let ewasm : t =
-  {
-    cp_name = "ewasm";
-    cp_auth = [ "getCaller" ];
-    cp_state_writes = [ "storageStore"; "selfDestruct" ];
-    cp_inline_send = [ "call"; "callDelegate" ];
-    cp_blockinfo = [ "getBlockNumber"; "getBlockTimestamp"; "getBlockDifficulty" ];
-  }
-
-let all : t list = [ eosio; ewasm ]
-let find (name : string) : t option = List.find_opt (fun p -> p.cp_name = name) all
-let names () : string list = List.map (fun p -> p.cp_name) all

@@ -17,11 +17,3 @@ val effects : t -> string list
 val eosio : t
 (** The paper's EOSIO host API; resolving it reproduces the historical
     hardcoded scanner tables exactly. *)
-
-val ewasm : t
-(** eWASM-style demonstration profile (keeps the oracle layer honest
-    about chain-parametricity; no generator targets it yet). *)
-
-val all : t list
-val find : string -> t option
-val names : unit -> string list

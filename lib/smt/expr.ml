@@ -6,10 +6,10 @@
     is interned in a per-domain table, so structurally equal expressions
     built in one domain are physically shared, carry a precomputed hash,
     width and variable-occurrence bit, and a process-unique [tag] that
-    downstream passes (bit-blasting, substitution, the solver cache) use
-    as a memoization key.  Smart constructors fold constants aggressively
-    and normalize operand order so that fully concrete replays never reach
-    the solver and recurring constraints share one representative. *)
+    downstream passes (bit-blasting, substitution) use as a memoization
+    key.  Smart constructors fold constants aggressively and normalize
+    operand order so that fully concrete replays never reach the solver
+    and recurring constraints share one representative. *)
 
 type width = int
 
@@ -77,7 +77,6 @@ let to_signed width (v : int64) =
 (* Hash-consing                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let tag e = e.tag
 let hash e = e.hkey
 
 let unop_rank = function Not -> 0 | Neg -> 1 | Popcnt -> 2 | Clz -> 3 | Ctz -> 4

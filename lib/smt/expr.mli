@@ -79,9 +79,6 @@ val to_signed : width -> int64 -> int64
 
 (** {1 Identity} *)
 
-val tag : t -> int
-(** The unique interning tag (process-unique; scheduling-dependent). *)
-
 val hash : t -> int
 (** The precomputed structural hash ([hkey]); equal for structurally
     equal expressions even when they are not physically shared. *)
@@ -168,9 +165,9 @@ val hashcons_compact : ?threshold:int -> unit -> unit
 (** Drop this domain's intern table if it holds more than [threshold]
     nodes (default [2^14]).  Existing expressions stay valid; later
     constructions simply stop sharing with pre-compaction nodes.  Only
-    call at a session boundary — mid-session compaction would degrade
-    sharing (never correctness: equality falls back to a structural
-    walk). *)
+    call between two targets' solver sessions — mid-session compaction
+    would degrade sharing among one target's path constraints (never
+    correctness: equality falls back to a structural walk). *)
 
 (** {1 Printing} *)
 

@@ -9,11 +9,10 @@
     2. full bit-blasting + CDCL for everything else, under a deterministic
        conflict budget standing in for the paper's 3,000 ms Z3 cap.
 
-    Accounting and caching are per {!Session}: each engine run (one
-    target) owns a session carrying its conflict budget, counters, a
-    bounded LRU of decided constraint sets and the bit-blasting arena its
-    queries reuse, so campaign workers never contend on shared state and
-    never share cached verdicts across domains. *)
+    Accounting is per {!Session}: each engine run (one target) owns a
+    session carrying its conflict budget, counters and the bit-blasting
+    arena its queries reuse, so campaign workers never contend on shared
+    state. *)
 
 type model = (int, int64) Hashtbl.t
 (** expr variable id → value *)
@@ -139,22 +138,6 @@ let blast_check ~conflict_budget (ctx : Bitblast.ctx)
         constraints;
       Sat model
 
-(* Decide without any session bookkeeping; the second component says
-   which tier produced the answer so callers can tally.  [arena] is
-   called once, and only when the query reaches bit-blasting. *)
-let solve_raw ~conflict_budget ~(arena : unit -> Bitblast.ctx)
-    (constraints : Expr.t list) :
-    result * [ `Trivial | `Quick | `Blasted | `Blast_unknown ] =
-  if List.exists Expr.is_false constraints then (Unsat, `Trivial)
-  else
-    match quick_path constraints with
-    | `Solved model -> (Sat model, `Quick)
-    | `Contradiction -> (Unsat, `Trivial)
-    | `Residual (residual, model) -> (
-        match blast_check ~conflict_budget (arena ()) residual model with
-        | Unknown -> (Unknown, `Blast_unknown)
-        | r -> (r, `Blasted))
-
 let default_conflict_budget = 50_000
 
 (* ------------------------------------------------------------------ *)
@@ -162,43 +145,27 @@ let default_conflict_budget = 50_000
 (* ------------------------------------------------------------------ *)
 
 module Session = struct
-  (* Cached verdicts store models as plain assoc snapshots so a hit can
-     hand every caller a fresh hashtable (callers may extend models). *)
-  type verdict = C_sat of (int * int64) list | C_unsat
-
-  type entry = { ce_verdict : verdict; mutable ce_stamp : int }
-
   type t = {
     mutable sx_budget : int;
-    sx_capacity : int;
-    sx_cache : (int list, entry) Hashtbl.t;
-    mutable sx_clock : int;
     mutable sx_quick : int;
     mutable sx_blasted : int;
     mutable sx_unknown : int;
-    mutable sx_hits : int;
-    mutable sx_misses : int;
-    mutable sx_subsumed : int;
+    mutable sx_queries : int;  (** queries that reached the quick path *)
     mutable sx_arena : Bitblast.ctx option;
   }
 
-  let create ?(conflict_budget = default_conflict_budget)
-      ?(cache_capacity = 512) () =
-    (* A session boundary is the only safe point to bound the per-domain
-       hash-consing table: compacting mid-session would degrade sharing
-       between a cached constraint set and its re-built twin. *)
+  let create ?(conflict_budget = default_conflict_budget) () =
+    (* One session is one target's run: nodes interned by earlier
+       targets are mostly garbage the table keeps alive, while the
+       constraints within this run share subterms.  Compacting here,
+       never mid-run, keeps that sharing. *)
     Expr.hashcons_compact ();
     {
       sx_budget = conflict_budget;
-      sx_capacity = max 0 cache_capacity;
-      sx_cache = Hashtbl.create 64;
-      sx_clock = 0;
       sx_quick = 0;
       sx_blasted = 0;
       sx_unknown = 0;
-      sx_hits = 0;
-      sx_misses = 0;
-      sx_subsumed = 0;
+      sx_queries = 0;
       sx_arena = None;
     }
 
@@ -208,7 +175,7 @@ module Session = struct
      and reset in place for each later one: a reset arena numbers
      variables and clauses exactly as a fresh one, so reuse changes no
      answer and no model. *)
-  let arena t () =
+  let arena t =
     match t.sx_arena with
     | Some ctx ->
         Bitblast.reset ctx;
@@ -218,10 +185,6 @@ module Session = struct
         t.sx_arena <- Some ctx;
         ctx
 
-  (* Retuning the budget mid-session is sound with respect to the verdict
-     cache: Sat and Unsat are budget-independent (a model or a refutation
-     stays valid under any budget), and Unknown — the only budget-
-     dependent verdict — is never cached. *)
   let set_conflict_budget t budget =
     if budget < 1 then
       invalid_arg
@@ -234,163 +197,51 @@ module Session = struct
       st_quick = t.sx_quick;
       st_blasted = t.sx_blasted;
       st_unknown = t.sx_unknown;
-      st_cache_hits = t.sx_hits;
-      st_cache_misses = t.sx_misses;
+      st_cache_hits = 0;
+      st_cache_misses = t.sx_queries;
     }
-
-  let subsumed t = t.sx_subsumed
-
-  (* The cache key is the multiset of constraint identities, canonicalised
-     by sorting the (interned) tags.  Tag values are scheduling-dependent,
-     but multiset equality is not: within one session, two queries collide
-     iff they assert structurally identical constraint sets, so the
-     hit/miss pattern — and therefore every verdict — is a pure function
-     of the target, independent of --jobs (sessions are never shared
-     across domains). *)
-  let key_of (constraints : Expr.t list) : int list =
-    List.sort Int.compare (List.map Expr.tag constraints)
-
-  (* [small] is a sub-multiset of [big]; both ascending-sorted. *)
-  let rec is_submultiset (small : int list) (big : int list) : bool =
-    match (small, big) with
-    | [], _ -> true
-    | _ :: _, [] -> false
-    | s :: small', b :: big' ->
-        if s = b then is_submultiset small' big'
-        else if s > b then is_submultiset small big'
-        else false
-
-  (* Unsat-subset subsumption: a conjunction only grows stronger, so any
-     cached Unsat set contained in the query refutes the query too.  The
-     fold asks only whether {e some} such entry exists — an
-     iteration-order-independent question, so the determinism contract
-     survives even though tag values (and hence Hashtbl layout) are
-     scheduling-dependent.  For the same reason the matching entry's LRU
-     stamp is deliberately {e not} refreshed, and the subsumed query is
-     not inserted: both would make cache evolution depend on which entry
-     the iteration found. *)
-  let subsumes_unsat t (key : int list) : bool =
-    Hashtbl.fold
-      (fun k e acc ->
-        acc || (e.ce_verdict = C_unsat && is_submultiset k key))
-      t.sx_cache false
-
-  let find t key =
-    if t.sx_capacity = 0 then begin
-      t.sx_misses <- t.sx_misses + 1;
-      None
-    end
-    else
-      match Hashtbl.find_opt t.sx_cache key with
-      | Some e ->
-          t.sx_clock <- t.sx_clock + 1;
-          e.ce_stamp <- t.sx_clock;
-          t.sx_hits <- t.sx_hits + 1;
-          Some e.ce_verdict
-      | None ->
-          if subsumes_unsat t key then begin
-            t.sx_hits <- t.sx_hits + 1;
-            t.sx_subsumed <- t.sx_subsumed + 1;
-            Some C_unsat
-          end
-          else begin
-            t.sx_misses <- t.sx_misses + 1;
-            None
-          end
-
-  let add t key verdict =
-    if t.sx_capacity > 0 then begin
-      if
-        Hashtbl.length t.sx_cache >= t.sx_capacity
-        && not (Hashtbl.mem t.sx_cache key)
-      then begin
-        (* Evict the least-recently-used entry (O(capacity) scan; the
-           capacity is small and eviction only runs once the cache is
-           full). *)
-        let victim =
-          Hashtbl.fold
-            (fun k e acc ->
-              match acc with
-              | Some (_, stamp) when stamp <= e.ce_stamp -> acc
-              | _ -> Some (k, e.ce_stamp))
-            t.sx_cache None
-        in
-        match victim with
-        | Some (k, _) -> Hashtbl.remove t.sx_cache k
-        | None -> ()
-      end;
-      t.sx_clock <- t.sx_clock + 1;
-      Hashtbl.replace t.sx_cache key { ce_verdict = verdict; ce_stamp = t.sx_clock }
-    end
-
-  let snapshot_model (m : model) : (int * int64) list =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) m []
-
-  let hydrate_model (assoc : (int * int64) list) : model =
-    let m = Hashtbl.create (List.length assoc) in
-    List.iter (fun (k, v) -> Hashtbl.replace m k v) assoc;
-    m
 end
 
 (** Decide the conjunction of [constraints]. *)
 let check ?session ?conflict_budget (constraints : Expr.t list) : result =
   let module T = Wasai_telemetry.Telemetry in
   let t0 = T.start () in
-  let stage_of_tier = function
-    | `Trivial | `Quick -> T.Solver_quick
-    | `Blasted | `Blast_unknown -> T.Solver_blast
-  in
   let budget =
     match (conflict_budget, session) with
     | Some b, _ -> b
     | None, Some s -> Session.conflict_budget s
     | None, None -> default_conflict_budget
   in
-  match session with
-  | None ->
-      let result, tier =
-        solve_raw ~conflict_budget:budget ~arena:Bitblast.create constraints
-      in
-      T.stop (stage_of_tier tier) t0;
-      result
-  | Some s -> (
-      if List.exists Expr.is_false constraints then begin
+  let count f = Option.iter f session in
+  if List.exists Expr.is_false constraints then begin
+    T.stop T.Solver_quick t0;
+    Unsat
+  end
+  else begin
+    count (fun s -> s.Session.sx_queries <- s.Session.sx_queries + 1);
+    match quick_path constraints with
+    | `Solved model ->
+        count (fun s -> s.Session.sx_quick <- s.Session.sx_quick + 1);
+        T.stop T.Solver_quick t0;
+        Sat model
+    | `Contradiction ->
         T.stop T.Solver_quick t0;
         Unsat
-      end
-      else
-        let key = Session.key_of constraints in
-        match Session.find s key with
-        | Some (Session.C_sat assoc) ->
-            let m = Sat (Session.hydrate_model assoc) in
-            T.stop T.Solver_cache t0;
-            m
-        | Some Session.C_unsat ->
-            T.stop T.Solver_cache t0;
-            Unsat
-        | None ->
-            let result, tier =
-              solve_raw ~conflict_budget:budget ~arena:(Session.arena s)
-                constraints
-            in
-            (match tier with
-            | `Trivial -> ()
-            | `Quick -> s.Session.sx_quick <- s.Session.sx_quick + 1
-            | `Blasted -> s.Session.sx_blasted <- s.Session.sx_blasted + 1
-            | `Blast_unknown ->
-                s.Session.sx_blasted <- s.Session.sx_blasted + 1;
-                s.Session.sx_unknown <- s.Session.sx_unknown + 1);
-            (match result with
-            | Sat m ->
-                Session.add s key (Session.C_sat (Session.snapshot_model m))
-            | Unsat -> Session.add s key Session.C_unsat
-            | Unknown ->
-                (* Unknown is a budget artefact, not a verdict: never
-                   cache it, so a later query under a bigger budget can
-                   still decide the set. *)
-                ());
-            T.stop (stage_of_tier tier) t0;
-            result)
+    | `Residual (residual, model) ->
+        let ctx =
+          match session with
+          | Some s -> Session.arena s
+          | None -> Bitblast.create ()
+        in
+        let result = blast_check ~conflict_budget:budget ctx residual model in
+        count (fun s ->
+            s.Session.sx_blasted <- s.Session.sx_blasted + 1;
+            match result with
+            | Unknown -> s.Session.sx_unknown <- s.Session.sx_unknown + 1
+            | Sat _ | Unsat -> ());
+        T.stop T.Solver_blast t0;
+        result
+  end
 
 (** Verify a model against constraints (defence in depth for the solver,
     used by the tests; the engine does not re-check models). *)

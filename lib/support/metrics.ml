@@ -43,14 +43,6 @@ let row_string c =
   Printf.sprintf "P=%s R=%s F1=%s" (pct_string (precision c))
     (pct_string (recall c)) (pct_string (f1 c))
 
-(** "hits/total (rate%)" rendering for cache-style counters; "0/0" when
-    nothing was counted. *)
-let rate_string ~hits ~total =
-  if total <= 0 then Printf.sprintf "%d/%d" hits total
-  else
-    Printf.sprintf "%d/%d (%s)" hits total
-      (pct_string (float_of_int hits /. float_of_int total))
-
 (** Fixed-bucket latency histogram used by the campaign orchestrator to
     report per-target latency percentiles.  Buckets are geometric powers
     of two over seconds, from 100 µs up to ~100 s, so merging histograms

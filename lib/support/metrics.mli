@@ -25,10 +25,6 @@ val pct_string : float -> string
 val row_string : confusion -> string
 (** "P=... R=... F1=..." summary. *)
 
-val rate_string : hits:int -> total:int -> string
-(** "hits/total (rate%)" — cache hit-rate style rendering; degrades to
-    "hits/total" when [total] is zero. *)
-
 (** Fixed-bucket latency histogram (geometric bounds, 100 µs .. ~100 s)
     for campaign latency reporting.  Bounds are identical across
     instances, so per-worker histograms merge exactly. *)

@@ -47,5 +47,5 @@ val solve :
   current:Wasai_eosio.Abi.value list ->
   solved_seed list
 (** [?session] routes every solve through the per-run solver session
-    (budget, counters, verdict cache).  Without a session, a standalone
+    (budget, counters, SAT arena).  Without a session, a standalone
     conflict budget of 20_000 applies unless overridden. *)

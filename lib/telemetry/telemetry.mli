@@ -2,7 +2,7 @@
 
     Every expensive stage of a fuzzing run — module load, wasabi
     instrumentation, compilation, per-payload execution (split by tier),
-    trace scanning, the oracle pass, the three solver outcomes, corpus
+    the engine's trace scan, the oracle pass, the two solver tiers, corpus
     writes and journal fsyncs — can be timed as a {e span}: a
     [(stage, target, start, duration)] quadruple of unboxed integers
     recorded into a per-domain preallocated ring buffer.
@@ -34,11 +34,15 @@ type stage =
   | Compile  (** closure-compilation of the instrumented module *)
   | Exec_interp  (** payload execution on the tree-walking interpreter *)
   | Exec_compiled  (** payload execution on the compiled tier *)
-  | Trace_scan  (** symbolic trace reconstruction per payload *)
+  | Trace_scan
+      (** the engine's fused edge scan of each payload's trace buffer
+          ([Engine.scan_trace]) *)
   | Oracle  (** the streaming detection pass *)
-  | Solver_quick  (** solver calls answered by the interval engine *)
+  | Solver_quick  (** solver calls answered without bit-blasting *)
   | Solver_blast  (** solver calls that reached bit-blasting *)
-  | Solver_cache  (** solver calls answered by the session cache *)
+  | Solver_cache
+      (** retired: the solver has no verdict cache and nothing records
+          this stage; it keeps its index and name for existing readers *)
   | Corpus_io  (** corpus shard append + index write *)
   | Journal_fsync  (** journal line write + fsync *)
 

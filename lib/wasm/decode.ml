@@ -424,6 +424,7 @@ let decode (bin : string) : Ast.module_ =
     (match id with
      | 0 ->
          let sec_name = name s in
+         if s.pos > endp then error s.pos "custom section name past section end";
          let payload = get_string s (endp - s.pos) in
          if sec_name = "name" then fnames := parse_name_section payload
      | 1 -> types := Array.of_list (vec func_type s)

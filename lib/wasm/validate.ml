@@ -295,6 +295,22 @@ let check_const_expr (_m : Ast.module_) (e : Ast.instr list)
 (** Validate a whole module; raises {!Invalid} on the first error. *)
 let check_module (m : Ast.module_) =
   let n_funcs = Ast.num_func_imports m + Array.length m.funcs in
+  (* Every type in the function index space is checked up front: a body's
+     [call] looks up its callee's type, imported or not. *)
+  let n_types = Array.length m.types in
+  List.iter
+    (fun (i : Ast.import) ->
+      match i.idesc with
+      | Ast.Func_import ti when ti < 0 || ti >= n_types ->
+          invalid "import %s.%s: unknown type index %d" i.imp_module i.imp_name
+            ti
+      | _ -> ())
+    m.imports;
+  Array.iteri
+    (fun k (f : Ast.func) ->
+      if f.ftype < 0 || f.ftype >= n_types then
+        invalid "function %d: unknown type index %d" k f.ftype)
+    m.funcs;
   Array.iter
     (fun (f : Ast.func) ->
       try check_func m f

@@ -911,6 +911,35 @@ let test_contract_files_skips_bad_entries () =
        (fun (t : Campaign.Campaign.target_spec) -> t.Campaign.Campaign.sp_name)
        (Campaign.Discover.dir dir))
 
+(* Two files deriving one account would share a journal key: discovery
+   refuses the directory and names both files, so the user knows which
+   one to rename. *)
+let test_dir_rejects_duplicate_accounts () =
+  let dir = Filename.temp_file "wasai-test-discover" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let files = [ "abc.wasm"; "ABC.wasm" ] in
+  List.iter
+    (fun name ->
+      let oc = open_out_bin (Filename.concat dir name) in
+      output_string oc "\x00asm\x01\x00\x00\x00";
+      close_out oc)
+    files;
+  let outcome =
+    match Campaign.Discover.dir dir with
+    | _ -> None
+    | exception Failure msg -> Some msg
+  in
+  List.iter (fun name -> Sys.remove (Filename.concat dir name)) files;
+  Unix.rmdir dir;
+  match outcome with
+  | None -> Alcotest.fail "two files mapping to one account accepted"
+  | Some msg ->
+      List.iter
+        (fun sub ->
+          Alcotest.(check bool) ("message names " ^ sub) true (contains ~sub msg))
+        [ "abc.wasm"; "ABC.wasm"; "\"abc\"" ]
+
 let () =
   Alcotest.run "wasai_campaign"
     [
@@ -986,5 +1015,7 @@ let () =
           Alcotest.test_case "account derivation" `Quick test_account_of_filename;
           Alcotest.test_case "bad entries skipped, not fatal" `Quick
             test_contract_files_skips_bad_entries;
+          Alcotest.test_case "duplicate accounts rejected" `Quick
+            test_dir_rejects_duplicate_accounts;
         ] );
     ]

@@ -482,66 +482,15 @@ let qcheck_solver_models_validate =
       | Solver.Unknown -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Session cache                                                        *)
+(* Session                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let verdict_of cs = function
-  | Solver.Sat m -> `Sat (Solver.validate_model cs m)
-  | Solver.Unsat -> `Unsat
-  | Solver.Unknown -> `Unknown
-
-(* The cache must be a pure memoization: verdicts identical with the
-   cache on (hits included), off (capacity 0), and absent (no session). *)
-let qcheck_cache_verdict_identity =
-  QCheck.Test.make ~name:"Solver.check verdicts identical cache on/off"
-    ~count:80
-    QCheck.(pair (int_bound 0xFFFF) (int_bound 255))
-    (fun (a, b) ->
-      let open Expr in
-      let x = fresh_var ~name:"cx" 16 in
-      let sets =
-        [
-          [
-            cmp Eq
-              (binop And (var x) (const 16 0xFFL))
-              (const 16 (Int64.of_int b));
-            cmp Ule (const 16 (Int64.of_int a)) (var x);
-          ];
-          [ cmp Eq (binop Mul (var x) (const 16 5L)) (const 16 (Int64.of_int b)) ];
-        ]
-      in
-      let cached = Solver.Session.create () in
-      let uncached = Solver.Session.create ~cache_capacity:0 () in
-      List.for_all
-        (fun cs ->
-          let plain = verdict_of cs (Solver.check cs) in
-          let off = verdict_of cs (Solver.check ~session:uncached cs) in
-          let on1 = verdict_of cs (Solver.check ~session:cached cs) in
-          let on2 = verdict_of cs (Solver.check ~session:cached cs) in
-          plain = off && off = on1 && on1 = on2)
-        sets
-      && (Solver.Session.stats cached).Solver.st_cache_hits > 0
-      && (Solver.Session.stats uncached).Solver.st_cache_hits = 0)
-
-let test_session_counters_and_lru () =
-  let open Expr in
-  let x = fresh_var ~name:"lx" 64 in
-  let q i = [ cmp Eq (var x) (const 64 (Int64.of_int i)) ] in
-  let s = Solver.Session.create ~cache_capacity:2 () in
-  ignore (Solver.check ~session:s (q 1)); (* miss, quick *)
-  ignore (Solver.check ~session:s (q 1)); (* hit *)
-  ignore (Solver.check ~session:s (q 2)); (* miss, quick *)
-  (* The cache is now full with q1 and q2; q1's last touch (its hit)
-     predates q2's insert, so q1 is the LRU victim of the next insert. *)
-  ignore (Solver.check ~session:s (q 3)); (* miss, evicts q1 *)
-  ignore (Solver.check ~session:s (q 2)); (* hit: q2 survived *)
-  ignore (Solver.check ~session:s (q 1)); (* miss: q1 was evicted *)
-  let st = Solver.Session.stats s in
-  Alcotest.(check int) "hits" 2 st.Solver.st_cache_hits;
-  Alcotest.(check int) "misses" 4 st.Solver.st_cache_misses;
-  Alcotest.(check int) "quick solves" 4 st.Solver.st_quick
-
-let test_session_never_caches_unknown () =
+(* Every session query is solved, so the counters say which tier
+   answered: a starved blast counts blasted and unknown on each ask; a
+   constant-false query is refuted before any tier and counts nothing; a
+   quick-path contradiction counts only as a query (a "miss"), and no
+   query is ever a hit. *)
+let test_session_counters () =
   let open Expr in
   let x = fresh_var ~name:"ux" 24 and y = fresh_var ~name:"uy" 24 in
   let cs =
@@ -552,16 +501,32 @@ let test_session_never_caches_unknown () =
     ]
   in
   let s = Solver.Session.create ~conflict_budget:1 () in
-  match Solver.check ~session:s cs with
-  | Solver.Unknown ->
-      (* Unknown is a budget artefact: re-asking must miss again, so a
-         later query under a bigger budget could still decide the set. *)
-      ignore (Solver.check ~session:s cs);
-      let st = Solver.Session.stats s in
-      Alcotest.(check int) "no hits on unknown" 0 st.Solver.st_cache_hits;
-      Alcotest.(check int) "both misses" 2 st.Solver.st_cache_misses
-  | Solver.Sat _ -> () (* decided before the first conflict: acceptable *)
-  | Solver.Unsat -> Alcotest.fail "cannot be unsat before exploring"
+  let unknown () =
+    match Solver.check ~session:s cs with
+    | Solver.Unknown -> ()
+    | _ -> Alcotest.fail "expected unknown under a one-conflict budget"
+  in
+  unknown ();
+  unknown ();
+  let st = Solver.Session.stats s in
+  Alcotest.(check int) "both blasted" 2 st.Solver.st_blasted;
+  Alcotest.(check int) "both unknown" 2 st.Solver.st_unknown;
+  Alcotest.(check int) "both misses" 2 st.Solver.st_cache_misses;
+  Alcotest.(check int) "no hits" 0 st.Solver.st_cache_hits;
+  let s = Solver.Session.create () in
+  (match Solver.check ~session:s [ cmp Eq (const 8 1L) (const 8 2L) ] with
+   | Solver.Unsat -> ()
+   | _ -> Alcotest.fail "constant-false not unsat");
+  Alcotest.(check bool) "constant-false counts nothing" true
+    (Solver.Session.stats s = Solver.stats_zero);
+  (match
+     Solver.check ~session:s
+       [ cmp Eq (var x) (const 24 1L); cmp Eq (var x) (const 24 2L) ]
+   with
+   | Solver.Unsat -> ()
+   | _ -> Alcotest.fail "contradiction not unsat");
+  Alcotest.(check bool) "contradiction counts one miss" true
+    (Solver.Session.stats s = { Solver.stats_zero with st_cache_misses = 1 })
 
 (* The engine's adaptive retuning halves and doubles the session budget
    mid-run: the accessor pair must round-trip any positive value and
@@ -594,49 +559,11 @@ let test_session_budget_precedence () =
   (* An explicit per-call budget overrides the session's: a starvation
      budget of 1 must exhaust even though the session carries the
      (ample) default. *)
-  let s = Solver.Session.create ~cache_capacity:0 () in
+  let s = Solver.Session.create () in
   match Solver.check ~session:s ~conflict_budget:1 cs with
   | Solver.Unknown -> ()
   | Solver.Sat _ -> () (* decided before the first conflict: acceptable *)
   | Solver.Unsat -> Alcotest.fail "cannot be unsat before exploring"
-
-(* Unsat subset subsumption: once an Unsat constraint set is cached, any
-   superset query is refuted without solving — a conjunction only grows
-   stronger.  Sat entries must never subsume, and subsumed queries are
-   never themselves inserted. *)
-let test_session_unsat_subsumption () =
-  let open Expr in
-  let x = fresh_var ~name:"sx" 32 and y = fresh_var ~name:"sy" 32 in
-  let c1 = cmp Eq (var x) (const 32 1L) in
-  let c2 = cmp Eq (var x) (const 32 2L) in
-  let c3 = cmp Eq (var y) (const 32 3L) in
-  let s = Solver.Session.create () in
-  (match Solver.check ~session:s [ c1; c2 ] with
-   | Solver.Unsat -> ()
-   | _ -> Alcotest.fail "core not unsat");
-  Alcotest.(check int) "no subsumption yet" 0 (Solver.Session.subsumed s);
-  (match Solver.check ~session:s [ c1; c2; c3 ] with
-   | Solver.Unsat -> ()
-   | _ -> Alcotest.fail "superset not unsat");
-  Alcotest.(check int) "answered by subsumption" 1 (Solver.Session.subsumed s);
-  let st = Solver.Session.stats s in
-  Alcotest.(check int) "subsumption counts as a hit" 1 st.Solver.st_cache_hits;
-  Alcotest.(check int) "only the core missed" 1 st.Solver.st_cache_misses;
-  (* Subsumed queries are not inserted: re-asking subsumes again instead
-     of hitting an exact entry. *)
-  (match Solver.check ~session:s [ c1; c2; c3 ] with
-   | Solver.Unsat -> ()
-   | _ -> Alcotest.fail "superset not unsat on re-ask");
-  Alcotest.(check int) "subsumed again, no insert" 2 (Solver.Session.subsumed s);
-  (* A cached Sat set must never refute its supersets. *)
-  let s2 = Solver.Session.create () in
-  (match Solver.check ~session:s2 [ c1 ] with
-   | Solver.Sat _ -> ()
-   | _ -> Alcotest.fail "singleton not sat");
-  (match Solver.check ~session:s2 [ c1; c3 ] with
-   | Solver.Sat _ -> ()
-   | _ -> Alcotest.fail "sat superset mis-refuted");
-  Alcotest.(check int) "sat entries never subsume" 0 (Solver.Session.subsumed s2)
 
 (* ------------------------------------------------------------------ *)
 (* Per-session SAT arena                                                *)
@@ -657,8 +584,8 @@ type arena_query =
   | Contra  (** c and not c: Unsat *)
   | Starved  (** 32-bit factoring under a one-conflict budget: Unknown *)
 
-(* A session reuses one arena for every blasted query.  Sent through a
-   cache-less session, a random stream of Sat, Unsat and budget-starved
+(* A session reuses one arena for every blasted query.  Sent through
+   one session, a random stream of Sat, Unsat and budget-starved
    queries must get exactly the verdicts and models that fresh
    sessionless calls give: a reset arena leaks nothing between
    queries. *)
@@ -712,7 +639,7 @@ let qcheck_arena_parity ~count width =
     (QCheck.make ~print QCheck.Gen.(list_size (int_range 2 6) gen_query))
     (fun qs ->
       let session =
-        Solver.Session.create ~conflict_budget:budget ~cache_capacity:0 ()
+        Solver.Session.create ~conflict_budget:budget ()
       in
       List.for_all
         (fun ((kind, _, _, _, _) as q) ->
@@ -730,7 +657,7 @@ let qcheck_arena_parity ~count width =
         qs)
 
 (* Random constraint sets over two 8-bit variables, all sent through one
-   long-lived session (cache on, arena reused): Sat exactly when
+   long-lived session (arena reused): Sat exactly when
    enumerating all 2^16 assignments finds a model, and every Sat model
    re-evaluates true. *)
 let qcheck_session_brute_force =
@@ -789,7 +716,7 @@ let test_arena_allocation_guard () =
       ne (var amount) (const 64 5_000L);
     ]
   in
-  let s = Solver.Session.create ~cache_capacity:0 () in
+  let s = Solver.Session.create () in
   ignore (Solver.check ~session:s cs);
   let before = Gc.minor_words () in
   let r = Solver.check ~session:s cs in
@@ -869,17 +796,11 @@ let () =
         ] );
       ( "session",
         [
-          qc qcheck_cache_verdict_identity;
-          Alcotest.test_case "counters and LRU eviction" `Quick
-            test_session_counters_and_lru;
-          Alcotest.test_case "unknown never cached" `Quick
-            test_session_never_caches_unknown;
+          Alcotest.test_case "query counters" `Quick test_session_counters;
           Alcotest.test_case "explicit budget wins" `Quick
             test_session_budget_precedence;
           Alcotest.test_case "budget accessor round-trip" `Quick
             test_session_budget_roundtrip;
-          Alcotest.test_case "unsat subset subsumption" `Quick
-            test_session_unsat_subsumption;
         ] );
       ( "arena",
         [

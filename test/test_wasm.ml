@@ -445,6 +445,15 @@ let test_validate_rejects_bad_local () =
   let open Builder.I in
   expect_invalid "bad local" (module_of_func [] [] [ local_get 5; drop ])
 
+(* One type [] -> [], an import env.f of type index 7, and a local
+   function whose body is [call 0]: the call reaches the import's
+   unchecked type index. *)
+let test_validate_rejects_bad_import_type () =
+  let bin =
+    "\x00asm\x01\x00\x00\x00\x01\x04\x01\x60\x00\x00\x02\x09\x01\x03env\x01f\x00\x07\x03\x02\x01\x00\x0a\x06\x01\x04\x00\x10\x00\x0b"
+  in
+  expect_invalid "import type index" (Decode.decode bin)
+
 let test_validate_unreachable_polymorphism () =
   let open Builder.I in
   (* After unreachable, any stack shape must be accepted. *)
@@ -510,10 +519,15 @@ let test_roundtrip_rich () =
   Alcotest.(check bool) "rich module roundtrips" true (m = m')
 
 let test_decode_rejects_garbage () =
-  Alcotest.(check bool) "bad magic rejected" true
-    (match Decode.decode "garbage!" with
-     | _ -> false
-     | exception Decode.Decode_error _ -> true)
+  let rejected what bin =
+    Alcotest.(check bool) what true
+      (match Decode.decode bin with
+       | _ -> false
+       | exception Decode.Decode_error _ -> true)
+  in
+  rejected "bad magic rejected" "garbage!";
+  rejected "custom section name past its section rejected"
+    ("\x00asm\x01\x00\x00\x00" ^ "\x00\x01\x05hello")
 
 let test_leb128_negative () =
   (* Signed LEB128 for negative constants must roundtrip. *)
@@ -763,6 +777,8 @@ let () =
             test_validate_rejects_bad_label;
           Alcotest.test_case "rejects bad local" `Quick
             test_validate_rejects_bad_local;
+          Alcotest.test_case "rejects bad import type" `Quick
+            test_validate_rejects_bad_import_type;
           Alcotest.test_case "unreachable polymorphism" `Quick
             test_validate_unreachable_polymorphism;
           Alcotest.test_case "rejects leftover values" `Quick
