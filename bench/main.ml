@@ -2,10 +2,10 @@
     evaluation (§4), plus ablation and micro benchmarks.
 
     Usage: [main.exe [experiment] [--scale N] [--rounds N] [--count N]
-    [--backend interp|compiled|auto] [--json FILE]]
+    [--backend interp|auto] [--json FILE]]
 
     Experiments: fig3 table4 table5 table6 table-ext rq4 ablation
-    campaign campaign-smoke shard shard-smoke corpus corpus-smoke trace
+    campaign campaign-smoke shard shard-smoke corpus corpus-smoke
     trace-smoke serve-smoke oracle-smoke compile compile-smoke telemetry
     telemetry-smoke micro all (default: all).  [--scale]
     divides the corpus sizes (default 20; use [--full] for the paper-sized
@@ -17,17 +17,15 @@
     [shard-smoke] is a <10 s 2-shard merge byte-identity check;
     [corpus] measures warm-vs-cold rounds-to-verdict with the
     persistent seed corpus; [corpus-smoke] is a <10 s warm-reuse parity
-    check; [trace] measures the flat event-buffer collector against the
-    historical list collector (records/sec and allocated bytes per
-    payload, requires >= 2x fewer); [trace-smoke] is a <10 s
-    streaming-vs-materialised identity check; [serve-smoke] is a <10 s
-    serve-daemon check (two concurrent tenants vs batch parity, BUSY
-    backpressure, kill + resume byte-identity); [table-ext] is the
-    P/R/F1 table for the three related-work extension classes;
-    [oracle-smoke] is a <10 s 8-class detection + legacy byte-identity
-    check of the oracle registry; [compile] measures the closure-compiled
-    execution tier against the interpreter (payloads/sec over the legacy
-    ground-truth corpus, verdict/coverage parity required, >= 2x target);
+    check; [trace-smoke] is a <10 s streaming-vs-materialised identity
+    check; [serve-smoke] is a <10 s serve-daemon check (two concurrent
+    tenants vs batch parity, BUSY backpressure, kill + resume
+    byte-identity); [table-ext] is the P/R/F1 table for the three
+    related-work extension classes; [oracle-smoke] is a <10 s 8-class
+    detection + legacy byte-identity check of the builtin oracles;
+    [compile] measures the closure-compiled execution tier ([auto])
+    against the interpreter (payloads/sec over the legacy ground-truth
+    corpus, verdict/coverage parity required, >= 2x target);
     [compile-smoke] is a <10 s parity + not-slower check of the same;
     [telemetry] prints the per-stage critical-path breakdown of a
     telemetry-on campaign and measures the probes' overhead;
@@ -568,7 +566,7 @@ let shard_exp (opts : options) =
 (* Quick local verification (<10 s): 2 shards over a tiny corpus, merged,
    must reproduce the unsharded verdict AND evidence sections
    byte-for-byte, with every vulnerable target carrying replayable
-   exploit payloads round-tripped through the v3 journal. *)
+   exploit payloads round-tripped through the journal. *)
 let shard_smoke () =
   Printf.printf "\n=== Shard smoke (2 shards + merge vs unsharded) ===\n%!";
   let targets = campaign_targets ~count:8 () in
@@ -817,91 +815,11 @@ let corpus_smoke () =
   if not ok then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Trace: flat event buffer vs the historical list collector            *)
+(* Trace: streaming pipeline identity                                   *)
 (* ------------------------------------------------------------------ *)
 
 module Wasabi = Wasai_wasabi
 module Trace = Wasabi.Trace
-
-(* The pre-buffer collector, reconstructed as the allocation baseline:
-   one heap record per event, operands consed onto a per-record list,
-   the payload reversed into a materialised [record list] at drain —
-   exactly the profile the flat tape removed. *)
-module List_collector = struct
-  type pending =
-    | P_none
-    | P_instr of int * Wasai_wasm.Values.value list
-    | P_pre of int * Wasai_wasm.Values.value list
-    | P_post of int * Wasai_wasm.Values.value list
-
-  type t = { mutable acc : Trace.record list; mutable pending : pending }
-
-  let create () = { acc = []; pending = P_none }
-
-  let flush t =
-    (match t.pending with
-    | P_none -> ()
-    | P_instr (site, ops) ->
-        t.acc <- Trace.R_instr { site; ops = List.rev ops } :: t.acc
-    | P_pre (site, args) ->
-        t.acc <- Trace.R_call_pre { site; args = List.rev args } :: t.acc
-    | P_post (site, results) ->
-        t.acc <- Trace.R_call_post { site; results = List.rev results } :: t.acc);
-    t.pending <- P_none
-
-  let begin_instr t s =
-    flush t;
-    t.pending <- P_instr (s, [])
-
-  let begin_call_pre t s =
-    flush t;
-    t.pending <- P_pre (s, [])
-
-  let begin_call_post t s =
-    flush t;
-    t.pending <- P_post (s, [])
-
-  let operand t v =
-    match t.pending with
-    | P_none -> ()
-    | P_instr (s, ops) -> t.pending <- P_instr (s, v :: ops)
-    | P_pre (s, ops) -> t.pending <- P_pre (s, v :: ops)
-    | P_post (s, ops) -> t.pending <- P_post (s, v :: ops)
-
-  let func_begin t f =
-    flush t;
-    t.acc <- Trace.R_func_begin f :: t.acc
-
-  let func_end t f =
-    flush t;
-    t.acc <- Trace.R_func_end f :: t.acc
-
-  let drain t =
-    flush t;
-    let r = List.rev t.acc in
-    t.acc <- [];
-    r
-end
-
-(* Re-drive one captured payload through a collector's hook API, exactly
-   as the instrumented contract's wasai.* imports would. *)
-let replay_hooks ~begin_instr ~begin_call_pre ~begin_call_post ~operand
-    ~func_begin ~func_end records =
-  List.iter
-    (fun r ->
-      match r with
-      | Trace.R_instr { site; ops } ->
-          begin_instr site;
-          List.iter operand ops
-      | Trace.R_call_pre { site; args } ->
-          begin_call_pre site;
-          List.iter operand args
-      | Trace.R_call_post { site; results } ->
-          begin_call_post site;
-          List.iter operand results
-      | Trace.R_func_begin f -> func_begin f
-      | Trace.R_func_end f -> func_end f)
-    records
 
 (* Capture the per-payload record streams (plus each payload's fused
    scan) of a short real run over a DB-gated victim, so instr,
@@ -951,73 +869,6 @@ let trace_payloads () =
       channels
   done;
   (s, List.rev !payloads)
-
-let trace_exp () =
-  Printf.printf "\n=== Trace: flat event buffer vs list collector ===\n%!";
-  let _, payloads = trace_payloads () in
-  let streams = List.map fst payloads in
-  let records_per_sweep =
-    List.fold_left (fun n rs -> n + List.length rs) 0 streams
-  in
-  let reps = 400 in
-  let payload_count = reps * List.length streams in
-  let bench name f =
-    Gc.compact ();
-    let a0 = Gc.allocated_bytes () in
-    let _, t =
-      time_it (fun () ->
-          for _ = 1 to reps do
-            f ()
-          done)
-    in
-    let per_payload =
-      (Gc.allocated_bytes () -. a0) /. float_of_int payload_count
-    in
-    Printf.printf "  %-8s %8.2f Mrecords/s  %10.0f allocated bytes/payload\n%!"
-      name
-      (float_of_int (reps * records_per_sweep) /. t /. 1e6)
-      per_payload;
-    per_payload
-  in
-  let lc = List_collector.create () in
-  let list_bytes =
-    bench "list" (fun () ->
-        List.iter
-          (fun rs ->
-            replay_hooks
-              ~begin_instr:(List_collector.begin_instr lc)
-              ~begin_call_pre:(List_collector.begin_call_pre lc)
-              ~begin_call_post:(List_collector.begin_call_post lc)
-              ~operand:(List_collector.operand lc)
-              ~func_begin:(List_collector.func_begin lc)
-              ~func_end:(List_collector.func_end lc) rs;
-            ignore (List_collector.drain lc))
-          streams)
-  in
-  let buf = Trace.create () in
-  let buffer_bytes =
-    bench "buffer" (fun () ->
-        List.iter
-          (fun rs ->
-            Trace.reset buf;
-            replay_hooks ~begin_instr:(Trace.begin_instr buf)
-              ~begin_call_pre:(Trace.begin_call_pre buf)
-              ~begin_call_post:(Trace.begin_call_post buf)
-              ~operand:(Trace.operand buf) ~func_begin:(Trace.func_begin buf)
-              ~func_end:(Trace.func_end buf) rs;
-            ignore (Trace.Buffer.length buf))
-          streams)
-  in
-  let ratio = list_bytes /. Float.max 1.0 buffer_bytes in
-  let ok = ratio >= 2.0 in
-  Printf.printf
-    "  %d payloads x %d reps, %d records/sweep; allocation ratio list/buffer \
-     = %.1fx (required >= 2x): %b\n"
-    (List.length streams) reps records_per_sweep ratio ok;
-  if not ok then begin
-    Printf.printf "trace buffer benchmark FAILED\n";
-    exit 1
-  end
 
 (* Quick local verification (<10 s): the streaming pipeline must be
    observationally identical to the historical materialised view.
@@ -1278,7 +1129,7 @@ let serve_smoke () =
   if not ok then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Oracle registry: 8-class smoke                                       *)
+(* Oracles: 8-class smoke                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* Quick local verification (<10 s) of the pluggable oracle layer.
@@ -1510,7 +1361,7 @@ let compile_exp (opts : options) =
   Printf.printf "(%d branch-rich Figure 3 contracts, %d rounds each, symbolic feedback off)\n%!"
     (List.length samples) rounds;
   let i_lines, i_tx, i_wall = run_tier ~rounds ~backend:Core.Exec_backend.Interp samples in
-  let c_lines, c_tx, c_wall = run_tier ~rounds ~backend:Core.Exec_backend.Compiled samples in
+  let c_lines, c_tx, c_wall = run_tier ~rounds ~backend:Core.Exec_backend.Auto samples in
   let parity = i_lines = c_lines && i_tx = c_tx in
   let ipps = float_of_int i_tx /. i_wall in
   let cpps = float_of_int c_tx /. c_wall in
@@ -1545,7 +1396,7 @@ let compile_smoke () =
   let samples = BG.Corpus.ground_truth ~scale:100 () in
   let rounds = 16 in
   let i_lines, i_tx, i_wall = run_tier ~rounds ~backend:Core.Exec_backend.Interp samples in
-  let c_lines, c_tx, c_wall = run_tier ~rounds ~backend:Core.Exec_backend.Compiled samples in
+  let c_lines, c_tx, c_wall = run_tier ~rounds ~backend:Core.Exec_backend.Auto samples in
   let parity = i_lines = c_lines && i_tx = c_tx in
   let ipps = float_of_int i_tx /. i_wall in
   let cpps = float_of_int c_tx /. c_wall in
@@ -1989,7 +1840,6 @@ let () =
     | "shard-smoke" -> shard_smoke ()
     | "corpus" -> corpus_exp opts
     | "corpus-smoke" -> corpus_smoke ()
-    | "trace" -> trace_exp ()
     | "trace-smoke" -> trace_smoke ()
     | "serve-smoke" -> serve_smoke ()
     | "oracle-smoke" -> oracle_smoke ()
@@ -2009,7 +1859,6 @@ let () =
         campaign_exp opts;
         shard_exp opts;
         corpus_exp opts;
-        trace_exp ();
         compile_exp opts;
         telemetry_exp opts;
         micro ()

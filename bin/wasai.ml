@@ -47,15 +47,36 @@ let write_file path content =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc content)
 
+(* Malformed input is a user error, not an internal one: name the file
+   and the reason and exit 2.  [Sys_error] messages already start with
+   the path. *)
+let with_input path f =
+  let fail reason =
+    Printf.eprintf "wasai: %s\n" reason;
+    exit 2
+  in
+  let fail_at reason = fail (path ^ ": " ^ reason) in
+  try f () with
+  | Wasm.Decode.Decode_error (pos, msg) ->
+      fail_at (Printf.sprintf "malformed binary at byte %d: %s" pos msg)
+  | Wasm.Validate.Invalid msg -> fail_at ("invalid module: " ^ msg)
+  | Wasm.Text.Parse_error msg -> fail_at ("malformed text: " ^ msg)
+  | Abi.Parse_error msg -> fail_at ("malformed ABI: " ^ msg)
+  | Sys_error msg -> fail msg
+
+let decode_file bin_path =
+  with_input bin_path (fun () -> Wasm.Decode.decode (read_file bin_path))
+
 let load_contract bin_path abi_path =
   let m =
-    if Filename.check_suffix bin_path ".wat" then
-      Wasm.Text.parse (read_file bin_path)
-    else Wasm.Decode.decode (read_file bin_path)
+    with_input bin_path (fun () ->
+        if Filename.check_suffix bin_path ".wat" then
+          Wasm.Text.parse (read_file bin_path)
+        else Wasm.Decode.decode (read_file bin_path))
   in
   let abi =
     match abi_path with
-    | Some p -> Abi.of_text (read_file p)
+    | Some p -> with_input p (fun () -> Abi.of_text (read_file p))
     | None -> Abi.default_profitable
   in
   (m, abi)
@@ -65,17 +86,15 @@ let load_contract bin_path abi_path =
 let analyze_cmd bin_path abi_path rounds backend account verbose =
   let m, abi = load_contract bin_path abi_path in
   let target =
-    {
-      Core.Engine.tgt_account = Name.of_string account;
-      tgt_module = m;
-      tgt_abi = abi;
-    }
+    { Core.Engine.tgt_account = account; tgt_module = m; tgt_abi = abi }
   in
   let t0 = Unix.gettimeofday () in
   let o =
-    Core.Engine.fuzz
-      ~cfg:(Core.Engine.make_config ~rounds:(rounds) ~backend ())
-      target
+    (* Deploying validates the module. *)
+    with_input bin_path (fun () ->
+        Core.Engine.fuzz
+          ~cfg:(Core.Engine.make_config ~rounds:(rounds) ~backend ())
+          target)
   in
   let report =
     Core.Report.make
@@ -120,14 +139,12 @@ let gen_cmd out_path vulns seed obfuscate =
 
 (* ---- dump / build ----------------------------------------------------- *)
 
-let dump_cmd bin_path =
-  let m = Wasm.Decode.decode (read_file bin_path) in
-  print_string (Wasm.Wat.to_string m)
+let dump_cmd bin_path = print_string (Wasm.Wat.to_string (decode_file bin_path))
 
 let build_cmd wat_path out_path =
-  let m = Wasm.Text.parse (read_file wat_path) in
+  let m = with_input wat_path (fun () -> Wasm.Text.parse (read_file wat_path)) in
   let bin = Wasm.Encode.encode m in
-  write_file out_path bin;
+  with_input out_path (fun () -> write_file out_path bin);
   Printf.printf "assembled %s -> %s (%d functions, %d bytes)\n" wat_path out_path
     (Array.length m.Wasm.Ast.funcs)
     (String.length bin)
@@ -135,9 +152,12 @@ let build_cmd wat_path out_path =
 (* ---- instrument ------------------------------------------------------ *)
 
 let instrument_cmd bin_path out_path =
-  let bin = read_file bin_path in
-  let bin', meta = Wasai_wasabi.Instrument.instrument_binary bin in
-  write_file out_path bin';
+  let bin, (bin', meta) =
+    with_input bin_path (fun () ->
+        let bin = read_file bin_path in
+        (bin, Wasai_wasabi.Instrument.instrument_binary bin))
+  in
+  with_input out_path (fun () -> write_file out_path bin');
   Printf.printf "instrumented %s -> %s (%d sites, %d -> %d bytes)\n" bin_path
     out_path
     (Array.length meta.Wasai_wasabi.Trace.sites)
@@ -161,13 +181,14 @@ let scan_cmd dir rounds backend =
         in
         let m, abi = load_contract path abi_path in
         let o =
-          Core.Engine.fuzz
-            ~cfg:(Core.Engine.make_config ~rounds:(rounds) ~backend ())
-            {
-              Core.Engine.tgt_account = Name.of_string "victim";
-              tgt_module = m;
-              tgt_abi = abi;
-            }
+          with_input path (fun () ->
+              Core.Engine.fuzz
+                ~cfg:(Core.Engine.make_config ~rounds:(rounds) ~backend ())
+                {
+                  Core.Engine.tgt_account = Name.of_string "victim";
+                  tgt_module = m;
+                  tgt_abi = abi;
+                })
         in
         let report = Core.Report.make ~abi ~target:entry o in
         print_endline (Core.Report.summary report);
@@ -209,7 +230,7 @@ let report_cmd list_oracles =
       Printf.printf "%-16s %-14s %s\n" d.Core.Oracle.od_name
         (Core.Scanner.string_of_flag d.Core.Oracle.od_flag)
         policy)
-    (Core.Oracle.registered ())
+    Core.Oracle.builtins
 
 (* ---- campaign -------------------------------------------------------- *)
 
@@ -293,10 +314,9 @@ let campaign_run_cmd common dir rounds backend resume shard seed corpus
          exit 2);
     exit 0
   end;
-  (* Log the armed detector set up front: with the registry open to
-     extensions, which oracles a campaign ran under is part of its
-     provenance. *)
-  let oracle_defs = Core.Oracle.registered () in
+  (* Log the armed detector set up front: which oracles a campaign ran
+     under is part of its provenance. *)
+  let oracle_defs = Core.Oracle.builtins in
   Printf.eprintf "campaign: %d oracles armed: %s\n%!"
     (List.length oracle_defs)
     (String.concat ", "
@@ -505,7 +525,7 @@ let corpus_import_cmd dst srcs =
 (* ---- baseline -------------------------------------------------------- *)
 
 let baseline_cmd bin_path =
-  let m = Wasm.Decode.decode (read_file bin_path) in
+  let m = decode_file bin_path in
   let v = Wasai_baselines.Eosafe.analyze m in
   Printf.printf "EOSAFE static analysis of %s:\n" bin_path;
   Printf.printf "  dispatcher located : %b\n" v.Wasai_baselines.Eosafe.es_located;
@@ -551,16 +571,25 @@ let backend_arg =
     & info [ "backend" ] ~docv:"TIER"
         ~doc:
           "Execution tier: $(b,auto) (default; the closure-compiled tier \
-           with per-opcode interpreter fallback), $(b,compiled) (the same \
-           tier, chosen explicitly), or $(b,interp) (the reference \
-           tree-walking interpreter).  Verdicts, coverage and journal \
+           with per-opcode interpreter fallback) or $(b,interp) (the \
+           reference tree-walking interpreter).  Verdicts, coverage and journal \
            lines are byte-identical across tiers; the choice is stamped \
            into campaign and serve journal headers and validated on \
            $(b,--resume).")
 
+let account_conv =
+  let parse s =
+    match Name.of_string s with
+    | n -> Ok n
+    | exception Invalid_argument msg -> Error (`Msg msg)
+  in
+  let print ppf n = Format.pp_print_string ppf (Name.to_string n) in
+  Arg.conv (parse, print)
+
 let account_arg =
   Arg.(
-    value & opt string "victim"
+    value
+    & opt account_conv (Name.of_string "victim")
     & info [ "account" ] ~doc:"Account name to deploy the contract under.")
 
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ])
@@ -899,16 +928,16 @@ let report_t =
       value & flag
       & info [ "list-oracles" ]
           ~doc:
-            "List every registered vulnerability oracle — name, verdict \
-             flag, and whether its journal field is a legacy always-present \
-             column or an extension appended only when fired.")
+            "List every vulnerability oracle — name, verdict flag, and \
+             whether its journal field is a legacy always-present column \
+             or an extension appended only when fired.")
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Scanner introspection: $(b,--list-oracles) prints the detector \
-          registry the engine arms for every target (the five paper \
-          classes plus registered extensions)")
+         "Scanner introspection: $(b,--list-oracles) prints the detectors \
+          the engine arms for every target (the five paper classes plus \
+          three related-work extensions)")
     Term.(const report_cmd $ list_oracles)
 
 let submit_t =

@@ -95,36 +95,37 @@ let check_unique (caller : string) (targets : target_spec list) =
     targets;
   seen
 
+let same_stamp (a : Journal.stamp) (b : Journal.stamp) =
+  Shard.equal a.Journal.js_shard b.Journal.js_shard
+  && a.Journal.js_seed = b.Journal.js_seed
+  && a.Journal.js_rounds = b.Journal.js_rounds
+
 (* A journal written under a different fleet configuration would mix
-   verdicts that no single run could produce; unstamped (v1/v2) entries
-   predate provenance and are trusted as before.  Shared by resume,
-   merge-side callers and the serve tenant registry. *)
+   verdicts that no single run could produce.  Shared by resume and the
+   serve tenant registry. *)
 let validate_entries ~(context : string) (stamp : Journal.stamp)
     (entries : Journal.entry list) : unit =
   List.iter
     (fun (e : Journal.entry) ->
-      match e.Journal.je_stamp with
-      | Some st when not (Shard.equal st.Journal.js_shard stamp.Journal.js_shard
-                          && st.Journal.js_seed = stamp.Journal.js_seed
-                          && st.Journal.js_rounds = stamp.Journal.js_rounds) ->
-          failwith
-            (Printf.sprintf
-               "%s: journal entry %S was recorded under shard=%s \
-                seed=%Ld budget=%d, but this run uses shard=%s seed=%Ld \
-                budget=%d; refusing to mix configurations"
-               context e.Journal.je_name
-               (Shard.to_string st.Journal.js_shard)
-               st.Journal.js_seed st.Journal.js_rounds
-               (Shard.to_string stamp.Journal.js_shard)
-               stamp.Journal.js_seed stamp.Journal.js_rounds)
-      | _ -> ())
+      let st = e.Journal.je_stamp in
+      if not (same_stamp st stamp) then
+        failwith
+          (Printf.sprintf
+             "%s: journal entry %S was recorded under shard=%s seed=%Ld \
+              budget=%d, but this run uses shard=%s seed=%Ld budget=%d; \
+              refusing to mix configurations"
+             context e.Journal.je_name
+             (Shard.to_string st.Journal.js_shard)
+             st.Journal.js_seed st.Journal.js_rounds
+             (Shard.to_string stamp.Journal.js_shard)
+             stamp.Journal.js_seed stamp.Journal.js_rounds))
     entries
 
 (* Same discipline for the file-level backend header: verdicts are
    backend-invariant by contract, but resuming a journal under a
-   different execution tier would make that contract unauditable.
-   Headerless legacy journals predate the stamp and are trusted as
-   before.  Shared with the serve tenant registry. *)
+   different execution tier would make that contract unauditable.  An
+   empty journal has no header and nothing to mix.  Shared with the
+   serve tenant registry. *)
 let validate_header ~(context : string) ?(telemetry = false)
     (backend : Core.Exec_backend.choice) (header : Journal.header option) :
     unit =
@@ -537,28 +538,14 @@ let merge_error fmt = Printf.ksprintf (fun s -> failwith ("campaign merge: " ^ s
    stamp, and every name must actually hash into the stamped slice. *)
 let check_journal (path, entries) : Journal.stamp * Journal.entry list =
   let entries = collapse_duplicates entries in
-  let stamp_of (e : Journal.entry) =
-    match e.Journal.je_stamp with
-    | Some st -> st
-    | None ->
-        merge_error
-          "%s: entry %S has no shard stamp (a v1/v2 line); merging needs v3 \
-           journals — re-run the shard to refresh them"
-          path e.Journal.je_name
-  in
   match entries with
   | [] -> merge_error "%s: journal is empty (cannot infer its shard)" path
   | first :: _ ->
-      let s0 = stamp_of first in
+      let s0 = first.Journal.je_stamp in
       List.iter
         (fun (e : Journal.entry) ->
-          let st = stamp_of e in
-          if
-            not
-              (Shard.equal st.Journal.js_shard s0.Journal.js_shard
-              && st.Journal.js_seed = s0.Journal.js_seed
-              && st.Journal.js_rounds = s0.Journal.js_rounds)
-          then
+          let st = e.Journal.je_stamp in
+          if not (same_stamp st s0) then
             merge_error
               "%s: entry %S stamped shard=%s seed=%Ld budget=%d, but the \
                journal opened with shard=%s seed=%Ld budget=%d (mixed \

@@ -135,11 +135,10 @@ val stamp_of_config : config -> Journal.stamp
 
 val validate_entries :
   context:string -> Journal.stamp -> Journal.entry list -> unit
-(** Check that every stamped entry was recorded under exactly this
+(** Check that every entry was recorded under exactly this
     (shard, seed, budget) provenance — {!run}'s resume discipline,
     exported for external journal owners (the serve tenant registry).
-    Raises [Failure] (prefixed with [context]) on the first mismatch;
-    unstamped v1/v2 entries pass, as in {!run}. *)
+    Raises [Failure] (prefixed with [context]) on the first mismatch. *)
 
 val validate_header :
   context:string ->
@@ -149,13 +148,11 @@ val validate_header :
   unit
 (** Check that the journal's file-level backend header matches this
     run's execution tier — the backend counterpart of
-    {!validate_entries}, applied on resume.  The comparison is strict
-    choice equality ([Auto] and [Compiled] are distinct stamps even
-    though they execute identically).  [telemetry] (default [false])
-    must likewise match the header's [telemetry=] stamp, so a resumed
-    report's per-stage breakdown covers every journaled target or none.
-    Raises [Failure] (prefixed with [context]) on mismatch; headerless
-    legacy journals pass. *)
+    {!validate_entries}, applied on resume.  [telemetry] (default
+    [false]) must likewise match the header's [telemetry=] stamp, so a
+    resumed report's per-stage breakdown covers every journaled target
+    or none.  Raises [Failure] (prefixed with [context]) on mismatch;
+    [None] (an empty journal, see {!Journal.load_full}) passes. *)
 
 val corpus_records_of :
   name:string -> Journal.stamp -> Core.Engine.outcome -> Corpus.record list
@@ -174,8 +171,7 @@ val merge : string list -> report
 (** Load N shard journals and recombine them into the fleet report.
 
     Validation (all failures raise [Failure] with the offending path):
-    every entry must carry a v3 stamp; each journal must be internally
-    consistent (one stamp, and every target name must hash into the
+    each journal must be non-empty and internally consistent (one stamp, and every target name must hash into the
     stamped slice); all journals must agree on (seed, budget, shard
     count); the shard indices must be pairwise distinct (disjointness)
     and cover 0..N-1 (coverage).  Duplicate lines per name collapse to

@@ -3,25 +3,20 @@
     campaign can be resumed from exactly the set of targets whose results
     reached disk.
 
-    The format is versioned and parsed strictly: any line that is not a
-    well-formed record (including a line torn by a crash mid-write) makes
-    {!load} raise {!Malformed} with the offending path, line number and
-    reason — a corrupt journal is never silently skipped over.
-
-    Stamped entries are written as v4 lines, which extend the v2 format
-    (trailing [solver=] counters) with the campaign provenance stamp
-    ([shard=i/N], the engine root [seed=], the round [budget=]), the
-    serialized exploit payloads behind every positive verdict
-    ([exploits=]), and — new in v4 — the engine's final adaptively
-    retuned solver conflict budget as a sixth [fb:] counter inside the
-    [solver=] field.  The stamp is what lets
-    {!Campaign.merge} check that shard journals from different machines
-    belong to one consistent fleet configuration; the exploit records are
-    what lets a resumed or merged report replay evidence.  The parser
-    additionally accepts v3 (16-field, 5 solver counters), v2 (12-field)
-    and v1 (11-field) lines, whose absent counters read as zero and whose
-    absent stamp/exploits read as none, so old journals still resume.
-    No other line shape is accepted. *)
+    The format is versioned and parsed strictly.  Line 1 of every
+    non-empty journal is a {!header}; every later line is a 16-field
+    [wasai-journal-v4] entry: the verdict flags and outcome counters,
+    the [solver=] counters (ending with the engine's final adaptive
+    conflict budget [fb:]), the campaign provenance stamp ([shard=i/N],
+    the engine root [seed=], the round [budget=]) and the serialized
+    exploit payloads behind every positive verdict ([exploits=]).  The
+    stamp is what lets {!Campaign.merge} check that shard journals from
+    different machines belong to one consistent fleet configuration; the
+    exploit records are what lets a resumed or merged report replay
+    evidence.  Any other line — including a line torn by a crash
+    mid-write — makes {!load} raise {!Malformed} with the offending
+    path, line number and reason: a corrupt journal is never silently
+    skipped over. *)
 
 module Core = Wasai_core
 module Solver = Wasai_smt.Solver
@@ -52,47 +47,38 @@ type entry = {
   je_solver_sat : int;
   je_imprecise : int;
   je_elapsed : float;  (** seconds spent fuzzing this target *)
-  je_solver : Solver.stats;
-      (** per-target solver counters (zero when parsed from a v1 line) *)
+  je_solver : Solver.stats;  (** per-target solver counters *)
   je_final_budget : int;
       (** the engine's final adaptive solver conflict budget
-          ({!Core.Engine.outcome.out_final_budget}; 0 when parsed from a
-          pre-v4 line) *)
-  je_stamp : stamp option;  (** [None] when parsed from a v1/v2 line *)
+          ({!Core.Engine.outcome.out_final_budget}) *)
+  je_stamp : stamp;
   je_exploits : (Core.Scanner.flag * Core.Scanner.evidence) list;
       (** exploit payload behind each positive verdict, in canonical flag
-          order (empty when parsed from a v1/v2 line) *)
+          order *)
 }
 
 val of_outcome :
-  name:string -> elapsed:float -> ?stamp:stamp -> Core.Engine.outcome -> entry
+  name:string -> elapsed:float -> stamp:stamp -> Core.Engine.outcome -> entry
 (** Exploit payloads are carried over from the outcome in canonical flag
-    order; pass [~stamp] (campaign runs always do) to make them
-    persistable — {!line_of_entry} only serialises exploits on stamped v3
-    lines. *)
+    order. *)
 
 val line_of_entry : entry -> string
-(** Single-line record, no trailing newline: 16-field v4 when
-    [je_stamp] is present, legacy 12-field v2 otherwise (in which case
-    [je_exploits] and [je_final_budget] are not serialised). *)
+(** Single 16-field line, no trailing newline. *)
 
 val entry_of_line : string -> (entry, string) result
-(** Accepts v1 (11 fields), v2 (12), v3 (16, 5 solver counters) and v4
-    (16, 6 solver counters) lines; each field is validated strictly. *)
+(** Accepts exactly the lines {!line_of_entry} writes; each field is
+    validated strictly. *)
 
-(** File-level provenance, stamped once as the first line of a fresh
-    journal ([wasai-journal-hdr] followed by [backend=interp|compiled|auto]):
-    the execution backend the fleet ran under.  Verdicts are
-    backend-invariant by contract, but a resume mixing tiers would make
-    that contract unauditable, so — like the per-entry (seed, budget)
-    stamp — resume refuses a mismatch.  Entry lines are unchanged: a v4
-    line is byte-identical whichever backend produced it, and headerless
-    legacy journals still load.
+(** File-level provenance, line 1 of every journal ([wasai-journal-hdr]
+    followed by [backend=interp|auto]): the execution backend the fleet
+    ran under.  Verdicts are backend-invariant by contract, but a resume
+    mixing tiers would make that contract unauditable, so — like the
+    per-entry (seed, budget) stamp — resume refuses a mismatch.  Entry
+    lines are byte-identical whichever backend produced them.
 
     [jh_telemetry] stamps whether span profiling was on, so a resume
     cannot silently flip it and skew the report's per-stage breakdown.
-    Off is the default and writes the legacy two-field line byte for
-    byte; [telemetry=on] appends a third field. *)
+    Off writes a two-field line; [telemetry=on] appends a third field. *)
 type header = {
   jh_backend : Core.Exec_backend.choice;
   jh_telemetry : bool;
@@ -106,25 +92,25 @@ exception Malformed of string
     reason. *)
 
 val load : string -> entry list
-(** All entries, in file order (skipping a leading header line).  Raises
-    {!Malformed} on any bad line and [Sys_error] if the file cannot be
+(** All entries, in file order.  Raises {!Malformed} on any bad line
+    (including a missing header) and [Sys_error] if the file cannot be
     read. *)
 
 val load_full : string -> header option * entry list
-(** Like {!load}, also returning the header when the file starts with
-    one ([None] on headerless legacy journals).  A header line anywhere
-    but line 1 raises {!Malformed}. *)
+(** Like {!load}, also returning the header: [None] only for an empty
+    file.  A first line that is not a header, or a header anywhere but
+    line 1, raises {!Malformed}. *)
 
 (** Append-side handle; [append] serialises concurrent writers with an
     internal mutex and fsyncs after every line. *)
 type writer
 
-val open_writer : ?header:header -> string -> writer
+val open_writer : header:header -> string -> writer
 (** Opens (creating if needed) in append mode: resuming a campaign keeps
     the prior entries and extends the same file.  [header] is written
-    (and fsync'd) as the first line of freshly-created files only —
-    existing files are never rewritten, and resume is expected to have
-    validated their header already. *)
+    (and fsync'd) as the first line when the file is empty — non-empty
+    files are never rewritten, and resume is expected to have validated
+    their header already. *)
 
 val append : writer -> entry -> unit
 

@@ -334,7 +334,7 @@ let setup (cfg : config) (target : target) : session =
       exec_stage =
         (match cfg.cfg_backend with
         | Exec_backend.Interp -> Telemetry.Exec_interp
-        | Exec_backend.Compiled | Exec_backend.Auto -> Telemetry.Exec_compiled);
+        | Exec_backend.Auto -> Telemetry.Exec_compiled);
       adaptive_seeds = 0;
       transactions = 0;
       solver_sat = 0;

@@ -1,5 +1,5 @@
-(** The streaming oracle layer: vulnerability detectors as registered
-    instances instead of hardcoded scanner arms.
+(** The streaming oracle layer: vulnerability detectors as instances of
+    oracle definitions instead of hardcoded scanner arms.
 
     An oracle {e definition} names a vulnerability class (flag) and
     knows how to instantiate a per-session {e instance} against one
@@ -127,7 +127,7 @@ type instance = {
   oi_verdict : fired:bool -> bool;
 }
 
-(** A registered oracle: a named constructor of instances. *)
+(** An oracle: a named constructor of instances. *)
 type def = { od_name : string; od_flag : flag; od_make : env -> instance }
 
 let resolve_ids (meta : Trace.meta) (p : Chain_profile.t) : host_ids =
@@ -349,7 +349,7 @@ let asset_overflow_def =
       go ())
 
 (* ------------------------------------------------------------------ *)
-(* Registry                                                            *)
+(* Builtins                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let builtins : def list =
@@ -364,22 +364,7 @@ let builtins : def list =
     asset_overflow_def;
   ]
 
-(* Extra registrations append after the builtins.  Registration is an
-   initialisation-time act: register before spawning campaign domains
-   (reads are plain list traversals and safe anywhere). *)
-let extra : def list ref = ref []
-
-let register (d : def) =
-  if
-    List.exists
-      (fun d' -> d'.od_name = d.od_name)
-      (builtins @ List.rev !extra)
-  then invalid_arg (Printf.sprintf "Oracle.register: duplicate oracle %S" d.od_name)
-  else extra := d :: !extra
-
-let registered () : def list = builtins @ List.rev !extra
-
 let instantiate ~(meta : Trace.meta) ~(victim : Name.t)
     ~(fake_notif_agent : Name.t) ~(fake_token : Name.t) () : instance list =
   let env = make_env ~meta ~victim ~fake_notif_agent ~fake_token () in
-  List.map (fun d -> d.od_make env) (registered ())
+  List.map (fun d -> d.od_make env) builtins

@@ -1,4 +1,4 @@
-(** The streaming oracle layer: vulnerability detectors as registered
+(** The streaming oracle layer: vulnerability detectors as
     instances, parametric in a {!Wasai_eosio.Chain_profile}.
 
     A {!def} names a vulnerability class and constructs per-session
@@ -103,17 +103,10 @@ val make_env :
   env
 (** Resolves {!Chain_profile.eosio} against the contract's imports. *)
 
-(** {1 Registry} *)
+(** {1 Builtins} *)
 
 val builtins : def list
 (** The eight shipped detectors, in canonical flag order. *)
-
-val register : def -> unit
-(** Append a detector after the builtins.  Initialisation-time only
-    (register before spawning campaign domains); raises
-    [Invalid_argument] on a duplicate name. *)
-
-val registered : unit -> def list
 
 val instantiate :
   meta:Trace.meta ->
@@ -122,7 +115,7 @@ val instantiate :
   fake_token:Name.t ->
   unit ->
   instance list
-(** Resolve the environment and construct every registered detector. *)
+(** Resolve the environment and construct every builtin detector. *)
 
 (** {1 Cursor-level matching helpers} *)
 

@@ -1,4 +1,4 @@
-(** The vulnerability scanner: the harness driving the registered
+(** The vulnerability scanner: the harness driving the builtin
     {!Oracle} instances (§3.5) over every executed payload.
 
     The scanner consumes the trace of every executed payload together
@@ -55,7 +55,7 @@ type t = {
   action_candidates : int list;  (** possible eosponser ids (instrumented) *)
   mutable eosponser_id : int option;  (** id_e, learned from a genuine trace *)
   oracles : (Oracle.instance * bool ref) list;
-      (** registered detectors with their sticky fire bits *)
+      (** builtin detectors with their sticky fire bits *)
   mutable custom : (custom_oracle * bool ref) list;
   mutable evidence : (flag * evidence) list;
       (** first exploit payload observed per fired flag *)

@@ -1,4 +1,4 @@
-(** The vulnerability scanner: the harness driving the registered
+(** The vulnerability scanner: the harness driving the builtin
     {!Oracle} instances over every executed payload, accumulated across
     the whole fuzzing session.  The channel/flag vocabulary is
     re-exported from {!Oracle} so existing callers keep compiling. *)
@@ -56,7 +56,7 @@ type t = {
   action_candidates : int list;  (** possible eosponser ids *)
   mutable eosponser_id : int option;  (** id_e, learned from a genuine trace *)
   oracles : (Oracle.instance * bool ref) list;
-      (** registered detectors with their sticky fire bits *)
+      (** builtin detectors with their sticky fire bits *)
   mutable custom : (custom_oracle * bool ref) list;
   mutable evidence : (flag * evidence) list;
       (** first exploit payload observed per fired flag *)
@@ -75,7 +75,7 @@ val create :
   fake_notif_agent:Name.t ->
   unit ->
   t
-(** Instantiate every registered oracle against this contract, matching
+(** Instantiate every builtin oracle against this contract, matching
     host calls through {!Chain_profile.eosio}; [fake_token_account]
     defaults to the engine's counterfeit token account. *)
 

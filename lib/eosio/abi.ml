@@ -218,7 +218,12 @@ let parse_action_line (line : string) : action_def =
                  | [ n; ty ] -> (String.trim n, param_type_of_string (String.trim ty))
                  | _ -> raise (Parse_error ("bad parameter " ^ p)))
       in
-      { act_name = Name.of_string name; act_params = params }
+      let act_name =
+        try Name.of_string name
+        with Invalid_argument msg ->
+          raise (Parse_error (Printf.sprintf "bad action name %S (%s)" name msg))
+      in
+      { act_name; act_params = params }
 
 (** Parse the textual ABI format. *)
 let of_text (text : string) : t =

@@ -59,6 +59,8 @@ val static_offsets : action_def -> (string * param_type * int) list
 exception Parse_error of string
 
 val of_text : string -> t
+(** Raises {!Parse_error}, and nothing else, on malformed text. *)
+
 val to_text : t -> string
 
 val transfer_action : action_def

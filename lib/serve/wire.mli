@@ -118,7 +118,7 @@ type response =
       rp_qwait : string;  (** queue-wait histogram, [Histogram.to_wire] *)
       rp_latency : string;  (** end-to-end histogram, [Histogram.to_wire] *)
       rp_uptime_ms : int;  (** daemon uptime, milliseconds *)
-      rp_backend : string;  (** the daemon's [--backend] (interp|compiled|auto) *)
+      rp_backend : string;  (** the daemon's [--backend] (interp|auto) *)
     }
   | MetricsReply of { rp_body : string }
       (** the Prometheus text exposition, verbatim (hex on the wire) *)

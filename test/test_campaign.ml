@@ -1,5 +1,5 @@
 (* Tests for the campaign orchestrator: latency histogram, work queue,
-   shard assignment, journal round-trip and strictness (v1/v2/v3),
+   shard assignment, journal round-trip and strictness,
    multi-domain/serial verdict parity, interrupt/resume equivalence, and
    distributed shard-merge identity. *)
 
@@ -191,6 +191,13 @@ let test_shard_string () =
 (* Journal                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let sample_stamp =
+  {
+    Campaign.Journal.js_shard = Campaign.Shard.make ~index:1 ~count:4;
+    js_seed = 0x1234_5678L;
+    js_rounds = 12;
+  }
+
 let sample_entry =
   {
     Campaign.Journal.je_name = "alice";
@@ -214,16 +221,9 @@ let sample_entry =
         st_cache_hits = 15;
         st_cache_misses = 29;
       };
-    je_stamp = None;
+    je_stamp = sample_stamp;
     je_exploits = [];
     je_final_budget = 64;
-  }
-
-let sample_stamp =
-  {
-    Campaign.Journal.js_shard = Campaign.Shard.make ~index:1 ~count:4;
-    js_seed = 0x1234_5678L;
-    js_rounds = 12;
   }
 
 let sample_evidence channel data =
@@ -240,8 +240,7 @@ let sample_evidence channel data =
 let stamped_entry =
   {
     sample_entry with
-    Campaign.Journal.je_stamp = Some sample_stamp;
-    je_exploits =
+    Campaign.Journal.je_exploits =
       [
         ( Core.Scanner.Fake_eos,
           sample_evidence Core.Scanner.Ch_fake_token "\x00\x01\xfftail" );
@@ -266,41 +265,20 @@ let test_journal_roundtrip () =
          = sample_entry.Campaign.Journal.je_solver)
   | Error e -> Alcotest.fail ("roundtrip failed: " ^ e)
 
-(* Old journals predate the solver counters (11-field v1 lines); resume
-   must still accept them, reading the counters as zero. *)
-let test_journal_v1_compat () =
-  let v2 = Campaign.Journal.line_of_entry sample_entry in
-  let v1 =
-    match List.rev (String.split_on_char '\t' v2) with
-    | _solver :: rest -> String.concat "\t" (List.rev rest)
-    | [] -> assert false
-  in
-  match Campaign.Journal.entry_of_line v1 with
-  | Ok e ->
-      Alcotest.(check string) "name" "alice" e.Campaign.Journal.je_name;
-      Alcotest.(check int) "branches" 42 e.Campaign.Journal.je_branches;
-      Alcotest.(check bool) "counters read as zero" true
-        (e.Campaign.Journal.je_solver = Wasai_smt.Solver.stats_zero)
-  | Error e -> Alcotest.fail ("v1 line rejected: " ^ e)
-
-let test_journal_v3_roundtrip () =
+let test_journal_stamp_roundtrip () =
   let line = Campaign.Journal.line_of_entry stamped_entry in
-  Alcotest.(check bool) "stamped entries serialise as v4" true
+  Alcotest.(check bool) "entries serialise as v4" true
     (String.length line > 16 && String.sub line 0 16 = "wasai-journal-v4");
   match Campaign.Journal.entry_of_line line with
-  | Error e -> Alcotest.fail ("v3 roundtrip failed: " ^ e)
+  | Error e -> Alcotest.fail ("stamp roundtrip failed: " ^ e)
   | Ok e ->
-      (match e.Campaign.Journal.je_stamp with
-       | None -> Alcotest.fail "stamp lost in round-trip"
-       | Some st ->
-           Alcotest.(check bool) "shard survives" true
-             (Campaign.Shard.equal st.Campaign.Journal.js_shard
-                sample_stamp.Campaign.Journal.js_shard);
-           Alcotest.(check int64) "seed survives"
-             sample_stamp.Campaign.Journal.js_seed
-             st.Campaign.Journal.js_seed;
-           Alcotest.(check int) "budget survives" 12
-             st.Campaign.Journal.js_rounds);
+      let st = e.Campaign.Journal.je_stamp in
+      Alcotest.(check bool) "shard survives" true
+        (Campaign.Shard.equal st.Campaign.Journal.js_shard
+           sample_stamp.Campaign.Journal.js_shard);
+      Alcotest.(check int64) "seed survives"
+        sample_stamp.Campaign.Journal.js_seed st.Campaign.Journal.js_seed;
+      Alcotest.(check int) "budget survives" 12 st.Campaign.Journal.js_rounds;
       Alcotest.(check bool)
         "exploit payloads round-trip byte-exactly (channel, action, raw data)"
         true
@@ -318,18 +296,36 @@ let reject line reason_fragment =
         true
         (contains ~sub:reason_fragment reason)
 
+(* The solver field without its final [fb:] counter. *)
+let strip_fb field =
+  if String.length field > 7 && String.sub field 0 7 = "solver=" then
+    String.concat ","
+      (List.filter
+         (fun p -> String.length p < 3 || String.sub p 0 3 <> "fb:")
+         (String.split_on_char ',' field))
+  else field
+
 let test_journal_strict () =
-  reject "garbage" "11, 12 or 16 tab-separated fields";
+  reject "garbage" "bad magic";
   reject
     (Campaign.Journal.line_of_entry sample_entry ^ "\textra")
-    "11, 12 or 16 tab-separated fields";
+    "expected 16 tab-separated fields, got 17";
   (* A line torn mid-write by a crash. *)
   let full = Campaign.Journal.line_of_entry sample_entry in
   reject (String.sub full 0 (String.length full - 20)) "field";
+  (* The retired v1 (11 fields) and v2 (12 fields) shapes: the v4 line
+     cut before its stamp, under the v1 magic or the v4 one. *)
+  let first n = List.filteri (fun i _ -> i < n) (String.split_on_char '\t' full) in
+  let v2 = List.map strip_fb (first 12) in
+  let old_magic fields = String.concat "\t" ("wasai-journal-v1" :: List.tl fields) in
+  reject (old_magic (first 11)) "bad magic \"wasai-journal-v1\"";
+  reject (old_magic v2) "bad magic \"wasai-journal-v1\"";
+  reject (String.concat "\t" (first 11)) "expected 16 tab-separated fields, got 11";
+  reject (String.concat "\t" v2) "expected 16 tab-separated fields, got 12";
   reject (String.concat "\t" (String.split_on_char '\t' full |> List.map (fun f ->
       if f = "tx=99" then "tx=banana" else f)))
     "tx";
-  (* The v2 solver field is parsed as strictly as the rest. *)
+  (* The solver field is parsed as strictly as the rest. *)
   let swap_solver replacement =
     String.concat "\t"
       (String.split_on_char '\t' full
@@ -338,13 +334,13 @@ let test_journal_strict () =
                replacement
              else f))
   in
-  reject (swap_solver "solver=q:21,b:6,u:2,h:15") "5 counters";
-  reject (swap_solver "solver=q:21,b:6,u:2,h:15,m:oops") "bad counters";
-  reject (swap_solver "solver=q:21,b:6,u:2,m:29,h:15") "bad counters"
+  reject (swap_solver "solver=q:21,b:6,u:2,h:15") "expected 6 counters, got 4";
+  reject (swap_solver "solver=q:21,b:6,u:2,h:15,m:oops,fb:64") "bad counters";
+  reject (swap_solver "solver=q:21,b:6,u:2,m:29,h:15,fb:64") "bad counters"
 
-(* The v3 stamp and exploit fields are parsed as strictly as the rest:
+(* The stamp and exploit fields are parsed as strictly as the rest:
    any tampered or torn value is rejected, never read as "no stamp". *)
-let test_journal_v3_strict () =
+let test_journal_stamp_strict () =
   let full = Campaign.Journal.line_of_entry stamped_entry in
   let swap prefix replacement =
     String.concat "\t"
@@ -360,12 +356,12 @@ let test_journal_v3_strict () =
   reject (swap "shard=" "shard=1-4") "shard";
   reject (swap "seed=" "seed=banana") "seed";
   reject (swap "budget=" "budget=") "budget";
-  (* Truncated v3 (15 fields) is neither v2 nor v3. *)
+  (* A line missing its last field. *)
   (match List.rev (String.split_on_char '\t' full) with
    | _ :: rest ->
        reject
          (String.concat "\t" (List.rev rest))
-         "11, 12 or 16 tab-separated fields"
+         "expected 16 tab-separated fields, got 15"
    | [] -> assert false);
   (* Exploit records: flag, channel, names and hex are all validated. *)
   let wire =
@@ -444,32 +440,8 @@ let test_journal_extension_strict () =
            (fun f -> List.assoc f e.Campaign.Journal.je_flags)
            Core.Scanner.extension_flags)
 
-(* Stamped v3 journals predate the adaptive-budget counter; resume must
-   still accept them, reading the final budget as zero. *)
-let test_journal_v3_budget_compat () =
-  let v4 = Campaign.Journal.line_of_entry stamped_entry in
-  let v3 =
-    String.concat "\t"
-      (String.split_on_char '\t' v4
-      |> List.map (fun f ->
-             if f = "wasai-journal-v4" then "wasai-journal-v3"
-             else if String.length f > 7 && String.sub f 0 7 = "solver=" then
-               String.concat ","
-                 (List.filter
-                    (fun p -> String.length p < 3 || String.sub p 0 3 <> "fb:")
-                    (String.split_on_char ',' f))
-             else f))
-  in
-  match Campaign.Journal.entry_of_line v3 with
-  | Error e -> Alcotest.fail ("v3 line rejected: " ^ e)
-  | Ok e ->
-      Alcotest.(check int) "final budget reads as zero" 0
-        e.Campaign.Journal.je_final_budget;
-      Alcotest.(check bool) "stamp still parsed" true
-        (e.Campaign.Journal.je_stamp <> None)
-
-(* The magic picks the solver-field shape exactly: an fb counter on a
-   v3 line, or a missing one on a v4 line, is a torn write, not a
+(* One grammar: the retired v3 magic is rejected even on an otherwise
+   well-formed line, and a missing fb counter is a torn write, not a
    variant to guess at. *)
 let test_journal_v4_strict () =
   let v4 = Campaign.Journal.line_of_entry stamped_entry in
@@ -479,16 +451,8 @@ let test_journal_v4_strict () =
   reject
     (swap (fun f ->
          if f = "wasai-journal-v4" then "wasai-journal-v3" else f))
-    "expected 5 counters, got 6";
-  reject
-    (swap (fun f ->
-         if String.length f > 7 && String.sub f 0 7 = "solver=" then
-           String.concat ","
-             (List.filter
-                (fun p -> String.length p < 3 || String.sub p 0 3 <> "fb:")
-                (String.split_on_char ',' f))
-         else f))
-    "expected 6 counters, got 5";
+    "bad magic \"wasai-journal-v3\"";
+  reject (swap strip_fb) "expected 6 counters, got 5";
   reject
     (swap (fun f ->
          if String.length f > 7 && String.sub f 0 7 = "solver=" then
@@ -514,6 +478,11 @@ let test_journal_load_malformed () =
     (fun second ->
       let path = Filename.temp_file "wasai-test" ".journal" in
       let oc = open_out path in
+      output_string oc
+        (Campaign.Journal.line_of_header
+           { Campaign.Journal.jh_backend = Core.Exec_backend.Auto;
+             jh_telemetry = false }
+        ^ "\n");
       output_string oc (Campaign.Journal.line_of_entry sample_entry ^ "\n");
       output_string oc (second ^ "\n");
       close_out oc;
@@ -523,7 +492,7 @@ let test_journal_load_malformed () =
           Alcotest.(check bool)
             (Printf.sprintf "error %S names the line" msg)
             true
-            (contains ~sub:(path ^ ":2:") msg));
+            (contains ~sub:(path ^ ":3:") msg));
       Sys.remove path)
     [ "this is not a journal line"; v5 ]
 
@@ -806,8 +775,8 @@ let run_shard ~count ~index ~journal targets =
 (* The acceptance bar of the sharding redesign: fuzzing shard 0/2 and
    1/2 on "separate machines" (separate journals) and merging must
    reproduce the unsharded run's canonical verdict AND exploit-evidence
-   sections byte-for-byte — evidence having round-tripped through the v3
-   wire format on the way. *)
+   sections byte-for-byte — evidence having round-tripped through the
+   journal line on the way. *)
 let test_shard_merge_identity () =
   let targets = test_targets ~count:8 in
   let unsharded = Campaign.Campaign.run (campaign_config ~jobs:2 ()) targets in
@@ -865,13 +834,7 @@ let test_merge_validation () =
   let _ = Campaign.Campaign.run other_seed targets in
   expect_merge_failure "seed mismatch" [ j0; j2 ]
     "different fleet configurations";
-  (* Unstamped (v1/v2) entries cannot prove which slice they belong to. *)
-  let j3 = temp_journal "val3" in
-  let oc = open_out j3 in
-  output_string oc (Campaign.Journal.line_of_entry sample_entry ^ "\n");
-  close_out oc;
-  expect_merge_failure "unstamped entries" [ j3 ] "no shard stamp";
-  List.iter Sys.remove [ j0; j1; j2; j3 ]
+  List.iter Sys.remove [ j0; j1; j2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Discovery                                                            *)
@@ -966,14 +929,11 @@ let () =
       ( "journal",
         [
           Alcotest.test_case "roundtrip" `Quick test_journal_roundtrip;
-          Alcotest.test_case "v1 lines still parse" `Quick
-            test_journal_v1_compat;
-          Alcotest.test_case "v3 roundtrip (stamp + exploits)" `Quick
-            test_journal_v3_roundtrip;
+          Alcotest.test_case "stamp and exploits roundtrip" `Quick
+            test_journal_stamp_roundtrip;
           Alcotest.test_case "strict parse" `Quick test_journal_strict;
-          Alcotest.test_case "strict v3 parse" `Quick test_journal_v3_strict;
-          Alcotest.test_case "v3 budget compat" `Quick
-            test_journal_v3_budget_compat;
+          Alcotest.test_case "strict stamp and exploits parse" `Quick
+            test_journal_stamp_strict;
           Alcotest.test_case "strict v4 parse" `Quick test_journal_v4_strict;
           Alcotest.test_case "extension flags round-trip" `Quick
             test_journal_extension_flags;

@@ -78,7 +78,7 @@ let test_corpus_outcome_parity () =
           (target_of_sample s)
       in
       let interp = run Core.Exec_backend.Interp in
-      let compiled = run Core.Exec_backend.Compiled in
+      let compiled = run Core.Exec_backend.Auto in
       Alcotest.(check string)
         (Printf.sprintf "outcome parity %s" name)
         (outcome_fingerprint ~name ~rounds ~seed interp)
@@ -140,7 +140,7 @@ let test_corpus_tape_parity () =
           (target_of_sample s)
       in
       let si = mk Core.Exec_backend.Interp in
-      let sc = mk Core.Exec_backend.Compiled in
+      let sc = mk Core.Exec_backend.Auto in
       (* Identical seed sequence for both sessions: the generator draws
          from its own RNG, not session state. *)
       let rng =
@@ -196,7 +196,7 @@ let test_context_parity_across_actions () =
       (Core.Engine.make_config ~rounds:1 ~backend ())
       (target_of_sample s)
   in
-  let si = mk Core.Exec_backend.Interp and sc = mk Core.Exec_backend.Compiled in
+  let si = mk Core.Exec_backend.Interp and sc = mk Core.Exec_backend.Auto in
   let rng = Wasai_support.Rand.create 4242L in
   let seeds =
     List.concat_map
@@ -288,7 +288,7 @@ let test_running_cleared () =
           ("deny", "eosio_assert: missing authority of alice");
           ("go", "ok");
         ])
-    Core.Exec_backend.[ Interp; Compiled ]
+    Core.Exec_backend.[ Interp; Auto ]
 
 (* Steady-state cost of one payload transaction on a pooled target.
    Re-linking the env host table before every action cost about 10k
@@ -485,10 +485,10 @@ let test_header_round_trip () =
                 h'.Campaign.Journal.jh_telemetry
           | Error e -> Alcotest.failf "header rejected: %s" e)
         [ false; true ])
-    Core.Exec_backend.[ Interp; Compiled; Auto ];
-  (* The off header is byte-identical to the legacy two-field line. *)
+    Core.Exec_backend.[ Interp; Auto ];
+  (* The off header is the two-field line every earlier build wrote. *)
   Alcotest.(check string)
-    "off = legacy bytes" "wasai-journal-hdr\tbackend=auto"
+    "off = two-field bytes" "wasai-journal-hdr\tbackend=auto"
     (Campaign.Journal.line_of_header
        { Campaign.Journal.jh_backend = Core.Exec_backend.Auto;
          jh_telemetry = false });
@@ -501,6 +501,7 @@ let test_header_round_trip () =
       "";
       "wasai-journal-hdr";
       "wasai-journal-hdr\tbackend=warp";
+      "wasai-journal-hdr\tbackend=compiled";
       "wasai-journal-hdr\tbackend=interp\textra=1";
       "wasai-journal-hdr\tbackend=interp\ttelemetry=off";
       "wasai-journal-hdr\tbackend=interp\ttelemetry=on\textra=1";
@@ -511,75 +512,102 @@ let with_temp_file f =
   let path = Filename.temp_file "wasai_test_hdr" ".jnl" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
+let auto_header =
+  { Campaign.Journal.jh_backend = Core.Exec_backend.Auto; jh_telemetry = false }
+
+let interp_header =
+  { Campaign.Journal.jh_backend = Core.Exec_backend.Interp; jh_telemetry = false }
+
 let test_header_resume_discipline () =
-  with_temp_file (fun path ->
-      Sys.remove path;
-      let w =
-        Campaign.Journal.open_writer
-          ~header:
-            { Campaign.Journal.jh_backend = Core.Exec_backend.Compiled;
-              jh_telemetry = false }
-          path
-      in
-      ignore w;
-      let header, entries = Campaign.Journal.load_full path in
-      Alcotest.(check int) "fresh journal has no entries" 0 (List.length entries);
-      (match header with
-      | Some h ->
-          Alcotest.(check string)
-            "stamped backend" "compiled"
-            (Core.Exec_backend.to_string h.Campaign.Journal.jh_backend)
-      | None -> Alcotest.fail "header missing from fresh journal");
-      (* Same tier resumes; headerless legacy journals resume; a
-         different tier — including Auto vs Compiled — refuses. *)
-      Campaign.Campaign.validate_header ~context:"t" Core.Exec_backend.Compiled header;
-      Campaign.Campaign.validate_header ~context:"t" Core.Exec_backend.Interp None;
-      List.iter
-        (fun backend ->
-          match Campaign.Campaign.validate_header ~context:"t" backend header with
-          | () -> Alcotest.fail "mismatched backend accepted"
-          | exception Failure msg ->
-              Alcotest.(check bool)
-                "refusal names both tiers" true
-                (String.length msg > 0
-                && String.index_opt msg '='
-                   <> None))
-        Core.Exec_backend.[ Interp; Auto ];
-      (* The telemetry stamp obeys the same discipline: matching runs
-         resume, a flipped switch refuses in either direction. *)
-      let on =
-        Some
-          { Campaign.Journal.jh_backend = Core.Exec_backend.Compiled;
-            jh_telemetry = true }
-      in
-      Campaign.Campaign.validate_header ~context:"t" ~telemetry:true
-        Core.Exec_backend.Compiled on;
-      (match
-         Campaign.Campaign.validate_header ~context:"t"
-           Core.Exec_backend.Compiled on
-       with
-      | () -> Alcotest.fail "telemetry=on journal resumed without --telemetry"
-      | exception Failure _ -> ());
-      match
-        Campaign.Campaign.validate_header ~context:"t" ~telemetry:true
-          Core.Exec_backend.Compiled header
-      with
-      | () -> Alcotest.fail "telemetry=off journal resumed with --telemetry"
-      | exception Failure _ -> ())
+  let header = Some interp_header in
+  (* Same tier resumes; an empty journal (no header) resumes; a
+     different tier refuses. *)
+  Campaign.Campaign.validate_header ~context:"t" Core.Exec_backend.Interp header;
+  Campaign.Campaign.validate_header ~context:"t" Core.Exec_backend.Auto None;
+  (match
+     Campaign.Campaign.validate_header ~context:"t" Core.Exec_backend.Auto header
+   with
+  | () -> Alcotest.fail "mismatched backend accepted"
+  | exception Failure msg ->
+      Alcotest.(check string)
+        "refusal names both tiers"
+        "t: journal was recorded under backend=interp, but this run uses \
+         backend=auto; refusing to mix execution tiers"
+        msg);
+  (* The telemetry stamp obeys the same discipline: matching runs
+     resume, a flipped switch refuses in either direction. *)
+  let on = Some { auto_header with Campaign.Journal.jh_telemetry = true } in
+  Campaign.Campaign.validate_header ~context:"t" ~telemetry:true
+    Core.Exec_backend.Auto on;
+  (match
+     Campaign.Campaign.validate_header ~context:"t" Core.Exec_backend.Auto on
+   with
+  | () -> Alcotest.fail "telemetry=on journal resumed without --telemetry"
+  | exception Failure _ -> ());
+  match
+    Campaign.Campaign.validate_header ~context:"t" ~telemetry:true
+      Core.Exec_backend.Auto (Some auto_header)
+  with
+  | () -> Alcotest.fail "telemetry=off journal resumed with --telemetry"
+  | exception Failure _ -> ()
+
+let write_lines path lines =
+  let oc = open_out path in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc
 
 let test_header_only_line_one () =
   with_temp_file (fun path ->
-      let hdr =
-        Campaign.Journal.line_of_header
-          { Campaign.Journal.jh_backend = Core.Exec_backend.Auto;
-            jh_telemetry = false }
-      in
-      let oc = open_out path in
-      output_string oc (hdr ^ "\n" ^ hdr ^ "\n");
-      close_out oc;
+      let hdr = Campaign.Journal.line_of_header auto_header in
+      write_lines path [ hdr; hdr ];
       match Campaign.Journal.load_full path with
       | _ -> Alcotest.fail "duplicate header accepted"
       | exception Campaign.Journal.Malformed _ -> ())
+
+(* A well-formed entry line is still a corrupt journal when it stands on
+   line 1: every journal opens with its header. *)
+let test_headerless_rejected () =
+  let entry =
+    "wasai-journal-v4\talice\t\
+     FakeEOS=1,FakeNotif=0,MissAuth=0,BlockinfoDep=0,Rollback=1\tbranches=0\t\
+     rounds=3\tseeds=12\tadaptive=0\ttx=12\tsat=0\timprecise=0\t\
+     elapsed=0.010000\tsolver=q:0,b:0,u:0,h:0,m:0,fb:64\tshard=0/1\tseed=42\t\
+     budget=6\texploits=-"
+  in
+  Alcotest.(check bool)
+    "the line is a valid entry" true
+    (Result.is_ok (Campaign.Journal.entry_of_line entry));
+  with_temp_file (fun path ->
+      write_lines path [ entry ];
+      match Campaign.Journal.load_full path with
+      | _ -> Alcotest.fail "headerless journal accepted"
+      | exception Campaign.Journal.Malformed msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names line 1 and the header" msg)
+            true
+            (String.starts_with
+               ~prefix:
+                 (path
+                ^ ":1: malformed journal line (expected a journal header \
+                   (wasai-journal-hdr), got \"wasai-journal-v4\")")
+               msg))
+
+(* The writer stamps the header on a fresh path and on a path that
+   exists but is empty (a [touch], or a crash before the first write), so
+   a later resume under another tier is refused instead of trusted. *)
+let test_empty_file_gets_header () =
+  List.iter
+    (fun fresh ->
+      with_temp_file (fun path ->
+          if fresh then Sys.remove path;
+          Campaign.Journal.close_writer
+            (Campaign.Journal.open_writer ~header:interp_header path);
+          match Campaign.Journal.load_full path with
+          | Some h, [] when h = interp_header -> ()
+          | _ ->
+              Alcotest.failf "%s journal not stamped with its header"
+                (if fresh then "fresh" else "empty")))
+    [ true; false ]
 
 (* ------------------------------------------------------------------ *)
 (* make_config validation                                               *)
@@ -627,10 +655,13 @@ let test_make_config () =
       | Ok b ->
           Alcotest.(check bool) "choice round trip" true (b = backend)
       | Error e -> Alcotest.failf "choice rejected: %s" e)
-    Core.Exec_backend.[ Interp; Compiled; Auto ];
-  match Core.Exec_backend.of_string "jit" with
-  | Ok _ -> Alcotest.fail "bad backend accepted"
-  | Error _ -> ()
+    Core.Exec_backend.[ Interp; Auto ];
+  List.iter
+    (fun s ->
+      match Core.Exec_backend.of_string s with
+      | Ok _ -> Alcotest.failf "bad backend %S accepted" s
+      | Error _ -> ())
+    [ "jit"; "compiled" ]
 
 let () =
   Alcotest.run "compile"
@@ -664,6 +695,10 @@ let () =
             test_header_resume_discipline;
           Alcotest.test_case "header only on line 1" `Quick
             test_header_only_line_one;
+          Alcotest.test_case "headerless journal rejected" `Quick
+            test_headerless_rejected;
+          Alcotest.test_case "empty journal file gets its header" `Quick
+            test_empty_file_gets_header;
         ] );
       ( "config",
         [ Alcotest.test_case "make_config validation" `Quick test_make_config ]

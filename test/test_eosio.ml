@@ -121,8 +121,7 @@ let test_abi_text_rejects () =
     (fun src ->
       match Abi.of_text src with
       | _ -> Alcotest.failf "accepted %S" src
-      | exception Abi.Parse_error _ -> ()
-      | exception Invalid_argument _ -> ())
+      | exception Abi.Parse_error _ -> ())
     [ "transfer"; "transfer(from:name"; "t(x:unknown_type)"; "BAD(x:name)" ]
 
 let test_abi_truncated () =

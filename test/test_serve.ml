@@ -230,7 +230,7 @@ let test_wire_response_roundtrip () =
           rp_qwait = "n:7,mean:0.010000,p50:0.010000,p90:0.020000,p99:0.020000,max:0.020000";
           rp_latency = "n:7,mean:0.100000,p50:0.100000,p90:0.200000,p99:0.200000,max:0.200000";
           rp_uptime_ms = 481200;
-          rp_backend = "compiled";
+          rp_backend = "interp";
         };
       Serve.Wire.MetricsReply
         {
