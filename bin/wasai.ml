@@ -106,29 +106,28 @@ let analyze_cmd bin_path abi_path rounds backend account verbose =
 
 (* ---- gen ------------------------------------------------------------ *)
 
+(* Each [--vuln] name and how it changes the contract spec. *)
+let vuln_flags =
+  let open BG.Contracts in
+  [
+    ("fake-eos", fun _ spec -> { spec with sp_fake_eos_guard = false });
+    ("fake-notif", fun _ spec -> { spec with sp_fake_notif_guard = false });
+    ("miss-auth", fun _ spec -> { spec with sp_auth_check = false });
+    ( "blockinfo",
+      fun _ spec -> { spec with sp_blockinfo = true; sp_payout_inline = true }
+    );
+    ("rollback", fun _ spec -> { spec with sp_payout_inline = true });
+    ( "checks",
+      fun rng spec ->
+        { spec with sp_checks = BG.Verification.random_checks rng ~depth:3 }
+    );
+  ]
+
 let gen_cmd out_path vulns seed obfuscate =
   let rng = Wasai_support.Rand.create (Int64.of_int seed) in
   let account = Name.of_string "victim" in
   let base = BG.Contracts.default_spec account in
-  let spec =
-    List.fold_left
-      (fun spec v ->
-        match v with
-        | "fake-eos" -> { spec with BG.Contracts.sp_fake_eos_guard = false }
-        | "fake-notif" -> { spec with BG.Contracts.sp_fake_notif_guard = false }
-        | "miss-auth" -> { spec with BG.Contracts.sp_auth_check = false }
-        | "blockinfo" ->
-            { spec with BG.Contracts.sp_blockinfo = true; sp_payout_inline = true }
-        | "rollback" -> { spec with BG.Contracts.sp_payout_inline = true }
-        | "checks" ->
-            {
-              spec with
-              BG.Contracts.sp_checks =
-                BG.Verification.random_checks rng ~depth:3;
-            }
-        | other -> failwith ("unknown vulnerability flag: " ^ other))
-      base vulns
-  in
+  let spec = List.fold_left (fun spec inject -> inject rng spec) base vulns in
   let m, abi = BG.Contracts.build spec in
   let m = if obfuscate then BG.Obfuscate.obfuscate m else m in
   write_file out_path (Wasm.Encode.encode m);
@@ -607,10 +606,12 @@ let gen_t =
   in
   let vulns =
     Arg.(
-      value & opt_all string []
+      value
+      & opt_all (enum vuln_flags) []
       & info [ "vuln" ]
           ~doc:
-            "Inject a vulnerability: fake-eos, fake-notif, miss-auth, blockinfo, rollback, checks. Repeatable.")
+            ("Inject a vulnerability: " ^ Arg.doc_alts_enum vuln_flags
+           ^ ". Repeatable."))
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ]) in
   let obf = Arg.(value & flag & info [ "obfuscate" ]) in

@@ -39,7 +39,8 @@ let const_lit ctx b = if b then ctx.true_lit else false_lit ctx
 
 let fresh ctx = Sat.lit_of_var (Sat.new_var ctx.sat) ~positive:true
 
-let add ctx lits = ignore (Sat.add_clause ctx.sat lits)
+let add2 ctx a b = ignore (Sat.add_clause2 ctx.sat a b)
+let add3 ctx a b c = ignore (Sat.add_clause3 ctx.sat a b c)
 
 (* ---- gates ---------------------------------------------------------- *)
 
@@ -51,9 +52,9 @@ let g_and ctx a b =
   else if a = Sat.neg b then false_lit ctx
   else begin
     let v = fresh ctx in
-    add ctx [ Sat.neg v; a ];
-    add ctx [ Sat.neg v; b ];
-    add ctx [ v; Sat.neg a; Sat.neg b ];
+    add2 ctx (Sat.neg v) a;
+    add2 ctx (Sat.neg v) b;
+    add3 ctx v (Sat.neg a) (Sat.neg b);
     v
   end
 
@@ -68,10 +69,10 @@ let g_xor ctx a b =
   else if a = Sat.neg b then ctx.true_lit
   else begin
     let v = fresh ctx in
-    add ctx [ Sat.neg v; a; b ];
-    add ctx [ Sat.neg v; Sat.neg a; Sat.neg b ];
-    add ctx [ v; a; Sat.neg b ];
-    add ctx [ v; Sat.neg a; b ];
+    add3 ctx (Sat.neg v) a b;
+    add3 ctx (Sat.neg v) (Sat.neg a) (Sat.neg b);
+    add3 ctx v a (Sat.neg b);
+    add3 ctx v (Sat.neg a) b;
     v
   end
 
@@ -82,15 +83,12 @@ let g_mux ctx c a b =
   else if a = b then a
   else begin
     let v = fresh ctx in
-    add ctx [ Sat.neg c; Sat.neg a; v ];
-    add ctx [ Sat.neg c; a; Sat.neg v ];
-    add ctx [ c; Sat.neg b; v ];
-    add ctx [ c; b; Sat.neg v ];
+    add3 ctx (Sat.neg c) (Sat.neg a) v;
+    add3 ctx (Sat.neg c) a (Sat.neg v);
+    add3 ctx c (Sat.neg b) v;
+    add3 ctx c b (Sat.neg v);
     v
   end
-
-let _g_maj ctx a b c =
-  g_or ctx (g_and ctx a b) (g_or ctx (g_and ctx a c) (g_and ctx b c))
 
 (* ---- word-level circuits -------------------------------------------- *)
 
@@ -318,7 +316,7 @@ and blast_cmp ctx (op : Expr.cmp) a b : int =
 (** Assert a width-1 expression true. *)
 let assert_true ctx (e : Expr.t) =
   let bits = blast ctx e in
-  add ctx [ bits.(0) ]
+  ignore (Sat.add_clause ctx.sat [ bits.(0) ])
 
 (** Extract the value of an expression variable from the SAT model. *)
 let model_of_var ctx (v : Expr.var) : int64 =

@@ -461,6 +461,10 @@ let rec cmp op a b =
   | Zext (_, e), Const (_, c) when op = Eq ->
       if Int64.equal (mask e.ewidth c) c then cmp Eq e (const e.ewidth c)
       else false_
+  (* b == 1:1  <=>  b, and b == 0:1  <=>  not b (as [not_] builds it):
+     exposes a flipped branch's inner [x == c] to the solver's quick path. *)
+  | _, Const (1, v) when op = Eq ->
+      if v = 1L then a else binop Xor (const 1 1L) a
   (* Constant-on-right normalisation for equality. *)
   | Const _, _ when op = Eq -> cmp Eq b a
   | _ ->
@@ -508,6 +512,10 @@ let concat hi lo =
   match (hi.node, lo.node) with
   | Const (wh, vh), Const (wl, vl) ->
       const (wh + wl) (Int64.logor (Int64.shift_left vh wl) vl)
+  (* Adjacent slices of one term merge, so a word reloaded byte by byte
+     is that word again. *)
+  | Extract (h1, l1, x), Extract (h2, l2, y) when l1 = h2 + 1 && equal x y ->
+      extract h1 l2 x
   | _ -> intern (Concat (hi, lo))
 
 let rec zext w e =

@@ -11,10 +11,12 @@
     normalization pass: constant folding, constant-on-left plus
     deterministic operand ordering for commutative ops, reassociation of
     constant chains, double-negation / extract-of-extract / zext-of-zext
-    collapse.  The ordering comparator is blind to variable ids and node
-    tags (it uses names and widths), so the normal form of a constraint
-    does not depend on allocation order — a requirement of the engine's
-    determinism contract. *)
+    collapse, a width-1 [b == 1:1] to [b] and [b == 0:1] to [not_ b],
+    and a concat of adjacent extracts of one term to one extract (the
+    term itself for a full chain).  The ordering comparator is blind to
+    variable ids and node tags (it uses names and widths), so the normal
+    form of a constraint does not depend on allocation order — a
+    requirement of the engine's determinism contract. *)
 
 type width = int
 

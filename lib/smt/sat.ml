@@ -62,6 +62,7 @@ type t = {
   mutable heap_pos : int array;  (** -1 when not in heap *)
   mutable ok : bool;
   mutable conflicts : int;
+  tmp : Vec.t;  (** the clause [add_tmp] is about to add *)
 }
 
 (* The one watch list every literal starts with.  It is shared by all
@@ -89,6 +90,7 @@ let create () =
     heap_pos = Array.make 1 (-1);
     ok = true;
     conflicts = 0;
+    tmp = Vec.create ();
   }
 
 (* ---- variable/literal helpers ------------------------------------- *)
@@ -250,34 +252,77 @@ let watch_clause s c =
   watch s (neg lits.(c + 1)) c;
   watch s (neg lits.(c + 2)) c
 
-(** Add a clause; returns false if the instance is already unsat. *)
-let add_clause s (lits : int list) : bool =
+(* Add the clause held in [tmp]; false if the instance is already
+   unsat.  Sorted, duplicates are neighbours and so are a literal [2v]
+   and its negation [2v+1]: one pass then drops duplicates and literals
+   false at level 0, and finds a tautology in a literal true at level 0
+   or next to its negation.  (A complement dropped as false leaves its
+   partner true, so dropping first hides no complementary pair.) *)
+let add_tmp s : bool =
   if not s.ok then false
   else begin
-    (* Remove duplicates and true/false literals at level 0.  Sorted, a
-       literal [2v] and its negation [2v+1] are neighbours. *)
-    let lits = List.sort_uniq Int.compare lits in
-    let rec tautology = function
-      | [] -> false
-      | [ l ] -> lit_value s l = 1
-      | l :: (l' :: _ as rest) ->
-          lit_value s l = 1 || l' = neg l || tautology rest
-    in
-    if tautology lits then true
-    else begin
-      let lits = List.filter (fun l -> lit_value s l <> 0) lits in
-      match lits with
-      | [] ->
+    let a = s.tmp.Vec.data in
+    (* Insertion sort: a clause here has a handful of literals. *)
+    for i = 1 to s.tmp.Vec.size - 1 do
+      let l = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > l do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- l
+    done;
+    let k = ref 0 and tautology = ref false in
+    for i = 0 to s.tmp.Vec.size - 1 do
+      let l = a.(i) in
+      match lit_value s l with
+      | 1 -> tautology := true
+      | 0 -> ()
+      | _ ->
+          if !k = 0 || a.(!k - 1) <> l then begin
+            if !k > 0 && a.(!k - 1) = neg l then tautology := true;
+            a.(!k) <- l;
+            incr k
+          end
+    done;
+    if !tautology then true
+    else
+      match !k with
+      | 0 ->
           s.ok <- false;
           false
-      | [ l ] ->
-          enqueue s l no_reason;
+      | 1 ->
+          enqueue s a.(0) no_reason;
           true
-      | _ ->
-          watch_clause s (store s lits);
+      | k ->
+          let c = Vec.size s.lits in
+          Vec.push s.lits k;
+          for i = 0 to k - 1 do
+            Vec.push s.lits a.(i)
+          done;
+          watch_clause s c;
           true
-    end
   end
+
+(** Add a clause; returns false if the instance is already unsat. *)
+let add_clause s (lits : int list) : bool =
+  Vec.shrink s.tmp 0;
+  List.iter (Vec.push s.tmp) lits;
+  add_tmp s
+
+(* The Tseitin gates' clauses, without building a list. *)
+let add_clause2 s a b : bool =
+  Vec.shrink s.tmp 0;
+  Vec.push s.tmp a;
+  Vec.push s.tmp b;
+  add_tmp s
+
+let add_clause3 s a b c : bool =
+  Vec.shrink s.tmp 0;
+  Vec.push s.tmp a;
+  Vec.push s.tmp b;
+  Vec.push s.tmp c;
+  add_tmp s
 
 (* ---- propagation --------------------------------------------------- *)
 

@@ -31,6 +31,11 @@ val add_clause : t -> int list -> bool
 (** Add a clause of literals; returns [false] if the instance is already
     unsatisfiable. *)
 
+val add_clause2 : t -> int -> int -> bool
+val add_clause3 : t -> int -> int -> int -> bool
+(** [add_clause] for two or three literals, without building a list:
+    the same normalisation, so the same clause store. *)
+
 val solve : ?conflict_budget:int -> t -> result
 (** Decide the instance; [Unknown] when the budget is exhausted. *)
 

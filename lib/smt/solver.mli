@@ -4,7 +4,11 @@
     Two tiers: a propagation quick-path for the
     "invertible term == constant" chains that verification-style contracts
     produce, and full bit-blasting + CDCL for everything else under a
-    deterministic conflict budget.
+    deterministic conflict budget.  {!Expr}'s normal form unwraps the
+    width-1 [b == 1:1] / [b == 0:1] that replay wraps around an i32
+    comparison and re-merges a word reloaded byte by byte, so the quick
+    path also decides replay's flipped equalities.  Disequalities
+    ([x != c]) still blast: SAT picks their value.
 
     All accounting is per {!Session} — there is no global mutable solver
     state.  A session belongs to one engine run on one domain; it carries

@@ -86,6 +86,58 @@ let qcheck_random_3sat =
                 cl)
             !clauses)
 
+(* The list-free [add_clause2]/[add_clause3] share [add_clause]'s
+   normalisation.  Few variables make duplicates, complementary pairs and
+   literals already fixed by an earlier unit common; both solvers must
+   then agree on every answer, and with brute force. *)
+let qcheck_fixed_arity_clauses =
+  QCheck.Test.make ~name:"add_clause2/3 = add_clause" ~count:300
+    QCheck.(
+      pair (int_range 1 5)
+        (list_of_size Gen.(int_range 1 24)
+           (list_of_size Gen.(int_range 1 3) (pair (int_bound 4) bool))))
+    (fun (nv, stream) ->
+      let clauses =
+        List.map (List.map (fun (v, pos) -> lit (v mod nv) ~pos)) stream
+      in
+      let by_list = Sat.create () and by_arity = Sat.create () in
+      for _ = 1 to nv do
+        ignore (Sat.new_var by_list);
+        ignore (Sat.new_var by_arity)
+      done;
+      let adds_agree =
+        List.for_all
+          (fun cl ->
+            let fixed =
+              match cl with
+              | [ a; b ] -> Sat.add_clause2 by_arity a b
+              | [ a; b; c ] -> Sat.add_clause3 by_arity a b c
+              | _ -> Sat.add_clause by_arity cl
+            in
+            Sat.add_clause by_list cl = fixed)
+          clauses
+      in
+      let answer = Sat.solve by_list and answer' = Sat.solve by_arity in
+      let vars = List.init nv Fun.id in
+      (* [value v] is variable [v]'s truth value. *)
+      let satisfies value =
+        List.for_all
+          (List.exists (fun l -> value (Sat.var_of_lit l) = (l land 1 = 0)))
+          clauses
+      in
+      let brute_force =
+        List.exists
+          (fun bits -> satisfies (fun v -> (bits lsr v) land 1 = 1))
+          (List.init (1 lsl nv) Fun.id)
+      in
+      adds_agree && answer = answer'
+      && Sat.num_vars by_list = Sat.num_vars by_arity
+      && List.for_all
+           (fun v -> Sat.model_value by_list v = Sat.model_value by_arity v)
+           vars
+      && (answer = Sat.Sat) = brute_force
+      && (answer <> Sat.Sat || satisfies (Sat.model_value by_list)))
+
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -249,6 +301,185 @@ let qcheck_hashcons_eval_identity width =
       Hashtbl.replace env y.Expr.vid yv;
       Expr.eval env e = naive_eval width xv yv t)
 
+(* Property: the two rules that hand replay's flips to the quick path
+   keep the naive bit semantics.  A width-1 [b] compared with [1:1] or
+   [0:1] (either side, up to three times) evaluates like the boolean
+   test, and no such comparison survives at the top.  A concat of slices
+   of x, y and x + y (adjacent or not, one term or several, covering the
+   whole width or part of it, nested either way) evaluates like the
+   shifted-and-or'd slices, and a full adjacent chain of one term is
+   physically that term. *)
+type slice = { sl_term : int; sl_lo : int; sl_len : int }
+(** bits [sl_lo .. sl_lo + sl_len - 1] of term [sl_term] (x, y, x + y) *)
+
+type flip_case =
+  | F_bool of int * [ `P | `Bit of int | `Cmp of Expr.cmp * ntree * ntree * bool ]
+    * (bool * bool) list  (** width index, [b], [(v, const on left)] *)
+  | F_concat of int * slice list * bool
+      (** width index, slices low to high, nested with the high part
+          outermost (as a byte-wise load builds it) *)
+
+let qcheck_flip_normal_forms =
+  let widths = [| 8; 16; 32; 64 |] in
+  let xs = Array.map (Expr.fresh_var ~name:"fx") widths in
+  let ys = Array.map (Expr.fresh_var ~name:"fy") widths in
+  let p = Expr.fresh_var ~name:"fp" 1 in
+  let gen_bool =
+    let open QCheck.Gen in
+    int_bound 3 >>= fun wi ->
+    let b =
+      frequency
+        [
+          (1, return `P);
+          (1, map (fun k -> `Bit (k mod widths.(wi))) nat);
+          ( 4,
+            map3
+              (fun op (ta, tb) neg -> `Cmp (op, ta, tb, neg))
+              (oneofl Expr.[ Eq; Ult; Slt; Ule; Sle ])
+              (pair gen_ntree gen_ntree) bool );
+        ]
+    in
+    map2 (fun b vs -> F_bool (wi, b, vs)) b
+      (list_size (int_range 1 3) (pair bool bool))
+  in
+  let gen_concat =
+    let open QCheck.Gen in
+    int_bound 3 >>= fun wi ->
+    let w = widths.(wi) in
+    bool >>= fun full ->
+    (if full then return (0, w)
+     else
+       int_bound (w - 1) >>= fun a ->
+       map (fun b -> (a, b)) (int_range (a + 1) w))
+    >>= fun (a, b) ->
+    map (fun cuts -> List.sort_uniq compare (a :: b :: cuts))
+      (list_size (int_bound 4) (int_range a b))
+    >>= fun bounds ->
+    let rec segments = function
+      | lo :: (hi :: _ as rest) -> (lo, hi - lo) :: segments rest
+      | _ -> []
+    in
+    int_bound 2 >>= fun main ->
+    let slice (lo, len) =
+      map2
+        (fun other shift ->
+          {
+            sl_term = (match other with Some t -> t | None -> main);
+            sl_lo = (match shift with Some s -> s mod (w - len + 1) | None -> lo);
+            sl_len = len;
+          })
+        (frequency [ (3, return None); (1, map Option.some (int_bound 2)) ])
+        (frequency [ (3, return None); (1, map Option.some nat) ])
+    in
+    map2
+      (fun slices outer_high -> F_concat (wi, slices, outer_high))
+      (flatten_l (List.map slice (segments bounds)))
+      bool
+  in
+  let print (case, xv, yv) =
+    Printf.sprintf "x=%Ld y=%Ld: %s" xv yv
+      (match case with
+       | F_bool (wi, _, vs) ->
+           Printf.sprintf "width-1 term over width %d, %d comparisons"
+             widths.(wi) (List.length vs)
+       | F_concat (wi, slices, outer_high) ->
+           Printf.sprintf "concat over width %d, %s outermost: %s" widths.(wi)
+             (if outer_high then "high" else "low")
+             (String.concat " "
+                (List.map
+                   (fun s ->
+                     Printf.sprintf "t%d[%d+%d]" s.sl_term s.sl_lo s.sl_len)
+                   slices)))
+  in
+  QCheck.Test.make ~name:"flip normal forms = naive bits" ~count:600
+    (QCheck.make ~print
+       QCheck.Gen.(
+         triple
+           (frequency [ (1, gen_bool); (1, gen_concat) ])
+           (map Int64.of_int int) (map Int64.of_int int)))
+    (fun (case, xv, yv) ->
+      let env = Hashtbl.create 4 in
+      Hashtbl.replace env p.Expr.vid (Int64.logand xv 1L);
+      match case with
+      | F_bool (wi, b, vs) ->
+          let w = widths.(wi) and x = xs.(wi) and y = ys.(wi) in
+          Hashtbl.replace env x.Expr.vid xv;
+          Hashtbl.replace env y.Expr.vid yv;
+          let e, naive =
+            match b with
+            | `P -> (Expr.var p, Int64.logand xv 1L = 1L)
+            | `Bit k ->
+                ( Expr.extract k k (Expr.var x),
+                  Int64.logand (Int64.shift_right_logical xv k) 1L = 1L )
+            | `Cmp (op, ta, tb, neg) ->
+                let c =
+                  Expr.cmp op (build_expr w x y ta) (build_expr w x y tb)
+                in
+                ( (if neg then Expr.not_ c else c),
+                  Expr.eval_cmp w op (naive_eval w xv yv ta)
+                    (naive_eval w xv yv tb)
+                  <> neg )
+          in
+          let e, naive =
+            List.fold_left
+              (fun (e, naive) (v, const_left) ->
+                let k = Expr.const 1 (if v then 1L else 0L) in
+                ( (if const_left then Expr.cmp Expr.Eq k e
+                   else Expr.cmp Expr.Eq e k),
+                  naive = v ))
+              (e, naive) vs
+          in
+          let unwrapped =
+            match e.Expr.node with
+            | Expr.Cmp (Expr.Eq, _, { Expr.node = Expr.Const (1, _); _ }) ->
+                false
+            | _ -> true
+          in
+          unwrapped && Expr.eval env e = if naive then 1L else 0L
+      | F_concat (wi, slices, outer_high) ->
+          let w = widths.(wi) and x = xs.(wi) and y = ys.(wi) in
+          Hashtbl.replace env x.Expr.vid xv;
+          Hashtbl.replace env y.Expr.vid yv;
+          let terms =
+            Expr.[| var x; var y; binop Add (var x) (var y) |]
+          in
+          let values =
+            [| Expr.mask w xv; Expr.mask w yv; Expr.mask w (Int64.add xv yv) |]
+          in
+          let piece s =
+            Expr.extract (s.sl_lo + s.sl_len - 1) s.sl_lo terms.(s.sl_term)
+          in
+          let e =
+            if outer_high then
+              List.fold_left (fun acc s -> Expr.concat (piece s) acc)
+                (piece (List.hd slices)) (List.tl slices)
+            else
+              match List.rev slices with
+              | top :: rest ->
+                  List.fold_left (fun acc s -> Expr.concat acc (piece s))
+                    (piece top) rest
+              | [] -> assert false
+          in
+          let naive, _ =
+            List.fold_left
+              (fun (acc, shift) s ->
+                let bits =
+                  Expr.mask s.sl_len
+                    (Int64.shift_right_logical values.(s.sl_term) s.sl_lo)
+                in
+                (Int64.logor acc (Int64.shift_left bits shift), shift + s.sl_len))
+              (0L, 0) slices
+          in
+          let t0 = (List.hd slices).sl_term in
+          let adjacent, covered =
+            List.fold_left
+              (fun (ok, at) s ->
+                (ok && s.sl_term = t0 && s.sl_lo = at, at + s.sl_len))
+              (true, 0) slices
+          in
+          Expr.eval env e = naive
+          && ((not (adjacent && covered = w)) || e == terms.(t0)))
+
 (* ------------------------------------------------------------------ *)
 (* Bit-blasting vs. evaluator                                           *)
 (* ------------------------------------------------------------------ *)
@@ -335,18 +566,22 @@ let blast_agrees_with_eval ?(count = 150) width =
 (* Solver                                                               *)
 (* ------------------------------------------------------------------ *)
 
+let sorted_model (m : Solver.model) =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
+
 let test_solver_quick_path () =
   let open Expr in
   let x = fresh_var ~name:"x" 64 and y = fresh_var ~name:"y" 64 in
   let session = Solver.Session.create () in
-  (match
-     Solver.check ~session
-       [
-         cmp Eq (var x) (const 64 42L);
-         cmp Eq (binop Add (var y) (const 64 1L)) (const 64 100L);
-       ]
-   with
+  let cs =
+    [
+      cmp Eq (var x) (const 64 42L);
+      cmp Eq (binop Add (var y) (const 64 1L)) (const 64 100L);
+    ]
+  in
+  (match Solver.check ~session cs with
   | Solver.Sat m ->
+      Alcotest.(check bool) "model validates" true (Solver.validate_model cs m);
       Alcotest.(check int64) "x" 42L (Hashtbl.find m x.vid);
       Alcotest.(check int64) "y" 99L (Hashtbl.find m y.vid)
   | _ -> Alcotest.fail "expected sat");
@@ -358,14 +593,15 @@ let test_solver_blast_path () =
   let open Expr in
   let x = fresh_var ~name:"x" 32 in
   (* popcnt(x) == 17 and x < 2^20: genuinely needs the circuit. *)
-  match
-    Solver.check
-      [
-        cmp Eq (unop Popcnt (var x)) (const 32 17L);
-        cmp Ult (var x) (const 32 0x100000L);
-      ]
-  with
+  let cs =
+    [
+      cmp Eq (unop Popcnt (var x)) (const 32 17L);
+      cmp Ult (var x) (const 32 0x100000L);
+    ]
+  in
+  match Solver.check cs with
   | Solver.Sat m ->
+      Alcotest.(check bool) "model validates" true (Solver.validate_model cs m);
       let xv = Hashtbl.find m x.vid in
       let pc = Expr.eval_unop 32 Expr.Popcnt xv in
       Alcotest.(check int64) "model has 17 bits set" 17L pc;
@@ -376,10 +612,10 @@ let test_solver_blast_path () =
 let test_solver_mul_equation () =
   let open Expr in
   let x = fresh_var ~name:"x" 16 in
-  match
-    Solver.check [ cmp Eq (binop Mul (var x) (const 16 3L)) (const 16 21L) ]
-  with
+  let cs = [ cmp Eq (binop Mul (var x) (const 16 3L)) (const 16 21L) ] in
+  match Solver.check cs with
   | Solver.Sat m ->
+      Alcotest.(check bool) "model validates" true (Solver.validate_model cs m);
       let xv = Expr.mask 16 (Hashtbl.find m x.vid) in
       Alcotest.(check int64) "3x = 21 (mod 2^16)" 21L
         (Expr.mask 16 (Int64.mul xv 3L))
@@ -413,17 +649,18 @@ let test_solver_budget_unknown () =
      should exhaust. *)
   let x = fresh_var ~name:"x" 24 and y = fresh_var ~name:"y" 24 in
   let product = binop Mul (var x) (var y) in
-  let r =
-    Solver.check ~conflict_budget:1
-      [
-        cmp Eq product (const 24 (Int64.of_int 0x7F4C2D));
-        cmp Ult (const 24 1L) (var x);
-        cmp Ult (const 24 1L) (var y);
-      ]
+  let cs =
+    [
+      cmp Eq product (const 24 (Int64.of_int 0x7F4C2D));
+      cmp Ult (const 24 1L) (var x);
+      cmp Ult (const 24 1L) (var y);
+    ]
   in
-  match r with
+  match Solver.check ~conflict_budget:1 cs with
   | Solver.Unknown -> ()
-  | Solver.Sat _ -> ()  (* found before first conflict: acceptable *)
+  | Solver.Sat m ->
+      (* found before first conflict: acceptable *)
+      Alcotest.(check bool) "model validates" true (Solver.validate_model cs m)
   | Solver.Unsat -> Alcotest.fail "cannot be unsat before exploring"
 
 let test_solver_popcount_unsat () =
@@ -439,17 +676,69 @@ let test_solver_division_semantics () =
   (* x / 0 is all-ones in our semantics: (x udiv 0) == 2^16-1 must be SAT
      for every x, and == 0 must be UNSAT. *)
   let x = fresh_var ~name:"x" 16 in
-  (match
-     Solver.check
-       [ cmp Eq (binop Udiv (var x) (const 16 0L)) (const 16 0xFFFFL) ]
-   with
-  | Solver.Sat _ -> ()
+  let cs = [ cmp Eq (binop Udiv (var x) (const 16 0L)) (const 16 0xFFFFL) ] in
+  (match Solver.check cs with
+  | Solver.Sat m ->
+      Alcotest.(check bool) "model validates" true (Solver.validate_model cs m)
   | _ -> Alcotest.fail "div-by-zero convention should be satisfiable");
   match
     Solver.check [ cmp Eq (binop Udiv (var x) (const 16 0L)) (const 16 0L) ]
   with
   | Solver.Unsat -> ()
   | _ -> Alcotest.fail "expected unsat"
+
+(* Replay's flips of equality branches reach the quick path.  Replay
+   tests an i32 as [nonzero], an i32 comparison is a zext'd width-1
+   [Cmp], and a flip negates the recorded condition; a word reloaded
+   from memory is the concat of the bytes its store sliced off.  Each
+   query must be decided without bit-blasting, with the model a direct
+   bit-blast of the same constraints gives. *)
+let test_solver_replay_flips () =
+  let open Expr in
+  let module Memmodel = Wasai_symbolic.Memmodel in
+  let nonzero e = not_ (cmp Eq e (const (width_of e) 0L)) in
+  let i32 b = zext 32 b in
+  let x = fresh_var ~name:"from" 64 in
+  let c1 = const 64 0x5530EA033482A600L and c2 = const 64 0x3A3D42B7L in
+  let mem = Memmodel.create () in
+  Memmodel.store mem ~addr:64 ~width_bytes:8 (var x);
+  let reloaded = Memmodel.load mem ~addr:64 ~width_bytes:8 in
+  let queries =
+    [
+      (* [if (from == c1)] not taken, flipped *)
+      ("untaken eq", [ not_ (not_ (nonzero (i32 (eq (var x) c1)))) ]);
+      (* [if (from != c1)] taken, flipped *)
+      ("taken ne", [ not_ (nonzero (i32 (ne (var x) c1))) ]);
+      (* an untaken [from == c2] on the path, then the flip above *)
+      ( "prefix and flip",
+        [ not_ (nonzero (i32 (eq (var x) c2))); nonzero (i32 (eq (var x) c1)) ]
+      );
+      ("reloaded word", [ nonzero (i32 (eq reloaded c1)) ]);
+    ]
+  in
+  List.iter
+    (fun (name, cs) ->
+      let session = Solver.Session.create () in
+      let m =
+        match Solver.check ~session cs with
+        | Solver.Sat m -> m
+        | _ -> Alcotest.failf "%s: expected sat" name
+      in
+      let st = Solver.Session.stats session in
+      Alcotest.(check (pair int int))
+        (name ^ ": quick, not blasted") (1, 0)
+        (st.Solver.st_quick, st.Solver.st_blasted);
+      Alcotest.(check bool) (name ^ ": model validates") true
+        (Solver.validate_model cs m);
+      let ctx = Bitblast.create () in
+      List.iter (Bitblast.assert_true ctx) cs;
+      Alcotest.(check bool) (name ^ ": direct blast sat") true
+        (Sat.solve ctx.Bitblast.sat = Sat.Sat);
+      Alcotest.(check (list (pair int int64)))
+        (name ^ ": model = direct blast's")
+        [ (x.vid, Bitblast.model_of_var ctx x) ]
+        (sorted_model m))
+    queries
 
 let test_validate_model () =
   let open Expr in
@@ -562,15 +851,14 @@ let test_session_budget_precedence () =
   let s = Solver.Session.create () in
   match Solver.check ~session:s ~conflict_budget:1 cs with
   | Solver.Unknown -> ()
-  | Solver.Sat _ -> () (* decided before the first conflict: acceptable *)
+  | Solver.Sat m ->
+      (* decided before the first conflict: acceptable *)
+      Alcotest.(check bool) "model validates" true (Solver.validate_model cs m)
   | Solver.Unsat -> Alcotest.fail "cannot be unsat before exploring"
 
 (* ------------------------------------------------------------------ *)
 (* Per-session SAT arena                                                *)
 (* ------------------------------------------------------------------ *)
-
-let sorted_model (m : Solver.model) =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
 
 let same_result a b =
   match (a, b) with
@@ -648,7 +936,7 @@ let qcheck_arena_parity ~count width =
           let reused = Solver.check ~session ~conflict_budget cs in
           let expected =
             match (kind, fresh) with
-            | Pinned, Solver.Sat m -> Solver.validate_model cs m
+            | (Pinned | Free), Solver.Sat m -> Solver.validate_model cs m
             | Pinned, Solver.Unknown | Free, _ -> true
             | Contra, Solver.Unsat | Starved, Solver.Unknown -> true
             | _ -> false
@@ -703,7 +991,8 @@ let qcheck_session_brute_force =
    a context per query.  The query is shaped like a flipped transfer
    branch: a memo-length byte, an amount range and a flipped equality,
    all left to bit-blasting.  Rebuilding the context per query allocates
-   about 134k minor words here; reusing the arena about 57k. *)
+   about 22k minor words here; reusing the arena, whose gates add their
+   clauses without building lists, about 2k. *)
 let test_arena_allocation_guard () =
   let open Expr in
   let len = fresh_var ~name:"memo_len" 32 in
@@ -727,7 +1016,7 @@ let test_arena_allocation_guard () =
    | _ -> Alcotest.fail "expected sat");
   Alcotest.(check int) "both solves blasted" 2
     (Solver.Session.stats s).Solver.st_blasted;
-  let bound = 100_000. in
+  let bound = 10_000. in
   if words > bound then
     Alcotest.failf "re-solve allocated %.0f minor words (bound %.0f)" words
       bound
@@ -743,6 +1032,7 @@ let () =
           Alcotest.test_case "unsat" `Quick test_sat_unsat;
           Alcotest.test_case "pigeonhole" `Quick test_sat_pigeonhole;
           qc qcheck_random_3sat;
+          qc qcheck_fixed_arity_clauses;
         ] );
       ( "expr",
         [
@@ -757,6 +1047,7 @@ let () =
           qc (qcheck_hashcons_eval_identity 8);
           qc (qcheck_hashcons_eval_identity 32);
           qc (qcheck_hashcons_eval_identity 64);
+          qc qcheck_flip_normal_forms;
         ] );
       ( "bitblast",
         [
@@ -768,14 +1059,11 @@ let () =
               let open Expr in
               let p = fresh_var ~name:"p" 1 and q = fresh_var ~name:"q" 1 in
               (* p && !q, q == 0: satisfiable with p=1,q=0. *)
-              match
-                Solver.check
-                  [
-                    and_ (var p) (not_ (var q));
-                    cmp Eq (var q) (const 1 0L);
-                  ]
-              with
+              let cs = [ and_ (var p) (not_ (var q)); cmp Eq (var q) (const 1 0L) ] in
+              match Solver.check cs with
               | Solver.Sat m ->
+                  Alcotest.(check bool) "model validates" true
+                    (Solver.validate_model cs m);
                   Alcotest.(check int64) "p" 1L (Hashtbl.find m p.vid)
               | _ -> Alcotest.fail "expected sat");
         ] );
@@ -791,6 +1079,8 @@ let () =
           Alcotest.test_case "popcount unsat" `Quick test_solver_popcount_unsat;
           Alcotest.test_case "division semantics" `Quick
             test_solver_division_semantics;
+          Alcotest.test_case "replay flips take the quick path" `Quick
+            test_solver_replay_flips;
           Alcotest.test_case "validate_model" `Quick test_validate_model;
           qc qcheck_solver_models_validate;
         ] );
