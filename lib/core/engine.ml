@@ -173,6 +173,8 @@ type session = {
   identities : Name.t list;
   branches : (int * int32, unit) Hashtbl.t;
   solver : Solver.Session.t;
+  inputs : Sym.Convention.inputs list;
+      (** each ABI action's symbolic inputs, shared by all its payloads *)
   exec_stage : Telemetry.stage;
       (** the telemetry stage payload execution is attributed to — fixed
           per session by the resolved execution backend *)
@@ -315,6 +317,17 @@ let setup (cfg : config) (target : target) : session =
              this target no longer has are skipped, not fatal. *)
           ())
     cfg.cfg_preload;
+  (* One solver session per engine run: its budget, counters and SAT
+     arena are confined to this target on this domain.  Creating it
+     compacts the hash-cons table, so the inputs are minted after it:
+     they are this session's own and never outlive it. *)
+  let solver =
+    Solver.Session.create ~conflict_budget:cfg.cfg_solver_budget ()
+  in
+  let inputs =
+    List.map (Sym.Convention.inputs ~max_amount:funding)
+      target.tgt_abi.Abi.abi_actions
+  in
   let session =
     {
       cfg;
@@ -328,9 +341,8 @@ let setup (cfg : config) (target : target) : session =
       rng;
       identities;
       branches = Hashtbl.create 256;
-      (* One solver session per engine run: its budget, counters and
-         SAT arena are confined to this target on this domain. *)
-      solver = Solver.Session.create ~conflict_budget:cfg.cfg_solver_budget ();
+      solver;
+      inputs;
       exec_stage =
         (match cfg.cfg_backend with
         | Exec_backend.Interp -> Telemetry.Exec_interp
@@ -578,68 +590,52 @@ let run_one (s : session) (seed : Seed.t) (channel : Scanner.channel) :
 (* Symbolic feedback: replay, flip, solve, enqueue adaptive seeds. *)
 let feedback (s : session) (seed : Seed.t) (buf : B.t)
     (observed_args : Abi.value list) =
-  match Abi.find_action s.target.tgt_abi seed.Seed.sd_action with
+  match
+    List.find_opt
+      (fun (i : Sym.Convention.inputs) ->
+        Name.equal i.Sym.Convention.in_def.Abi.act_name seed.Seed.sd_action)
+      s.inputs
+  with
   | None -> ()
-  | Some def ->
-      let layout =
-        (* Infer from the call_pre into the action function. *)
-        let candidates = s.scanner.Scanner.action_candidates in
-        let arity = List.length def.Abi.act_params + 1 in
-        let n = B.length buf in
-        let rec entry_args i =
-          if i + 1 >= n then None
-          else if
-            B.kind buf i = B.K_call_pre
-            && B.kind buf (i + 1) = B.K_func_begin
-            && List.mem (B.label buf (i + 1)) candidates
-            && B.op_count buf i >= arity
-          then Some (B.ops buf i)
-          else entry_args (i + 1)
-        in
-        match entry_args 0 with
-        | Some args -> Some (Sym.Convention.infer def args)
-        | None -> None
-      in
-      (match layout with
-       | None -> ()
-       | Some lay ->
-           let result =
-             Sym.Replay.run ~layout:lay ~meta:s.meta
-               ~target_funcs:s.scanner.Scanner.action_candidates buf
-           in
-           s.imprecise <- s.imprecise + result.Sym.Replay.r_imprecise;
-           let side = Sym.Flip.payload_sanity lay ~max_amount:funding in
-           (* Skip flips whose target branch direction is already
-              covered: the coverage map doubles as frontier tracking. *)
-           let skip (c : Sym.Flip.candidate) =
-             match c.Sym.Flip.cand_flipped_dir with
-             | Some dir ->
-                 Hashtbl.mem s.branches
-                   (c.Sym.Flip.cand_site, if dir then 1l else 0l)
-             | None -> false
-           in
-           let solved =
-             Sym.Flip.solve ~session:s.solver ~max_solved:s.cfg.cfg_max_flips
-               ~side ~skip result ~current:observed_args
-           in
-           List.iter
-             (fun (sol : Sym.Flip.solved_seed) ->
-               s.solver_sat <- s.solver_sat + 1;
-               let key =
-                 Name.to_string seed.Seed.sd_action ^ "/"
-                 ^ Abi.serialize sol.Sym.Flip.seed_args
-               in
-               if not (Hashtbl.mem s.seen_seeds key) then begin
-                 Hashtbl.replace s.seen_seeds key ();
-                 s.adaptive_seeds <- s.adaptive_seeds + 1;
-                 Seed.add s.pool
-                   {
-                     Seed.sd_action = seed.Seed.sd_action;
-                     sd_args = sol.Sym.Flip.seed_args;
-                     sd_provenance = Seed.Adaptive sol.Sym.Flip.seed_flipped_site;
-                   }
-               end)
-             solved)
+  | Some inputs -> (
+      match
+        Sym.Replay.run ~inputs ~meta:s.meta
+          ~target_funcs:s.scanner.Scanner.action_candidates buf
+      with
+      | None -> ()
+      | Some result ->
+          s.imprecise <- s.imprecise + result.Sym.Replay.r_imprecise;
+          (* Skip flips whose target branch direction is already
+             covered: the coverage map doubles as frontier tracking. *)
+          let skip (c : Sym.Flip.candidate) =
+            match c.Sym.Flip.cand_flipped_dir with
+            | Some dir ->
+                Hashtbl.mem s.branches
+                  (c.Sym.Flip.cand_site, if dir then 1l else 0l)
+            | None -> false
+          in
+          let solved =
+            Sym.Flip.solve ~session:s.solver ~max_solved:s.cfg.cfg_max_flips
+              ~skip result ~current:observed_args
+          in
+          List.iter
+            (fun (sol : Sym.Flip.solved_seed) ->
+              s.solver_sat <- s.solver_sat + 1;
+              let key =
+                Name.to_string seed.Seed.sd_action ^ "/"
+                ^ Abi.serialize sol.Sym.Flip.seed_args
+              in
+              if not (Hashtbl.mem s.seen_seeds key) then begin
+                Hashtbl.replace s.seen_seeds key ();
+                s.adaptive_seeds <- s.adaptive_seeds + 1;
+                Seed.add s.pool
+                  {
+                    Seed.sd_action = seed.Seed.sd_action;
+                    sd_args = sol.Sym.Flip.seed_args;
+                    sd_provenance = Seed.Adaptive sol.Sym.Flip.seed_flipped_site;
+                  }
+              end)
+            solved)
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                            *)
@@ -673,7 +669,9 @@ let fuzz ?(cfg = default_config)
      is a deterministic function of the target, so both are too. *)
   let interesting = ref [] in
   let record_execution ~round (seed : Seed.t) chans =
-    let before = Hashtbl.copy s.branches in
+    (* The coverage map grows only through this seed's scans, so its
+       growth is the count of edges new to this run. *)
+    let before = Hashtbl.length s.branches in
     let cov = Hashtbl.create 32 in
     (* A corpus replay re-executes a prior run's transaction for its
        coverage and table effects; it must not shift this run's block
@@ -708,9 +706,7 @@ let fuzz ?(cfg = default_config)
     let cover =
       List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) cov [])
     in
-    let fresh =
-      List.length (List.filter (fun e -> not (Hashtbl.mem before e)) cover)
-    in
+    let fresh = Hashtbl.length s.branches - before in
     if fresh > 0 then
       interesting :=
         {

@@ -161,6 +161,9 @@ type session = {
   solver : Solver.Session.t;
       (** the run's solver session: budget, counters, SAT arena;
           confined to this run's domain *)
+  inputs : Wasai_symbolic.Convention.inputs list;
+      (** each ABI action's symbolic inputs, minted after [solver] and
+          shared by every payload of the action in this run *)
   exec_stage : Wasai_telemetry.Telemetry.stage;
       (** the telemetry stage payload execution is attributed to — fixed
           per session by the resolved execution backend *)

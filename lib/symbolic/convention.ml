@@ -20,89 +20,103 @@ type sym_param =
   | SP_asset of { amount : Expr.var; symbol : Expr.var }
   | SP_string of { len : Expr.var; content : Expr.var array }
 
-type layout = {
-  lay_def : Abi.action_def;
-  lay_params : (string * Abi.param_type * sym_param) list;
-  lay_locals : (int * Expr.t) list;
-      (** initial Local-section bindings of the action function *)
+type inputs = {
+  in_def : Abi.action_def;
+  in_params : (string * Abi.param_type * sym_param) list;
+  in_vars : (int, unit) Hashtbl.t;  (** ids of every input variable *)
+  in_sanity : Expr.t list;  (** payload-sanity constraints *)
 }
 
-(** Build the symbolic layout for an action invocation.  [concrete_args]
-    are the runtime argument values observed in the call_pre trace record
-    (used for the pointer locals, which stay concrete — the memory model
-    is concrete-address). *)
-let infer (def : Abi.action_def)
-    (concrete_args : Wasm.Values.value list) : layout =
-  let args = Array.of_list concrete_args in
-  let locals = ref [] in
-  let params = ref [] in
-  (* Local 0: the receiver handle, kept concrete. *)
-  (if Array.length args > 0 then
-     locals := (0, Expr.const 64 (Wasm.Values.raw_bits args.(0))) :: !locals);
-  List.iteri
-    (fun i (pname, ty) ->
-      let slot = i + 1 in
-      let concrete () =
-        if slot < Array.length args then Wasm.Values.raw_bits args.(slot)
-        else 0L
-      in
-      match (ty : Abi.param_type) with
-      | Abi.T_name | Abi.T_u64 ->
-          let v = Expr.fresh_var ~name:pname 64 in
-          locals := (slot, Expr.var v) :: !locals;
-          params := (pname, ty, SP_scalar v) :: !params
-      | Abi.T_u32 ->
-          let v = Expr.fresh_var ~name:pname 32 in
-          locals := (slot, Expr.var v) :: !locals;
-          params := (pname, ty, SP_scalar v) :: !params
-      | Abi.T_asset ->
-          (* Pointer local stays concrete; pointee becomes symbolic. *)
-          let ptr = Int64.to_int (concrete ()) in
-          let amount = Expr.fresh_var ~name:(pname ^ ".amount") 64 in
-          let symbol = Expr.fresh_var ~name:(pname ^ ".symbol") 64 in
-          locals := (slot, Expr.const 32 (Int64.of_int ptr)) :: !locals;
-          params := (pname, ty, SP_asset { amount; symbol }) :: !params
-      | Abi.T_string ->
-          let ptr = Int64.to_int (concrete ()) in
-          let len = Expr.fresh_var ~name:(pname ^ ".len") 8 in
-          (* Content variables cover a bounded window; the engine decides
-             how many bytes the mutated seed actually carries. *)
-          let content =
-            Array.init 32 (fun k ->
-                Expr.fresh_var ~name:(Printf.sprintf "%s[%d]" pname k) 8)
-          in
-          ignore ptr;
-          locals := (slot, Expr.const 32 (Int64.of_int ptr)) :: !locals;
-          params := (pname, ty, SP_string { len; content }) :: !params)
-    def.Abi.act_params;
-  { lay_def = def; lay_params = List.rev !params; lay_locals = List.rev !locals }
+(** Mint the symbolic inputs of one action, once per target session.
+    Every payload of the action replays against the same variables, so a
+    replay walking a path seen before finds its hash-consed terms again.
+    Payload sanity: every asset amount must be positive and payable — a
+    transfer with a non-positive or astronomical quantity is rejected by
+    the token contract before it ever reaches the target. *)
+let inputs ~(max_amount : int64) (def : Abi.action_def) : inputs =
+  let vars = Hashtbl.create 64 in
+  let mint name width =
+    let v = Expr.fresh_var ~name width in
+    Hashtbl.replace vars v.Expr.vid ();
+    v
+  in
+  let params =
+    List.map
+      (fun (pname, ty) ->
+        let sp =
+          match (ty : Abi.param_type) with
+          | Abi.T_name | Abi.T_u64 -> SP_scalar (mint pname 64)
+          | Abi.T_u32 -> SP_scalar (mint pname 32)
+          | Abi.T_asset ->
+              let amount = mint (pname ^ ".amount") 64 in
+              SP_asset { amount; symbol = mint (pname ^ ".symbol") 64 }
+          | Abi.T_string ->
+              let len = mint (pname ^ ".len") 8 in
+              (* Content variables cover a bounded window; the engine
+                 decides how many bytes the mutated seed actually
+                 carries. *)
+              SP_string
+                {
+                  len;
+                  content =
+                    Array.init 32 (fun k ->
+                        mint (Printf.sprintf "%s[%d]" pname k) 8);
+                }
+        in
+        (pname, ty, sp))
+      def.Abi.act_params
+  in
+  let sanity =
+    List.concat_map
+      (fun (_, _, sp) ->
+        match sp with
+        | SP_asset { amount; _ } ->
+            [
+              Expr.cmp Expr.Slt (Expr.const 64 0L) (Expr.var amount);
+              Expr.cmp Expr.Sle (Expr.var amount) (Expr.const 64 max_amount);
+            ]
+        | SP_scalar _ | SP_string _ -> [])
+      params
+  in
+  { in_def = def; in_params = params; in_vars = vars; in_sanity = sanity }
 
-(** Seed the memory model with the symbolic pointees of asset/string
-    parameters (paper Table 2's linear-memory column). *)
-let init_memory (lay : layout) (concrete_args : Wasm.Values.value list)
-    (mem : Memmodel.t) =
+(** Bind one invocation's entry state (Table 2).  [concrete_args] are
+    the arguments of the call_pre into the action function.  Local
+    0, the receiver handle, stays concrete; scalar parameters are their
+    symbolic variables; [asset] and [string] pointer locals stay
+    concrete (the memory model is concrete-address) and their pointees
+    get the symbolic bytes in [mem].  Returns the Local section. *)
+let bind (inp : inputs) (concrete_args : Wasm.Values.value list)
+    (mem : Memmodel.t) : (int, Expr.t) Hashtbl.t =
   let args = Array.of_list concrete_args in
+  let locals = Hashtbl.create 8 in
+  (if Array.length args > 0 then
+     Hashtbl.replace locals 0 (Expr.const 64 (Wasm.Values.raw_bits args.(0))));
   List.iteri
-    (fun i (_, ty, sp) ->
+    (fun i (_, _, sp) ->
       let slot = i + 1 in
       let ptr () =
         if slot < Array.length args then
           Int64.to_int (Wasm.Values.raw_bits args.(slot))
         else 0
       in
-      match (ty, sp) with
-      | Abi.T_asset, SP_asset { amount; symbol } ->
+      match sp with
+      | SP_scalar v -> Hashtbl.replace locals slot (Expr.var v)
+      | SP_asset { amount; symbol } ->
           let p = ptr () in
+          Hashtbl.replace locals slot (Expr.const 32 (Int64.of_int p));
           Memmodel.store mem ~addr:p ~width_bytes:8 (Expr.var amount);
           Memmodel.store mem ~addr:(p + 8) ~width_bytes:8 (Expr.var symbol)
-      | Abi.T_string, SP_string { len; content } ->
+      | SP_string { len; content } ->
           let p = ptr () in
+          Hashtbl.replace locals slot (Expr.const 32 (Int64.of_int p));
           Memmodel.store mem ~addr:p ~width_bytes:1 (Expr.var len);
           Array.iteri
-            (fun k v -> Memmodel.store mem ~addr:(p + 1 + k) ~width_bytes:1 (Expr.var v))
-            content
-      | _ -> ())
-    lay.lay_params
+            (fun k v ->
+              Memmodel.store mem ~addr:(p + 1 + k) ~width_bytes:1 (Expr.var v))
+            content)
+    inp.in_params;
+  locals
 
 (* ------------------------------------------------------------------ *)
 (* Locating action functions                                          *)
@@ -157,7 +171,7 @@ let model_value (model : Wasai_smt.Solver.model) (v : Expr.var) ~(default : int6
 
 (** Turn a solver model into concrete action arguments, falling back to
     the current seed's values for unconstrained parameters. *)
-let concretize (lay : layout) (model : Wasai_smt.Solver.model)
+let concretize (inp : inputs) (model : Wasai_smt.Solver.model)
     ~(current : Abi.value list) : Abi.value list =
   let current = Array.of_list current in
   List.mapi
@@ -227,4 +241,4 @@ let concretize (lay : layout) (model : Wasai_smt.Solver.model)
                  in
                  Char.chr (Int64.to_int (Int64.logand b 0xFFL))))
       | _ -> ( match cur () with Some v -> v | None -> Abi.V_u64 0L))
-    lay.lay_params
+    inp.in_params

@@ -13,21 +13,26 @@ type sym_param =
   | SP_asset of { amount : Expr.var; symbol : Expr.var }
   | SP_string of { len : Expr.var; content : Expr.var array }
 
-type layout = {
-  lay_def : Abi.action_def;
-  lay_params : (string * Abi.param_type * sym_param) list;
-  lay_locals : (int * Expr.t) list;
-      (** initial Local-section bindings of the action function *)
+type inputs = {
+  in_def : Abi.action_def;
+  in_params : (string * Abi.param_type * sym_param) list;
+  in_vars : (int, unit) Hashtbl.t;  (** ids of every input variable *)
+  in_sanity : Expr.t list;  (** payload-sanity constraints *)
 }
 
-val infer : Abi.action_def -> Wasm.Values.value list -> layout
-(** Build the symbolic layout for an invocation; [args] are the concrete
-    runtime arguments from the call_pre record (pointer locals stay
-    concrete). *)
+val inputs : max_amount:int64 -> Abi.action_def -> inputs
+(** Mint an action's symbolic inputs, once per target session: every
+    payload of the action replays against the same variables.  The
+    sanity constraints require every asset amount to lie in
+    (0, [max_amount]]. *)
 
-val init_memory : layout -> Wasm.Values.value list -> Memmodel.t -> unit
-(** Seed the memory model with the symbolic pointees (Table 2's
-    linear-memory column). *)
+val bind :
+  inputs -> Wasm.Values.value list -> Memmodel.t -> (int, Expr.t) Hashtbl.t
+(** One invocation's entry state from the concrete arguments of its
+    call_pre: the action function's Local section (receiver and pointer
+    locals concrete, scalar parameters symbolic), with the symbolic
+    pointees seeded into the memory model (Table 2's linear-memory
+    column). *)
 
 val action_like : Wasm.Types.func_type -> bool
 
@@ -38,6 +43,6 @@ val find_action_functions : Wasm.Ast.module_ -> int list
 val model_value : Wasai_smt.Solver.model -> Expr.var -> default:int64 -> int64
 
 val concretize :
-  layout -> Wasai_smt.Solver.model -> current:Abi.value list -> Abi.value list
+  inputs -> Wasai_smt.Solver.model -> current:Abi.value list -> Abi.value list
 (** Turn a solver model into concrete action arguments; unconstrained
     parameters keep the current seed's values. *)

@@ -3,7 +3,7 @@
     For every conditional state on the executed path whose condition
     involves symbolic input, build the constraint set
 
-      path-prefix (as taken)  ∧  ¬condition
+      payload sanity  ∧  pins  ∧  path-prefix (as taken)  ∧  ¬condition
 
     keeping assert conditions positive, and solve.  Each model concretises
     to a new seed's argument vector. *)
@@ -16,73 +16,52 @@ type candidate = {
   cand_site : int;
   cand_flipped_dir : bool option;
       (** direction the flip targets, for branch conditionals *)
-  cand_constraints : Expr.t list;
+  cand_cond : Expr.t;  (** the conditional as taken *)
+  cand_prefix : Expr.t list;
+      (** the input-mentioning conditions before it, newest first *)
 }
-
-(* Variable ids owned by the input layout. *)
-let layout_var_ids (lay : Convention.layout) : (int, unit) Hashtbl.t =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (_, _, sp) ->
-      match (sp : Convention.sym_param) with
-      | Convention.SP_scalar v -> Hashtbl.replace tbl v.Expr.vid ()
-      | Convention.SP_asset { amount; symbol } ->
-          Hashtbl.replace tbl amount.Expr.vid ();
-          Hashtbl.replace tbl symbol.Expr.vid ()
-      | Convention.SP_string { len; content } ->
-          Hashtbl.replace tbl len.Expr.vid ();
-          Array.iter (fun v -> Hashtbl.replace tbl v.Expr.vid ()) content)
-    lay.Convention.lay_params;
-  tbl
-
-(* "Does this condition mention symbolic input?", memoized across calls:
-   path prefixes overlap almost entirely between candidates, and
-   hash-consing makes the per-node answer stable, so one tag-keyed table
-   turns the candidate scan from O(path²) node visits into O(path). *)
-let mentions_input_memo input_vars =
-  let memo = Hashtbl.create 256 in
-  fun (e : Expr.t) ->
-    Expr.contains_var_memo memo (fun v -> Hashtbl.mem input_vars v.Expr.vid) e
 
 (** Enumerate flip candidates for a replayed path. *)
 let candidates (r : Replay.result) : candidate list =
-  match r.Replay.r_layout with
-  | None -> []
-  | Some lay ->
-      let input_vars = layout_var_ids lay in
-      let mentions = mentions_input_memo input_vars in
-      let path = Array.of_list r.Replay.r_path in
-      let out = ref [] in
-      Array.iteri
-        (fun i (cs : Replay.cond_state) ->
-          (* Only branches are flipped; asserts must stay satisfied.  The
-             condition must involve symbolic input (§3.4.4). *)
-          if cs.Replay.cs_kind <> Replay.K_assert
-             && mentions cs.Replay.cs_cond
-          then begin
-            let prefix =
-              List.filteri (fun j _ -> j < i) (Array.to_list path)
-              |> List.map (fun (p : Replay.cond_state) -> p.Replay.cs_cond)
-              |> List.filter mentions
-            in
-            let flipped = Expr.not_ cs.Replay.cs_cond in
-            out :=
-              {
-                cand_index = i;
-                cand_site = cs.Replay.cs_site;
-                cand_flipped_dir =
-                  (match cs.Replay.cs_kind with
-                   | Replay.K_branch -> Some (not cs.Replay.cs_taken)
-                   | Replay.K_brtable | Replay.K_assert -> None);
-                cand_constraints = prefix @ [ flipped ];
-              }
-              :: !out
-          end)
-        path;
-      (* Deepest conditional first: the newest frontier is the most
-         valuable flip, and under a per-execution solve budget it must
-         not starve behind branches already explored. *)
-      !out
+  let input_vars = r.Replay.r_inputs.Convention.in_vars in
+  (* "Does this condition mention symbolic input?", asked once per path
+     entry.  Conditions share subterms along a path, and hash-consing
+     makes the per-node answer stable, so one tag-keyed memo serves the
+     whole path. *)
+  let memo = Hashtbl.create 256 in
+  let mentions e =
+    Expr.contains_var_memo memo (fun v -> Hashtbl.mem input_vars v.Expr.vid) e
+  in
+  let out = ref [] and prefix = ref [] in
+  List.iteri
+    (fun i (cs : Replay.cond_state) ->
+      if mentions cs.Replay.cs_cond then begin
+        (* Only branches are flipped; asserts must stay satisfied.  The
+           condition must involve symbolic input (§3.4.4). *)
+        if cs.Replay.cs_kind <> Replay.K_assert then
+          out :=
+            {
+              cand_index = i;
+              cand_site = cs.Replay.cs_site;
+              cand_flipped_dir =
+                (match cs.Replay.cs_kind with
+                 | Replay.K_branch -> Some (not cs.Replay.cs_taken)
+                 | Replay.K_brtable | Replay.K_assert -> None);
+              cand_cond = cs.Replay.cs_cond;
+              cand_prefix = !prefix;
+            }
+            :: !out;
+        prefix := cs.Replay.cs_cond :: !prefix
+      end)
+    r.Replay.r_path;
+  (* Deepest conditional first: the newest frontier is the most
+     valuable flip, and under a per-execution solve budget it must
+     not starve behind branches already explored. *)
+  !out
+
+(** The path prefix as taken, then the negated conditional. *)
+let query (c : candidate) : Expr.t list =
+  List.rev_append c.cand_prefix [ Expr.not_ c.cand_cond ]
 
 type solved_seed = {
   seed_args : Wasai_eosio.Abi.value list;
@@ -95,7 +74,7 @@ type solved_seed = {
    the constraint set unsatisfiable spuriously, and it keeps solved seeds
    from clobbering unrelated parameters (e.g. zeroing [from] and breaking
    its own authorisation). *)
-let pin_constraints (lay : Convention.layout)
+let pin_constraints (inp : Convention.inputs)
     ~(current : Wasai_eosio.Abi.value list) ~(free : (int, unit) Hashtbl.t) :
     Expr.t list =
   let module Abi = Wasai_eosio.Abi in
@@ -126,28 +105,12 @@ let pin_constraints (lay : Convention.layout)
                content;
              !acc
          | _ -> [])
-       lay.Convention.lay_params)
-
-(** Payload-sanity constraints: every asset amount must be positive and
-    payable — a transfer with a non-positive or astronomical quantity is
-    rejected by the token contract before it ever reaches the target. *)
-let payload_sanity (lay : Convention.layout) ~(max_amount : int64) :
-    Expr.t list =
-  List.concat_map
-    (fun (_, _, sp) ->
-      match (sp : Convention.sym_param) with
-      | Convention.SP_asset { amount; _ } ->
-          [
-            Expr.cmp Expr.Slt (Expr.const 64 0L) (Expr.var amount);
-            Expr.cmp Expr.Sle (Expr.var amount) (Expr.const 64 max_amount);
-          ]
-      | _ -> [])
-    lay.Convention.lay_params
+       inp.Convention.in_params)
 
 (** Solve candidates (up to [max_solved]), concretising each model into a
     fresh argument vector.  [current] is the executed seed's arguments,
     used for unconstrained parameters. *)
-let solve ?session ?conflict_budget ?(max_solved = 8) ?(side = [])
+let solve ?session ?conflict_budget ?(max_solved = 8)
     ?(skip = fun (_ : candidate) -> false) (r : Replay.result)
     ~(current : Wasai_eosio.Abi.value list) : solved_seed list =
   (* Standalone calls (no session) keep the historical 20k default; with
@@ -157,32 +120,28 @@ let solve ?session ?conflict_budget ?(max_solved = 8) ?(side = [])
     | None, None -> Some 20_000
     | cb, _ -> cb
   in
-  match r.Replay.r_layout with
-  | None -> []
-  | Some lay ->
-      let cands = List.filter (fun c -> not (skip c)) (candidates r) in
-      let solved = ref [] in
-      let count = ref 0 in
-      List.iter
-        (fun c ->
-          if !count < max_solved then
-            let free = Hashtbl.create 8 in
-            (match List.rev c.cand_constraints with
-             | flipped :: _ ->
-                 Expr.iter_vars
-                   (fun v -> Hashtbl.replace free v.Expr.vid ())
-                   flipped
-             | [] -> ());
-            let pins = pin_constraints lay ~current ~free in
-            match
-              Solver.check ?session ?conflict_budget
-                (side @ pins @ c.cand_constraints)
-            with
-            | Solver.Sat model ->
-                incr count;
-                let args = Convention.concretize lay model ~current in
-                solved :=
-                  { seed_args = args; seed_flipped_site = c.cand_site } :: !solved
-            | Solver.Unsat | Solver.Unknown -> ())
-        cands;
-      List.rev !solved
+  let inp = r.Replay.r_inputs in
+  let solved = ref [] in
+  let count = ref 0 in
+  (* A query is built only for a candidate that is kept. *)
+  List.iter
+    (fun c ->
+      if !count < max_solved && not (skip c) then
+        (* Negation keeps the flipped condition's variables. *)
+        let free = Hashtbl.create 8 in
+        Expr.iter_vars
+          (fun v -> Hashtbl.replace free v.Expr.vid ())
+          c.cand_cond;
+        let pins = pin_constraints inp ~current ~free in
+        match
+          Solver.check ?session ?conflict_budget
+            (inp.Convention.in_sanity @ pins @ query c)
+        with
+        | Solver.Sat model ->
+            incr count;
+            let args = Convention.concretize inp model ~current in
+            solved :=
+              { seed_args = args; seed_flipped_site = c.cand_site } :: !solved
+        | Solver.Unsat | Solver.Unknown -> ())
+    (candidates r);
+  List.rev !solved

@@ -1,9 +1,9 @@
 (** Constraint flipping and adaptive-seed generation (§3.4.4).
 
     For every flippable conditional on the executed path, build
-    [path-prefix (as taken) ∧ ¬condition] plus payload-sanity and
-    one-parameter-mutation pins, solve, and concretise each model into a
-    fresh argument vector. *)
+    [path-prefix (as taken) ∧ ¬condition] plus the inputs' payload-sanity
+    constraints and one-parameter-mutation pins, solve, and concretise
+    each model into a fresh argument vector. *)
 
 module Expr = Wasai_smt.Expr
 
@@ -12,14 +12,18 @@ type candidate = {
   cand_site : int;
   cand_flipped_dir : bool option;
       (** direction the flip targets (branch conditionals) *)
-  cand_constraints : Expr.t list;
+  cand_cond : Expr.t;  (** the conditional as taken *)
+  cand_prefix : Expr.t list;
+      (** the input-mentioning conditions before it, newest first *)
 }
-
-val layout_var_ids : Convention.layout -> (int, unit) Hashtbl.t
 
 val candidates : Replay.result -> candidate list
 (** Flip candidates, deepest conditional first; asserts and input-free
     conditions are excluded. *)
+
+val query : candidate -> Expr.t list
+(** The candidate's path prefix as taken, then its negated conditional;
+    {!solve} builds it only for candidates it keeps. *)
 
 type solved_seed = {
   seed_args : Wasai_eosio.Abi.value list;
@@ -27,21 +31,17 @@ type solved_seed = {
 }
 
 val pin_constraints :
-  Convention.layout ->
+  Convention.inputs ->
   current:Wasai_eosio.Abi.value list ->
   free:(int, unit) Hashtbl.t ->
   Expr.t list
 (** Equality pins for every input variable not in [free] — the paper's
     "mutate one parameter" discipline. *)
 
-val payload_sanity : Convention.layout -> max_amount:int64 -> Expr.t list
-(** Every asset amount must be positive and payable. *)
-
 val solve :
   ?session:Wasai_smt.Solver.Session.t ->
   ?conflict_budget:int ->
   ?max_solved:int ->
-  ?side:Expr.t list ->
   ?skip:(candidate -> bool) ->
   Replay.result ->
   current:Wasai_eosio.Abi.value list ->

@@ -3,11 +3,12 @@
 
     Replay starts at the action function (challenge C3): records before
     the target's [function_begin] are skipped, and the target's Local
-    section is initialised from the {!Convention} layout.  Loads and
-    stores use concrete addresses from the trace (challenge C2).  Each
-    executed conditional state (br_if / if / br_table / eosio_assert) is
-    recorded with its as-taken symbolic condition, forming the path
-    condition that {!Flip} negates branch by branch. *)
+    section and argument pointees are bound from the action's
+    {!Convention.inputs}.  Loads and stores use concrete addresses from
+    the trace (challenge C2).  Each executed conditional state (br_if /
+    if / br_table / eosio_assert) is recorded with its as-taken symbolic
+    condition, forming the path condition that {!Flip} negates branch by
+    branch. *)
 
 module Wasm = Wasai_wasm
 module Ast = Wasm.Ast
@@ -33,9 +34,7 @@ type frame = {
 
 
 type pending_call = {
-  pc_site : int;
   pc_sym_args : Expr.t list;
-  pc_concrete_args : Values.value list;
   pc_import : string option;  (** Some name when the callee is an import *)
 }
 
@@ -47,47 +46,19 @@ type t = {
   mutable returns : Expr.t list list;  (** μ_r *)
   mutable path : cond_state list;  (** reversed *)
   mutable pending : pending_call option;
-
-  mutable started : bool;
   mutable finished : bool;
-  target_funcs : int list;
-  layout : Convention.layout option;
-  entry_arity : int option;  (** expected argument count of the target *)
-  mutable last_pre_args : Values.value list;
-      (** most recent call_pre arguments seen before the target starts *)
   mutable imprecise : int;  (** stack-underflow fallbacks *)
 }
 
 type result = {
   r_path : cond_state list;  (** in execution order *)
-  r_layout : Convention.layout option;
-  r_mem : Memmodel.t;
+  r_inputs : Convention.inputs;
   r_imprecise : int;
 }
 
 let width_of_numtype = function
   | Types.I32 | Types.F32 -> 32
   | Types.I64 | Types.F64 -> 64
-
-let create ?(layout : Convention.layout option) ?entry_arity
-    ~(meta : Trace.meta) ~(target_funcs : int list) () : t =
-  {
-    meta;
-    mem = Memmodel.create ();
-    globals = Hashtbl.create 8;
-    frames = [];
-    returns = [];
-    path = [];
-    pending = None;
-
-    started = false;
-    finished = false;
-    target_funcs;
-    layout;
-    entry_arity;
-    last_pre_args = [];
-    imprecise = 0;
-  }
 
 let current_frame t =
   match t.frames with
@@ -371,131 +342,106 @@ let host_call (t : t) (name : string) (sym_args : Expr.t list)
   List.iter (fun v -> push t (concrete_of_value v)) concrete_results
 
 let step (t : t) (cur : Cur.t) =
-  if not t.finished then
-    match Cur.kind cur with
-    | B.K_func_begin ->
-        let f = Cur.label cur in
-        if t.started then begin
-          let locals = Hashtbl.create 8 in
-          (match t.pending with
-           | Some pc ->
-               List.iteri (fun i e -> Hashtbl.replace locals i e) pc.pc_sym_args;
-               t.pending <- None
-           | None -> ());
-          t.frames <- { stack = []; locals; fr_func = f } :: t.frames
+  match Cur.kind cur with
+  | B.K_func_begin ->
+      let locals = Hashtbl.create 8 in
+      (match t.pending with
+       | Some pc ->
+           List.iteri (fun i e -> Hashtbl.replace locals i e) pc.pc_sym_args;
+           t.pending <- None
+       | None -> ());
+      t.frames <- { stack = []; locals; fr_func = Cur.label cur } :: t.frames
+  | B.K_func_end -> (
+      match t.frames with
+      | [ _last ] -> t.finished <- true  (* target function returned *)
+      | f :: rest ->
+          t.returns <- f.stack :: t.returns;
+          t.frames <- rest
+      | [] -> t.finished <- true)
+  | B.K_instr -> step_instr t cur
+  | B.K_call_pre ->
+      let instr = (Trace.site_of t.meta (Cur.label cur)).Trace.site_instr in
+      let n_args, _ = callee_arity t instr in
+      let sym_args =
+        if n_args <= List.length (current_frame t).stack then pop_n t n_args
+        else begin
+          (* Fall back to the concrete argument values. *)
+          t.imprecise <- t.imprecise + 1;
+          (current_frame t).stack <- [];
+          List.map concrete_of_value (Cur.ops cur)
         end
-        else if
-          List.mem f t.target_funcs
-          &&
-          (* The entry must match the layout's arity: obfuscation helpers
-             and sibling actions in the candidate set are skipped. *)
-          (* The dispatcher may pad extra arguments (one shared action
-             signature), so at-least is the right test. *)
-          match (t.layout, t.entry_arity) with
-          | Some _, Some expected -> List.length t.last_pre_args >= expected
-          | _ -> true
-        then begin
-          t.started <- true;
-          let locals = Hashtbl.create 8 in
-          (match t.layout with
-           | Some lay ->
-               List.iter (fun (i, e) -> Hashtbl.replace locals i e) lay.Convention.lay_locals
-           | None -> ());
-          t.frames <- [ { stack = []; locals; fr_func = f } ]
-        end
-    | B.K_func_end ->
-        if t.started then begin
-          match t.frames with
-          | [ _last ] -> t.finished <- true  (* target function returned *)
-          | f :: rest ->
-              t.returns <- f.stack :: t.returns;
-              t.frames <- rest
-          | [] -> t.finished <- true
-        end
-    | B.K_instr -> if t.started then step_instr t cur
-    | B.K_call_pre ->
-        let site = Cur.label cur in
-        let args = Cur.ops cur in
-        t.last_pre_args <- args;
-        if t.started then begin
-          let instr = (Trace.site_of t.meta site).Trace.site_instr in
-          let n_args, _ = callee_arity t instr in
-          let sym_args =
-            if n_args <= List.length (current_frame t).stack then pop_n t n_args
-            else begin
-              (* Fall back to the concrete argument values. *)
-              t.imprecise <- t.imprecise + 1;
-              (current_frame t).stack <- [];
-              List.map concrete_of_value args
-            end
-          in
-          t.pending <-
-            Some
-              {
-                pc_site = site;
-                pc_sym_args = sym_args;
-                pc_concrete_args = args;
-                pc_import = import_name_of_callee t instr;
-              }
-        end
-    | B.K_call_post ->
-        if t.started then begin
-          let results = Cur.ops cur in
-          match t.pending with
-          | Some pc ->
-              (* No function_begin in between: host function. *)
-              t.pending <- None;
-              let name = match pc.pc_import with Some n -> n | None -> "?" in
-              host_call t name pc.pc_sym_args results
-          | None -> (
-              (* Wasm callee: pull returns from μ_r. *)
-              match t.returns with
-              | rts :: rest ->
-                  t.returns <- rest;
-                  let needed = List.length results in
-                  let available = List.length rts in
-                  if available >= needed then
-                    List.iter (fun e -> push t e)
-                      (List.rev (List.filteri (fun i _ -> i < needed) rts))
-                  else List.iter (fun v -> push t (concrete_of_value v)) results
-              | [] -> List.iter (fun v -> push t (concrete_of_value v)) results)
-        end
+      in
+      t.pending <-
+        Some
+          { pc_sym_args = sym_args; pc_import = import_name_of_callee t instr }
+  | B.K_call_post -> (
+      let results = Cur.ops cur in
+      match t.pending with
+      | Some pc ->
+          (* No function_begin in between: host function. *)
+          t.pending <- None;
+          let name = match pc.pc_import with Some n -> n | None -> "?" in
+          host_call t name pc.pc_sym_args results
+      | None -> (
+          (* Wasm callee: pull returns from μ_r. *)
+          match t.returns with
+          | rts :: rest ->
+              t.returns <- rest;
+              let needed = List.length results in
+              let available = List.length rts in
+              if available >= needed then
+                List.iter (fun e -> push t e)
+                  (List.rev (List.filteri (fun i _ -> i < needed) rts))
+              else List.iter (fun v -> push t (concrete_of_value v)) results
+          | [] -> List.iter (fun v -> push t (concrete_of_value v)) results))
 
-(** Replay a full trace; [layout] provides the symbolic inputs of the
-    target action function. *)
-let run ?layout ~(meta : Trace.meta) ~(target_funcs : int list)
-    (buf : B.t) : result =
-  let entry_arity =
-    Option.map
-      (fun (lay : Convention.layout) ->
-        List.length lay.Convention.lay_params + 1)
-      layout
+(** Replay a full trace from the action function's entry: the first
+    call_pre whose callee is a candidate action function and which
+    carries at least the action's arguments plus the receiver (obfuscation
+    helpers and sibling actions with fewer arguments are skipped; the
+    dispatcher may pad extra arguments, so at-least is the right test).
+    [None] when no call matches. *)
+let run ~(inputs : Convention.inputs) ~(meta : Trace.meta)
+    ~(target_funcs : int list) (buf : B.t) : result option =
+  let arity = List.length inputs.Convention.in_params + 1 in
+  (* [cur] runs one event ahead of [pre] for the call_pre/begin pair. *)
+  let pre = Cur.make buf and cur = Cur.make buf in
+  let rec find_entry () =
+    Cur.seek cur (Cur.pos pre + 1);
+    if Cur.at_end cur then false
+    else if
+      Cur.kind pre = B.K_call_pre
+      && Cur.kind cur = B.K_func_begin
+      && List.mem (Cur.label cur) target_funcs
+      && Cur.op_count pre >= arity
+    then true
+    else begin
+      Cur.advance pre;
+      find_entry ()
+    end
   in
-  let t = create ?layout ?entry_arity ~meta ~target_funcs () in
-  (match (layout, entry_arity) with
-   | Some lay, Some arity ->
-       (* Seed pointee memory using the first call_pre into the target;
-          [peek] trails one event ahead for the pre/begin pair. *)
-       let here = Cur.make buf and peek = Cur.make buf in
-       let rec find_entry () =
-         Cur.seek peek (Cur.pos here + 1);
-         if Cur.at_end peek then ()
-         else if
-           Cur.kind here = B.K_call_pre
-           && Cur.kind peek = B.K_func_begin
-           && List.mem (Cur.label peek) target_funcs
-           && Cur.op_count here >= arity
-         then Convention.init_memory lay (Cur.ops here) t.mem
-         else begin
-           Cur.advance here;
-           find_entry ()
-         end
-       in
-       find_entry ()
-   | _ -> ());
-  let cur = Cur.make buf in
-  while not (Cur.at_end cur) do
-    step t cur;
-    Cur.advance cur
-  done;
-  { r_path = List.rev t.path; r_layout = t.layout; r_mem = t.mem; r_imprecise = t.imprecise }
+  if not (find_entry ()) then None
+  else begin
+    let mem = Memmodel.create () in
+    let locals = Convention.bind inputs (Cur.ops pre) mem in
+    let t =
+      {
+        meta;
+        mem;
+        globals = Hashtbl.create 8;
+        frames = [ { stack = []; locals; fr_func = Cur.label cur } ];
+        returns = [];
+        path = [];
+        pending = None;
+        finished = false;
+        imprecise = 0;
+      }
+    in
+    Cur.advance cur;
+    while not (t.finished || Cur.at_end cur) do
+      step t cur;
+      Cur.advance cur
+    done;
+    Some
+      { r_path = List.rev t.path; r_inputs = inputs; r_imprecise = t.imprecise }
+  end

@@ -20,18 +20,18 @@ type cond_state = {
 
 type result = {
   r_path : cond_state list;  (** in execution order *)
-  r_layout : Convention.layout option;
-  r_mem : Memmodel.t;
+  r_inputs : Convention.inputs;  (** the inputs the path is stated over *)
   r_imprecise : int;  (** stack-underflow fallbacks (0 on healthy traces) *)
 }
 
 val run :
-  ?layout:Convention.layout ->
+  inputs:Convention.inputs ->
   meta:Trace.meta ->
   target_funcs:int list ->
   Trace.Buffer.t ->
-  result
-(** Replay a trace buffer via a single forward cursor; [layout] provides
-    the symbolic inputs of the target action function, whose entry is
-    located by candidate set and argument arity.  The buffer is only
-    read, never mutated. *)
+  result option
+(** Replay a trace buffer from the action function's entry: the first
+    call_pre into one of [target_funcs] carrying at least the action's
+    arguments plus the receiver, whose concrete arguments bind [inputs]
+    ({!Convention.bind}).  [None] when no call matches.  The buffer is
+    only read, never mutated. *)

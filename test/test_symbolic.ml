@@ -119,27 +119,37 @@ let entry_args_of =
     Wasm.Values.I32 1056l;  (* memo ptr *)
   ]
 
+(* What the engine funds its adversary identities with: every payable
+   amount lies below it. *)
+let max_amount = 0x1000_0000_0000_0000L
+
+let transfer_inputs () = Sym.Convention.inputs ~max_amount Abi.transfer_action
+
 let test_convention_layout () =
-  let lay = Sym.Convention.infer Abi.transfer_action entry_args_of in
-  Alcotest.(check int) "four params" 4 (List.length lay.Sym.Convention.lay_params);
+  let inp = transfer_inputs () in
+  Alcotest.(check int) "four params" 4 (List.length inp.Sym.Convention.in_params);
+  Alcotest.(check int) "two sanity bounds on the amount" 2
+    (List.length inp.Sym.Convention.in_sanity);
   (* Local 0 concrete (self), locals 1-2 symbolic names, 3-4 concrete ptrs. *)
-  let locals = lay.Sym.Convention.lay_locals in
-  Alcotest.(check int) "five locals" 5 (List.length locals);
-  (match (List.assoc 0 locals).Expr.node with
+  let locals = Sym.Convention.bind inp entry_args_of (Sym.Memmodel.create ()) in
+  Alcotest.(check int) "five locals" 5 (Hashtbl.length locals);
+  (match (Hashtbl.find locals 0).Expr.node with
    | Expr.Const (64, v) -> Alcotest.(check int64) "self concrete" (n "victim") v
-   | _ -> Alcotest.failf "local 0 not concrete: %s" (Expr.to_string (List.assoc 0 locals)));
-  (match (List.assoc 1 locals).Expr.node with
-   | Expr.Var _ -> ()
-   | _ -> Alcotest.failf "local 1 not symbolic: %s" (Expr.to_string (List.assoc 1 locals)));
-  match (List.assoc 3 locals).Expr.node with
+   | _ -> Alcotest.failf "local 0 not concrete: %s" (Expr.to_string (Hashtbl.find locals 0)));
+  (match (Hashtbl.find locals 1).Expr.node with
+   | Expr.Var v ->
+       Alcotest.(check bool) "local 1 is an input" true
+         (Hashtbl.mem inp.Sym.Convention.in_vars v.Expr.vid)
+   | _ -> Alcotest.failf "local 1 not symbolic: %s" (Expr.to_string (Hashtbl.find locals 1)));
+  match (Hashtbl.find locals 3).Expr.node with
   | Expr.Const (32, 1040L) -> ()
-  | _ -> Alcotest.failf "quantity ptr wrong: %s" (Expr.to_string (List.assoc 3 locals))
+  | _ -> Alcotest.failf "quantity ptr wrong: %s" (Expr.to_string (Hashtbl.find locals 3))
 
 let test_convention_memory_init () =
   (* Table 2: the asset pointee holds the amount and symbol variables. *)
-  let lay = Sym.Convention.infer Abi.transfer_action entry_args_of in
+  let inp = transfer_inputs () in
   let mem = Sym.Memmodel.create () in
-  Sym.Convention.init_memory lay entry_args_of mem;
+  ignore (Sym.Convention.bind inp entry_args_of mem);
   let amount = Sym.Memmodel.load mem ~addr:1040 ~width_bytes:8 in
   Alcotest.(check bool) "amount symbolic" true (Expr.has_any_var amount);
   let stores, _, _ = Sym.Memmodel.stats mem in
@@ -147,10 +157,10 @@ let test_convention_memory_init () =
   Alcotest.(check int) "table-2 stores" 35 stores
 
 let test_convention_concretize () =
-  let lay = Sym.Convention.infer Abi.transfer_action entry_args_of in
+  let inp = transfer_inputs () in
   let model : Solver.model = Hashtbl.create 4 in
   (* Assign only the amount; everything else keeps the current seed. *)
-  (match lay.Sym.Convention.lay_params with
+  (match inp.Sym.Convention.in_params with
    | _ :: _ :: (_, _, Sym.Convention.SP_asset { amount; _ }) :: _ ->
        Hashtbl.replace model amount.Expr.vid 777L
    | _ -> Alcotest.fail "unexpected layout");
@@ -160,7 +170,7 @@ let test_convention_concretize () =
       Abi.V_asset (Asset.eos_of_units 5L); Abi.V_string "memo";
     ]
   in
-  match Sym.Convention.concretize lay model ~current with
+  match Sym.Convention.concretize inp model ~current with
   | [ Abi.V_name f; Abi.V_name t; Abi.V_asset a; Abi.V_string m ] ->
       Alcotest.(check int64) "from kept" (n "alice") f;
       Alcotest.(check int64) "to kept" (n "victim") t;
@@ -169,9 +179,9 @@ let test_convention_concretize () =
   | _ -> Alcotest.fail "bad concretisation"
 
 let test_concretize_string_extension () =
-  let lay = Sym.Convention.infer Abi.transfer_action entry_args_of in
+  let inp = transfer_inputs () in
   let model : Solver.model = Hashtbl.create 4 in
-  (match lay.Sym.Convention.lay_params with
+  (match inp.Sym.Convention.in_params with
    | [ _; _; _; (_, _, Sym.Convention.SP_string { content; _ }) ] ->
        (* Constrain byte 7 of the memo: the string must grow to carry it. *)
        Hashtbl.replace model content.(7).Expr.vid (Int64.of_int (Char.code 'Z'))
@@ -182,7 +192,7 @@ let test_concretize_string_extension () =
       Abi.V_asset (Asset.eos_of_units 1L); Abi.V_string "ab";
     ]
   in
-  match Sym.Convention.concretize lay model ~current with
+  match Sym.Convention.concretize inp model ~current with
   | [ _; _; _; Abi.V_string m ] ->
       Alcotest.(check int) "extended to 8" 8 (String.length m);
       Alcotest.(check char) "byte 7 assigned" 'Z' m.[7];
@@ -231,24 +241,10 @@ let trace_of_spec ?(amount = 77L) ?(memo = "hi") spec =
   in
   (collector, meta, candidates)
 
-let replay_transfer buf meta candidates =
-  let module B = Wasabi.Trace.Buffer in
-  let len = B.length buf in
-  let rec entry_args i =
-    if i + 1 >= len then None
-    else if
-      B.kind buf i = B.K_call_pre
-      && B.kind buf (i + 1) = B.K_func_begin
-      && List.mem (B.label buf (i + 1)) candidates
-      && B.op_count buf i >= 5
-    then Some (B.ops buf i)
-    else entry_args (i + 1)
-  in
-  match entry_args 0 with
+let replay_transfer ?(inputs = transfer_inputs ()) buf meta candidates =
+  match Sym.Replay.run ~inputs ~meta ~target_funcs:candidates buf with
+  | Some r -> r
   | None -> Alcotest.fail "no action-function entry in trace"
-  | Some args ->
-      let lay = Sym.Convention.infer Abi.transfer_action args in
-      (lay, Sym.Replay.run ~layout:lay ~meta ~target_funcs:candidates buf)
 
 let gated_spec =
   {
@@ -260,7 +256,7 @@ let gated_spec =
 
 let test_replay_path () =
   let records, meta, candidates = trace_of_spec gated_spec in
-  let _, res = replay_transfer records meta candidates in
+  let res = replay_transfer records meta candidates in
   (* skip_self (taken=false), notif guard (taken=false), amount check
      (taken=true -> trap). *)
   Alcotest.(check int) "three conditionals" 3 (List.length res.Sym.Replay.r_path);
@@ -272,7 +268,7 @@ let test_replay_path () =
 
 let test_flip_solves_gate () =
   let records, meta, candidates = trace_of_spec gated_spec in
-  let _, res = replay_transfer records meta candidates in
+  let res = replay_transfer records meta candidates in
   let current =
     [
       Abi.V_name (n "attacker"); Abi.V_name (n "victim");
@@ -293,7 +289,7 @@ let test_flip_solves_gate () =
 
 let test_flip_pins_other_params () =
   let records, meta, candidates = trace_of_spec gated_spec in
-  let _, res = replay_transfer records meta candidates in
+  let res = replay_transfer records meta candidates in
   let current =
     [
       Abi.V_name (n "attacker"); Abi.V_name (n "victim");
@@ -320,7 +316,7 @@ let test_flip_pins_other_params () =
 
 let test_flip_deepest_first () =
   let records, meta, candidates = trace_of_spec gated_spec in
-  let _, res = replay_transfer records meta candidates in
+  let res = replay_transfer records meta candidates in
   match Sym.Flip.candidates res with
   | first :: _ ->
       (* Deepest conditional (the amount check, index 2) comes first. *)
@@ -333,7 +329,7 @@ let test_flip_respects_asserts () =
     { (BG.Contracts.default_spec (n "victim")) with BG.Contracts.sp_min_bet = Some 10L }
   in
   let records, meta, candidates = trace_of_spec ~amount:50L spec in
-  let _, res = replay_transfer records meta candidates in
+  let res = replay_transfer records meta candidates in
   let cands = Sym.Flip.candidates res in
   List.iter
     (fun (c : Sym.Flip.candidate) ->
@@ -368,7 +364,7 @@ let test_replay_obfuscated () =
   let candidates =
     Sym.Convention.find_action_functions meta.Wasabi.Trace.instrumented
   in
-  let _, res = replay_transfer records meta candidates in
+  let res = replay_transfer records meta candidates in
   let current =
     [
       Abi.V_name (n "attacker"); Abi.V_name (n "victim");
@@ -491,7 +487,7 @@ let test_brtable_and_select_replay () =
   let candidates =
     Sym.Convention.find_action_functions meta.Wasabi.Trace.instrumented
   in
-  let _, res = replay_transfer records meta candidates in
+  let res = replay_transfer records meta candidates in
   (* A br_table conditional on the symbolic amount is recorded... *)
   let brtables =
     List.filter
@@ -526,7 +522,7 @@ let test_brtable_and_select_replay () =
 (* Every as-taken condition the replayer records must evaluate to true
    under the inputs the execution actually observed: the symbolic path
    condition characterises the concrete path. *)
-let env_of_layout (lay : Sym.Convention.layout) ~from ~to_ ~(amount : int64)
+let env_of_inputs (inp : Sym.Convention.inputs) ~from ~to_ ~(amount : int64)
     ~(symbol : int64) ~(memo : string) : (int, int64) Hashtbl.t =
   let env = Hashtbl.create 16 in
   List.iter
@@ -548,40 +544,45 @@ let env_of_layout (lay : Sym.Convention.layout) ~from ~to_ ~(amount : int64)
               in
               Hashtbl.replace env v.Expr.vid b)
             content)
-    lay.Sym.Convention.lay_params;
+    inp.Sym.Convention.in_params;
   env
+
+(* A random milestone/check contract and one genuine transfer payload
+   into it. *)
+let random_transfer_case (seed, amt_seed) =
+  let rng = Wasai_support.Rand.create (Int64.of_int seed) in
+  let base = BG.Contracts.default_spec (n "victim") in
+  let spec =
+    {
+      base with
+      BG.Contracts.sp_fake_notif_guard = Wasai_support.Rand.bool rng;
+      sp_auth_check = false;
+      sp_min_bet = (if Wasai_support.Rand.bool rng then Some 10L else None);
+      sp_checks =
+        BG.Verification.random_checks rng ~depth:(Wasai_support.Rand.int rng 3);
+      sp_milestones =
+        BG.Verification.random_milestones rng
+          ~depth:(Wasai_support.Rand.int rng 5);
+      sp_payout_inline = Wasai_support.Rand.bool rng;
+    }
+  in
+  let amount = Int64.of_int (1 + (amt_seed mod 1_000_000)) in
+  let memo = Wasai_support.Rand.ascii_string rng (Wasai_support.Rand.int rng 12) in
+  (spec, amount, memo)
 
 let qcheck_replay_soundness =
   QCheck.Test.make ~name:"as-taken path conditions hold concretely" ~count:40
     QCheck.(pair (int_bound 1_000_000) (int_bound 1_000_000))
-    (fun (seed, amt_seed) ->
-      let rng = Wasai_support.Rand.create (Int64.of_int seed) in
-      let base = BG.Contracts.default_spec (n "victim") in
-      let spec =
-        {
-          base with
-          BG.Contracts.sp_fake_notif_guard = Wasai_support.Rand.bool rng;
-          sp_auth_check = false;
-          sp_min_bet =
-            (if Wasai_support.Rand.bool rng then Some 10L else None);
-          sp_checks =
-            BG.Verification.random_checks rng
-              ~depth:(Wasai_support.Rand.int rng 3);
-          sp_milestones =
-            BG.Verification.random_milestones rng
-              ~depth:(Wasai_support.Rand.int rng 5);
-          sp_payout_inline = Wasai_support.Rand.bool rng;
-        }
-      in
-      let amount = Int64.of_int (1 + (amt_seed mod 1_000_000)) in
-      let memo = Wasai_support.Rand.ascii_string rng (Wasai_support.Rand.int rng 12) in
+    (fun case ->
+      let spec, amount, memo = random_transfer_case case in
       let records, meta, candidates = trace_of_spec ~amount ~memo spec in
-      let lay, res = replay_transfer records meta candidates in
+      let res = replay_transfer records meta candidates in
+      let inp = res.Sym.Replay.r_inputs in
       let env =
-        env_of_layout lay ~from:(n "attacker") ~to_:(n "victim") ~amount
+        env_of_inputs inp ~from:(n "attacker") ~to_:(n "victim") ~amount
           ~symbol:Asset.Symbol.eos ~memo
       in
-      let input_vars = Sym.Flip.layout_var_ids lay in
+      let input_vars = inp.Sym.Convention.in_vars in
       let evaluable =
         List.filter
           (fun (cs : Sym.Replay.cond_state) ->
@@ -601,6 +602,83 @@ let qcheck_replay_soundness =
            (fun (cs : Sym.Replay.cond_state) ->
              Expr.eval env cs.Sym.Replay.cs_cond = 1L)
            evaluable)
+
+let transfer_args ~amount ~memo =
+  [
+    Abi.V_name (n "attacker"); Abi.V_name (n "victim");
+    Abi.V_asset (Asset.eos_of_units amount); Abi.V_string memo;
+  ]
+
+(* Inputs are minted once per session and shared by every payload of an
+   action.  Solving a trace with inputs that already served other
+   payloads must give the seeds freshly minted inputs give, in the same
+   order, and each query built lazily for a kept candidate must be the
+   eager [prefix @ [¬c]]. *)
+let qcheck_shared_inputs_solve_as_fresh =
+  QCheck.Test.make ~name:"shared inputs solve as fresh inputs" ~count:20
+    QCheck.(triple (int_bound 1_000_000) (int_bound 1_000_000) (int_bound 1_000_000))
+    (fun (seed, amt_seed, other_seed) ->
+      let spec, amount, memo = random_transfer_case (seed, amt_seed) in
+      let shared = transfer_inputs () in
+      let other = Wasai_support.Rand.create (Int64.of_int other_seed) in
+      for _ = 1 to 2 do
+        let amount = Int64.of_int (1 + Wasai_support.Rand.int other 1_000_000) in
+        let memo =
+          Wasai_support.Rand.ascii_string other (Wasai_support.Rand.int other 12)
+        in
+        let buf, meta, candidates = trace_of_spec ~amount ~memo spec in
+        let r = replay_transfer ~inputs:shared buf meta candidates in
+        ignore (Sym.Flip.solve r ~current:(transfer_args ~amount ~memo))
+      done;
+      let buf, meta, candidates = trace_of_spec ~amount ~memo spec in
+      let current = transfer_args ~amount ~memo in
+      let r = replay_transfer ~inputs:shared buf meta candidates in
+      let with_shared = Sym.Flip.solve r ~current in
+      let with_fresh =
+        Sym.Flip.solve (replay_transfer buf meta candidates) ~current
+      in
+      let mentions =
+        Expr.contains_var (fun v ->
+            Hashtbl.mem shared.Sym.Convention.in_vars v.Expr.vid)
+      in
+      let path = Array.of_list r.Sym.Replay.r_path in
+      let cond i = path.(i).Sym.Replay.cs_cond in
+      let eager (c : Sym.Flip.candidate) =
+        List.filter mentions
+          (List.init c.Sym.Flip.cand_index cond)
+        @ [ Expr.not_ (cond c.Sym.Flip.cand_index) ]
+      in
+      with_shared = with_fresh
+      && List.for_all
+           (fun c -> List.equal ( == ) (eager c) (Sym.Flip.query c))
+           (Sym.Flip.candidates r))
+
+(* The mechanism: a replay walking a path the session's inputs have
+   already walked finds every interned node again.  Replaying one trace
+   twice adds no node to the intern table, yields physically equal path
+   conditions, and allocates only the walk itself. *)
+let test_shared_inputs_refind_terms () =
+  let buf, meta, candidates = trace_of_spec gated_spec in
+  let inputs = transfer_inputs () in
+  let r1 = replay_transfer ~inputs buf meta candidates in
+  let live () = fst (Expr.hashcons_stats ()) in
+  let nodes = live () in
+  let before = Gc.minor_words () in
+  let r2 = replay_transfer ~inputs buf meta candidates in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "no node added" nodes (live ());
+  let conds (r : Sym.Replay.result) =
+    List.map (fun (cs : Sym.Replay.cond_state) -> cs.Sym.Replay.cs_cond)
+      r.Sym.Replay.r_path
+  in
+  Alcotest.(check bool) "path conditions are ==" true
+    (List.equal ( == ) (conds r1) (conds r2));
+  (* About 1,350 words here; a replay against freshly minted inputs
+     takes about 4,300 and adds ~70 nodes. *)
+  let bound = 2_500. in
+  if words > bound then
+    Alcotest.failf "second replay allocated %.0f minor words (bound %.0f)"
+      words bound
 
 (* Cursor-based replay must walk the same path whether it reads the live
    buffer or one rebuilt from the compat record view: the of_records
@@ -631,8 +709,8 @@ let qcheck_replay_buffer_roundtrip_identity =
       let buf' =
         Wasabi.Trace.Compat.of_records (Wasabi.Trace.Compat.to_list buf)
       in
-      let _, r1 = replay_transfer buf meta candidates in
-      let _, r2 = replay_transfer buf' meta candidates in
+      let r1 = replay_transfer buf meta candidates in
+      let r2 = replay_transfer buf' meta candidates in
       let skeleton (r : Sym.Replay.result) =
         List.map
           (fun (cs : Sym.Replay.cond_state) ->
@@ -680,5 +758,8 @@ let () =
             test_brtable_and_select_replay;
           QCheck_alcotest.to_alcotest qcheck_replay_soundness;
           QCheck_alcotest.to_alcotest qcheck_replay_buffer_roundtrip_identity;
+          Alcotest.test_case "shared inputs re-find their terms" `Quick
+            test_shared_inputs_refind_terms;
+          QCheck_alcotest.to_alcotest qcheck_shared_inputs_solve_as_fresh;
         ] );
     ]
