@@ -12,8 +12,6 @@ type options = {
   opt_rounds : int;  (** fuzzing iterations per contract *)
   opt_fig3_contracts : int;
   opt_seed : int64;
-  opt_backend : Core.Exec_backend.choice;
-      (** execution tier every WASAI run in the harness uses *)
 }
 
 let default_options =
@@ -22,7 +20,6 @@ let default_options =
     opt_rounds = 24;
     opt_fig3_contracts = 30;
     opt_seed = 42L;
-    opt_backend = Core.Exec_backend.Auto;
   }
 
 let flag_of_class = function
@@ -45,14 +42,13 @@ let target_of_sample (s : BG.Corpus.sample) : Core.Engine.target =
 type tool_verdict = Core.Scanner.flag -> bool option
 
 (* Run WASAI on one sample. *)
-let run_wasai ~rounds ?(backend = Core.Exec_backend.Auto) (s : BG.Corpus.sample)
-    : tool_verdict =
+let run_wasai ~rounds (s : BG.Corpus.sample) : tool_verdict =
   let o =
     Core.Engine.fuzz
       ~cfg:
         (Core.Engine.make_config ~rounds
            ~rng_seed:(Int64.of_int s.BG.Corpus.smp_id)
-           ~backend ())
+           ())
       (target_of_sample s)
   in
   fun f -> Some (Core.Engine.flagged o f)
@@ -82,8 +78,8 @@ type table_row = {
 
 let tools = [ "WASAI"; "EOSFuzzer"; "EOSAFE" ]
 
-let evaluate_corpus ~(rounds : int) ?(backend = Core.Exec_backend.Auto)
-    (corpus : BG.Corpus.sample list) : table_row list =
+let evaluate_corpus ~(rounds : int) (corpus : BG.Corpus.sample list) :
+    table_row list =
   let conf : (string * BG.Contracts.vuln, Metrics.confusion) Hashtbl.t =
     Hashtbl.create 32
   in
@@ -109,7 +105,7 @@ let evaluate_corpus ~(rounds : int) ?(backend = Core.Exec_backend.Auto)
               ~truth:s.BG.Corpus.smp_truth ~predicted
         | None -> ()
       in
-      record "WASAI" (run_wasai ~rounds ~backend s);
+      record "WASAI" (run_wasai ~rounds s);
       record "EOSFuzzer" (run_eosfuzzer ~rounds s);
       record "EOSAFE" (run_eosafe s))
     corpus;
@@ -193,98 +189,6 @@ let print_table ~(title : string)
           (pct_string (f1 c))))
     totals;
   print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable results (--json FILE)                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Collected alongside the text scoreboard and flushed as one JSON
-   document when the harness was invoked with [--json FILE].  Each
-   experiment contributes its headline metrics plus every bound it
-   asserts (the conditions that make the smoke pass or fail), so CI can
-   trend the numbers without scraping the prose. *)
-
-type json_bound = {
-  jb_name : string;  (** what is being asserted, e.g. "overhead" *)
-  jb_bound : string;  (** the bound itself, e.g. "<= 1.03x" *)
-  jb_pass : bool;
-}
-
-type json_result = {
-  jr_experiment : string;
-  jr_metrics : (string * float) list;
-  jr_bounds : json_bound list;
-}
-
-let json_path : string option ref = ref None
-let json_results : json_result list ref = ref []
-
-let json_record ~experiment ?(bounds = []) metrics =
-  if !json_path <> None then
-    json_results :=
-      { jr_experiment = experiment; jr_metrics = metrics; jr_bounds = bounds }
-      :: !json_results
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* JSON has no NaN/Infinity literals; non-finite metrics become null. *)
-let json_float v =
-  if not (Float.is_finite v) then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6g" v
-
-let json_flush () =
-  match !json_path with
-  | None -> ()
-  | Some path ->
-      let b = Buffer.create 4096 in
-      Buffer.add_string b "{\n  \"schema\": \"wasai-bench-v1\",\n  \"results\": [";
-      List.iteri
-        (fun i r ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\n    {\n      \"experiment\": \"%s\",\n      \"metrics\": {"
-               (json_escape r.jr_experiment));
-          List.iteri
-            (fun j (k, v) ->
-              if j > 0 then Buffer.add_char b ',';
-              Buffer.add_string b
-                (Printf.sprintf "\n        \"%s\": %s" (json_escape k)
-                   (json_float v)))
-            r.jr_metrics;
-          Buffer.add_string b "\n      },\n      \"bounds\": [";
-          List.iteri
-            (fun j bd ->
-              if j > 0 then Buffer.add_char b ',';
-              Buffer.add_string b
-                (Printf.sprintf
-                   "\n        { \"name\": \"%s\", \"bound\": \"%s\", \"pass\": %b }"
-                   (json_escape bd.jb_name) (json_escape bd.jb_bound)
-                   bd.jb_pass))
-            r.jr_bounds;
-          Buffer.add_string b "\n      ]\n    }")
-        (List.rev !json_results);
-      Buffer.add_string b "\n  ]\n}\n";
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Buffer.contents b));
-      Printf.printf "\nwrote %d experiment result(s) to %s\n"
-        (List.length !json_results) path
 
 (* Paper numbers, Tables 4, 5 and 6. *)
 let paper_table4 : (BG.Contracts.vuln * paper_cell list) list =

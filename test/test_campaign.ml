@@ -519,9 +519,10 @@ let test_targets ~count =
       })
     (BG.Corpus.coverage_set ~count ())
 
-let campaign_config ?journal ?resume ?max_targets ?shard ?corpus ~jobs () =
+let campaign_config ?journal ?resume ?max_targets ?shard ?corpus ?telemetry
+    ~jobs () =
   Campaign.Campaign.make_config ~jobs ?journal ?resume ?max_targets ?shard
-    ?corpus
+    ?corpus ?telemetry
     ~engine:(Core.Engine.make_config ~rounds:(6) ())
     ()
 
@@ -641,6 +642,75 @@ let test_duplicate_names_rejected () =
   | _ -> Alcotest.fail "duplicate target names accepted"
   | exception Invalid_argument _ -> ()
 
+module Telemetry = Wasai_telemetry.Telemetry
+
+(* Zero interference: with telemetry on, a campaign writes the same
+   journal entries and verdict report as with it off, at jobs 1 and 2;
+   only the header gains its stamp.  [elapsed=] is wall-clock and differs
+   between any two runs, so it is zeroed through an entry round-trip;
+   every other byte is compared as written.  Worker completion order is
+   not canonical, so entries at jobs 2 compare as multisets. *)
+let test_telemetry_identity () =
+  let targets = test_targets ~count:6 in
+  let read_lines path =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  let canonical line =
+    match Campaign.Journal.entry_of_line line with
+    | Ok e ->
+        Campaign.Journal.line_of_entry
+          { e with Campaign.Journal.je_elapsed = 0. }
+    | Error e -> Alcotest.fail e
+  in
+  let run ~jobs ~telemetry =
+    let journal = temp_journal "telemetry" in
+    let r =
+      Campaign.Campaign.run (campaign_config ~journal ~telemetry ~jobs ()) targets
+    in
+    let lines = read_lines journal in
+    Sys.remove journal;
+    ( List.hd lines,
+      List.map canonical (List.tl lines),
+      Campaign.Campaign.verdicts_text r )
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+    (fun () ->
+      let h_off1, e_off1, v_off1 = run ~jobs:1 ~telemetry:false in
+      let h_on1, e_on1, v_on1 = run ~jobs:1 ~telemetry:true in
+      let report = Telemetry.report_text (Telemetry.snapshot ()) in
+      Telemetry.disable ();
+      Telemetry.reset ();
+      let h_off2, e_off2, v_off2 = run ~jobs:2 ~telemetry:false in
+      let h_on2, e_on2, v_on2 = run ~jobs:2 ~telemetry:true in
+      Alcotest.(check (list string)) "headers: off unstamped, on stamped"
+        [
+          "wasai-journal-hdr\tbackend=auto";
+          "wasai-journal-hdr\tbackend=auto\ttelemetry=on";
+          "wasai-journal-hdr\tbackend=auto";
+          "wasai-journal-hdr\tbackend=auto\ttelemetry=on";
+        ]
+        [ h_off1; h_on1; h_off2; h_on2 ];
+      Alcotest.(check int) "one entry per target" 6 (List.length e_off1);
+      Alcotest.(check (list string)) "jobs 1: entries identical" e_off1 e_on1;
+      let sorted = List.sort compare in
+      Alcotest.(check (list string)) "jobs 2 off: same entry multiset"
+        (sorted e_off1) (sorted e_off2);
+      Alcotest.(check (list string)) "jobs 2 on: same entry multiset"
+        (sorted e_off1) (sorted e_on2);
+      List.iter
+        (Alcotest.(check string) "verdict report identical" v_off1)
+        [ v_on1; v_off2; v_on2 ];
+      List.iter
+        (fun stage ->
+          Alcotest.(check bool) ("telemetry report names " ^ stage) true
+            (contains ~sub:stage report))
+        [ "exec_"; "solver_"; "oracle"; "journal_fsync" ])
+
 (* ------------------------------------------------------------------ *)
 (* Seed corpus: warm reruns, scheduling, dry-run plans                  *)
 (* ------------------------------------------------------------------ *)
@@ -683,6 +753,20 @@ let test_corpus_warm_cold () =
   Alcotest.(check string) "warm verdicts byte-identical across jobs"
     (Campaign.Campaign.verdicts_text warm1)
     (Campaign.Campaign.verdicts_text warm2);
+  (* Minimizing the stored corpus keeps every target's edge union. *)
+  let stored = SeedCorpus.load cold_file in
+  let minimized = SeedCorpus.minimize stored in
+  Alcotest.(check bool) "minimize does not grow the corpus" true
+    (SeedCorpus.size minimized <= SeedCorpus.size stored);
+  Alcotest.(check (list string)) "minimize keeps every target"
+    (SeedCorpus.targets stored) (SeedCorpus.targets minimized);
+  List.iter
+    (fun target ->
+      Alcotest.(check int)
+        (target ^ ": edge union survives minimize")
+        (SeedCorpus.edge_union (SeedCorpus.records_for stored ~target))
+        (SeedCorpus.edge_union (SeedCorpus.records_for minimized ~target)))
+    (SeedCorpus.targets stored);
   List.iter Sys.remove [ cold_file; w1; w2 ]
 
 let sized_targets sizes =
@@ -854,6 +938,12 @@ let test_contract_files_skips_bad_entries () =
   let dir = Filename.temp_file "wasai-test-discover" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
+  let files = [ "good.wasm"; "good.wasm.abi"; "empty.wasm"; "notes.txt" ] in
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun f -> Sys.remove (Filename.concat dir f)) files;
+      Sys.rmdir (Filename.concat dir "subdir.wasm");
+      Sys.rmdir dir)
+  @@ fun () ->
   let write name contents =
     let oc = open_out_bin (Filename.concat dir name) in
     output_string oc contents;
@@ -954,6 +1044,8 @@ let () =
             test_resume_rejects_mismatched_stamp;
           Alcotest.test_case "duplicate names rejected" `Quick
             test_duplicate_names_rejected;
+          Alcotest.test_case "telemetry off/on byte identity" `Quick
+            test_telemetry_identity;
         ] );
       ( "corpus",
         [

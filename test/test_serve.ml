@@ -1,9 +1,10 @@
 (* Tests for the serve subsystem: wire grammar round-trip and
    strictness, admission control (explicit BUSY backpressure), streamed
-   verdict parity with a batch campaign, cached replay, and the headline
-   restart-safety property — kill -9 (simulated in-process and real,
-   via fork + SIGKILL) followed by --resume yields per-tenant reports
-   byte-identical to an uninterrupted run. *)
+   verdict parity with a batch campaign for two concurrent tenants,
+   cached replay, and the headline restart-safety property — kill -9
+   (simulated in-process and real, via fork + SIGKILL) followed by
+   --resume yields per-tenant reports byte-identical to an uninterrupted
+   run. *)
 
 module Core = Wasai_core
 module Wasm = Wasai_wasm
@@ -17,15 +18,24 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
+let rec rm_rf path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
 (* Unix-domain socket paths are capped around 104 bytes, so anchor
-   everything under a short /tmp directory instead of TMPDIR. *)
-let scratch tag =
+   everything under a short /tmp directory instead of TMPDIR, and remove
+   it (roots, journals, corpora, sockets) when the test ends. *)
+let with_scratch tag f =
   let dir =
     Printf.sprintf "/tmp/wasai-serve-%d-%s-%d" (Unix.getpid ()) tag
       (int_of_float (Unix.gettimeofday () *. 1000.) mod 1_000_000)
   in
   Unix.mkdir dir 0o755;
-  dir
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let engine rounds =
   (Core.Engine.make_config ~rounds:(rounds) ())
@@ -334,15 +344,44 @@ let connect_retry path =
 (* ------------------------------------------------------------------ *)
 
 let test_serve_parity_and_cache () =
-  let dir = scratch "parity" in
+  with_scratch "parity" @@ fun dir ->
   let rounds = 6 in
-  let contracts = sample_contracts ~count:4 in
+  let all = sample_contracts ~count:8 in
+  let contracts = List.filteri (fun i _ -> i < 4) all in
+  let bob = List.filteri (fun i _ -> i >= 4) all in
   let cfg =
     Serve.Serve.make_config ~root:(Filename.concat dir "root")
       ~socket:(Filename.concat dir "s.sock") ~jobs:2 ~depth:16
       ~engine:(engine rounds) ()
   in
+  (* streamed verdicts == batch campaign over the same bytes *)
+  let check_parity tenant contracts (batch : Serve.Client.batch) =
+    let serve_report =
+      Campaign.Campaign.of_entries
+        (List.map (fun (_, _, e) -> e) batch.Serve.Client.bt_verdicts)
+    in
+    let campaign_report = batch_campaign_report ~rounds contracts in
+    Alcotest.(check string)
+      (tenant ^ ": verdict parity with batch campaign")
+      (Campaign.Campaign.verdicts_text campaign_report)
+      (Campaign.Campaign.verdicts_text serve_report);
+    Alcotest.(check string)
+      (tenant ^ ": evidence parity with batch campaign")
+      (Campaign.Campaign.evidence_text campaign_report)
+      (Campaign.Campaign.evidence_text serve_report)
+  in
   with_daemon cfg (fun _ ->
+      (* a second tenant submits from its own domain while alice's batch
+         runs *)
+      let bob_batch =
+        Domain.spawn (fun () ->
+            let c = connect_retry cfg.Serve.Serve.sv_socket in
+            Fun.protect
+              ~finally:(fun () -> Serve.Client.close c)
+              (fun () ->
+                Serve.Client.submit_batch c ~tenant:"bob"
+                  (client_contracts bob)))
+      in
       let c = connect_retry cfg.Serve.Serve.sv_socket in
       Fun.protect
         ~finally:(fun () -> Serve.Client.close c)
@@ -366,18 +405,8 @@ let test_serve_parity_and_cache () =
               Alcotest.(check bool) "first run is fresh" true
                 (kind = Serve.Wire.Fresh))
             batch.Serve.Client.bt_verdicts;
-          (* streamed verdicts == batch campaign over the same bytes *)
-          let serve_report =
-            Campaign.Campaign.of_entries
-              (List.map (fun (_, _, e) -> e) batch.Serve.Client.bt_verdicts)
-          in
-          let campaign_report = batch_campaign_report ~rounds contracts in
-          Alcotest.(check string) "verdict parity with batch campaign"
-            (Campaign.Campaign.verdicts_text campaign_report)
-            (Campaign.Campaign.verdicts_text serve_report);
-          Alcotest.(check string) "evidence parity with batch campaign"
-            (Campaign.Campaign.evidence_text campaign_report)
-            (Campaign.Campaign.evidence_text serve_report);
+          check_parity "alice" contracts batch;
+          check_parity "bob" bob (Domain.join bob_batch);
           (* resubmission replays from the journal without re-fuzzing *)
           let again =
             Serve.Client.submit_batch c ~tenant:"alice"
@@ -419,8 +448,13 @@ let test_serve_parity_and_cache () =
           Serve.Client.send c Serve.Wire.Metrics;
           match Serve.Client.next c with
           | Serve.Wire.MetricsReply { rp_body } ->
-              Alcotest.(check bool) "exposition names the tenant" true
-                (contains ~sub:"wasai_tenant_completed_total{tenant=\"alice\"}"
+              Alcotest.(check bool) "exposition counts the tenant's verdicts"
+                true
+                (contains
+                   ~sub:
+                     (Printf.sprintf
+                        "wasai_tenant_completed_total{tenant=\"alice\"} %d\n"
+                        (List.length contracts))
                    rp_body);
               Alcotest.(check bool) "exposition covers telemetry stages" true
                 (contains ~sub:"wasai_stage_seconds_total{stage=" rp_body);
@@ -445,7 +479,7 @@ let test_serve_parity_and_cache () =
           | _ -> Alcotest.fail "expected METRICS reply"))
 
 let test_serve_backpressure () =
-  let dir = scratch "busy" in
+  with_scratch "busy" @@ fun dir ->
   let contracts = sample_contracts ~count:4 in
   let cfg =
     Serve.Serve.make_config ~root:(Filename.concat dir "root")
@@ -519,7 +553,7 @@ let test_serve_backpressure () =
    linear in its length and answer with one short ERR, not echo the
    line back. *)
 let test_serve_long_malformed_line () =
-  let dir = scratch "long" in
+  with_scratch "long" @@ fun dir ->
   let cfg =
     Serve.Serve.make_config ~root:(Filename.concat dir "root")
       ~socket:(Filename.concat dir "s.sock") ~jobs:1 ~depth:4
@@ -592,7 +626,7 @@ let run_uninterrupted ~dir ~rounds contracts =
 (* In-process kill -9: abort drops the queued backlog un-journaled, the
    resumed daemon replays the journal and re-fuzzes only the rest. *)
 let test_abort_resume_identity () =
-  let dir = scratch "abort" in
+  with_scratch "abort" @@ fun dir ->
   let rounds = 6 in
   let contracts = sample_contracts ~count:6 in
   let reference = run_uninterrupted ~dir ~rounds contracts in
@@ -663,7 +697,7 @@ let test_abort_resume_identity () =
 (* A resumed daemon must reject journals stamped under a different
    engine configuration — Campaign.merge's validation discipline. *)
 let test_resume_rejects_mismatched_stamp () =
-  let dir = scratch "stamp" in
+  with_scratch "stamp" @@ fun dir ->
   let rounds = 6 in
   let contracts = sample_contracts ~count:1 in
   let root = Filename.concat dir "root" in

@@ -20,15 +20,24 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
+let rec rm_rf path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
 (* Unix-domain socket paths are capped around 104 bytes, so anchor
-   everything under a short /tmp directory instead of TMPDIR. *)
-let scratch tag =
+   everything under a short /tmp directory instead of TMPDIR, and remove
+   it when the test ends. *)
+let with_scratch tag f =
   let dir =
     Printf.sprintf "/tmp/wasai-kill-%d-%s-%d" (Unix.getpid ()) tag
       (int_of_float (Unix.gettimeofday () *. 1000.) mod 1_000_000)
   in
   Unix.mkdir dir 0o755;
-  dir
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let rounds = 6
 let engine = (Core.Engine.make_config ~rounds:(rounds) ())
@@ -69,8 +78,8 @@ let with_daemon cfg f =
 
 let fail fmt = Printf.ksprintf failwith fmt
 
-let () =
-  let dir = scratch "sigkill" in
+(* Returns the uninterrupted and the resumed tenant report. *)
+let kill_and_resume dir =
   let contracts = sample_contracts ~count:6 in
   let root = Filename.concat dir "root" in
   let socket = Filename.concat dir "s.sock" in
@@ -162,7 +171,10 @@ let () =
           if cached <> journaled then
             fail "expected %d cached replays after resume, got %d" journaled
               cached));
-  let resumed = Serve.Serve.tenant_report ~root ~engine "alice" in
+  (reference, Serve.Serve.tenant_report ~root ~engine "alice")
+
+let () =
+  let reference, resumed = with_scratch "sigkill" kill_and_resume in
   if String.equal reference resumed then
     print_endline
       "test_serve_kill: OK (kill -9 + resume report byte-identical)"
