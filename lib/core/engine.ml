@@ -174,7 +174,8 @@ type session = {
   branches : (int * int32, unit) Hashtbl.t;
   solver : Solver.Session.t;
   inputs : Sym.Convention.inputs list;
-      (** each ABI action's symbolic inputs, shared by all its payloads *)
+      (** each ABI action's symbolic inputs and the state built from
+          them, shared by all its payloads *)
   exec_stage : Telemetry.stage;
       (** the telemetry stage payload execution is attributed to — fixed
           per session by the resolved execution backend *)
@@ -317,10 +318,11 @@ let setup (cfg : config) (target : target) : session =
              this target no longer has are skipped, not fatal. *)
           ())
     cfg.cfg_preload;
-  (* One solver session per engine run: its budget, counters and SAT
-     arena are confined to this target on this domain.  Creating it
-     compacts the hash-cons table, so the inputs are minted after it:
-     they are this session's own and never outlive it. *)
+  (* One solver session per engine run: its budget and counters are
+     confined to this target on this domain, and its blasts reuse the
+     domain's SAT arena.  Creating it compacts the hash-cons table, so
+     the inputs are minted after it: they, and everything built from
+     them, are this session's own and never outlive it. *)
   let solver =
     Solver.Session.create ~conflict_budget:cfg.cfg_solver_budget ()
   in

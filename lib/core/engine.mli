@@ -159,11 +159,12 @@ type session = {
   identities : Name.t list;
   branches : (int * int32, unit) Hashtbl.t;
   solver : Solver.Session.t;
-      (** the run's solver session: budget, counters, SAT arena;
-          confined to this run's domain *)
+      (** the run's solver session: budget and counters; confined to
+          this run's domain, whose SAT arena its blasts reuse *)
   inputs : Wasai_symbolic.Convention.inputs list;
       (** each ABI action's symbolic inputs, minted after [solver] and
-          shared by every payload of the action in this run *)
+          shared, with the state built from them, by every payload of
+          the action in this run *)
   exec_stage : Wasai_telemetry.Telemetry.stage;
       (** the telemetry stage payload execution is attributed to — fixed
           per session by the resolved execution backend *)

@@ -610,7 +610,13 @@ let contains_var pred e = contains_var_memo (Hashtbl.create 64) pred e
 let has_any_var e = e.evars
 
 (** Substitute variables by [f] in each expression; [None] keeps the
-    variable.  One memo, keyed by tag, serves the whole list. *)
+    variable.  One memo, keyed by tag, serves the whole list.  A node
+    none of whose children changed is returned as it is: every node is
+    the output of its smart constructor, and a smart constructor applied
+    to its own output's children returns that output, so re-interning
+    would find the node itself.  Children are visited right to left, as
+    OCaml evaluates [binop op (go a) (go b)], so a substitution interns
+    its new nodes in the order a full rebuild does. *)
 let subst_all (f : var -> t option) (es : t list) : t list =
   let memo = Hashtbl.create 64 in
   let rec go e =
@@ -623,14 +629,35 @@ let subst_all (f : var -> t option) (es : t list) : t list =
             match e.node with
             | Const _ -> e
             | Var v -> ( match f v with Some e' -> e' | None -> e)
-            | Unop (op, a) -> unop op (go a)
-            | Binop (op, a, b) -> binop op (go a) (go b)
-            | Cmp (op, a, b) -> cmp op (go a) (go b)
-            | Ite (c, a, b) -> ite (go c) (go a) (go b)
-            | Extract (hi, lo, a) -> extract hi lo (go a)
-            | Concat (a, b) -> concat (go a) (go b)
-            | Zext (w, a) -> zext w (go a)
-            | Sext (w, a) -> sext w (go a)
+            | Unop (op, a) ->
+                let a' = go a in
+                if a' == a then e else unop op a'
+            | Binop (op, a, b) ->
+                let b' = go b in
+                let a' = go a in
+                if a' == a && b' == b then e else binop op a' b'
+            | Cmp (op, a, b) ->
+                let b' = go b in
+                let a' = go a in
+                if a' == a && b' == b then e else cmp op a' b'
+            | Ite (c, a, b) ->
+                let b' = go b in
+                let a' = go a in
+                let c' = go c in
+                if c' == c && a' == a && b' == b then e else ite c' a' b'
+            | Extract (hi, lo, a) ->
+                let a' = go a in
+                if a' == a then e else extract hi lo a'
+            | Concat (a, b) ->
+                let b' = go b in
+                let a' = go a in
+                if a' == a && b' == b then e else concat a' b'
+            | Zext (w, a) ->
+                let a' = go a in
+                if a' == a then e else zext w a'
+            | Sext (w, a) ->
+                let a' = go a in
+                if a' == a then e else sext w a'
           in
           Hashtbl.add memo e.tag r;
           r

@@ -148,9 +148,12 @@ val has_any_var : t -> bool
 
 val subst_all : (var -> t option) -> t list -> t list
 (** Substitute variables in each expression; [None] keeps the variable.
-    Rebuilds through the smart constructors, so substitution also
-    simplifies; memoized per shared node across the whole list, so a
-    subterm shared between the expressions is rebuilt once. *)
+    Rebuilds changed nodes through the smart constructors, so
+    substitution also simplifies; memoized per shared node across the
+    whole list, so a subterm shared between the expressions is rebuilt
+    once.  A node none of whose children changed is returned physically:
+    the smart constructors are idempotent on their own output, so
+    rebuilding it would intern the same node. *)
 
 val eval : (int, int64) Hashtbl.t -> t -> int64
 (** Evaluate under a full assignment (variable id -> value); raises

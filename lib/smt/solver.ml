@@ -10,9 +10,9 @@
        conflict budget standing in for the paper's 3,000 ms Z3 cap.
 
     Accounting is per {!Session}: each engine run (one target) owns a
-    session carrying its conflict budget, counters and the bit-blasting
-    arena its queries reuse, so campaign workers never contend on shared
-    state. *)
+    session carrying its conflict budget and counters.  Blasted session
+    queries reuse one bit-blasting arena per domain, so campaign workers
+    never contend on shared state. *)
 
 type model = (int, int64) Hashtbl.t
 (** expr variable id → value *)
@@ -83,7 +83,12 @@ let quick_path (constraints : Expr.t list) :
     | None -> None
   in
   let rec loop (cs : Expr.t list) =
-    let cs = Expr.subst_all known cs in
+    (* Substituting an empty model changes no node, so the first round
+       skips it: a smart constructor applied to its own output's
+       children returns that output. *)
+    let cs =
+      if Hashtbl.length model = 0 then cs else Expr.subst_all known cs
+    in
     if List.exists Expr.is_false cs then `Contradiction
     else begin
       let cs = List.filter (fun c -> not (Expr.is_true c)) cs in
@@ -140,6 +145,19 @@ let blast_check ~conflict_budget (ctx : Bitblast.ctx)
 
 let default_conflict_budget = 50_000
 
+(* One bit-blasting arena per domain, made by the domain's first blasted
+   session query and reset in place for each later one, across session
+   boundaries too: a reset arena numbers variables and clauses exactly
+   as a fresh one, so reuse changes no answer and no model.  Its arrays
+   stay at the largest query's size the domain has blasted. *)
+let arena_key : Bitblast.ctx Domain.DLS.key =
+  Domain.DLS.new_key Bitblast.create
+
+let domain_arena () =
+  let ctx = Domain.DLS.get arena_key in
+  Bitblast.reset ctx;
+  ctx
+
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -151,7 +169,6 @@ module Session = struct
     mutable sx_blasted : int;
     mutable sx_unknown : int;
     mutable sx_queries : int;  (** queries that reached the quick path *)
-    mutable sx_arena : Bitblast.ctx option;
   }
 
   let create ?(conflict_budget = default_conflict_budget) () =
@@ -166,24 +183,9 @@ module Session = struct
       sx_blasted = 0;
       sx_unknown = 0;
       sx_queries = 0;
-      sx_arena = None;
     }
 
   let conflict_budget t = t.sx_budget
-
-  (* One bit-blasting arena per session, made by its first blasted query
-     and reset in place for each later one: a reset arena numbers
-     variables and clauses exactly as a fresh one, so reuse changes no
-     answer and no model. *)
-  let arena t =
-    match t.sx_arena with
-    | Some ctx ->
-        Bitblast.reset ctx;
-        ctx
-    | None ->
-        let ctx = Bitblast.create () in
-        t.sx_arena <- Some ctx;
-        ctx
 
   let set_conflict_budget t budget =
     if budget < 1 then
@@ -230,7 +232,7 @@ let check ?session ?conflict_budget (constraints : Expr.t list) : result =
     | `Residual (residual, model) ->
         let ctx =
           match session with
-          | Some s -> Session.arena s
+          | Some _ -> domain_arena ()
           | None -> Bitblast.create ()
         in
         let result = blast_check ~conflict_budget:budget ctx residual model in

@@ -10,10 +10,11 @@
     path also decides replay's flipped equalities.  Disequalities
     ([x != c]) still blast: SAT picks their value.
 
-    All accounting is per {!Session} — there is no global mutable solver
-    state.  A session belongs to one engine run on one domain; it carries
-    the conflict budget, the solve counters and the SAT arena its blasted
-    queries reuse.  Every query is solved; nothing is memoized, because
+    All accounting is per {!Session}.  A session belongs to one engine
+    run on one domain; it carries the conflict budget and the solve
+    counters.  Its blasted queries reuse the domain's SAT arena, the only
+    mutable solver state outside a session, which no two domains share.
+    Every query is solved; nothing is memoized, because
     one run's constraint sets do not repeat: the engine skips flips of
     already-covered edges and pins every other parameter to the executed
     payload's values. *)
@@ -44,13 +45,14 @@ val stats_add : stats -> stats -> stats
 
 module Session : sig
   type t
-  (** Per-engine-run solver context: conflict budget + counters + SAT
-      arena.  The session owns one bit-blasting context ({!Bitblast.ctx}
-      and its {!Sat} solver), made by its first blasted query and
-      {!Bitblast.reset} before every later one, so steady-state blasting
-      reuses its arrays instead of reallocating them; a reset arena is indistinguishable from a fresh one, so
-      answers and models equal those of a sessionless {!check}.  The
-      arena is mutable and unsynchronised: a session is confined to the
+  (** Per-engine-run solver context: conflict budget + counters.  Its
+      blasted queries go to the domain's bit-blasting context
+      ({!Bitblast.ctx} and its {!Sat} solver), made by the domain's first
+      blasted session query and {!Bitblast.reset} before every later one,
+      in this session or a later one, so steady-state blasting reuses its
+      arrays instead of reallocating them.  A reset arena is
+      indistinguishable from a fresh one, so answers and models equal
+      those of a sessionless {!check}.  A session is confined to the
       domain that created it; never share one across campaign
       workers. *)
 
@@ -73,7 +75,7 @@ end
 val check : ?session:Session.t -> ?conflict_budget:int -> Expr.t list -> result
 (** Decide the conjunction of constraints: the quick path first, then
     bit-blasting of what it leaves.  With [~session], the solve is
-    accounted to the session, blasts on the session's arena, and the
+    accounted to the session, blasts on the domain's arena, and the
     session's budget applies unless [?conflict_budget] overrides it.
     Without a session every blasted query builds a fresh context.  Sat
     models are fresh tables — callers may mutate them freely. *)

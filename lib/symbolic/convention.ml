@@ -20,19 +20,46 @@ type sym_param =
   | SP_asset of { amount : Expr.var; symbol : Expr.var }
   | SP_string of { len : Expr.var; content : Expr.var array }
 
+(** The one-parameter-mutation pins ({!pins}) of the last argument
+    vector a kept flip saw.  One slot per input variable, in query order:
+    parameters in order, an asset's amount then its symbol, a string's
+    content bytes from the last to the first and then its length. *)
+type pins = {
+  mutable pn_vector : Abi.value list;  (** the vector the slots hold *)
+  pn_vars : Expr.var array;  (** slot -> variable *)
+  pn_values : int64 array;  (** slot -> the vector's value, where pinned *)
+  pn_exprs : Expr.t array;
+      (** slot -> [var == value], or [Expr.true_] where the vector gives
+          the variable no value *)
+}
+
 type inputs = {
   in_def : Abi.action_def;
   in_params : (string * Abi.param_type * sym_param) list;
   in_vars : (int, unit) Hashtbl.t;  (** ids of every input variable *)
   in_sanity : Expr.t list;  (** payload-sanity constraints *)
+  in_pointees : Expr.t array array;
+      (** per parameter, the byte terms of its pointee ([[||]] for a
+          scalar) *)
+  in_mentions : (int, bool) Hashtbl.t;
+      (** node tag -> does the node mention an input variable *)
+  in_pins : pins;
 }
+
+(* The little-endian byte terms of a variable, as a store of it makes. *)
+let byte_terms (v : Expr.var) =
+  Array.init (v.Expr.vwidth / 8) (fun i ->
+      Expr.extract ((8 * i) + 7) (8 * i) (Expr.var v))
 
 (** Mint the symbolic inputs of one action, once per target session.
     Every payload of the action replays against the same variables, so a
-    replay walking a path seen before finds its hash-consed terms again.
-    Payload sanity: every asset amount must be positive and payable — a
-    transfer with a non-positive or astronomical quantity is rejected by
-    the token contract before it ever reaches the target. *)
+    replay walking a path seen before finds its hash-consed terms again,
+    and everything built from the variables alone is built here once:
+    the pointee byte terms {!bind} maps, the flip scan's "mentions an
+    input" memo and the slots {!pins} fills per observed argument
+    vector.  Payload sanity: every asset amount must be positive and
+    payable — a transfer with a non-positive or astronomical quantity is
+    rejected by the token contract before it ever reaches the target. *)
 let inputs ~(max_amount : int64) (def : Abi.action_def) : inputs =
   let vars = Hashtbl.create 64 in
   let mint name width =
@@ -78,14 +105,49 @@ let inputs ~(max_amount : int64) (def : Abi.action_def) : inputs =
         | SP_scalar _ | SP_string _ -> [])
       params
   in
-  { in_def = def; in_params = params; in_vars = vars; in_sanity = sanity }
+  (* Slot order of [pins]: the order the one-parameter-mutation pins
+     take in a flip query. *)
+  let pin_order = function
+    | SP_scalar v -> [ v ]
+    | SP_asset { amount; symbol } -> [ amount; symbol ]
+    | SP_string { len; content } -> List.rev (len :: Array.to_list content)
+  in
+  (* An asset pointee is amount then symbol; a string pointee is the
+     length byte then the content. *)
+  let pointee = function
+    | SP_scalar _ -> [||]
+    | SP_asset { amount; symbol } ->
+        Array.concat (List.map byte_terms [ amount; symbol ])
+    | SP_string { len; content } ->
+        Array.concat (List.map byte_terms (len :: Array.to_list content))
+  in
+  let pin_vars =
+    Array.of_list (List.concat_map (fun (_, _, sp) -> pin_order sp) params)
+  in
+  {
+    in_def = def;
+    in_params = params;
+    in_vars = vars;
+    in_sanity = sanity;
+    in_pointees =
+      Array.of_list (List.map (fun (_, _, sp) -> pointee sp) params);
+    in_mentions = Hashtbl.create 256;
+    in_pins =
+      {
+        pn_vector = [];
+        pn_vars = pin_vars;
+        pn_values = Array.make (Array.length pin_vars) 0L;
+        pn_exprs = Array.make (Array.length pin_vars) Expr.true_;
+      };
+  }
 
 (** Bind one invocation's entry state (Table 2).  [concrete_args] are
     the arguments of the call_pre into the action function.  Local
     0, the receiver handle, stays concrete; scalar parameters are their
     symbolic variables; [asset] and [string] pointer locals stay
     concrete (the memory model is concrete-address) and their pointees
-    get the symbolic bytes in [mem].  Returns the Local section. *)
+    are mapped in [mem] to the symbolic bytes [inputs] built.  Returns
+    the Local section. *)
 let bind (inp : inputs) (concrete_args : Wasm.Values.value list)
     (mem : Memmodel.t) : (int, Expr.t) Hashtbl.t =
   let args = Array.of_list concrete_args in
@@ -95,28 +157,71 @@ let bind (inp : inputs) (concrete_args : Wasm.Values.value list)
   List.iteri
     (fun i (_, _, sp) ->
       let slot = i + 1 in
-      let ptr () =
-        if slot < Array.length args then
-          Int64.to_int (Wasm.Values.raw_bits args.(slot))
-        else 0
-      in
       match sp with
       | SP_scalar v -> Hashtbl.replace locals slot (Expr.var v)
-      | SP_asset { amount; symbol } ->
-          let p = ptr () in
+      | SP_asset _ | SP_string _ ->
+          let p =
+            if slot < Array.length args then
+              Int64.to_int (Wasm.Values.raw_bits args.(slot))
+            else 0
+          in
           Hashtbl.replace locals slot (Expr.const 32 (Int64.of_int p));
-          Memmodel.store mem ~addr:p ~width_bytes:8 (Expr.var amount);
-          Memmodel.store mem ~addr:(p + 8) ~width_bytes:8 (Expr.var symbol)
-      | SP_string { len; content } ->
-          let p = ptr () in
-          Hashtbl.replace locals slot (Expr.const 32 (Int64.of_int p));
-          Memmodel.store mem ~addr:p ~width_bytes:1 (Expr.var len);
-          Array.iteri
-            (fun k v ->
-              Memmodel.store mem ~addr:(p + 1 + k) ~width_bytes:1 (Expr.var v))
-            content)
+          Memmodel.map mem ~addr:p inp.in_pointees.(i))
     inp.in_params;
   locals
+
+(** The pins of an argument vector, slot by slot.  The slots keep the
+    last vector's pins while consecutive payloads observe the same
+    vector; a new vector rebuilds only the slots whose value changed, so
+    every slot holds the node a fresh build would intern. *)
+let pins (inp : inputs) ~(current : Abi.value list) : pins =
+  let p = inp.in_pins in
+  if not (current == p.pn_vector || current = p.pn_vector) then begin
+    let slot = ref 0 in
+    let next () =
+      let i = !slot in
+      incr slot;
+      i
+    in
+    let pin x =
+      let i = next () in
+      if p.pn_exprs.(i) == Expr.true_ || not (Int64.equal p.pn_values.(i) x)
+      then begin
+        let v = p.pn_vars.(i) in
+        p.pn_exprs.(i) <-
+          Expr.cmp Expr.Eq (Expr.var v) (Expr.const v.Expr.vwidth x);
+        p.pn_values.(i) <- x
+      end
+    in
+    let unpinned n =
+      for _ = 1 to n do
+        p.pn_exprs.(next ()) <- Expr.true_
+      done
+    in
+    (* The walk follows [pin_order]. *)
+    let args = Array.of_list current in
+    List.iteri
+      (fun i (_, _, sp) ->
+        let cur = if i < Array.length args then Some args.(i) else None in
+        match (sp, cur) with
+        | SP_scalar _, Some (Abi.V_name x | Abi.V_u64 x) -> pin x
+        | SP_scalar _, Some (Abi.V_u32 x) -> pin (Int64.of_int32 x)
+        | SP_asset _, Some (Abi.V_asset a) ->
+            pin a.Wasai_eosio.Asset.amount;
+            pin a.Wasai_eosio.Asset.symbol
+        | SP_string { content; _ }, Some (Abi.V_string s) ->
+            for k = Array.length content - 1 downto 0 do
+              if k < String.length s then pin (Int64.of_int (Char.code s.[k]))
+              else unpinned 1
+            done;
+            pin (Int64.of_int (String.length s))
+        | SP_scalar _, _ -> unpinned 1
+        | SP_asset _, _ -> unpinned 2
+        | SP_string { content; _ }, _ -> unpinned (Array.length content + 1))
+      inp.in_params;
+    p.pn_vector <- current
+  end;
+  p
 
 (* ------------------------------------------------------------------ *)
 (* Locating action functions                                          *)
@@ -210,21 +315,21 @@ let concretize (inp : inputs) (model : Wasai_smt.Solver.model)
              (different from the current seed's byte at that index), the
              string must grow to carry it.  Bytes merely pinned to their
              current values must not override a solved length. *)
-          let needed =
-            Array.to_list content
-            |> List.mapi (fun k v ->
-                   match Hashtbl.find_opt model v.Expr.vid with
-                   | Some x ->
-                       let x = Expr.mask 8 x in
-                       let cur_byte =
-                         if k < String.length cur_s then
-                           Some (Int64.of_int (Char.code cur_s.[k]))
-                         else None
-                       in
-                       if cur_byte = Some x || x = 0L then 0 else k + 1
-                   | None -> 0)
-            |> List.fold_left max 0
-          in
+          let needed = ref 0 in
+          Array.iteri
+            (fun k v ->
+              match Hashtbl.find_opt model v.Expr.vid with
+              | Some x ->
+                  let x = Expr.mask 8 x in
+                  let current_byte =
+                    k < String.length cur_s
+                    && Int64.equal x (Int64.of_int (Char.code cur_s.[k]))
+                  in
+                  (* k ascends, so the last such k is the largest. *)
+                  if not (current_byte || x = 0L) then needed := k + 1
+              | None -> ())
+            content;
+          let needed = !needed in
           let target_len = max target_len needed in
           let target_len = max 0 (min 255 target_len) in
           Abi.V_string

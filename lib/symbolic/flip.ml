@@ -23,14 +23,16 @@ type candidate = {
 
 (** Enumerate flip candidates for a replayed path. *)
 let candidates (r : Replay.result) : candidate list =
-  let input_vars = r.Replay.r_inputs.Convention.in_vars in
+  let inp = r.Replay.r_inputs in
   (* "Does this condition mention symbolic input?", asked once per path
-     entry.  Conditions share subterms along a path, and hash-consing
-     makes the per-node answer stable, so one tag-keyed memo serves the
-     whole path. *)
-  let memo = Hashtbl.create 256 in
+     entry.  Conditions share subterms along a path and across the
+     session's payloads; a node's tag is process-unique and the inputs
+     are the session's, so one tag-keyed memo per action serves them
+     all. *)
   let mentions e =
-    Expr.contains_var_memo memo (fun v -> Hashtbl.mem input_vars v.Expr.vid) e
+    Expr.contains_var_memo inp.Convention.in_mentions
+      (fun v -> Hashtbl.mem inp.Convention.in_vars v.Expr.vid)
+      e
   in
   let out = ref [] and prefix = ref [] in
   List.iteri
@@ -68,45 +70,6 @@ type solved_seed = {
   seed_flipped_site : int;
 }
 
-(* §3.4.4: "we mutate one parameter in ρ⃗" — every input variable that does
-   not occur in the flipped condition is pinned to its current concrete
-   value.  Those values executed the path prefix, so pinning cannot make
-   the constraint set unsatisfiable spuriously, and it keeps solved seeds
-   from clobbering unrelated parameters (e.g. zeroing [from] and breaking
-   its own authorisation). *)
-let pin_constraints (inp : Convention.inputs)
-    ~(current : Wasai_eosio.Abi.value list) ~(free : (int, unit) Hashtbl.t) :
-    Expr.t list =
-  let module Abi = Wasai_eosio.Abi in
-  let current = Array.of_list current in
-  let pin (v : Expr.var) (value : int64) acc =
-    if Hashtbl.mem free v.Expr.vid then acc
-    else Expr.cmp Expr.Eq (Expr.var v) (Expr.const v.Expr.vwidth value) :: acc
-  in
-  List.concat
-    (List.mapi
-       (fun i (_, _, sp) ->
-         let cur () = if i < Array.length current then Some current.(i) else None in
-         match ((sp : Convention.sym_param), cur ()) with
-         | Convention.SP_scalar v, Some (Abi.V_name x | Abi.V_u64 x) ->
-             pin v x []
-         | Convention.SP_scalar v, Some (Abi.V_u32 x) ->
-             pin v (Int64.of_int32 x) []
-         | Convention.SP_asset { amount; symbol }, Some (Abi.V_asset a) ->
-             pin amount a.Wasai_eosio.Asset.amount
-               (pin symbol a.Wasai_eosio.Asset.symbol [])
-         | Convention.SP_string { len; content }, Some (Abi.V_string s) ->
-             let acc = pin len (Int64.of_int (String.length s)) [] in
-             let acc = ref acc in
-             Array.iteri
-               (fun k v ->
-                 if k < String.length s then
-                   acc := pin v (Int64.of_int (Char.code s.[k])) !acc)
-               content;
-             !acc
-         | _ -> [])
-       inp.Convention.in_params)
-
 (** Solve candidates (up to [max_solved]), concretising each model into a
     fresh argument vector.  [current] is the executed seed's arguments,
     used for unconstrained parameters. *)
@@ -132,10 +95,25 @@ let solve ?session ?conflict_budget ?(max_solved = 8)
         Expr.iter_vars
           (fun v -> Hashtbl.replace free v.Expr.vid ())
           c.cand_cond;
-        let pins = pin_constraints inp ~current ~free in
+        (* §3.4.4: "we mutate one parameter in ρ⃗" — every input
+           variable that does not occur in the flipped condition is
+           pinned to its current concrete value.  Those values executed
+           the path prefix, so pinning cannot make the constraint set
+           unsatisfiable spuriously, and it keeps solved seeds from
+           clobbering unrelated parameters (e.g. zeroing [from] and
+           breaking its own authorisation). *)
+        let p = Convention.pins inp ~current in
+        let constraints = ref (query c) in
+        for i = Array.length p.Convention.pn_exprs - 1 downto 0 do
+          let pin = p.Convention.pn_exprs.(i) in
+          if
+            pin != Expr.true_
+            && not (Hashtbl.mem free p.Convention.pn_vars.(i).Expr.vid)
+          then constraints := pin :: !constraints
+        done;
         match
           Solver.check ?session ?conflict_budget
-            (inp.Convention.in_sanity @ pins @ query c)
+            (inp.Convention.in_sanity @ !constraints)
         with
         | Solver.Sat model ->
             incr count;

@@ -30,14 +30,6 @@ type solved_seed = {
   seed_flipped_site : int;
 }
 
-val pin_constraints :
-  Convention.inputs ->
-  current:Wasai_eosio.Abi.value list ->
-  free:(int, unit) Hashtbl.t ->
-  Expr.t list
-(** Equality pins for every input variable not in [free] — the paper's
-    "mutate one parameter" discipline. *)
-
 val solve :
   ?session:Wasai_smt.Solver.Session.t ->
   ?conflict_budget:int ->
@@ -47,5 +39,7 @@ val solve :
   current:Wasai_eosio.Abi.value list ->
   solved_seed list
 (** [?session] routes every solve through the per-run solver session
-    (budget, counters, SAT arena).  Without a session, a standalone
-    conflict budget of 20_000 applies unless overridden. *)
+    (budget, counters, the domain's SAT arena).  Without a session, a
+    standalone conflict budget of 20_000 applies unless overridden.
+    The pins of [current] are kept in the inputs ({!Convention.pins})
+    for the next payload that observes the same vector. *)

@@ -18,6 +18,15 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
+(* Run [f], then remove the files at [paths] however it ends, so a
+   failing assertion leaves none behind; a path [f] never created is
+   skipped. *)
+let removing paths f =
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) paths)
+    f
+
 let test_hist_basic () =
   let h = Metrics.Histogram.create () in
   Alcotest.(check (float 0.0)) "empty percentile" 0.0
@@ -477,6 +486,7 @@ let test_journal_load_malformed () =
   List.iter
     (fun second ->
       let path = Filename.temp_file "wasai-test" ".journal" in
+      removing [ path ] @@ fun () ->
       let oc = open_out path in
       output_string oc
         (Campaign.Journal.line_of_header
@@ -486,14 +496,13 @@ let test_journal_load_malformed () =
       output_string oc (Campaign.Journal.line_of_entry sample_entry ^ "\n");
       output_string oc (second ^ "\n");
       close_out oc;
-      (match Campaign.Journal.load path with
+      match Campaign.Journal.load path with
       | _ -> Alcotest.fail (Printf.sprintf "corrupt journal accepted: %S" second)
       | exception Campaign.Journal.Malformed msg ->
           Alcotest.(check bool)
             (Printf.sprintf "error %S names the line" msg)
             true
-            (contains ~sub:(path ^ ":3:") msg));
-      Sys.remove path)
+            (contains ~sub:(path ^ ":3:") msg))
     [ "this is not a journal line"; v5 ]
 
 (* ------------------------------------------------------------------ *)
@@ -565,6 +574,7 @@ let test_resume () =
     Campaign.Campaign.run (campaign_config ~jobs:2 ()) targets
   in
   let journal = temp_journal "resume" in
+  removing [ journal ] @@ fun () ->
   (* "Kill" the campaign after 5 targets by budget, then resume. *)
   let interrupted =
     Campaign.Campaign.run
@@ -600,41 +610,40 @@ let test_resume () =
     (List.length resumed_again.Campaign.Campaign.cr_results);
   Alcotest.(check string) "deduped resume still equals the uninterrupted run"
     (Campaign.Campaign.verdicts_text uninterrupted)
-    (Campaign.Campaign.verdicts_text resumed_again);
-  Sys.remove journal
+    (Campaign.Campaign.verdicts_text resumed_again)
 
 let test_resume_rejects_corrupt_journal () =
   let targets = test_targets ~count:2 in
   let journal = Filename.temp_file "wasai-test" ".journal" in
+  removing [ journal ] @@ fun () ->
   let oc = open_out journal in
   output_string oc "corrupted by a crash\n";
   close_out oc;
-  (match
-     Campaign.Campaign.run
-       (campaign_config ~journal ~resume:true ~jobs:1 ())
-       targets
-   with
-   | _ -> Alcotest.fail "campaign resumed from a corrupt journal"
-   | exception Campaign.Journal.Malformed _ -> ());
-  Sys.remove journal
+  match
+    Campaign.Campaign.run
+      (campaign_config ~journal ~resume:true ~jobs:1 ())
+      targets
+  with
+  | _ -> Alcotest.fail "campaign resumed from a corrupt journal"
+  | exception Campaign.Journal.Malformed _ -> ()
 
 (* Resuming under a different engine configuration would silently mix
    verdicts computed under different budgets; the stamp catches it. *)
 let test_resume_rejects_mismatched_stamp () =
   let targets = test_targets ~count:4 in
   let journal = temp_journal "mismatch" in
+  removing [ journal ] @@ fun () ->
   let _ = Campaign.Campaign.run (campaign_config ~journal ~jobs:1 ()) targets in
   let other_budget =
     Campaign.Campaign.make_config ~jobs:1 ~journal ~resume:true
       ~engine:(Core.Engine.make_config ~rounds:(7) ())
       ()
   in
-  (match Campaign.Campaign.run other_budget targets with
-   | _ -> Alcotest.fail "resumed a journal recorded under a different budget"
-   | exception Failure msg ->
-       Alcotest.(check bool) "refuses to mix configurations" true
-         (contains ~sub:"refusing to mix configurations" msg));
-  Sys.remove journal
+  match Campaign.Campaign.run other_budget targets with
+  | _ -> Alcotest.fail "resumed a journal recorded under a different budget"
+  | exception Failure msg ->
+      Alcotest.(check bool) "refuses to mix configurations" true
+        (contains ~sub:"refusing to mix configurations" msg)
 
 let test_duplicate_names_rejected () =
   let t = List.hd (test_targets ~count:1) in
@@ -666,11 +675,11 @@ let test_telemetry_identity () =
   in
   let run ~jobs ~telemetry =
     let journal = temp_journal "telemetry" in
+    removing [ journal ] @@ fun () ->
     let r =
       Campaign.Campaign.run (campaign_config ~journal ~telemetry ~jobs ()) targets
     in
     let lines = read_lines journal in
-    Sys.remove journal;
     ( List.hd lines,
       List.map canonical (List.tl lines),
       Campaign.Campaign.verdicts_text r )
@@ -728,6 +737,8 @@ let temp_corpus tag =
 let test_corpus_warm_cold () =
   let targets = test_targets ~count:4 in
   let cold_file = temp_corpus "cold" in
+  let w1 = temp_corpus "warm1" and w2 = temp_corpus "warm2" in
+  removing [ cold_file; w1; w2 ] @@ fun () ->
   let cold =
     Campaign.Campaign.run (campaign_config ~corpus:cold_file ~jobs:2 ()) targets
   in
@@ -735,7 +746,6 @@ let test_corpus_warm_cold () =
     (cold.Campaign.Campaign.cr_corpus_added > 0);
   Alcotest.(check int) "cold run preloaded nothing" 0
     cold.Campaign.Campaign.cr_corpus_preloaded;
-  let w1 = temp_corpus "warm1" and w2 = temp_corpus "warm2" in
   SeedCorpus.save (SeedCorpus.load cold_file) w1;
   SeedCorpus.save (SeedCorpus.load cold_file) w2;
   let warm1 =
@@ -766,8 +776,7 @@ let test_corpus_warm_cold () =
         (target ^ ": edge union survives minimize")
         (SeedCorpus.edge_union (SeedCorpus.records_for stored ~target))
         (SeedCorpus.edge_union (SeedCorpus.records_for minimized ~target)))
-    (SeedCorpus.targets stored);
-  List.iter Sys.remove [ cold_file; w1; w2 ]
+    (SeedCorpus.targets stored)
 
 let sized_targets sizes =
   List.map2
@@ -782,9 +791,9 @@ let sized_targets sizes =
 let test_size_ordering () =
   let targets = sized_targets [ 10; 40; 20; 40 ] in
   let journal = temp_journal "lpt" in
+  removing [ journal ] @@ fun () ->
   ignore (Campaign.Campaign.run (campaign_config ~journal ~jobs:1 ()) targets);
   let entries = Campaign.Journal.load journal in
-  Sys.remove journal;
   Alcotest.(check (list string)) "biggest-first, ties by name"
     [ "trgtb"; "trgtd"; "trgtc"; "trgta" ]
     (List.map
@@ -795,6 +804,7 @@ let test_plan_dry_run () =
   let targets = sized_targets [ 10; 40; 20 ] in
   (* Seed a corpus with one target's worth of seeds. *)
   let corpus_file = temp_corpus "plan" in
+  removing [ corpus_file ] @@ fun () ->
   let c = SeedCorpus.create () in
   let seed_record cover =
     {
@@ -842,8 +852,7 @@ let test_plan_dry_run () =
     (contains ~sub:"corpus preload: 2 seeds" text);
   (* Planning must not fuzz: nothing was loaded, no journal written. *)
   Alcotest.(check int) "plan covers every target" 3
-    (List.length plan.Campaign.Campaign.pl_rows);
-  Sys.remove corpus_file
+    (List.length plan.Campaign.Campaign.pl_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Distributed sharding and journal merge                               *)
@@ -865,6 +874,7 @@ let test_shard_merge_identity () =
   let targets = test_targets ~count:8 in
   let unsharded = Campaign.Campaign.run (campaign_config ~jobs:2 ()) targets in
   let j0 = temp_journal "shard0" and j1 = temp_journal "shard1" in
+  removing [ j0; j1 ] @@ fun () ->
   let r0 = run_shard ~count:2 ~index:0 ~journal:j0 targets in
   let r1 = run_shard ~count:2 ~index:1 ~journal:j1 targets in
   Alcotest.(check int) "slices cover the fleet" 8
@@ -887,9 +897,7 @@ let test_shard_merge_identity () =
        (fun (e : Campaign.Journal.entry) ->
          (not (List.exists snd e.Campaign.Journal.je_flags))
          || e.Campaign.Journal.je_exploits <> [])
-       merged.Campaign.Campaign.cr_results);
-  Sys.remove j0;
-  Sys.remove j1
+       merged.Campaign.Campaign.cr_results)
 
 let expect_merge_failure name journals frag =
   match Campaign.Campaign.merge journals with
@@ -902,12 +910,13 @@ let expect_merge_failure name journals frag =
 let test_merge_validation () =
   let targets = test_targets ~count:8 in
   let j0 = temp_journal "val0" and j1 = temp_journal "val1" in
+  let j2 = temp_journal "val2" in
+  removing [ j0; j1; j2 ] @@ fun () ->
   let _ = run_shard ~count:2 ~index:0 ~journal:j0 targets in
   let _ = run_shard ~count:2 ~index:1 ~journal:j1 targets in
   expect_merge_failure "same slice twice" [ j0; j0 ] "overlapping";
   expect_merge_failure "missing slice" [ j0 ] "missing";
   (* A shard fuzzed under a different seed is a different fleet. *)
-  let j2 = temp_journal "val2" in
   let other_seed =
     Campaign.Campaign.make_config ~jobs:1 ~journal:j2
       ~shard:(Campaign.Shard.make ~index:1 ~count:2)
@@ -917,8 +926,7 @@ let test_merge_validation () =
   in
   let _ = Campaign.Campaign.run other_seed targets in
   expect_merge_failure "seed mismatch" [ j0; j2 ]
-    "different fleet configurations";
-  List.iter Sys.remove [ j0; j1; j2 ]
+    "different fleet configurations"
 
 (* ------------------------------------------------------------------ *)
 (* Discovery                                                            *)
@@ -972,26 +980,28 @@ let test_dir_rejects_duplicate_accounts () =
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let files = [ "abc.wasm"; "ABC.wasm" ] in
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun name ->
+          let p = Filename.concat dir name in
+          if Sys.file_exists p then Sys.remove p)
+        files;
+      Unix.rmdir dir)
+  @@ fun () ->
   List.iter
     (fun name ->
       let oc = open_out_bin (Filename.concat dir name) in
       output_string oc "\x00asm\x01\x00\x00\x00";
       close_out oc)
     files;
-  let outcome =
-    match Campaign.Discover.dir dir with
-    | _ -> None
-    | exception Failure msg -> Some msg
-  in
-  List.iter (fun name -> Sys.remove (Filename.concat dir name)) files;
-  Unix.rmdir dir;
-  match outcome with
-  | None -> Alcotest.fail "two files mapping to one account accepted"
-  | Some msg ->
+  match Campaign.Discover.dir dir with
+  | _ -> Alcotest.fail "two files mapping to one account accepted"
+  | exception Failure msg ->
       List.iter
         (fun sub ->
           Alcotest.(check bool) ("message names " ^ sub) true (contains ~sub msg))
         [ "abc.wasm"; "ABC.wasm"; "\"abc\"" ]
+
 
 let () =
   Alcotest.run "wasai_campaign"

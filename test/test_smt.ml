@@ -301,6 +301,48 @@ let qcheck_hashcons_eval_identity width =
       Hashtbl.replace env y.Expr.vid yv;
       Expr.eval env e = naive_eval width xv yv t)
 
+(* Property: [Expr.subst_all] returns a node whose children did not
+   change as it is, and that shortcut is exact because every node is a
+   fixpoint of its smart constructor: rebuilding any random expression
+   node by node, with no memo and no shortcut, interns the very same
+   nodes.  So substituting nothing returns [e] physically, and
+   substituting a constant for [x] gives physically what the full
+   rebuild gives. *)
+let rec rebuild f (e : Expr.t) =
+  let open Expr in
+  match e.node with
+  | Const _ -> e
+  | Var v -> ( match f v with Some e' -> e' | None -> e)
+  | Unop (op, a) -> unop op (rebuild f a)
+  | Binop (op, a, b) -> binop op (rebuild f a) (rebuild f b)
+  | Cmp (op, a, b) -> cmp op (rebuild f a) (rebuild f b)
+  | Ite (c, a, b) -> ite (rebuild f c) (rebuild f a) (rebuild f b)
+  | Extract (hi, lo, a) -> extract hi lo (rebuild f a)
+  | Concat (a, b) -> concat (rebuild f a) (rebuild f b)
+  | Zext (w, a) -> zext w (rebuild f a)
+  | Sext (w, a) -> sext w (rebuild f a)
+
+let qcheck_subst_shortcut =
+  let widths = [| 8; 16; 32; 64 |] in
+  let xs = Array.map (Expr.fresh_var ~name:"sx") widths in
+  let ys = Array.map (Expr.fresh_var ~name:"sy") widths in
+  QCheck.Test.make ~name:"subst_all keeps unchanged nodes = full rebuild"
+    ~count:400
+    (QCheck.make
+       ~print:(fun (wi, t, xv) ->
+         Printf.sprintf "x=%Ld in %s" xv
+           (Expr.to_string (build_expr widths.(wi) xs.(wi) ys.(wi) t)))
+       QCheck.Gen.(triple (int_bound 3) gen_ntree (map Int64.of_int int)))
+    (fun (wi, t, xv) ->
+      let w = widths.(wi) and x = xs.(wi) in
+      let e = build_expr w x ys.(wi) t in
+      let keep _ = None in
+      let pin_x (v : Expr.var) =
+        if v.Expr.vid = x.Expr.vid then Some (Expr.const w xv) else None
+      in
+      let subst f = List.hd (Expr.subst_all f [ e ]) in
+      subst keep == e && rebuild keep e == e && subst pin_x == rebuild pin_x e)
+
 (* Property: the two rules that hand replay's flips to the quick path
    keep the naive bit semantics.  A width-1 [b] compared with [1:1] or
    [0:1] (either side, up to three times) evaluates like the boolean
@@ -872,12 +914,14 @@ type arena_query =
   | Contra  (** c and not c: Unsat *)
   | Starved  (** 32-bit factoring under a one-conflict budget: Unknown *)
 
-(* A session reuses one arena for every blasted query.  Sent through
-   one session, a random stream of Sat, Unsat and budget-starved
-   queries must get exactly the verdicts and models that fresh
-   sessionless calls give: a reset arena leaks nothing between
-   queries. *)
-let qcheck_arena_parity ~count width =
+(* A domain reuses one arena for every blasted session query.  Sent
+   through one session, a random stream of Sat, Unsat and
+   budget-starved queries must get exactly the verdicts and models that
+   fresh sessionless calls give: a reset arena leaks nothing between
+   queries.  With [~sessions:n], each case is n streams, each through a
+   session of its own, so the arena also crosses session boundaries: a
+   later session's first blast reuses what earlier sessions grew. *)
+let qcheck_arena_parity ?(sessions = 1) ~count width =
   let x = Expr.fresh_var ~name:"ax" width and y = Expr.fresh_var ~name:"ay" width in
   let fx = Expr.fresh_var ~name:"fx" 32 and fy = Expr.fresh_var ~name:"fy" 32 in
   let budget = 200 in
@@ -914,35 +958,44 @@ let qcheck_arena_parity ~count width =
         (pair (gen_expr width x y) (gen_expr width x y))
         (pair int int))
   in
-  let print qs =
-    String.concat "\n"
+  let print streams =
+    String.concat "\n-- next session --\n"
       (List.map
-         (fun q ->
-           String.concat " && " (List.map Expr.to_string (fst (build q))))
-         qs)
+         (fun qs ->
+           String.concat "\n"
+             (List.map
+                (fun q ->
+                  String.concat " && "
+                    (List.map Expr.to_string (fst (build q))))
+                qs))
+         streams)
   in
+  let gen_stream = QCheck.Gen.(list_size (int_range 2 6) gen_query) in
   QCheck.Test.make
-    ~name:(Printf.sprintf "arena reuse = fresh check (width %d)" width)
+    ~name:
+      (Printf.sprintf "%s = fresh check (width %d)"
+         (if sessions = 1 then "arena reuse" else "arena across sessions")
+         width)
     ~count
-    (QCheck.make ~print QCheck.Gen.(list_size (int_range 2 6) gen_query))
-    (fun qs ->
-      let session =
-        Solver.Session.create ~conflict_budget:budget ()
-      in
-      List.for_all
-        (fun ((kind, _, _, _, _) as q) ->
-          let cs, conflict_budget = build q in
-          let fresh = Solver.check ~conflict_budget cs in
-          let reused = Solver.check ~session ~conflict_budget cs in
-          let expected =
-            match (kind, fresh) with
-            | (Pinned | Free), Solver.Sat m -> Solver.validate_model cs m
-            | Pinned, Solver.Unknown | Free, _ -> true
-            | Contra, Solver.Unsat | Starved, Solver.Unknown -> true
-            | _ -> false
-          in
-          expected && same_result fresh reused)
-        qs)
+    (QCheck.make ~print
+       (if sessions = 1 then QCheck.Gen.map (fun qs -> [ qs ]) gen_stream
+        else QCheck.Gen.list_repeat sessions gen_stream))
+    (List.for_all (fun qs ->
+         let session = Solver.Session.create ~conflict_budget:budget () in
+         List.for_all
+           (fun ((kind, _, _, _, _) as q) ->
+             let cs, conflict_budget = build q in
+             let fresh = Solver.check ~conflict_budget cs in
+             let reused = Solver.check ~session ~conflict_budget cs in
+             let expected =
+               match (kind, fresh) with
+               | (Pinned | Free), Solver.Sat m -> Solver.validate_model cs m
+               | Pinned, Solver.Unknown | Free, _ -> true
+               | Contra, Solver.Unsat | Starved, Solver.Unknown -> true
+               | _ -> false
+             in
+             expected && same_result fresh reused)
+           qs))
 
 (* Random constraint sets over two 8-bit variables, all sent through one
    long-lived session (arena reused): Sat exactly when
@@ -1048,6 +1101,7 @@ let () =
           qc (qcheck_hashcons_eval_identity 32);
           qc (qcheck_hashcons_eval_identity 64);
           qc qcheck_flip_normal_forms;
+          qc qcheck_subst_shortcut;
         ] );
       ( "bitblast",
         [
@@ -1097,6 +1151,7 @@ let () =
           qc (qcheck_arena_parity ~count:60 8);
           qc (qcheck_arena_parity ~count:6 32);
           qc (qcheck_arena_parity ~count:3 64);
+          qc (qcheck_arena_parity ~sessions:3 ~count:8 8);
           qc qcheck_session_brute_force;
           Alcotest.test_case "steady-state allocation" `Quick
             test_arena_allocation_guard;
