@@ -179,6 +179,10 @@ type session = {
   exec_stage : Telemetry.stage;
       (** the telemetry stage payload execution is attributed to — fixed
           per session by the resolved execution backend *)
+  release_exec : unit -> unit;
+      (** hands the execution tier's pooled linear memory to the
+          domain's spare ({!Exec_backend.install}); {!fuzz} calls it when
+          the run ends *)
   mutable adaptive_seeds : int;
   mutable transactions : int;
   mutable solver_sat : int;
@@ -266,8 +270,10 @@ let setup (cfg : config) (target : target) : session =
      the collector — sound here because only the target account gets the
      executor, and the receiver of every action reaching it is the
      target itself. *)
-  Exec_backend.install cfg.cfg_backend ~collector chain target.tgt_account
-    meta.Wasabi.Trace.instrumented;
+  let release_exec =
+    Exec_backend.install cfg.cfg_backend ~collector chain target.tgt_account
+      meta.Wasabi.Trace.instrumented
+  in
   let scanner =
     Scanner.create ~fake_token_account:fake_token ~meta
       ~victim:target.tgt_account ~fake_notif_agent:fake_notif ()
@@ -349,6 +355,7 @@ let setup (cfg : config) (target : target) : session =
         (match cfg.cfg_backend with
         | Exec_backend.Interp -> Telemetry.Exec_interp
         | Exec_backend.Auto -> Telemetry.Exec_compiled);
+      release_exec;
       adaptive_seeds = 0;
       transactions = 0;
       solver_sat = 0;
@@ -649,13 +656,9 @@ let channels =
     Scanner.Ch_fake_notif;
   |]
 
-(** Fuzz one contract to completion and report.  [oracles] builds
-    additional detectors from the instrumentation metadata (the §5
-    extension interface). *)
-let fuzz ?(cfg = default_config)
-    ?(oracles : Wasabi.Trace.meta -> Scanner.custom_oracle list = fun _ -> [])
-    (target : target) : outcome =
-  let s = setup cfg target in
+let fuzz_session ~(oracles : Wasabi.Trace.meta -> Scanner.custom_oracle list)
+    (s : session) : outcome =
+  let cfg = s.cfg and target = s.target in
   List.iter (Scanner.register_custom s.scanner) (oracles s.meta);
   let t0 = Unix.gettimeofday () in
   let timeline = ref [] in
@@ -840,6 +843,15 @@ let fuzz ?(cfg = default_config)
     out_truncated = s.truncated_payloads;
     out_first_truncated = s.first_truncated;
   }
+
+(** Fuzz one contract to completion and report.  [oracles] builds
+    additional detectors from the instrumentation metadata (the §5
+    extension interface).  However the run ends, its pooled linear
+    memory goes to the domain's spare for the next target. *)
+let fuzz ?(cfg = default_config) ?(oracles = fun _ -> []) (target : target) :
+    outcome =
+  let s = setup cfg target in
+  Fun.protect ~finally:s.release_exec (fun () -> fuzz_session ~oracles s)
 
 let flagged (o : outcome) (f : Scanner.flag) : bool =
   match List.assoc_opt f o.out_flags with Some b -> b | None -> false

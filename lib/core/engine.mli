@@ -168,6 +168,10 @@ type session = {
   exec_stage : Wasai_telemetry.Telemetry.stage;
       (** the telemetry stage payload execution is attributed to — fixed
           per session by the resolved execution backend *)
+  release_exec : unit -> unit;
+      (** hands the execution tier's pooled linear memory to the
+          domain's spare ({!Exec_backend.install}); {!fuzz} calls it when
+          the run ends *)
   mutable adaptive_seeds : int;
   mutable transactions : int;
   mutable solver_sat : int;

@@ -69,10 +69,14 @@ let fast_hooks (collector : Wasabi.Trace.t) :
    to the exact fresh-instantiate state per action (globals and memory
    re-initialised, start re-run) and whose host functions read the
    running action from the chain, so the observable behaviour matches
-   the interpreter's instance-per-action path. *)
-let install choice ?collector chain account (m : Wasm.Ast.module_) : unit =
+   the interpreter's instance-per-action path.  The returned function
+   releases the pooled linear memory to the domain's spare. *)
+let install choice ?collector chain account (m : Wasm.Ast.module_) :
+    unit -> unit =
   match choice with
-  | Interp -> Chain.set_executor chain account None
+  | Interp ->
+      Chain.set_executor chain account None;
+      ignore
   | Auto ->
       let pool =
         Wasm.Compile.pool
@@ -88,4 +92,5 @@ let install choice ?collector chain account (m : Wasm.Ast.module_) : unit =
               ignore (Wasm.Compile.invoke_export sess "apply" (apply_args ctx))
             with Chain.Eosio_exit -> ())
       in
-      Chain.set_executor chain account (Some run)
+      Chain.set_executor chain account (Some run);
+      fun () -> Wasm.Compile.release pool

@@ -27,12 +27,17 @@ val install :
   Wasai_eosio.Chain.t ->
   Wasai_eosio.Name.t ->
   Wasm.Ast.module_ ->
+  unit ->
   unit
 (** Wire the chosen backend into the chain for the account's deployed
     module: [Interp] clears any executor (native interpreter path);
     [Auto] compiles [m] and installs the executor, which links its
-    pooled instance once, at the first action.  [collector], when given,
-    binds the [wasai] instrumentation hooks to direct trace appends —
+    pooled instance once, at the first action.  The returned function
+    ends the pooled instance ({!Wasm.Compile.release}): its linear
+    memory becomes the calling domain's spare, and a later action
+    instantiates afresh.  It does nothing for [Interp].  [collector],
+    when given, binds the [wasai] instrumentation hooks to direct trace
+    appends —
     only sound when every action reaching the executor has the
     collector's target as receiver (the engine guarantees this by
     installing the backend only on the target account).  Call after

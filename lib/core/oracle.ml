@@ -103,6 +103,9 @@ type host_ids = {
     fuzzing session. *)
 type env = {
   en_meta : Trace.meta;
+  en_func_imports : int;
+      (** function imports of the instrumented module: a call to an
+          index below it calls the host *)
   en_ids : host_ids;
   en_victim : Name.t;
   en_fake_notif_agent : Name.t;
@@ -144,6 +147,7 @@ let make_env ~(meta : Trace.meta) ~(victim : Name.t)
     ~(fake_notif_agent : Name.t) ~(fake_token : Name.t) () : env =
   {
     en_meta = meta;
+    en_func_imports = Wasm.Ast.num_func_imports meta.Trace.instrumented;
     en_ids = resolve_ids meta Chain_profile.eosio;
     en_victim = victim;
     en_fake_notif_agent = fake_notif_agent;
@@ -156,22 +160,20 @@ let make_env ~(meta : Trace.meta) ~(victim : Name.t)
 
 (* Import function called by the event under the cursor, if it is a
    call_pre into the import section. *)
-let called_import (meta : Trace.meta) (c : Cursor.t) : int option =
+let called_import (env : env) (c : Cursor.t) : int option =
   match Cursor.kind c with
   | Trace.Buffer.K_call_pre -> (
-      match (Trace.site_of meta (Cursor.label c)).Trace.site_instr with
-      | Wasm.Ast.Call fi
-        when fi < Wasm.Ast.num_func_imports meta.Trace.instrumented ->
-          Some fi
+      match (Trace.site_of env.en_meta (Cursor.label c)).Trace.site_instr with
+      | Wasm.Ast.Call fi when fi < env.en_func_imports -> Some fi
       | _ -> None)
   | _ -> None
 
 (** Stream the cursor to the end, answering whether any call_pre event
     targets one of [ids]. *)
-let calls_any (meta : Trace.meta) (c : Cursor.t) (ids : int list) : bool =
+let calls_any (env : env) (c : Cursor.t) (ids : int list) : bool =
   let rec go () =
     (not (Cursor.at_end c))
-    && ((match called_import meta c with
+    && ((match called_import env c with
          | Some fi -> List.mem fi ids
          | None -> false)
        ||
@@ -273,7 +275,7 @@ let miss_auth_def =
       let seen_auth = ref false in
       let hit = ref false in
       while not (Cursor.at_end cur) do
-        (match called_import env.en_meta cur with
+        (match called_import env cur with
          | Some fi ->
              if List.mem fi auth then seen_auth := true
              else if (not !seen_auth) && List.mem fi effects then hit := true
@@ -286,13 +288,13 @@ let miss_auth_def =
    information. *)
 let blockinfo_def =
   stateless "blockinfo-dep" Blockinfo_dep (fun env _ctx cur ->
-      calls_any env.en_meta cur env.en_ids.hi_blockinfo)
+      calls_any env cur env.en_ids.hi_blockinfo)
 
 (* Rollback (§3.5): an inline action carries the payout, so a reverting
    caller can roll the bet back. *)
 let rollback_def =
   stateless "rollback" Rollback (fun env _ctx cur ->
-      calls_any env.en_meta cur env.en_ids.hi_inline_send)
+      calls_any env cur env.en_ids.hi_inline_send)
 
 (* StateIo (WACANA's on-chain data vulnerabilities): persistent state
    written while handling a forged payload — the contract trusted
@@ -302,7 +304,7 @@ let state_io_def =
   stateless "state-io" State_io (fun env ctx cur ->
       match ctx.cx_channel with
       | Ch_direct | Ch_fake_token | Ch_fake_notif ->
-          calls_any env.en_meta cur env.en_ids.hi_state_writes
+          calls_any env cur env.en_ids.hi_state_writes
       | Ch_genuine | Ch_action _ -> false)
 
 (* FakeTransfer (EVulHunter's dispatcher-confusion variants): the

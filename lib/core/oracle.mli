@@ -68,6 +68,8 @@ type host_ids = {
 
 type env = {
   en_meta : Trace.meta;
+  en_func_imports : int;
+      (** function imports of the instrumented module, counted once *)
   en_ids : host_ids;
   en_victim : Name.t;
   en_fake_notif_agent : Name.t;
@@ -119,7 +121,7 @@ val instantiate :
 
 (** {1 Cursor-level matching helpers} *)
 
-val calls_any : Trace.meta -> Trace.Cursor.t -> int list -> bool
+val calls_any : env -> Trace.Cursor.t -> int list -> bool
 (** Stream to the end of the trace; did any call_pre target one of the
     import indices? *)
 

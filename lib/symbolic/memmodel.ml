@@ -72,10 +72,4 @@ let load (m : t) ~(addr : int) ~(width_bytes : int) : Expr.t =
   in
   build 1 (byte_at m addr)
 
-(** Store a concrete string (e.g. action data) at [addr]. *)
-let store_concrete_string (m : t) ~(addr : int) (s : string) =
-  String.iteri
-    (fun i c -> Hashtbl.replace m.bytes (addr + i) (Expr.const 8 (Int64.of_int (Char.code c))))
-    s
-
 let symbolic_loads m = m.symload_count

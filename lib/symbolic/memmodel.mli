@@ -27,7 +27,5 @@ val byte_at : t -> int -> Expr.t
 val load : t -> addr:int -> width_bytes:int -> Expr.t
 (** Little-endian load as a bitvector of [8 * width_bytes] bits. *)
 
-val store_concrete_string : t -> addr:int -> string -> unit
-
 val symbolic_loads : t -> int
 (** Symbolic load objects created so far. *)

@@ -1096,11 +1096,15 @@ let instantiate ?fuel ?max_depth (prep : prepared) (resolver : Interp.resolver)
    post-allocation state before every reuse: globals re-evaluated,
    linear memory restored from the pre-start image (dirty-watermark
    blit), fuel and call depth reset, then the start function re-run —
-   precisely the observable sequence of a fresh [instantiate].  Imports
-   are linked once, at the first acquisition: the resolver is fixed per
-   pool and its host functions read their per-action state when called,
-   so a relink would bind the same functions again.  Tables are static in
-   the MVP (no [table.set]/grow), so they too survive reuse unchanged. *)
+   precisely the observable sequence of a fresh [instantiate].  The
+   image keeps only the fresh memory's written prefix (its data
+   segments): every byte above it is zero.  Imports are linked once, at
+   the first acquisition: the resolver is fixed per pool and its host
+   functions read their per-action state when called, so a relink would
+   bind the same functions again.  Tables are static in the MVP (no
+   [table.set]/grow), so they too survive reuse unchanged.  [release]
+   hands the memory's pages to the domain's spare when the pool's user
+   is done with it, so one buffer serves target after target. *)
 
 type pool = {
   pl_prep : prepared;
@@ -1110,7 +1114,7 @@ type pool = {
           embedder and cannot be reset locally; they always get a fresh
           instance *)
   mutable pl_sess : session option;
-  mutable pl_mem : string option;  (** pre-start linear-memory image *)
+  mutable pl_mem : Memory.image option;  (** pre-start linear-memory image *)
   mutable pl_depth : int;  (** [max_depth] the pooled instance was built with *)
   mutable pl_busy : bool;
       (** re-entrant acquisition (nested inline actions) falls back to a
@@ -1178,3 +1182,11 @@ let with_session (pl : pool) ?fuel ?max_depth (f : session -> 'a) : 'a =
         run_start s;
         f s)
   end
+
+let release (pl : pool) =
+  if pl.pl_busy then invalid_arg "Compile.release: pool in use";
+  (match pl.pl_sess with
+  | Some s -> Option.iter Memory.release s.s_inst.Interp.memory
+  | None -> ());
+  pl.pl_sess <- None;
+  pl.pl_mem <- None

@@ -73,11 +73,13 @@ type pool
     payload); the pool keeps one live session and returns it to the
     exact post-allocation state before each reuse — globals
     re-evaluated, memory restored from the pre-start image, fuel and
-    depth reset, start function re-run.  Imports are linked once, at the
-    first acquisition, against the pool's resolver: its host functions
-    must read any per-action state when called, never capture it at
-    link time.  Observationally identical to a fresh {!instantiate} per
-    acquisition. *)
+    depth reset, start function re-run.  The image holds the page count
+    and only the written prefix of the fresh memory (its data
+    segments), not a copy of every page.  Imports are linked once, at
+    the first acquisition, against the pool's resolver: its host
+    functions must read any per-action state when called, never capture
+    it at link time.  Observationally identical to a fresh
+    {!instantiate} per acquisition. *)
 
 val pool : prepared -> Interp.resolver -> pool
 (** A pool whose instances link against [resolver]. *)
@@ -90,3 +92,13 @@ val with_session :
     pool is already in use (re-entrant nested actions), or when
     [max_depth] differs from the pooled instance's.  Exceptions from [f]
     (and from linking or the start function) propagate unchanged. *)
+
+val release : pool -> unit
+(** Hand the pooled instance's linear memory to the calling domain as
+    its spare ({!Memory.release}) and forget the instance: the domain's
+    next {!Memory.create} of the same size (typically the next target's
+    pool instantiating) reuses the pages, and a later {!with_session} on
+    this pool instantiates afresh.  A session obtained from the pool
+    before the release traps on any memory access.  Raises
+    [Invalid_argument] while a {!with_session} on the pool is
+    running. *)

@@ -13,16 +13,51 @@ type t = {
       (** exclusive upper bound of every byte written since the last
           {!restore} (or since creation) — lets [restore] blit only the
           modified prefix *)
+  mutable base_hi : int;
+      (** exclusive upper bound of the nonzero bytes of the image last
+          restored (0 after creation): no byte at or above
+          [max base_hi dirty_hi] is nonzero *)
+  mutable live : bool;  (** false once {!release}d *)
 }
+
+(* The pages of the domain's last released memory, with the exclusive
+   upper bound of their nonzero bytes: the next [create] of the same
+   size on the domain zeroes that prefix instead of allocating. *)
+let spare : (Bytes.t * int) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
 
 let create (mt : Types.memory_type) =
   let pages = mt.mem_limits.lim_min in
+  let len = pages * page_size in
+  let cell = Domain.DLS.get spare in
+  let data =
+    match !cell with
+    | Some (buf, hi) when Bytes.length buf = len ->
+        cell := None;
+        Bytes.fill buf 0 hi '\000';
+        buf
+    | _ -> Bytes.make len '\000'
+  in
   {
-    data = Bytes.make (pages * page_size) '\000';
+    data;
     pages;
     max_pages = mt.mem_limits.lim_max;
     dirty_hi = 0;
+    base_hi = 0;
+    live = true;
   }
+
+let release t =
+  if t.live then begin
+    Domain.DLS.get spare := Some (t.data, max t.base_hi t.dirty_hi);
+    t.data <- Bytes.empty;
+    t.pages <- 0;
+    t.dirty_hi <- 0;
+    t.base_hi <- 0;
+    t.live <- false
+  end
+
+let trap_released () = Values.trap "access to released linear memory"
 
 let[@inline] mark_dirty t hi = if hi > t.dirty_hi then t.dirty_hi <- hi
 
@@ -32,23 +67,28 @@ let size_bytes t = t.pages * page_size
 (** Grow by [delta] pages; returns the previous size in pages, or [-1l] on
     failure (the Wasm [memory.grow] contract). *)
 let grow t delta =
+  if not t.live then trap_released ();
   let old = t.pages in
   let target = old + delta in
   let limit = match t.max_pages with Some m -> m | None -> 0x10000 in
   if delta < 0 || target > limit then -1l
   else begin
-    let data = Bytes.make (target * page_size) '\000' in
-    Bytes.blit t.data 0 data 0 (Bytes.length t.data);
-    t.data <- data;
-    t.pages <- target;
-    t.dirty_hi <- Bytes.length data;
+    (* New pages are zero, so neither watermark moves. *)
+    if delta > 0 then begin
+      let data = Bytes.make (target * page_size) '\000' in
+      Bytes.blit t.data 0 data 0 (Bytes.length t.data);
+      t.data <- data;
+      t.pages <- target
+    end;
     Int32.of_int old
   end
 
 let check_bounds t addr len =
-  if addr < 0 || len < 0 || addr + len > size_bytes t then
+  if addr < 0 || len < 0 || addr + len > size_bytes t then begin
+    if not t.live then trap_released ();
     Values.trap "out of bounds memory access (addr=%d len=%d size=%d)" addr len
       (size_bytes t)
+  end
 
 let load_byte t addr =
   check_bounds t addr 1;
@@ -143,19 +183,30 @@ let storeop_width (op : Ast.storeop) =
   | Some Ast.Pack16 -> 2
   | Some Ast.Pack32 -> 4
 
-let snapshot t : string = Bytes.to_string t.data
+type image = { im_pages : int; im_prefix : string }
 
-let restore t (img : string) =
-  if Bytes.length t.data <> String.length img then begin
+let snapshot t =
+  {
+    im_pages = t.pages;
+    im_prefix = Bytes.sub_string t.data 0 (max t.base_hi t.dirty_hi);
+  }
+
+let restore t (img : image) =
+  if not t.live then trap_released ();
+  let n = String.length img.im_prefix in
+  if t.pages <> img.im_pages then begin
     (* grown since the snapshot: replace wholesale and shrink back *)
-    t.data <- Bytes.of_string img;
-    t.pages <- String.length img / page_size
+    t.data <- Bytes.make (img.im_pages * page_size) '\000';
+    t.pages <- img.im_pages;
+    Bytes.blit_string img.im_prefix 0 t.data 0 n
   end
   else begin
     (* Everything outside the dirty prefix still equals the image: bytes
        above it have not been written since the previous restore (or
-       since creation), and the image agrees with that state. *)
-    let n = min t.dirty_hi (String.length img) in
-    if n > 0 then Bytes.blit_string img 0 t.data 0 n
+       since creation), and the image agrees with that state.  Image
+       bytes end at [n]; a written byte past it goes back to zero. *)
+    Bytes.blit_string img.im_prefix 0 t.data 0 (min t.dirty_hi n);
+    if t.dirty_hi > n then Bytes.fill t.data n (t.dirty_hi - n) '\000'
   end;
-  t.dirty_hi <- 0
+  t.dirty_hi <- 0;
+  t.base_hi <- n

@@ -6,6 +6,19 @@ val page_size : int
 type t
 
 val create : Types.memory_type -> t
+(** A zeroed memory of the type's minimum size.  When the calling
+    domain holds a spare buffer of exactly that size (see {!release}),
+    the memory takes it and zeroes its written prefix instead of
+    allocating. *)
+
+val release : t -> unit
+(** Hand the memory's pages to the calling domain as its spare, which
+    the domain's next {!create} of the same size takes.  The domain
+    keeps one spare; a later release replaces it.  The released memory
+    has no pages left: every later load, store, {!grow} or {!restore}
+    traps.  Releasing twice is a no-op.  The caller must hold no other
+    use of the memory. *)
+
 val size_pages : t -> int
 val size_bytes : t -> int
 
@@ -37,11 +50,20 @@ val loadop_width : Ast.loadop -> int
 
 val storeop_width : Ast.storeop -> int
 
-val snapshot : t -> string
-(** Copy of the full current contents, for later {!restore}. *)
+type image
+(** A memory's page count and the prefix of its contents that may be
+    nonzero: the data segments, for a fresh instance's memory. *)
 
-val restore : t -> string -> unit
+val snapshot : t -> image
+(** The current state, for later {!restore}.  The image copies only the
+    bytes below the memory's watermarks: everything written since
+    creation or since the last restore, and the last restored image's
+    own prefix.  Every byte above them is zero. *)
+
+val restore : t -> image -> unit
 (** Return the memory to a snapshotted state: contents and page count.
     Writes are tracked with a dirty watermark, so restoring a memory
     that saw few stores since the last restore only blits the modified
-    prefix.  The image must come from {!snapshot} on this memory. *)
+    part of the image's prefix and zeroes written bytes past it.  The
+    image must come from {!snapshot} on this memory, and the memory
+    must not have been restored to another image since. *)

@@ -269,7 +269,7 @@ let test_running_cleared () =
   List.iter
     (fun backend ->
       Chain.set_code chain guard m { Abi.abi_actions = [] };
-      Core.Exec_backend.install backend chain guard m;
+      let release = Core.Exec_backend.install backend chain guard m in
       List.iter
         (fun (act, expect) ->
           let r =
@@ -287,7 +287,8 @@ let test_running_cleared () =
           ("boom", "trap: unreachable executed");
           ("deny", "eosio_assert: missing authority of alice");
           ("go", "ok");
-        ])
+        ];
+      release ())
     Core.Exec_backend.[ Interp; Auto ]
 
 (* Steady-state cost of one payload transaction on a pooled target.

@@ -705,6 +705,52 @@ let test_adaptive_budget_bounds () =
   Alcotest.(check int) "blind run never retunes" b
     blind.Core.Engine.out_final_budget
 
+(* [Engine.fuzz] hands a target's pooled linear memory to its domain's
+   spare when the run ends, and the next target on the domain takes the
+   pages over.  They must come back zeroed: A fuzzed after B on one
+   domain matches A fuzzed before B, and A fuzzed on a fresh domain.  A
+   branches on a word it never writes; B writes that word. *)
+let probe_target name ~poke =
+  let open Wasm.Builder in
+  let open Wasm.Builder.I in
+  let b = create () in
+  add_memory b 2;
+  add_data b ~offset:16 "probe";
+  let word = 0x8000 in
+  let apply =
+    add_func b ~name:"apply"
+      (Wasm.Types.func_type Wasm.Types.[ I64; I64; I64 ])
+      ((if poke then [ i32 word; i32 1; i32_store () ] else [])
+      @ [ i32 word; i32_load (); if_ [ nop ] [] ])
+  in
+  export_func b "apply" apply;
+  {
+    Core.Engine.tgt_account = n name;
+    tgt_module = build b;
+    tgt_abi = { Abi.abi_actions = [ { Abi.act_name = n "go"; act_params = [] } ] };
+  }
+
+let test_spare_pages_between_targets () =
+  let a = probe_target "reader" ~poke:false in
+  let b = probe_target "poker" ~poke:true in
+  let run t =
+    let o = Core.Engine.fuzz ~cfg:(Core.Engine.make_config ~rounds:4 ()) t in
+    { o with
+      Core.Engine.out_timeline =
+        List.map (fun (r, _, br) -> (r, 0., br)) o.Core.Engine.out_timeline }
+  in
+  let on_fresh_domain f = Domain.join (Domain.spawn f) in
+  let fresh = on_fresh_domain (fun () -> run a) in
+  let first, again =
+    on_fresh_domain (fun () ->
+        let first = run a in
+        ignore (run b);
+        (first, run a))
+  in
+  Alcotest.(check int) "A sees one branch edge" 1 fresh.Core.Engine.out_branches;
+  Alcotest.(check bool) "A before B = A on a fresh domain" true (first = fresh);
+  Alcotest.(check bool) "A after B = A on a fresh domain" true (again = fresh)
+
 let () =
   Alcotest.run "wasai_core"
     [
@@ -760,6 +806,8 @@ let () =
             test_preload_skips_stale_vectors;
           Alcotest.test_case "adaptive budget bounds" `Quick
             test_adaptive_budget_bounds;
+          Alcotest.test_case "spare pages between targets" `Quick
+            test_spare_pages_between_targets;
           QCheck_alcotest.to_alcotest qcheck_fused_scan_equivalence;
         ] );
     ]

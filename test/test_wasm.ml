@@ -145,6 +145,106 @@ let test_packed_load_sign () =
   in
   check_i32 "zero-extended" 255l unsigned
 
+(* A released memory gives up its pages: every access traps, and the
+   domain's next memory of the same size takes them back zeroed. *)
+let test_memory_release () =
+  let m = mk_mem () in
+  Memory.store_string m 100 "written";
+  Memory.store_byte m 65535 0xFF;
+  let img = Memory.snapshot m in
+  Memory.release m;
+  let released = Values.Trap "access to released linear memory" in
+  Alcotest.check_raises "load traps" released (fun () ->
+      ignore (Memory.load_byte m 100));
+  Alcotest.check_raises "store traps" released (fun () ->
+      Memory.store_byte m 0 1);
+  Alcotest.check_raises "grow traps" released (fun () ->
+      ignore (Memory.grow m 1));
+  Alcotest.check_raises "restore traps" released (fun () ->
+      Memory.restore m img);
+  Memory.release m;
+  let fresh = mk_mem () in
+  Alcotest.(check bool)
+    "next memory of the size is zeroed" true
+    (Memory.load_string fresh 0 (Memory.size_bytes fresh)
+    = String.make Memory.page_size '\000')
+
+(* Restoring from the prefix image must leave exactly the bytes and page
+   count a restore from a full copy of the memory would.  A reference
+   memory, kept as plain bytes, replays every operation; [Snap] takes a
+   new image of a memory that may itself have been restored. *)
+type mem_op = Store of int * string | Grow of int | Restore | Snap
+
+let gen_mem_ops =
+  let open QCheck.Gen in
+  let addr =
+    frequency [ (3, int_bound 4096); (1, int_bound (3 * Memory.page_size)) ]
+  in
+  let store =
+    map2 (fun a s -> Store (a, s)) addr
+      (string_size ~gen:(map Char.chr (int_range 1 255)) (int_range 1 16))
+  in
+  list_size (int_range 1 24)
+    (frequency
+       [
+         (6, store);
+         (1, map (fun n -> Grow n) (int_bound 2));
+         (3, return Restore);
+         (1, return Snap);
+       ])
+
+let print_mem_op = function
+  | Store (a, s) -> Printf.sprintf "store %d %S" a s
+  | Grow n -> Printf.sprintf "grow %d" n
+  | Restore -> "restore"
+  | Snap -> "snap"
+
+let qcheck_prefix_restore =
+  QCheck.Test.make ~name:"prefix-image restore = full-copy restore"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair gen_mem_ops gen_mem_ops)
+       ~print:(fun (a, b) ->
+         String.concat "; " (List.map print_mem_op (a @ (Snap :: b)))))
+    (fun (setup, ops) ->
+      let m =
+        Memory.create { Types.mem_limits = { lim_min = 1; lim_max = Some 3 } }
+      in
+      let model = ref (Bytes.make Memory.page_size '\000') in
+      let apply = function
+        | Store (a, s) ->
+            let fits = a + String.length s <= Bytes.length !model in
+            (match Memory.store_string m a s with
+            | () -> assert fits
+            | exception Values.Trap _ -> assert (not fits));
+            if fits then Bytes.blit_string s 0 !model a (String.length s)
+        | Grow n ->
+            if Memory.grow m n <> -1l then begin
+              let b = Bytes.make (Bytes.length !model + (n * Memory.page_size)) '\000' in
+              Bytes.blit !model 0 b 0 (Bytes.length !model);
+              model := b
+            end
+        | Restore | Snap -> ()
+      in
+      (* [setup] stands in for the data segments, whose bytes a fresh
+         instance's image keeps. *)
+      List.iter (fun op -> if op <> Restore then apply op) setup;
+      let img = ref (Memory.snapshot m) and full = ref (Bytes.copy !model) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Restore ->
+              Memory.restore m !img;
+              model := Bytes.copy !full
+          | Snap ->
+              img := Memory.snapshot m;
+              full := Bytes.copy !model
+          | op -> apply op);
+          Memory.size_bytes m = Bytes.length !model
+          && Memory.load_string m 0 (Memory.size_bytes m)
+             = Bytes.to_string !model)
+        (ops @ [ Restore ]))
+
 (* ------------------------------------------------------------------ *)
 (* Interpreter control flow                                            *)
 (* ------------------------------------------------------------------ *)
@@ -748,6 +848,8 @@ let () =
           Alcotest.test_case "bounds check" `Quick test_memory_bounds;
           Alcotest.test_case "grow" `Quick test_memory_grow;
           Alcotest.test_case "packed sign extension" `Quick test_packed_load_sign;
+          Alcotest.test_case "released memory traps" `Quick test_memory_release;
+          qc qcheck_prefix_restore;
         ] );
       ( "interp",
         [
