@@ -92,83 +92,16 @@ let check_unique (caller : string) (targets : target_spec list) =
               report are keyed by name)"
              caller t.sp_name);
       Hashtbl.replace seen t.sp_name ())
-    targets;
-  seen
+    targets
 
-let same_stamp (a : Journal.stamp) (b : Journal.stamp) =
-  Shard.equal a.Journal.js_shard b.Journal.js_shard
-  && a.Journal.js_seed = b.Journal.js_seed
-  && a.Journal.js_rounds = b.Journal.js_rounds
-
-(* A journal written under a different fleet configuration would mix
-   verdicts that no single run could produce.  Shared by resume and the
-   serve tenant registry. *)
-let validate_entries ~(context : string) (stamp : Journal.stamp)
-    (entries : Journal.entry list) : unit =
-  List.iter
-    (fun (e : Journal.entry) ->
-      let st = e.Journal.je_stamp in
-      if not (same_stamp st stamp) then
-        failwith
-          (Printf.sprintf
-             "%s: journal entry %S was recorded under shard=%s seed=%Ld \
-              budget=%d, but this run uses shard=%s seed=%Ld budget=%d; \
-              refusing to mix configurations"
-             context e.Journal.je_name
-             (Shard.to_string st.Journal.js_shard)
-             st.Journal.js_seed st.Journal.js_rounds
-             (Shard.to_string stamp.Journal.js_shard)
-             stamp.Journal.js_seed stamp.Journal.js_rounds))
-    entries
-
-(* Same discipline for the file-level backend header: verdicts are
-   backend-invariant by contract, but resuming a journal under a
-   different execution tier would make that contract unauditable.  An
-   empty journal has no header and nothing to mix.  Shared with the
-   serve tenant registry. *)
-let validate_header ~(context : string) ?(telemetry = false)
-    (backend : Core.Exec_backend.choice) (header : Journal.header option) :
-    unit =
-  match header with
-  | Some h when h.Journal.jh_backend <> backend ->
-      failwith
-        (Printf.sprintf
-           "%s: journal was recorded under backend=%s, but this run uses \
-            backend=%s; refusing to mix execution tiers"
-           context
-           (Core.Exec_backend.to_string h.Journal.jh_backend)
-           (Core.Exec_backend.to_string backend))
-  (* Telemetry cannot change a verdict, but the report's per-stage
-     breakdown covers the whole journal: a resume silently flipping the
-     switch would blend profiled and unprofiled targets. *)
-  | Some h when h.Journal.jh_telemetry <> telemetry ->
-      failwith
-        (Printf.sprintf
-           "%s: journal was recorded with telemetry=%s, but this run uses \
-            telemetry=%s; resumes must agree"
-           context
-           (if h.Journal.jh_telemetry then "on" else "off")
-           (if telemetry then "on" else "off"))
-  | _ -> ()
-
-(* Resume: a target is done iff its entry line reached the journal. *)
-let load_prior (cfg : config) (stamp : Journal.stamp) : Journal.entry list =
-  let prior =
-    match cfg.cc_journal with
-    | Some path when cfg.cc_resume && Sys.file_exists path ->
-        let header, entries = Journal.load_full path in
-        validate_header ~context:"campaign" ~telemetry:cfg.cc_telemetry
-          cfg.cc_engine.Core.Engine.cfg_backend header;
-        entries
-    | _ -> []
-  in
-  validate_entries ~context:"campaign" stamp prior;
-  prior
-
-let load_corpus (cfg : config) : Corpus.t =
-  match cfg.cc_corpus with
-  | Some path when Sys.file_exists path -> Corpus.load path
-  | _ -> Corpus.create ()
+(* The store a run or a plan works from: this run's journal and corpus,
+   checked against its header and stamp. *)
+let open_store ~write (cfg : config) =
+  let backend = cfg.cc_engine.Core.Engine.cfg_backend in
+  Store.open_ ~write ~context:"campaign" ~resume:cfg.cc_resume
+    ~header:{ Journal.jh_backend = backend; jh_telemetry = cfg.cc_telemetry }
+    ~stamp:(stamp_of_config cfg) ?journal:cfg.cc_journal ?corpus:cfg.cc_corpus
+    ()
 
 (* Long-tail mitigation: biggest module first (classic LPT scheduling),
    so one huge contract never starts last and serialises the tail of the
@@ -195,79 +128,36 @@ let preloads_of (corpus : Corpus.t) (targets : target_spec list) =
     targets;
   preloads
 
-let corpus_records_of ~(name : string) (stamp : Journal.stamp)
-    (o : Core.Engine.outcome) : Corpus.record list =
-  List.map
-    (fun (i : Core.Engine.interesting) ->
-      {
-        Corpus.rc_target = name;
-        rc_action = i.Core.Engine.is_action;
-        rc_args = i.Core.Engine.is_args;
-        rc_sig = i.Core.Engine.is_signature;
-        rc_cover = i.Core.Engine.is_cover;
-        rc_new_edges = i.Core.Engine.is_new_edges;
-        rc_round = i.Core.Engine.is_round;
-        rc_shard =
-          ( stamp.Journal.js_shard.Shard.sh_index,
-            stamp.Journal.js_shard.Shard.sh_count );
-        rc_seed = stamp.Journal.js_seed;
-        rc_rounds = stamp.Journal.js_rounds;
-        rc_solver = o.Core.Engine.out_solver;
-        rc_solver_budget = o.Core.Engine.out_final_budget;
-      })
-    o.Core.Engine.out_interesting
-
 let run (cfg : config) (targets : target_spec list) : report =
-  let seen = check_unique "run" targets in
+  check_unique "run" targets;
   (* Shard first: every later count (requested, fuzzed, skipped) describes
      this machine's slice, and names outside it never touch the journal. *)
   let targets = List.filter (fun t -> Shard.member cfg.cc_shard t.sp_name) targets in
-  let stamp = stamp_of_config cfg in
-  let prior = load_prior cfg stamp in
-  let done_ = Hashtbl.create 64 in
-  List.iter (fun (e : Journal.entry) -> Hashtbl.replace done_ e.Journal.je_name e) prior;
-  (* Journal entries for targets outside this run's input set are ignored,
-     so a shared journal never leaks foreign results into the report.
-     Duplicate lines for one name (a journal appended to by a non-resume
-     rerun) collapse to the last entry, matching [done_]. *)
-  let prior_results =
-    Hashtbl.fold
-      (fun name (e : Journal.entry) acc ->
-        if Hashtbl.mem seen name && Shard.member cfg.cc_shard name then e :: acc
-        else acc)
-      done_ []
-  in
+  let store = open_store ~write:true cfg in
+  (* A target is done iff its entry line reached the journal.  Entries
+     for names outside this run's input set are ignored, so a shared
+     journal never leaks foreign results into the report. *)
+  let prior_results = List.filter_map (fun t -> Store.find store t.sp_name) targets in
   let remaining =
-    order_targets (List.filter (fun t -> not (Hashtbl.mem done_ t.sp_name)) targets)
+    order_targets
+      (List.filter (fun t -> Store.find store t.sp_name = None) targets)
   in
   let remaining =
     match cfg.cc_max_targets with
     | Some n -> take (max 0 n) remaining
     | None -> remaining
   in
-  (* The corpus is read once, up front: the preload each target receives
+  (* The corpus is read once, at open: the preload each target receives
      is a pure function of the corpus file at campaign start, identical
      for every worker count and schedule. *)
-  let corpus = load_corpus cfg in
-  let preloads = preloads_of corpus remaining in
+  let preloads = preloads_of (Store.corpus store) remaining in
   let corpus_preloaded =
     Hashtbl.fold (fun _ seeds acc -> acc + List.length seeds) preloads 0
   in
-  let corpus_writer = Option.map Corpus.Writer.open_ cfg.cc_corpus in
   let corpus_added = ref 0 in
   let queue = Work_queue.create () in
   Work_queue.push_all queue remaining;
   Work_queue.close queue;
-  let writer =
-    Option.map
-      (Journal.open_writer
-         ~header:
-           {
-             Journal.jh_backend = cfg.cc_engine.Core.Engine.cfg_backend;
-             jh_telemetry = cfg.cc_telemetry;
-           })
-      cfg.cc_journal
-  in
   (* Flip the recorder switch before any worker domain exists:
      [Domain.spawn] orders the write ahead of everything the workers do,
      so every probe in the fleet sees one consistent setting. *)
@@ -292,26 +182,13 @@ let run (cfg : config) (targets : target_spec list) : report =
               tx
         | None -> "")
   in
-  (* Durable-completion protocol (caller holds the lock): corpus seeds
-     first, then the journal entry — once the target is journaled as
-     done, a resumed campaign never re-fuzzes it, so its seeds must
-     already be durable.  The in-memory corpus (mutated only here, under
-     the campaign lock) dedupes against both the loaded file and this
-     run's earlier inserts. *)
+  (* The campaign lock is the one lock a completion takes: it serialises
+     the store's durable writes, the results and the progress callback.
+     Callers hold it. *)
   let complete_target ~name ~elapsed (o : Core.Engine.outcome) =
     warn_truncated name o;
-    let entry = Journal.of_outcome ~name ~elapsed ~stamp o in
-    (match corpus_writer with
-    | Some w ->
-        let t_corpus = Telemetry.start () in
-        corpus_added :=
-          !corpus_added
-          + Corpus.Writer.commit w corpus (corpus_records_of ~name stamp o);
-        Telemetry.stop Telemetry.Corpus_io t_corpus
-    | None -> ());
-    (* Journal next: the entry must be durable before the target is
-       reported as done. *)
-    Option.iter (fun w -> Journal.append w entry) writer;
+    let entry, added = Store.complete store ~name ~elapsed o in
+    corpus_added := !corpus_added + added;
     results := entry :: !results;
     Option.iter (fun f -> f entry) cfg.cc_progress
   in
@@ -355,8 +232,7 @@ let run (cfg : config) (targets : target_spec list) : report =
   let domains = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
   worker ();
   List.iter Domain.join domains;
-  Option.iter Journal.close_writer writer;
-  Option.iter Corpus.Writer.close corpus_writer;
+  Store.close store;
   (match List.rev !failures with
    | [] -> ()
    | (name, msg) :: rest ->
@@ -403,14 +279,10 @@ type plan = {
    loading or fuzzing anything: shard membership, resume skips, LPT
    execution order and per-target corpus preloads. *)
 let plan (cfg : config) (targets : target_spec list) : plan =
-  ignore (check_unique "plan" targets);
-  let stamp = stamp_of_config cfg in
-  let prior = load_prior cfg stamp in
-  let done_ = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Journal.entry) -> Hashtbl.replace done_ e.Journal.je_name ())
-    prior;
-  let corpus = load_corpus cfg in
+  check_unique "plan" targets;
+  let store = open_store ~write:false cfg in
+  let done_ name = Store.find store name <> None in
+  let corpus = Store.corpus store in
   let count = cfg.cc_shard.Shard.sh_count in
   (* Fresh member targets lead, in the exact order [run] would enqueue
      them; everything else (done, foreign, capped out) follows in name
@@ -420,8 +292,7 @@ let plan (cfg : config) (targets : target_spec list) : plan =
       order_targets
         (List.filter
            (fun t ->
-             Shard.member cfg.cc_shard t.sp_name
-             && not (Hashtbl.mem done_ t.sp_name))
+             Shard.member cfg.cc_shard t.sp_name && not (done_ t.sp_name))
            targets)
     in
     match cfg.cc_max_targets with
@@ -435,7 +306,7 @@ let plan (cfg : config) (targets : target_spec list) : plan =
       pr_size = t.sp_size;
       pr_shard = Shard.assign ~count t.sp_name;
       pr_member = member;
-      pr_done = member && Hashtbl.mem done_ t.sp_name;
+      pr_done = member && done_ t.sp_name;
       pr_order = order;
       pr_preload =
         (if member then List.length (Corpus.preload corpus ~target:t.sp_name)
@@ -502,8 +373,9 @@ let plan_text (p : plan) =
 (* Reports from journals: merge                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Duplicate lines for one name (appended by a non-resume rerun) collapse
-   to the last entry, exactly as [run]'s resume path does. *)
+(* Duplicate lines for one name collapse to the last entry, as the
+   store's [find] does on resume.  Only a journal built by hand (or by a
+   build that let a non-resume rerun append) holds them. *)
 let collapse_duplicates (entries : Journal.entry list) : Journal.entry list =
   let last = Hashtbl.create 64 in
   let order = ref [] in
@@ -545,7 +417,7 @@ let check_journal (path, entries) : Journal.stamp * Journal.entry list =
       List.iter
         (fun (e : Journal.entry) ->
           let st = e.Journal.je_stamp in
-          if not (same_stamp st s0) then
+          if st <> s0 then
             merge_error
               "%s: entry %S stamped shard=%s seed=%Ld budget=%d, but the \
                journal opened with shard=%s seed=%Ld budget=%d (mixed \

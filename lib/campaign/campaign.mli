@@ -47,7 +47,9 @@ type target_spec = {
 type config = {
   cc_jobs : int;  (** worker domains, including the calling one; >= 1 *)
   cc_engine : Core.Engine.config;
-  cc_journal : string option;  (** append completed targets here *)
+  cc_journal : string option;
+      (** append completed targets here; a journal that is not empty is
+          continued only with [cc_resume] *)
   cc_resume : bool;
       (** skip targets already present in [cc_journal]; their journal
           entries are merged into the final report *)
@@ -109,10 +111,12 @@ val run : config -> target_spec list -> report
 (** Raises [Invalid_argument] on duplicate target names,
     {!Journal.Malformed} when resuming from a corrupt journal,
     {!Corpus.Malformed} when [cc_corpus] exists but is corrupt, and
-    [Failure] when a resumed journal was stamped under a different
-    (shard, seed, budget) configuration or when a target's load/fuzz
-    raised (after all workers have drained; the journal keeps every
-    target completed before the failure).
+    [Failure] when [cc_journal] is not empty and [cc_resume] is off,
+    when a resumed journal was recorded under a different backend,
+    telemetry switch or (shard, seed, budget) stamp ({!Store.open_}), or
+    when a target's load, fuzz or durable write raised (after all
+    workers have drained; the journal keeps every target completed
+    before the failure).
 
     Targets outside [cc_shard] are filtered out before anything else:
     they are not fuzzed, not journaled, and not counted in
@@ -122,9 +126,8 @@ val run : config -> target_spec list -> report
     With [cc_corpus] set, each fresh target's engine queue is preloaded
     with the corpus seeds stored for it ({!Corpus.preload}), and every
     interesting seed the engine reports is deduped into the corpus and
-    appended to the file {e before} the target's journal line — a
-    journaled target is never re-fuzzed on resume, so its seeds must
-    already be durable.  Preloads are resolved from the corpus file as
+    appended to the file {e before} the target's journal line
+    ({!Store.complete}).  Preloads are resolved from the corpus file as
     it stood at campaign start, so verdicts remain a pure function of
     (engine seed, target, corpus state): {!verdicts_text} is still
     byte-identical across [cc_jobs] for a fixed starting corpus. *)
@@ -132,34 +135,6 @@ val run : config -> target_spec list -> report
 val stamp_of_config : config -> Journal.stamp
 (** The (shard, seed, budget) provenance every journal entry of a run
     under [config] carries. *)
-
-val validate_entries :
-  context:string -> Journal.stamp -> Journal.entry list -> unit
-(** Check that every entry was recorded under exactly this
-    (shard, seed, budget) provenance — {!run}'s resume discipline,
-    exported for external journal owners (the serve tenant registry).
-    Raises [Failure] (prefixed with [context]) on the first mismatch. *)
-
-val validate_header :
-  context:string ->
-  ?telemetry:bool ->
-  Core.Exec_backend.choice ->
-  Journal.header option ->
-  unit
-(** Check that the journal's file-level backend header matches this
-    run's execution tier — the backend counterpart of
-    {!validate_entries}, applied on resume.  [telemetry] (default
-    [false]) must likewise match the header's [telemetry=] stamp, so a
-    resumed report's per-stage breakdown covers every journaled target
-    or none.  Raises [Failure] (prefixed with [context]) on mismatch;
-    [None] (an empty journal, see {!Journal.load_full}) passes. *)
-
-val corpus_records_of :
-  name:string -> Journal.stamp -> Core.Engine.outcome -> Corpus.record list
-(** The corpus records a completed target contributes: one per
-    interesting seed in the outcome, stamped with the run's provenance.
-    What {!run} appends to [cc_corpus]; exported so external
-    orchestrators (serve) persist seeds under the same schema. *)
 
 val of_entries : Journal.entry list -> report
 (** Wrap already-journaled entries as a report without fuzzing anything

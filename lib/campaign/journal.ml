@@ -24,8 +24,10 @@
 
     Parsing is strict: a first line that is not a header, wrong magic,
     wrong field count, unknown keys, out-of-order flags, duplicate
-    exploit flags or unparseable numbers all reject the journal (so a
-    line torn by a crash is reported, not skipped). *)
+    exploit flags or unparseable numbers all reject the journal.  A
+    final line without its newline was never acknowledged and is
+    skipped ({!Wasai_support.Fsutil.fold_lines}); {!Store} owns the
+    writing side. *)
 
 module Core = Wasai_core
 module Solver = Wasai_smt.Solver
@@ -362,70 +364,29 @@ let entry_of_line (line : string) : (entry, string) result =
 exception Malformed of string
 
 let load_full path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let bad line_no reason =
-        raise
-          (Malformed
-             (Printf.sprintf
-                "%s:%d: malformed journal line (%s); refusing to resume from \
-                 a corrupt journal"
-                path line_no reason))
-      in
-      (* A header anywhere but line 1 fails the entry magic check: it is
-         a torn or spliced file. *)
-      let rec go acc line_no =
-        match input_line ic with
-        | exception End_of_file -> List.rev acc
-        | line -> (
-            match entry_of_line line with
-            | Ok e -> go (e :: acc) (line_no + 1)
-            | Error reason -> bad line_no reason)
-      in
-      match input_line ic with
-      | exception End_of_file -> (None, [])
-      | first -> (
-          match header_of_line first with
-          | Ok h -> (Some h, go [] 2)
-          | Error reason -> bad 1 reason))
+  let bad line_no reason =
+    raise
+      (Malformed
+         (Printf.sprintf
+            "%s:%d: malformed journal line (%s); refusing to resume from a \
+             corrupt journal"
+            path line_no reason))
+  in
+  (* A header anywhere but line 1 fails the entry magic check: it is a
+     spliced file. *)
+  let header, entries =
+    Wasai_support.Fsutil.fold_lines path
+      (fun (header, entries) line_no line ->
+        if line_no = 1 then
+          match header_of_line line with
+          | Ok h -> (Some h, [])
+          | Error reason -> bad 1 reason
+        else
+          match entry_of_line line with
+          | Ok e -> (header, e :: entries)
+          | Error reason -> bad line_no reason)
+      (None, [])
+  in
+  (header, List.rev entries)
 
 let load path = snd (load_full path)
-
-(* ------------------------------------------------------------------ *)
-(* Writer                                                              *)
-(* ------------------------------------------------------------------ *)
-
-type writer = { oc : out_channel; wlock : Mutex.t }
-
-(* A line must reach disk before the work counts as done: a resume must
-   never skip work whose result a crash threw away. *)
-let write_durable oc line =
-  output_string oc line;
-  output_char oc '\n';
-  flush oc;
-  Unix.fsync (Unix.descr_of_out_channel oc)
-
-let open_writer ~header path =
-  let fresh = not (Sys.file_exists path) in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  (* A crash right after creating the journal must not lose the file
-     itself: the fsync-per-line discipline below only covers contents,
-     not the new directory entry. *)
-  if fresh then Wasai_support.Fsutil.fsync_dir (Filename.dirname path);
-  (* The header goes on empty files only (fresh, or left empty by a
-     crash or a [touch]): appending one mid-file would corrupt an
-     existing journal, and resume validates the existing header against
-     the run's configuration before reaching here. *)
-  if out_channel_length oc = 0 then write_durable oc (line_of_header header);
-  { oc; wlock = Mutex.create () }
-
-let append w e =
-  let line = line_of_entry e in
-  Mutex.protect w.wlock (fun () ->
-      let t0 = Wasai_telemetry.Telemetry.start () in
-      write_durable w.oc line;
-      Wasai_telemetry.Telemetry.stop Wasai_telemetry.Telemetry.Journal_fsync t0)
-
-let close_writer w = Mutex.protect w.wlock (fun () -> close_out_noerr w.oc)

@@ -1,5 +1,5 @@
 (** Crash-safe campaign journal: one line per completed target, appended
-    under a lock and fsync'd before the write is acknowledged, so a killed
+    by {!Store} and fsync'd before the write is acknowledged, so a killed
     campaign can be resumed from exactly the set of targets whose results
     reached disk.
 
@@ -13,10 +13,11 @@
     stamp is what lets {!Campaign.merge} check that shard journals from
     different machines belong to one consistent fleet configuration; the
     exploit records are what lets a resumed or merged report replay
-    evidence.  Any other line — including a line torn by a crash
-    mid-write — makes {!load} raise {!Malformed} with the offending
-    path, line number and reason: a corrupt journal is never silently
-    skipped over. *)
+    evidence.  Any other complete line makes {!load} raise {!Malformed}
+    with the offending path, line number and reason: a corrupt journal
+    is never silently skipped over.  A final line without its newline is
+    a write that was never acknowledged (a crash or a failed write
+    mid-append), and readers skip it.  {!Store} writes journals. *)
 
 module Core = Wasai_core
 module Solver = Wasai_smt.Solver
@@ -92,26 +93,11 @@ exception Malformed of string
     reason. *)
 
 val load : string -> entry list
-(** All entries, in file order.  Raises {!Malformed} on any bad line
-    (including a missing header) and [Sys_error] if the file cannot be
-    read. *)
+(** All entries, in file order.  Raises {!Malformed} on any bad complete
+    line (including a missing header) and [Sys_error] if the file cannot
+    be read; an unterminated final line is skipped. *)
 
 val load_full : string -> header option * entry list
-(** Like {!load}, also returning the header: [None] only for an empty
-    file.  A first line that is not a header, or a header anywhere but
-    line 1, raises {!Malformed}. *)
-
-(** Append-side handle; [append] serialises concurrent writers with an
-    internal mutex and fsyncs after every line. *)
-type writer
-
-val open_writer : header:header -> string -> writer
-(** Opens (creating if needed) in append mode: resuming a campaign keeps
-    the prior entries and extends the same file.  [header] is written
-    (and fsync'd) as the first line when the file is empty — non-empty
-    files are never rewritten, and resume is expected to have validated
-    their header already. *)
-
-val append : writer -> entry -> unit
-
-val close_writer : writer -> unit
+(** Like {!load}, also returning the header: [None] only for a file with
+    no complete line.  A first line that is not a header, or a header
+    anywhere but line 1, raises {!Malformed}. *)

@@ -3,16 +3,15 @@
 
     An oracle {e definition} names a vulnerability class (flag) and
     knows how to instantiate a per-session {e instance} against one
-    contract's environment (instrumentation metadata, resolved chain
-    profile, the adversary account names).  An instance streams over
+    contract's environment (instrumentation metadata, resolved host-API
+    ids, the adversary account names).  An instance streams over
     every executed payload's trace with a {!Trace.Cursor} and reports
     whether the exploit event occurred in that payload; the scanner
     harness makes the fire sticky and keeps the first firing payload as
     exploit evidence.
 
-    Detectors match host calls through a {!Wasai_eosio.Chain_profile}
-    resolved once per contract, so a non-EOSIO host-function table is a
-    new profile record, not a fork of this layer. *)
+    Detectors match host calls through the EOSIO host-API name groups
+    below, resolved once per contract to function-import indices. *)
 
 module Wasm = Wasai_wasm
 module Trace = Wasai_wasabi.Trace
@@ -89,8 +88,8 @@ let flag_of_string s = List.find_opt (fun f -> string_of_flag f = s) all_flags
 (* Environment and instances                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** A chain profile's name groups resolved to function-import indices
-    of one instrumented contract (absent imports drop out). *)
+(** The host-API name groups resolved to function-import indices of one
+    instrumented contract (absent imports drop out). *)
 type host_ids = {
   hi_auth : int list;
   hi_state_writes : int list;
@@ -133,14 +132,24 @@ type instance = {
 (** An oracle: a named constructor of instances. *)
 type def = { od_name : string; od_flag : flag; od_make : env -> instance }
 
-let resolve_ids (meta : Trace.meta) (p : Chain_profile.t) : host_ids =
+(* The EOSIO host API of the paper's §3.5 detectors: permission checks,
+   persistent state writes, inline action dispatch (the rollback
+   vector), and block information an adversary can bias.  Visible
+   effects — what MissAuth protects — are the sends and the writes. *)
+let auth_apis = [ "require_auth"; "require_auth2"; "has_auth" ]
+let state_write_apis = [ "db_store_i64"; "db_update_i64"; "db_remove_i64" ]
+let inline_send_apis = [ "send_inline" ]
+let blockinfo_apis = [ "tapos_block_prefix"; "tapos_block_num" ]
+let effect_apis = inline_send_apis @ state_write_apis
+
+let resolve_ids (meta : Trace.meta) : host_ids =
   let ids names = List.filter_map (Trace.find_env_import meta) names in
   {
-    hi_auth = ids p.Chain_profile.cp_auth;
-    hi_state_writes = ids p.Chain_profile.cp_state_writes;
-    hi_inline_send = ids p.Chain_profile.cp_inline_send;
-    hi_blockinfo = ids p.Chain_profile.cp_blockinfo;
-    hi_effects = ids (Chain_profile.effects p);
+    hi_auth = ids auth_apis;
+    hi_state_writes = ids state_write_apis;
+    hi_inline_send = ids inline_send_apis;
+    hi_blockinfo = ids blockinfo_apis;
+    hi_effects = ids effect_apis;
   }
 
 let make_env ~(meta : Trace.meta) ~(victim : Name.t)
@@ -148,7 +157,7 @@ let make_env ~(meta : Trace.meta) ~(victim : Name.t)
   {
     en_meta = meta;
     en_func_imports = Wasm.Ast.num_func_imports meta.Trace.instrumented;
-    en_ids = resolve_ids meta Chain_profile.eosio;
+    en_ids = resolve_ids meta;
     en_victim = victim;
     en_fake_notif_agent = fake_notif_agent;
     en_fake_token = fake_token;

@@ -1,5 +1,5 @@
 (** The streaming oracle layer: vulnerability detectors as
-    instances, parametric in a {!Wasai_eosio.Chain_profile}.
+    instances matching EOSIO host-API calls.
 
     A {!def} names a vulnerability class and constructs per-session
     {!instance}s against one contract's {!env}; instances stream each
@@ -56,8 +56,8 @@ val flag_of_string : string -> flag option
 
 (** {1 Environment} *)
 
-(** A chain profile's name groups resolved to function-import indices
-    of one instrumented contract (absent imports drop out). *)
+(** The host-API name groups resolved to function-import indices of one
+    instrumented contract (absent imports drop out). *)
 type host_ids = {
   hi_auth : int list;
   hi_state_writes : int list;
@@ -94,7 +94,12 @@ type instance = {
 
 type def = { od_name : string; od_flag : flag; od_make : env -> instance }
 
-val resolve_ids : Trace.meta -> Chain_profile.t -> host_ids
+val resolve_ids : Trace.meta -> host_ids
+(** Resolve the EOSIO host API of the paper's §3.5 detectors: the
+    permission checks ([require_auth], [require_auth2], [has_auth]), the
+    state writes ([db_store_i64], [db_update_i64], [db_remove_i64]),
+    [send_inline], the block information ([tapos_block_prefix],
+    [tapos_block_num]) and the visible effects (sends and writes). *)
 
 val make_env :
   meta:Trace.meta ->
@@ -103,7 +108,8 @@ val make_env :
   fake_token:Name.t ->
   unit ->
   env
-(** Resolves {!Chain_profile.eosio} against the contract's imports. *)
+(** Resolves the host API ({!resolve_ids}) against the contract's
+    imports. *)
 
 (** {1 Builtins} *)
 

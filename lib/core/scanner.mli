@@ -76,7 +76,7 @@ val create :
   unit ->
   t
 (** Instantiate every builtin oracle against this contract, matching
-    host calls through {!Chain_profile.eosio}; [fake_token_account]
+    host calls through {!Oracle.resolve_ids}; [fake_token_account]
     defaults to the engine's counterfeit token account. *)
 
 val executed_ids : Trace.Buffer.t -> int list

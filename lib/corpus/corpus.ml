@@ -25,11 +25,13 @@
     [-] for an empty vector — so a corpus can be parsed, deduplicated
     and minimised without the target's ABI on hand.
 
-    Writes follow the journal's crash-safety discipline: append a full
-    line, flush, fsync, and only then acknowledge.  Parsing is strict:
-    wrong magic, wrong field count, unknown keys or tags, unsorted
-    covers, signature mismatches and unparseable numbers all reject the
-    line with its reason. *)
+    Writes follow the journal's crash-safety discipline: append full
+    lines, fsync, and only then acknowledge (the campaign store owns the
+    writing side).  A final line without its newline was never
+    acknowledged and is skipped.  Parsing of every complete line is
+    strict: wrong magic, wrong field count, unknown keys or tags,
+    unsorted covers, signature mismatches and unparseable numbers all
+    reject the line with its reason. *)
 
 module Trace = Wasai_wasabi.Trace
 module Solver = Wasai_smt.Solver
@@ -354,28 +356,20 @@ let preload t ~target =
   List.map (fun r -> (r.rc_action, r.rc_args)) (records_for t ~target)
 
 let load path : t =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let t = create () in
-      let rec go line_no =
-        match input_line ic with
-        | exception End_of_file -> t
-        | line -> (
-            match record_of_line line with
-            | Ok r ->
-                ignore (add t r);
-                go (line_no + 1)
-            | Error reason ->
-                raise
-                  (Malformed
-                     (Printf.sprintf
-                        "%s:%d: malformed corpus line (%s); refusing to load \
-                         a corrupt corpus"
-                        path line_no reason)))
-      in
-      go 1)
+  Wasai_support.Fsutil.fold_lines path
+    (fun t line_no line ->
+      match record_of_line line with
+      | Ok r ->
+          ignore (add t r);
+          t
+      | Error reason ->
+          raise
+            (Malformed
+               (Printf.sprintf
+                  "%s:%d: malformed corpus line (%s); refusing to load a \
+                   corrupt corpus"
+                  path line_no reason)))
+    (create ())
 
 let save t path =
   (* Atomic replace: write a sibling temp file, fsync, rename over. *)
@@ -467,37 +461,3 @@ let stats_text t : string =
            (List.length recs) (List.length actions) (edge_union recs)))
     tgts;
   Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Append-side writer                                                  *)
-(* ------------------------------------------------------------------ *)
-
-module Writer = struct
-  type w = { oc : out_channel; wlock : Mutex.t }
-
-  let open_ path =
-    let fresh = not (Sys.file_exists path) in
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    (* As with the journal writer: make the directory entry of a freshly
-       created corpus file durable before seeds start landing in it. *)
-    if fresh then Wasai_support.Fsutil.fsync_dir (Filename.dirname path);
-    { oc; wlock = Mutex.create () }
-
-  let commit w t records =
-    let fresh = List.filter (add t) records in
-    if fresh <> [] then
-      Mutex.protect w.wlock (fun () ->
-          List.iter
-            (fun r ->
-              output_string w.oc (line_of_record r);
-              output_char w.oc '\n')
-            fresh;
-          flush w.oc;
-          (* The seeds must reach disk before their target is journaled
-             as done: a crash-resumed campaign skips the target, so a
-             seed lost here would be lost forever. *)
-          Unix.fsync (Unix.descr_of_out_channel w.oc));
-    List.length fresh
-
-  let close w = Mutex.protect w.wlock (fun () -> close_out_noerr w.oc)
-end

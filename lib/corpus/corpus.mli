@@ -11,10 +11,12 @@
 
     On disk the corpus is a journal-style append-only file: one strict,
     versioned, tab-separated line per seed ([wasai-corpus-v1], 13
-    fields), each append flushed and fsync'd before it is acknowledged.
-    See [corpus.ml] for the full grammar.  Loading validates every field
-    and recomputes every signature; any torn or edited line raises
-    {!Malformed} rather than corrupting the index.
+    fields), each append fsync'd before it is acknowledged (the campaign
+    store writes it).  See [corpus.ml] for the full grammar.  Loading
+    validates every field and recomputes every signature; an edited
+    complete line raises {!Malformed} rather than corrupting the index.
+    A final line without its newline is a write that was never
+    acknowledged, and {!load} skips it.
 
     Determinism: everything derived from a corpus — {!records},
     {!preload} lists, {!minimize} output, {!save} files, {!stats_text} —
@@ -83,8 +85,9 @@ val preload : t -> target:string -> (Name.t * Abi.value list) list
 
 val load : string -> t
 (** Parse a corpus file, deduplicating as it goes (re-appended
-    duplicates collapse silently).  Raises {!Malformed} on any bad line
-    and [Sys_error] if the file cannot be read. *)
+    duplicates collapse silently).  Raises {!Malformed} on any bad
+    complete line and [Sys_error] if the file cannot be read; an
+    unterminated final line is skipped. *)
 
 val save : t -> string -> unit
 (** Write the canonical form: records in canonical order, temp file +
@@ -105,20 +108,3 @@ val edge_union : record list -> int
 val stats_text : t -> string
 (** Summary plus one line per target (seeds, distinct actions, distinct
     edges), canonically ordered. *)
-
-(** Append-side handle, following the journal's crash-safety discipline:
-    every line is flushed and fsync'd before [commit] returns. *)
-module Writer : sig
-  type w
-
-  val open_ : string -> w
-  (** Opens (creating if needed) in append mode. *)
-
-  val commit : w -> t -> record list -> int
-  (** Group commit of one target's seeds: {!add} each record to the
-      in-memory corpus, append the ones it accepts in list order, then
-      flush and fsync once.  Returns how many were new; writes nothing
-      when none are. *)
-
-  val close : w -> unit
-end

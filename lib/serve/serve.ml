@@ -5,9 +5,9 @@ module Wasm = Wasai_wasm
 module Campaign = Wasai_campaign.Campaign
 module Journal = Wasai_campaign.Journal
 module Shard = Wasai_campaign.Shard
+module Store = Wasai_campaign.Store
 module Work_queue = Wasai_campaign.Work_queue
 module Discover = Wasai_campaign.Discover
-module Corpus = Wasai_corpus.Corpus
 module Metrics = Wasai_support.Metrics
 module Fsutil = Wasai_support.Fsutil
 module Telemetry = Wasai_telemetry.Telemetry
@@ -73,10 +73,7 @@ type job = {
 
 type tenant_state = {
   tn_name : string;
-  tn_journal : Journal.writer;
-  tn_corpus : Corpus.t;  (** in-memory dedupe index over appended seeds *)
-  tn_corpus_w : Corpus.Writer.w;
-  tn_done : (string, Journal.entry) Hashtbl.t;
+  tn_store : Store.t;  (** journal + corpus; its [find] is the verdict cache *)
   tn_inflight : (string, unit) Hashtbl.t;
   tn_qwait : Metrics.Histogram.t;
   tn_latency : Metrics.Histogram.t;
@@ -95,9 +92,8 @@ type conn = {
 
 type t = {
   cfg : config;
-  stamp : Journal.stamp;
   started : float;  (** [Unix.gettimeofday] at {!create}, for uptime *)
-  lock : Mutex.t;  (** guards tenants and completions *)
+  lock : Mutex.t;  (** guards tenants and completions (their one lock) *)
   tenants : (string, tenant_state) Hashtbl.t;
   queue : job Work_queue.t;
   completions : (int * Wire.response) Queue.t;
@@ -126,44 +122,29 @@ let wake t =
 (* Tenant registry                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let load_tenant ~root ~resume ~backend stamp tenant : tenant_state =
-  let dir = tenant_dir ~root tenant in
-  Fsutil.mkdir_p dir;
-  let jpath = journal_path ~root tenant in
-  let done_ = Hashtbl.create 64 in
-  if Sys.file_exists jpath then begin
-    if not resume then
-      failwith
-        (Printf.sprintf
-           "serve: tenant %S already has a journal under %s; pass --resume \
-            to continue it"
-           tenant root);
-    let header, entries = Journal.load_full jpath in
-    Campaign.validate_header
-      ~context:(Printf.sprintf "serve tenant %s" tenant)
-      backend header;
-    Campaign.validate_entries
-      ~context:(Printf.sprintf "serve tenant %s" tenant)
-      stamp entries;
-    (* Last entry per name wins, as campaign resume does. *)
-    List.iter (fun (e : Journal.entry) -> Hashtbl.replace done_ e.Journal.je_name e) entries
-  end;
-  let cpath = corpus_path ~root tenant in
-  let corpus = if Sys.file_exists cpath then Corpus.load cpath else Corpus.create () in
+(* A tenant's store.  Tenant journals keep the backend-only header even
+   though the daemon records telemetry: the [telemetry=] stamp exists so
+   campaign resumes agree about their report's breakdown, and serve
+   exposes its breakdown live over METRICS instead — journal bytes stay
+   identical to every earlier daemon build. *)
+let open_tenant ?write ~root ~resume (engine : Core.Engine.config) ?corpus
+    tenant =
+  Store.open_ ?write
+    ~context:(Printf.sprintf "serve tenant %s" tenant)
+    ~resume
+    ~header:
+      { Journal.jh_backend = engine.Core.Engine.cfg_backend; jh_telemetry = false }
+    ~stamp:(stamp_of_engine engine) ~journal:(journal_path ~root tenant)
+    ?corpus ()
+
+let load_tenant (cfg : config) tenant : tenant_state =
+  let root = cfg.sv_root in
+  Fsutil.mkdir_p (tenant_dir ~root tenant);
   {
     tn_name = tenant;
-    (* Tenant journals keep the legacy backend-only header even though
-       the daemon records telemetry: the [telemetry=] stamp exists so
-       campaign resumes agree about their report's breakdown, and serve
-       exposes its breakdown live over METRICS instead — journal bytes
-       stay identical to every earlier daemon build. *)
-    tn_journal =
-      Journal.open_writer
-        ~header:{ Journal.jh_backend = backend; jh_telemetry = false }
-        jpath;
-    tn_corpus = corpus;
-    tn_corpus_w = Corpus.Writer.open_ cpath;
-    tn_done = done_;
+    tn_store =
+      open_tenant ~root ~resume:cfg.sv_resume cfg.sv_engine
+        ~corpus:(corpus_path ~root tenant) tenant;
     tn_inflight = Hashtbl.create 16;
     tn_qwait = Metrics.Histogram.create ();
     tn_latency = Metrics.Histogram.create ();
@@ -221,7 +202,6 @@ let drop_inflight t jb =
    t.lock. *)
 let finish_submission t (jb : job) ~started (tn : tenant_state)
     (entry : Journal.entry) =
-  Hashtbl.remove tn.tn_inflight jb.jb_name;
   tn.tn_completed <- tn.tn_completed + 1;
   let finished = Unix.gettimeofday () in
   Metrics.Histogram.add tn.tn_qwait (started -. jb.jb_submitted);
@@ -248,40 +228,23 @@ let worker (t : t) () =
            Mutex.protect t.lock (fun () -> drop_inflight t jb)
          else
            let started = Unix.gettimeofday () in
-           match run_job t jb with
-           | outcome ->
-               let elapsed = Unix.gettimeofday () -. started in
-               let entry =
-                 Journal.of_outcome ~name:jb.jb_name ~elapsed ~stamp:t.stamp
-                   outcome
-               in
-               let recs =
-                 Campaign.corpus_records_of ~name:jb.jb_name t.stamp outcome
-               in
-               Mutex.protect t.lock (fun () ->
-                   match Hashtbl.find_opt t.tenants jb.jb_tenant with
-                   | None -> ()
-                   | Some tn ->
-                       (* Seeds reach disk before the journal line: a
-                          journaled target is never re-fuzzed on
-                          resume, so a seed lost here would be lost
-                          forever (campaign discipline). *)
-                       let t_corpus = Telemetry.start () in
-                       ignore
-                         (Corpus.Writer.commit tn.tn_corpus_w tn.tn_corpus
-                            recs);
-                       Telemetry.stop Telemetry.Corpus_io t_corpus;
-                       Journal.append tn.tn_journal entry;
-                       Hashtbl.replace tn.tn_done jb.jb_name entry;
-                       finish_submission t jb ~started tn entry)
-           | exception e ->
-               let reason = Printexc.to_string e in
-               Mutex.protect t.lock (fun () ->
-                   drop_inflight t jb;
+           let outcome = try Ok (run_job t jb) with e -> Error e in
+           let elapsed = Unix.gettimeofday () -. started in
+           Mutex.protect t.lock (fun () ->
+               drop_inflight t jb;
+               let tn = Hashtbl.find t.tenants jb.jb_tenant in
+               (* A failed fuzz and a failed durable write both answer ERR
+                  for this name alone: the worker lives on. *)
+               match
+                 Result.bind outcome (fun o ->
+                     try Ok (Store.complete tn.tn_store ~name:jb.jb_name ~elapsed o)
+                     with e -> Error e)
+               with
+               | Ok (entry, _) -> finish_submission t jb ~started tn entry
+               | Error e ->
+                   let reason = Printexc.to_string e in
                    Queue.add
-                     ( jb.jb_conn,
-                       Wire.Err { rp_name = Some jb.jb_name; rp_reason = reason }
-                     )
+                     (jb.jb_conn, Wire.Err { rp_name = Some jb.jb_name; rp_reason = reason })
                      t.completions));
         (* Completion is enqueued before the decrement, so once the loop
            observes outstanding = 0 every verdict is already visible. *)
@@ -312,9 +275,7 @@ let find_or_create_tenant t tenant =
   match Hashtbl.find_opt t.tenants tenant with
   | Some tn -> tn
   | None ->
-      let tn =
-        load_tenant ~root:t.cfg.sv_root ~resume:t.cfg.sv_resume ~backend:t.cfg.sv_engine.Core.Engine.cfg_backend t.stamp tenant
-      in
+      let tn = load_tenant t.cfg tenant in
       Hashtbl.replace t.tenants tenant tn;
       tn
 
@@ -330,7 +291,7 @@ let admit t conn_id now (tenant : string) (name : string) wasm abi :
         | exception e ->
             Wire.Err { rp_name = Some name; rp_reason = Printexc.to_string e }
         | tn -> (
-            match Hashtbl.find_opt tn.tn_done name with
+            match Store.find tn.tn_store name with
             | Some entry ->
                 (* Same name, already journaled: replay the recorded
                    verdict instead of re-fuzzing (resume discipline). *)
@@ -486,22 +447,13 @@ let request_abort t =
   request_stop t
 
 let create cfg : t =
-  let stamp = stamp_of_engine cfg.sv_engine in
-  let prior = scan_root cfg.sv_root in
-  if prior <> [] && not cfg.sv_resume then
-    failwith
-      (Printf.sprintf
-         "serve: %s already holds journals for %d tenant(s) (%s); pass \
-          --resume to continue them"
-         cfg.sv_root (List.length prior)
-         (String.concat ", " prior));
   Fsutil.mkdir_p cfg.sv_root;
+  (* Without [sv_resume], the first tenant holding a non-empty journal
+     refuses the start. *)
   let tenants = Hashtbl.create 8 in
   List.iter
-    (fun tenant ->
-      Hashtbl.replace tenants tenant
-        (load_tenant ~root:cfg.sv_root ~resume:cfg.sv_resume ~backend:cfg.sv_engine.Core.Engine.cfg_backend stamp tenant))
-    prior;
+    (fun tenant -> Hashtbl.replace tenants tenant (load_tenant cfg tenant))
+    (scan_root cfg.sv_root);
   (* A singleton daemon owns the socket path: a leftover file from a
      killed daemon is stale by construction, so unlink and rebind. *)
   if Sys.file_exists cfg.sv_socket then (
@@ -522,7 +474,6 @@ let create cfg : t =
   let t =
     {
       cfg;
-      stamp;
       started = Unix.gettimeofday ();
       lock = Mutex.create ();
       tenants;
@@ -774,11 +725,7 @@ let serve t =
           (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
           (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
           Mutex.protect t.lock (fun () ->
-              Hashtbl.iter
-                (fun _ tn ->
-                  Journal.close_writer tn.tn_journal;
-                  Corpus.Writer.close tn.tn_corpus_w)
-                t.tenants);
+              Hashtbl.iter (fun _ tn -> Store.close tn.tn_store) t.tenants);
           (* A real kill -9 leaves the socket file behind; the simulated
              one does too, so resume tests exercise the stale-socket
              path. *)
@@ -795,17 +742,10 @@ let serve t =
 let tenants ~root = scan_root root
 
 let tenant_entries ~root ~engine tenant =
-  let stamp = stamp_of_engine engine in
-  let header, entries = Journal.load_full (journal_path ~root tenant) in
-  Campaign.validate_header
-    ~context:(Printf.sprintf "serve tenant %s" tenant)
-    engine.Core.Engine.cfg_backend header;
-  Campaign.validate_entries
-    ~context:(Printf.sprintf "serve tenant %s" tenant)
-    stamp entries;
+  let store = open_tenant ~write:false ~root ~resume:true engine tenant in
   (* Collapse duplicates to the last entry per name, newest wins, then
      canonical name order — Campaign.of_entries does exactly this. *)
-  (Campaign.of_entries entries).Campaign.cr_results
+  (Campaign.of_entries (Store.entries store)).Campaign.cr_results
 
 let tenant_report ~root ~engine tenant =
   let entries = tenant_entries ~root ~engine tenant in

@@ -22,14 +22,16 @@
     [retry-after] hint instead of buffering without bound — explicit
     backpressure, never an unbounded queue.
 
-    Restart safety: a target counts as done iff its line reached the
-    tenant journal (fsync'd before the verdict is streamed), and every
-    line carries the daemon's (shard=0/1, seed, budget) provenance
-    stamp.  On [--resume] the daemon replays each tenant journal through
-    {!Campaign.validate_entries} — {!Campaign.merge}'s discipline — and
-    serves already-journaled names from cache, so a [kill -9] mid-queue
-    followed by resume + resubmission yields per-tenant reports
-    byte-identical to an uninterrupted run.
+    Restart safety: each tenant's journal and corpus are a
+    {!Wasai_campaign.Store}, the same one a batch campaign writes
+    through.  A target counts as done iff its line reached the tenant
+    journal (fsync'd before the verdict is streamed), and every line
+    carries the daemon's (shard=0/1, seed, budget) provenance stamp.  On
+    [--resume] the store checks each tenant journal against that stamp
+    and the daemon serves already-journaled names from cache, so a
+    [kill -9] mid-queue followed by resume + resubmission yields
+    per-tenant reports byte-identical to an uninterrupted run.  A failed
+    durable write answers [ERR] for its submission; the worker goes on.
 
     Determinism argument for that byte-identity: every serve fuzz is
     {e cold} ([cfg_preload] is forced empty; the per-tenant corpus is
@@ -48,8 +50,8 @@ type config = {
   sv_jobs : int;  (** worker domains (the I/O loop is not one of them) *)
   sv_depth : int;  (** max in-flight (queued + running) per tenant *)
   sv_resume : bool;
-      (** continue existing tenant journals; without it, a root that
-          already holds journals is refused *)
+      (** continue existing tenant journals; without it, a tenant whose
+          journal is not empty is refused *)
   sv_engine : Core.Engine.config;
       (** per-submission engine configuration; [cfg_preload] is forced
           empty (see the determinism argument above) *)
@@ -72,13 +74,12 @@ type t
 
 val create : config -> t
 (** Bind the socket (unlinking a stale one), create the root, spawn the
-    worker domains and — with [sv_resume] — load every existing tenant:
-    journal entries are validated against this daemon's (seed, budget)
-    stamp via {!Campaign.validate_entries} and become the tenant's
-    cached-verdict table.  Raises [Failure] when the root holds tenant
-    journals and [sv_resume] is false, or when a journal was stamped
-    under a different configuration; {!Journal.Malformed} on a corrupt
-    journal. *)
+    worker domains and open every existing tenant's store: journal
+    entries are checked against this daemon's (seed, budget) stamp and
+    become the tenant's cached-verdict table.  Raises [Failure] when a
+    tenant's journal is not empty and [sv_resume] is false (the message
+    names [--resume]), or when a journal was recorded under a different
+    configuration; {!Journal.Malformed} on a corrupt journal. *)
 
 val serve : t -> unit
 (** Run the I/O loop until a stop is requested ([SHUTDOWN] on the wire,
@@ -110,10 +111,10 @@ val tenants : root:string -> string list
 
 val tenant_entries :
   root:string -> engine:Core.Engine.config -> string -> Journal.entry list
-(** A tenant's journal entries, validated against the (seed, budget)
-    stamp the daemon would use and collapsed to the last entry per name
-    (resume discipline).  Raises [Failure] on a stamp mismatch,
-    {!Journal.Malformed} on a corrupt journal. *)
+(** A tenant's journal entries, checked against the (seed, budget) stamp
+    the daemon would use through a read-only store and collapsed to the
+    last entry per name (resume discipline).  Raises [Failure] on a stamp
+    mismatch, {!Journal.Malformed} on a corrupt journal. *)
 
 val tenant_report :
   root:string -> engine:Core.Engine.config -> string -> string

@@ -5,7 +5,12 @@
     was created moments before a crash: the new directory entry lives in
     the directory's own data, which has its own dirty page.  Creators of
     durable files therefore fsync the {e parent directory} once after the
-    create (POSIX: fsync on a directory fd flushes its entries). *)
+    create (POSIX: fsync on a directory fd flushes its entries).
+
+    A line is acknowledged once {!append_lines} returns with its newline
+    on disk, so a final line without one is a write that was never
+    acknowledged (a crash or a failed write mid-append): {!fold_lines}
+    skips it and {!open_appender} truncates it. *)
 
 val fsync_dir : string -> unit
 (** Open [dir] read-only and fsync it, flushing directory entries (new
@@ -17,3 +22,21 @@ val mkdir_p : string -> unit
 (** [mkdir "-p"]: create the directory and any missing ancestors; never
     fails because a component already exists.  Each directory this call
     actually creates is made durable by fsyncing its parent. *)
+
+val fold_lines : string -> ('a -> int -> string -> 'a) -> 'a -> 'a
+(** [fold_lines path f init] folds [f acc line_no line] over the
+    newline-terminated lines of [path], numbered from 1, without their
+    newlines.  Raises [Sys_error] if the file cannot be read. *)
+
+type appender
+
+val open_appender : string -> appender * int
+(** Open [path] for appending, creating it (and fsyncing its parent)
+    when absent.  An unterminated final line is truncated and the file
+    fsync'd; the second component is the number of bytes dropped. *)
+
+val append_lines : appender -> string list -> unit
+(** Write each line and its newline, then fsync once.  On an exception
+    any prefix of the bytes may have reached the file. *)
+
+val close_appender : appender -> unit

@@ -27,6 +27,13 @@ let removing paths f =
       List.iter (fun p -> if Sys.file_exists p then Sys.remove p) paths)
     f
 
+let read_file path =
+  if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all
+  else ""
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
 let test_hist_basic () =
   let h = Metrics.Histogram.create () in
   Alcotest.(check (float 0.0)) "empty percentile" 0.0
@@ -596,11 +603,24 @@ let test_resume () =
   Alcotest.(check string) "merged report equals the uninterrupted run"
     (Campaign.Campaign.verdicts_text uninterrupted)
     (Campaign.Campaign.verdicts_text resumed);
-  (* A journal appended to by a non-resume rerun holds duplicate lines per
-     name; resume must collapse them, not double-count. *)
-  let _rerun_without_resume =
-    Campaign.Campaign.run (campaign_config ~journal ~jobs:1 ()) targets
-  in
+  (* A rerun without --resume would journal every target twice: it is
+     refused, and the journal keeps its bytes. *)
+  let before = read_file journal in
+  (match Campaign.Campaign.run (campaign_config ~journal ~jobs:1 ()) targets with
+   | _ -> Alcotest.fail "non-resume rerun onto a non-empty journal accepted"
+   | exception Failure msg ->
+       Alcotest.(check bool)
+         (Printf.sprintf "refusal %S names --resume" msg)
+         true
+         (contains ~sub:"pass --resume" msg));
+  Alcotest.(check string) "refused rerun wrote nothing" before
+    (read_file journal);
+  (* A journal holding a duplicate line per name (built by hand, or by a
+     build that let reruns append) collapses on resume, not
+     double-counts. *)
+  let first_entry = List.nth (String.split_on_char '\n' before) 1 in
+  Out_channel.with_open_gen [ Open_append ] 0o644 journal (fun oc ->
+      output_string oc (first_entry ^ "\n"));
   let resumed_again =
     Campaign.Campaign.run
       (campaign_config ~journal ~resume:true ~jobs:1 ())
@@ -653,25 +673,25 @@ let test_duplicate_names_rejected () =
 
 module Telemetry = Wasai_telemetry.Telemetry
 
+(* [elapsed=] is wall-clock and differs between any two runs: zero it
+   through an entry round-trip, leaving every other byte as written. *)
+let mask_elapsed line =
+  match Campaign.Journal.entry_of_line line with
+  | Ok e ->
+      Campaign.Journal.line_of_entry { e with Campaign.Journal.je_elapsed = 0. }
+  | Error e -> Alcotest.fail e
+
 (* Zero interference: with telemetry on, a campaign writes the same
    journal entries and verdict report as with it off, at jobs 1 and 2;
-   only the header gains its stamp.  [elapsed=] is wall-clock and differs
-   between any two runs, so it is zeroed through an entry round-trip;
-   every other byte is compared as written.  Worker completion order is
-   not canonical, so entries at jobs 2 compare as multisets. *)
+   only the header gains its stamp.  Entries compare with [elapsed=]
+   masked.  Worker completion order is not canonical, so entries at
+   jobs 2 compare as multisets. *)
 let test_telemetry_identity () =
   let targets = test_targets ~count:6 in
   let read_lines path =
     In_channel.with_open_text path In_channel.input_all
     |> String.split_on_char '\n'
     |> List.filter (( <> ) "")
-  in
-  let canonical line =
-    match Campaign.Journal.entry_of_line line with
-    | Ok e ->
-        Campaign.Journal.line_of_entry
-          { e with Campaign.Journal.je_elapsed = 0. }
-    | Error e -> Alcotest.fail e
   in
   let run ~jobs ~telemetry =
     let journal = temp_journal "telemetry" in
@@ -681,7 +701,7 @@ let test_telemetry_identity () =
     in
     let lines = read_lines journal in
     ( List.hd lines,
-      List.map canonical (List.tl lines),
+      List.map mask_elapsed (List.tl lines),
       Campaign.Campaign.verdicts_text r )
   in
   Fun.protect
@@ -730,6 +750,163 @@ let temp_corpus tag =
   let p = Filename.temp_file ("wasai-test-" ^ tag) ".seeds" in
   Sys.remove p;
   p
+
+(* ------------------------------------------------------------------ *)
+(* Crash states                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The lines of [s], each with its newline; an unterminated tail is the
+   last element. *)
+let lines_of s =
+  let rec go i acc =
+    if i >= String.length s then List.rev acc
+    else
+      match String.index_from_opt s i '\n' with
+      | Some j -> go (j + 1) (String.sub s i (j + 1 - i) :: acc)
+      | None -> List.rev (String.sub s i (String.length s - i) :: acc)
+  in
+  go 0 []
+
+(* The acknowledged part of a file: everything up to its last newline. *)
+let acknowledged s =
+  match String.rindex_opt s '\n' with
+  | Some i -> String.sub s 0 (i + 1)
+  | None -> ""
+
+(* Every state a crash can leave a campaign's journal and corpus in.  A
+   reference run writes, in order, the journal header and then per
+   target its corpus lines and its journal line.  Each prefix of that
+   sequence, and each prefix plus 1, half or all but one byte of the
+   next line, must resume without raising, keep every acknowledged line
+   and skip exactly the journaled targets; a second resume writes
+   nothing.  At target boundaries the resumed files equal the
+   reference.  Elsewhere the corpus holds seeds of a target not yet
+   journaled, which re-fuzzes warm from them, so its line and seeds
+   differ from the cold reference: no byte identity is asserted there.
+   Every byte cut of each file's final line is checked at the store
+   level: the prior entries and seeds are exactly the complete lines,
+   and opening truncates the file to its last newline. *)
+let test_crash_states () =
+  let targets = test_targets ~count:4 in
+  let journal = temp_journal "crash" and corpus = temp_corpus "crash" in
+  removing [ journal; corpus ] @@ fun () ->
+  (* The engine settings only shape the write sequence.  Two rounds
+     without feedback keep two seeds per target, enough for a crash
+     inside a corpus commit, and keep the sweep's ~50 resumes fast. *)
+  let cfg ~resume =
+    Campaign.Campaign.make_config ~journal ~corpus ~resume ~jobs:1
+      ~engine:(Core.Engine.make_config ~rounds:2 ~feedback:false ())
+      ()
+  in
+  ignore (Campaign.Campaign.run (cfg ~resume:false) targets);
+  let ref_j = read_file journal and ref_c = read_file corpus in
+  let target line = List.nth (String.split_on_char '\t' line) 1 in
+  let events =
+    match lines_of ref_j with
+    | [] -> Alcotest.fail "empty reference journal"
+    | header :: entries ->
+        (`J, header)
+        :: List.concat_map
+             (fun entry ->
+               List.filter_map
+                 (fun l -> if target l = target entry then Some (`C, l) else None)
+                 (lines_of ref_c)
+               @ [ (`J, entry) ])
+             entries
+  in
+  let state p tail =
+    let j = Buffer.create 4096 and c = Buffer.create 4096 in
+    let add (file, l) = Buffer.add_string (if file = `J then j else c) l in
+    List.iteri (fun i ev -> if i < p then add ev) events;
+    Option.iter add tail;
+    (Buffer.contents j, Buffer.contents c)
+  in
+  Alcotest.(check bool) "the write sequence rebuilds both files" true
+    (state (List.length events) None = (ref_j, ref_c));
+  let masked s =
+    match lines_of s with
+    | header :: entries ->
+        String.concat ""
+          (header
+          :: List.map
+               (fun l -> mask_elapsed (String.sub l 0 (String.length l - 1)) ^ "\n")
+               entries)
+    | [] -> ""
+  in
+  let resume what ~boundary (j, c) =
+    write_file journal j;
+    write_file corpus c;
+    let entries = max 0 (List.length (lines_of (acknowledged j)) - 1) in
+    let r =
+      try Campaign.Campaign.run (cfg ~resume:true) targets
+      with e -> Alcotest.failf "%s: resume raised %s" what (Printexc.to_string e)
+    in
+    Alcotest.(check int) (what ^ ": skips the journaled targets") entries
+      r.Campaign.Campaign.cr_skipped;
+    let j1 = read_file journal and c1 = read_file corpus in
+    Alcotest.(check bool) (what ^ ": acknowledged lines kept") true
+      (String.starts_with ~prefix:(acknowledged j) j1
+      && String.starts_with ~prefix:(acknowledged c) c1);
+    ignore (Campaign.Campaign.run (cfg ~resume:true) targets);
+    Alcotest.(check bool) (what ^ ": a second resume writes nothing") true
+      (read_file journal = j1 && read_file corpus = c1);
+    if boundary then begin
+      Alcotest.(check string) (what ^ ": journal = reference") (masked ref_j)
+        (masked j1);
+      Alcotest.(check string) (what ^ ": corpus = reference") ref_c c1
+    end
+  in
+  List.iteri
+    (fun i (file, line) ->
+      let boundary = i = 0 || fst (List.nth events (i - 1)) = `J in
+      resume (Printf.sprintf "after %d writes" i) ~boundary (state i None);
+      List.iter
+        (fun k ->
+          resume
+            (Printf.sprintf "write %d cut at byte %d" (i + 1) k)
+            ~boundary:false
+            (state i (Some (file, String.sub line 0 k))))
+        [ 1; String.length line / 2; String.length line - 1 ])
+    events;
+  resume "all writes" ~boundary:true (ref_j, ref_c);
+  (* Byte cuts at the store level, one file at a time. *)
+  let cfg = cfg ~resume:true in
+  let open_store ?journal ?corpus () =
+    Campaign.Store.open_ ~context:"crash" ~resume:true
+      ~header:
+        {
+          Campaign.Journal.jh_backend = cfg.Campaign.Campaign.cc_engine.Core.Engine.cfg_backend;
+          jh_telemetry = false;
+        }
+      ~stamp:(Campaign.Campaign.stamp_of_config cfg)
+      ?journal ?corpus ()
+  in
+  let cut_final path full check =
+    let kept = acknowledged (String.sub full 0 (String.length full - 1)) in
+    let last = String.length full - String.length kept in
+    for k = 1 to last - 1 do
+      write_file path (kept ^ String.sub full (String.length kept) k);
+      check (List.map (fun l -> String.sub l 0 (String.length l - 1)) (lines_of kept));
+      Alcotest.(check string)
+        (Printf.sprintf "%s cut at byte %d: truncated to its last newline"
+           path k)
+        kept (read_file path)
+    done
+  in
+  cut_final journal ref_j (fun lines ->
+      let s = open_store ~journal () in
+      Campaign.Store.close s;
+      Alcotest.(check (list string)) "prior entries = complete lines"
+        (List.tl lines)
+        (List.map Campaign.Journal.line_of_entry (Campaign.Store.entries s)));
+  cut_final corpus ref_c (fun lines ->
+      let s = open_store ~corpus () in
+      Campaign.Store.close s;
+      Alcotest.(check (list string)) "prior seeds = complete lines"
+        (List.sort compare lines)
+        (List.sort compare
+           (List.map SeedCorpus.line_of_record
+              (SeedCorpus.records (Campaign.Store.corpus s)))))
 
 (* The corpus acceptance bar: a cold campaign fills the corpus; warm
    reruns preload it, reproduce the cold flag verdicts byte-for-byte
@@ -1054,6 +1231,8 @@ let () =
             test_resume_rejects_mismatched_stamp;
           Alcotest.test_case "duplicate names rejected" `Quick
             test_duplicate_names_rejected;
+          Alcotest.test_case "every crash state resumes" `Quick
+            test_crash_states;
           Alcotest.test_case "telemetry off/on byte identity" `Quick
             test_telemetry_identity;
         ] );

@@ -519,43 +519,63 @@ let auto_header =
 let interp_header =
   { Campaign.Journal.jh_backend = Core.Exec_backend.Interp; jh_telemetry = false }
 
-let test_header_resume_discipline () =
-  let header = Some interp_header in
-  (* Same tier resumes; an empty journal (no header) resumes; a
-     different tier refuses. *)
-  Campaign.Campaign.validate_header ~context:"t" Core.Exec_backend.Interp header;
-  Campaign.Campaign.validate_header ~context:"t" Core.Exec_backend.Auto None;
-  (match
-     Campaign.Campaign.validate_header ~context:"t" Core.Exec_backend.Auto header
-   with
-  | () -> Alcotest.fail "mismatched backend accepted"
-  | exception Failure msg ->
-      Alcotest.(check string)
-        "refusal names both tiers"
-        "t: journal was recorded under backend=interp, but this run uses \
-         backend=auto; refusing to mix execution tiers"
-        msg);
-  (* The telemetry stamp obeys the same discipline: matching runs
-     resume, a flipped switch refuses in either direction. *)
-  let on = Some { auto_header with Campaign.Journal.jh_telemetry = true } in
-  Campaign.Campaign.validate_header ~context:"t" ~telemetry:true
-    Core.Exec_backend.Auto on;
-  (match
-     Campaign.Campaign.validate_header ~context:"t" Core.Exec_backend.Auto on
-   with
-  | () -> Alcotest.fail "telemetry=on journal resumed without --telemetry"
-  | exception Failure _ -> ());
-  match
-    Campaign.Campaign.validate_header ~context:"t" ~telemetry:true
-      Core.Exec_backend.Auto (Some auto_header)
-  with
-  | () -> Alcotest.fail "telemetry=off journal resumed with --telemetry"
-  | exception Failure _ -> ()
-
+(* Write [lines] to [path], each with its newline. *)
 let write_lines path lines =
   let oc = open_out path in
   List.iter (fun l -> output_string oc (l ^ "\n")) lines;
   close_out oc
+
+(* Open [path] as a resumed journal under [header], through the store. *)
+let open_journal ?(write = false) ~header path =
+  Campaign.Store.open_ ~write ~context:"t" ~resume:true ~header
+    ~stamp:
+      {
+        Campaign.Journal.js_shard = Campaign.Shard.whole;
+        js_seed = 0L;
+        js_rounds = 1;
+      }
+    ~journal:path ()
+
+let test_header_resume_discipline () =
+  with_temp_file (fun path ->
+      let resume ?(telemetry = false) backend =
+        Campaign.Store.close
+          (open_journal
+             ~header:
+               {
+                 Campaign.Journal.jh_backend = backend;
+                 jh_telemetry = telemetry;
+               }
+             path)
+      in
+      (* Same tier resumes; an empty journal (no header) resumes; a
+         different tier refuses. *)
+      resume Core.Exec_backend.Auto;
+      write_lines path [ Campaign.Journal.line_of_header interp_header ];
+      resume Core.Exec_backend.Interp;
+      (match resume Core.Exec_backend.Auto with
+      | () -> Alcotest.fail "mismatched backend accepted"
+      | exception Failure msg ->
+          Alcotest.(check string)
+            "refusal names both tiers"
+            "t: journal was recorded under backend=interp, but this run uses \
+             backend=auto; refusing to mix execution tiers"
+            msg);
+      (* The telemetry stamp obeys the same discipline: matching runs
+         resume, a flipped switch refuses in either direction. *)
+      write_lines path
+        [
+          Campaign.Journal.line_of_header
+            { auto_header with Campaign.Journal.jh_telemetry = true };
+        ];
+      resume ~telemetry:true Core.Exec_backend.Auto;
+      (match resume Core.Exec_backend.Auto with
+      | () -> Alcotest.fail "telemetry=on journal resumed without --telemetry"
+      | exception Failure _ -> ());
+      write_lines path [ Campaign.Journal.line_of_header auto_header ];
+      match resume ~telemetry:true Core.Exec_backend.Auto with
+      | () -> Alcotest.fail "telemetry=off journal resumed with --telemetry"
+      | exception Failure _ -> ())
 
 let test_header_only_line_one () =
   with_temp_file (fun path ->
@@ -593,7 +613,7 @@ let test_headerless_rejected () =
                    (wasai-journal-hdr), got \"wasai-journal-v4\")")
                msg))
 
-(* The writer stamps the header on a fresh path and on a path that
+(* The store stamps the header on a fresh path and on a path that
    exists but is empty (a [touch], or a crash before the first write), so
    a later resume under another tier is refused instead of trusted. *)
 let test_empty_file_gets_header () =
@@ -601,8 +621,8 @@ let test_empty_file_gets_header () =
     (fun fresh ->
       with_temp_file (fun path ->
           if fresh then Sys.remove path;
-          Campaign.Journal.close_writer
-            (Campaign.Journal.open_writer ~header:interp_header path);
+          Campaign.Store.close
+            (open_journal ~write:true ~header:interp_header path);
           match Campaign.Journal.load_full path with
           | Some h, [] when h = interp_header -> ()
           | _ ->

@@ -1,7 +1,7 @@
 (* Tests for the persistent seed corpus: typed argument wire
    round-trips, record line round-trip, strict parse rejections,
    dedupe-on-insert, greedy set-cover minimisation, load/save
-   round-trip and Writer crash-safety discipline. *)
+   round-trip and the store's append discipline. *)
 
 module Corpus = Wasai_corpus.Corpus
 module Trace = Wasai_wasabi.Trace
@@ -212,36 +212,86 @@ let test_load_rejects_corrupt_line () =
   let c = Corpus.create () in
   ignore (Corpus.add c (record ()));
   let path = temp_path () in
-  Corpus.save c path;
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "wasai-corpus-v1\ttorn";
-  close_out oc;
+  let with_tail tail =
+    Corpus.save c path;
+    let oc = open_out_gen [ Open_append ] 0o644 path in
+    output_string oc tail;
+    close_out oc
+  in
+  with_tail "wasai-corpus-v1\ttorn\n";
   (match Corpus.load path with
    | _ -> Alcotest.fail "corrupt line admitted"
    | exception Corpus.Malformed msg ->
        Alcotest.(check bool) "error names the line" true
          (contains ~sub:":2: malformed" msg));
+  (* Without its newline the same bytes were never acknowledged. *)
+  with_tail "wasai-corpus-v1\ttorn";
+  Alcotest.(check int) "unterminated final line ignored" 1
+    (Corpus.size (Corpus.load path));
   Sys.remove path
+
+module Campaign = Wasai_campaign
+module Core = Wasai_core
+
+(* A corpus-only store whose stamp is the provenance [record] carries. *)
+let open_store path =
+  Campaign.Store.open_ ~context:"t" ~resume:false
+    ~header:
+      { Campaign.Journal.jh_backend = Core.Exec_backend.Auto; jh_telemetry = false }
+    ~stamp:
+      {
+        Campaign.Journal.js_shard = Campaign.Shard.make ~index:0 ~count:2;
+        js_seed = 99L;
+        js_rounds = 24;
+      }
+    ~corpus:path ()
+
+(* Complete target "vault" with these interesting seeds; the number of
+   seeds the store appended. *)
+let commit store (records : Corpus.record list) =
+  let interesting (r : Corpus.record) =
+    {
+      Core.Engine.is_round = r.Corpus.rc_round;
+      is_action = r.Corpus.rc_action;
+      is_args = r.Corpus.rc_args;
+      is_cover = r.Corpus.rc_cover;
+      is_signature = r.Corpus.rc_sig;
+      is_new_edges = r.Corpus.rc_new_edges;
+    }
+  in
+  let outcome =
+    {
+      Core.Engine.out_flags = []; out_custom = []; out_exploits = [];
+      out_branches = 0; out_timeline = []; out_rounds = 0;
+      out_seeds_total = 0; out_adaptive_seeds = 0; out_transactions = 0;
+      out_solver_sat = 0; out_imprecise = 0; out_solver = stats;
+      out_interesting = List.map interesting records; out_verdict_round = 0;
+      out_final_budget = 20000; out_truncated = 0; out_first_truncated = None;
+    }
+  in
+  snd (Campaign.Store.complete store ~name:"vault" ~elapsed:0. outcome)
 
 let test_writer_appends_durably () =
   let path = temp_path () in
-  let w = Corpus.Writer.open_ path in
-  let c = Corpus.create () in
+  let s = open_store path in
   let r1 = record () and r2 = record ~cover:[ (4, 0l) ] () in
-  Alcotest.(check int) "repeat in one batch written once" 1
-    (Corpus.Writer.commit w c [ r1; r1 ]);
-  (* Visible before close: commit is flush+fsync, not buffered. *)
+  Alcotest.(check int) "repeat in one batch written once" 1 (commit s [ r1; r1 ]);
+  (* Visible before close: each completion is fsync'd, not buffered. *)
   Alcotest.(check int) "first commit visible immediately" 1
     (Corpus.size (Corpus.load path));
-  Alcotest.(check int) "known seed skipped" 1
-    (Corpus.Writer.commit w c [ r1; r2 ]);
-  Corpus.Writer.close w;
-  let w2 = Corpus.Writer.open_ path in
-  (* A fresh in-memory corpus re-appends r1: load dedupes. *)
-  ignore (Corpus.Writer.commit w2 (Corpus.create ()) [ r1 ]);
-  Corpus.Writer.close w2;
+  Alcotest.(check int) "known seed skipped" 1 (commit s [ r1; r2 ]);
+  Campaign.Store.close s;
+  let s2 = open_store path in
+  Alcotest.(check int) "reopen dedupes against the file" 0 (commit s2 [ r1 ]);
+  Campaign.Store.close s2;
+  (* A re-appended duplicate line collapses on load. *)
+  let oc = open_out_gen [ Open_append ] 0o644 path in
+  output_string oc (Corpus.line_of_record r1 ^ "\n");
+  close_out oc;
   let c' = Corpus.load path in
-  Alcotest.(check int) "reopen appends; load dedupes" 2 (Corpus.size c');
+  Alcotest.(check int) "load dedupes" 2 (Corpus.size c');
+  Alcotest.(check bool) "the store stamps the run's provenance" true
+    (List.sort compare (Corpus.records c') = List.sort compare [ r1; r2 ]);
   Sys.remove path
 
 let test_stats_text () =
