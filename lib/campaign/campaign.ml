@@ -220,7 +220,7 @@ let run (cfg : config) (targets : target_spec list) : report =
                    ~elapsed:(Unix.gettimeofday () -. s0)
                    o)
            with exn ->
-             let msg = Printexc.to_string exn in
+             let msg = Store.error_message exn in
              Mutex.protect lock (fun () ->
                  failures := (spec.sp_name, msg) :: !failures));
           loop ()

@@ -11,13 +11,17 @@ type t = {
   entries : Journal.entry list;
   last : (string, Journal.entry) Hashtbl.t;  (** last entry per name *)
   corpus : Corpus.t;
-  journal_w : Fsutil.appender option;
-  corpus_w : Fsutil.appender option;
+  journal_w : (string * Fsutil.appender) option;  (** path, appender *)
+  corpus_w : (string * Fsutil.appender) option;
   mutable failed : bool;  (** a write raised: the files are a crash state *)
 }
 
 let refuse context fmt =
   Printf.ksprintf (fun s -> failwith (context ^ ": " ^ s)) fmt
+
+let error_message = function
+  | Failure msg -> msg
+  | e -> Printexc.to_string e
 
 (* A resumed journal must come from this run's execution tier, telemetry
    switch and (shard, seed, budget) stamp.  Verdicts are backend- and
@@ -77,12 +81,12 @@ let open_ ?(write = true) ~context ~resume ~header ~stamp ?journal ?corpus ()
          write that was never acknowledged)\n\
          %!"
         context path dropped;
-    w
+    (path, w)
   in
   let journal_w = if write then Option.map appender journal else None in
   if prior_header = None then
     Option.iter
-      (fun w -> Fsutil.append_lines w [ Journal.line_of_header header ])
+      (fun (_, w) -> Fsutil.append_lines w [ Journal.line_of_header header ])
       journal_w;
   let corpus_w = if write then Option.map appender corpus else None in
   let last = Hashtbl.create 64 in
@@ -115,6 +119,12 @@ let record t ~name (o : Core.Engine.outcome) (i : Core.Engine.interesting) =
     rc_solver_budget = o.Core.Engine.out_final_budget;
   }
 
+(* A failed durable write names its store and file. *)
+let append t (path, w) lines =
+  try Fsutil.append_lines w lines
+  with Unix.Unix_error (err, _, _) ->
+    refuse t.context "%s: %s" path (Unix.error_message err)
+
 let complete t ~name ~elapsed (o : Core.Engine.outcome) =
   if t.failed then
     refuse t.context
@@ -134,7 +144,7 @@ let complete t ~name ~elapsed (o : Core.Engine.outcome) =
             (List.map (record t ~name o) o.Core.Engine.out_interesting)
         in
         if fresh <> [] then
-          Fsutil.append_lines w (List.map Corpus.line_of_record fresh);
+          append t w (List.map Corpus.line_of_record fresh);
         Telemetry.stop Telemetry.Corpus_io t0;
         List.length fresh
   in
@@ -142,7 +152,7 @@ let complete t ~name ~elapsed (o : Core.Engine.outcome) =
     (fun w ->
       let line = Journal.line_of_entry entry in
       let t0 = Telemetry.start () in
-      Fsutil.append_lines w [ line ];
+      append t w [ line ];
       Telemetry.stop Telemetry.Journal_fsync t0)
     t.journal_w;
   t.failed <- false;
@@ -150,5 +160,5 @@ let complete t ~name ~elapsed (o : Core.Engine.outcome) =
   (entry, added)
 
 let close t =
-  Option.iter Fsutil.close_appender t.journal_w;
-  Option.iter Fsutil.close_appender t.corpus_w
+  Option.iter (fun (_, w) -> Fsutil.close_appender w) t.journal_w;
+  Option.iter (fun (_, w) -> Fsutil.close_appender w) t.corpus_w

@@ -56,7 +56,14 @@ val complete :
 (** Dedupe the target's interesting seeds into {!corpus} and append the
     new ones (one fsync, in the [Corpus_io] span), then append its entry
     (in the [Journal_fsync] span).  Returns the entry and the number of
-    new seeds.  After a write raises, every later completion raises too,
-    so the files stay a state a crash could leave. *)
+    new seeds.  A failed write raises [Failure "CONTEXT: PATH: reason"],
+    naming the file, with [reason] from [Unix.error_message].  After a
+    write fails, every later completion raises [Failure] too, so the
+    files stay a state a crash could leave. *)
 
 val close : t -> unit
+
+val error_message : exn -> string
+(** How campaign and serve report a failure: a [Failure]'s message bare
+    (the store's are prefixed with their context), any other exception
+    as [Printexc.to_string] gives it. *)

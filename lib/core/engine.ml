@@ -176,6 +176,9 @@ type session = {
   inputs : Sym.Convention.inputs list;
       (** each ABI action's symbolic inputs and the state built from
           them, shared by all its payloads *)
+  replays : Sym.Replay.Memo.t;
+      (** this run's replay memo: each distinct trace region is replayed
+          once per action's inputs *)
   exec_stage : Telemetry.stage;
       (** the telemetry stage payload execution is attributed to — fixed
           per session by the resolved execution backend *)
@@ -351,6 +354,7 @@ let setup (cfg : config) (target : target) : session =
       branches = Hashtbl.create 256;
       solver;
       inputs;
+      replays = Sym.Replay.Memo.create ();
       exec_stage =
         (match cfg.cfg_backend with
         | Exec_backend.Interp -> Telemetry.Exec_interp
@@ -608,7 +612,7 @@ let feedback (s : session) (seed : Seed.t) (buf : B.t)
   | None -> ()
   | Some inputs -> (
       match
-        Sym.Replay.run ~inputs ~meta:s.meta
+        Sym.Replay.Memo.run s.replays ~inputs ~meta:s.meta
           ~target_funcs:s.scanner.Scanner.action_candidates buf
       with
       | None -> ()
@@ -847,11 +851,17 @@ let fuzz_session ~(oracles : Wasabi.Trace.meta -> Scanner.custom_oracle list)
 (** Fuzz one contract to completion and report.  [oracles] builds
     additional detectors from the instrumentation metadata (the §5
     extension interface).  However the run ends, its pooled linear
-    memory goes to the domain's spare for the next target. *)
+    memory, its trace collector's arrays and its replay memo's arena go
+    to the domain's spares for the next target. *)
 let fuzz ?(cfg = default_config) ?(oracles = fun _ -> []) (target : target) :
     outcome =
   let s = setup cfg target in
-  Fun.protect ~finally:s.release_exec (fun () -> fuzz_session ~oracles s)
+  Fun.protect
+    ~finally:(fun () ->
+      s.release_exec ();
+      Wasabi.Trace.release s.collector;
+      Sym.Replay.Memo.release s.replays)
+    (fun () -> fuzz_session ~oracles s)
 
 let flagged (o : outcome) (f : Scanner.flag) : bool =
   match List.assoc_opt f o.out_flags with Some b -> b | None -> false

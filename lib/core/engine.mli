@@ -165,6 +165,9 @@ type session = {
       (** each ABI action's symbolic inputs, minted after [solver] and
           shared, with the state built from them, by every payload of
           the action in this run *)
+  replays : Wasai_symbolic.Replay.Memo.t;
+      (** this run's replay memo: each distinct trace region is replayed
+          once per action's inputs *)
   exec_stage : Wasai_telemetry.Telemetry.stage;
       (** the telemetry stage payload execution is attributed to — fixed
           per session by the resolved execution backend *)
@@ -233,7 +236,10 @@ val fuzz :
   outcome
 (** Fuzz one contract to completion; [oracles] builds additional
     detectors from the instrumentation metadata (the §5 extension
-    interface).
+    interface).  However the run ends, its pooled linear memory
+    ([release_exec]), its collector's arrays ({!Wasabi.Trace.release})
+    and its replay memo's arena go to the domain's spares, which the
+    next target on the domain takes over.
 
     Determinism contract: given a fixed [cfg] (with [cfg_time_limit =
     None]) and a fixed target, every field of the outcome except

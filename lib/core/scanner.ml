@@ -50,6 +50,7 @@ type custom_oracle = {
 
 type t = {
   meta : Trace.meta;
+  env : Oracle.env;  (** the builtins' environment, sites classified *)
   victim : Name.t;
   fake_notif_agent : Name.t;
   action_candidates : int list;  (** possible eosponser ids (instrumented) *)
@@ -70,12 +71,16 @@ and evidence = {
 let create ?(fake_token_account = Name.of_string "fake.token")
     ~(meta : Trace.meta) ~(victim : Name.t) ~(fake_notif_agent : Name.t) () :
     t =
-  let instances =
-    Oracle.instantiate ~meta ~victim ~fake_notif_agent
+  let env =
+    Oracle.make_env ~meta ~victim ~fake_notif_agent
       ~fake_token:fake_token_account ()
+  in
+  let instances =
+    List.map (fun (d : Oracle.def) -> d.Oracle.od_make ()) Oracle.builtins
   in
   {
     meta;
+    env;
     victim;
     fake_notif_agent;
     action_candidates =
@@ -130,13 +135,13 @@ let observe ?(payload : Wasai_eosio.Action.t option) ?(executed : int list optio
         List.exists (fun f -> List.mem f t.action_candidates) ids
   in
   let ctx = { Oracle.cx_channel = channel; cx_eosponser_ran = eosponser_ran } in
+  let facts = Oracle.facts t.env buf in
   (* Every instance steps over every payload (sticky-fired ones too:
-     exculpatory state like the FakeNotif guard must keep accumulating);
-     the first fire pins the evidence. *)
+     the FakeNotif guard must keep accumulating); the first fire pins
+     the evidence, in builtin order. *)
   List.iter
     (fun ((oi : Oracle.instance), fired) ->
-      let cur = Trace.Cursor.make buf in
-      if oi.Oracle.oi_step ctx cur then begin
+      if oi.Oracle.oi_step ctx facts then begin
         fired := true;
         record_evidence oi.Oracle.oi_flag
       end)

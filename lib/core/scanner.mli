@@ -51,6 +51,7 @@ type custom_oracle = {
 
 type t = {
   meta : Trace.meta;
+  env : Oracle.env;  (** the builtins' environment, sites classified once *)
   victim : Name.t;
   fake_notif_agent : Name.t;
   action_candidates : int list;  (** possible eosponser ids *)
@@ -75,9 +76,9 @@ val create :
   fake_notif_agent:Name.t ->
   unit ->
   t
-(** Instantiate every builtin oracle against this contract, matching
-    host calls through {!Oracle.resolve_ids}; [fake_token_account]
-    defaults to the engine's counterfeit token account. *)
+(** Instantiate every builtin oracle and classify this contract's sites
+    for their facts ({!Oracle.make_env}); [fake_token_account] defaults
+    to the engine's counterfeit token account. *)
 
 val executed_ids : Trace.Buffer.t -> int list
 (** Function ids that began execution, in order (the id⃗ chain). *)
@@ -89,8 +90,10 @@ val observe :
   channel:channel ->
   Trace.Buffer.t ->
   unit
-(** Feed one executed payload's trace; the payload is kept as exploit
-    evidence the first time each detector fires.  [executed] is the
+(** Feed one executed payload's trace: one pass collects its
+    {!Oracle.facts}, from which every builtin detector decides, and
+    each custom oracle reads the buffer itself.  The payload is kept as
+    exploit evidence the first time each detector fires.  [executed] is the
     precomputed {!executed_ids} chain when the caller already streamed
     the buffer (the engine's fused scan). *)
 

@@ -242,7 +242,7 @@ let worker (t : t) () =
                with
                | Ok (entry, _) -> finish_submission t jb ~started tn entry
                | Error e ->
-                   let reason = Printexc.to_string e in
+                   let reason = Store.error_message e in
                    Queue.add
                      (jb.jb_conn, Wire.Err { rp_name = Some jb.jb_name; rp_reason = reason })
                      t.completions));
@@ -286,10 +286,8 @@ let admit t conn_id now (tenant : string) (name : string) wasm abi :
         Wire.Err { rp_name = Some name; rp_reason = "daemon is shutting down" }
       else
         match find_or_create_tenant t tenant with
-        | exception Failure reason ->
-            Wire.Err { rp_name = Some name; rp_reason = reason }
         | exception e ->
-            Wire.Err { rp_name = Some name; rp_reason = Printexc.to_string e }
+            Wire.Err { rp_name = Some name; rp_reason = Store.error_message e }
         | tn -> (
             match Store.find tn.tn_store name with
             | Some entry ->

@@ -10,9 +10,9 @@
        conflict budget standing in for the paper's 3,000 ms Z3 cap.
 
     Accounting is per {!Session}: each engine run (one target) owns a
-    session carrying its conflict budget and counters.  Blasted session
-    queries reuse one bit-blasting arena per domain, so campaign workers
-    never contend on shared state. *)
+    session carrying its conflict budget, counters and verdict memo.
+    Blasted session queries reuse one bit-blasting arena per domain, so
+    campaign workers never contend on shared state. *)
 
 type model = (int, int64) Hashtbl.t
 (** expr variable id → value *)
@@ -158,18 +158,39 @@ let domain_arena () =
   Bitblast.reset ctx;
   ctx
 
+(* The tier that decides a query, as the counters and spans see it.  A
+   quick-path contradiction is its own tier: it counts only as a query. *)
+type tier = Quick | Contradiction | Blasted
+
+(* Decide a conjunction with no constant-false member.  [arena] supplies
+   the bit-blasting context, only when the quick path leaves a residue. *)
+let decide ~budget ~arena (constraints : Expr.t list) : result * tier =
+  match quick_path constraints with
+  | `Solved model -> (Sat model, Quick)
+  | `Contradiction -> (Unsat, Contradiction)
+  | `Residual (residual, model) ->
+      (blast_check ~conflict_budget:budget (arena ()) residual model, Blasted)
+
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
 module Session = struct
+  (* A decided query: its key is the conflict budget followed by the
+     constraints' node tags, in order. *)
+  type entry = { me_key : int array; me_result : result; me_tier : tier }
+
   type t = {
     mutable sx_budget : int;
     mutable sx_quick : int;
     mutable sx_blasted : int;
     mutable sx_unknown : int;
     mutable sx_queries : int;  (** queries that reached the quick path *)
+    sx_memo : (int, entry list) Hashtbl.t;  (** key hash -> entries *)
+    mutable sx_memo_words : int;  (** key words stored in [sx_memo] *)
   }
+
+  let memo_max_words = 32_768
 
   let create ?(conflict_budget = default_conflict_budget) () =
     (* One session is one target's run: nodes interned by earlier
@@ -183,6 +204,8 @@ module Session = struct
       sx_blasted = 0;
       sx_unknown = 0;
       sx_queries = 0;
+      sx_memo = Hashtbl.create 64;
+      sx_memo_words = 0;
     }
 
   let conflict_budget t = t.sx_budget
@@ -202,7 +225,64 @@ module Session = struct
       st_cache_hits = 0;
       st_cache_misses = t.sx_queries;
     }
+
+  (* A memo hit counts as the tier that first decided the query, so the
+     counters read as if every query had been solved. *)
+  let count t tier result =
+    t.sx_queries <- t.sx_queries + 1;
+    match tier with
+    | Quick -> t.sx_quick <- t.sx_quick + 1
+    | Contradiction -> ()
+    | Blasted -> (
+        t.sx_blasted <- t.sx_blasted + 1;
+        match result with
+        | Unknown -> t.sx_unknown <- t.sx_unknown + 1
+        | Sat _ | Unsat -> ())
+
+  (* The key is exact: node tags are process-unique and never reused,
+     the session lives on one domain, and the intern table is compacted
+     only when a session is created, so within a session equal tags are
+     one node. *)
+  let key_hash budget (constraints : Expr.t list) =
+    List.fold_left
+      (fun h (c : Expr.t) ->
+        ((h * 0x100000001b3) lxor c.Expr.tag) land max_int)
+      budget constraints
+
+  let key_matches key budget constraints =
+    let n = Array.length key in
+    let rec go i = function
+      | [] -> i = n
+      | (c : Expr.t) :: rest ->
+          i < n && key.(i) = c.Expr.tag && go (i + 1) rest
+    in
+    key.(0) = budget && go 1 constraints
+
+  let find t h budget constraints =
+    match Hashtbl.find_opt t.sx_memo h with
+    | None -> None
+    | Some entries ->
+        List.find_opt (fun e -> key_matches e.me_key budget constraints) entries
+
+  (* Remember a decided query, unless its key would take the memo past
+     [memo_max_words]: a full memo still answers what it holds. *)
+  let add t h budget constraints result tier =
+    let words = 1 + List.length constraints in
+    if t.sx_memo_words + words <= memo_max_words then begin
+      let key =
+        Array.of_list
+          (budget :: List.map (fun (c : Expr.t) -> c.Expr.tag) constraints)
+      in
+      let entry = { me_key = key; me_result = result; me_tier = tier } in
+      let others = Option.value ~default:[] (Hashtbl.find_opt t.sx_memo h) in
+      Hashtbl.replace t.sx_memo h (entry :: others);
+      t.sx_memo_words <- t.sx_memo_words + words
+    end
 end
+
+let stage_of_tier = function
+  | Quick | Contradiction -> Wasai_telemetry.Telemetry.Solver_quick
+  | Blasted -> Wasai_telemetry.Telemetry.Solver_blast
 
 (** Decide the conjunction of [constraints]. *)
 let check ?session ?conflict_budget (constraints : Expr.t list) : result =
@@ -214,36 +294,29 @@ let check ?session ?conflict_budget (constraints : Expr.t list) : result =
     | None, Some s -> Session.conflict_budget s
     | None, None -> default_conflict_budget
   in
-  let count f = Option.iter f session in
   if List.exists Expr.is_false constraints then begin
     T.stop T.Solver_quick t0;
     Unsat
   end
-  else begin
-    count (fun s -> s.Session.sx_queries <- s.Session.sx_queries + 1);
-    match quick_path constraints with
-    | `Solved model ->
-        count (fun s -> s.Session.sx_quick <- s.Session.sx_quick + 1);
-        T.stop T.Solver_quick t0;
-        Sat model
-    | `Contradiction ->
-        T.stop T.Solver_quick t0;
-        Unsat
-    | `Residual (residual, model) ->
-        let ctx =
-          match session with
-          | Some _ -> domain_arena ()
-          | None -> Bitblast.create ()
-        in
-        let result = blast_check ~conflict_budget:budget ctx residual model in
-        count (fun s ->
-            s.Session.sx_blasted <- s.Session.sx_blasted + 1;
-            match result with
-            | Unknown -> s.Session.sx_unknown <- s.Session.sx_unknown + 1
-            | Sat _ | Unsat -> ());
-        T.stop T.Solver_blast t0;
+  else
+    match session with
+    | None ->
+        let result, tier = decide ~budget ~arena:Bitblast.create constraints in
+        T.stop (stage_of_tier tier) t0;
         result
-  end
+    | Some s -> (
+        let h = Session.key_hash budget constraints in
+        match Session.find s h budget constraints with
+        | Some e ->
+            Session.count s e.Session.me_tier e.Session.me_result;
+            T.stop T.Solver_cache t0;
+            e.Session.me_result
+        | None ->
+            let result, tier = decide ~budget ~arena:domain_arena constraints in
+            Session.count s tier result;
+            Session.add s h budget constraints result tier;
+            T.stop (stage_of_tier tier) t0;
+            result)
 
 (** Verify a model against constraints (defence in depth for the solver,
     used by the tests; the engine does not re-check models). *)

@@ -395,53 +395,155 @@ let step (t : t) (cur : Cur.t) =
               else List.iter (fun v -> push t (concrete_of_value v)) results
           | [] -> List.iter (fun v -> push t (concrete_of_value v)) results))
 
-(** Replay a full trace from the action function's entry: the first
-    call_pre whose callee is a candidate action function and which
-    carries at least the action's arguments plus the receiver (obfuscation
-    helpers and sibling actions with fewer arguments are skipped; the
-    dispatcher may pad extra arguments, so at-least is the right test).
-    [None] when no call matches. *)
+(* The entry: the first call_pre whose callee is a candidate action
+   function and which carries at least the action's arguments plus the
+   receiver (obfuscation helpers and sibling actions with fewer
+   arguments are skipped; the dispatcher may pad extra arguments, so
+   at-least is the right test). *)
+let find_entry ~arity ~target_funcs (buf : B.t) : int option =
+  let n = B.length buf in
+  let rec go i =
+    if i + 1 >= n then None
+    else if
+      B.kind buf i = B.K_call_pre
+      && B.kind buf (i + 1) = B.K_func_begin
+      && List.mem (B.label buf (i + 1)) target_funcs
+      && B.op_count buf i >= arity
+    then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* Step the trace from the entry call_pre at [entry]: its arguments bind
+   the inputs, and the function_begin after it opens the first frame.
+   Reads only the region from [entry] on. *)
+let replay_from ~(inputs : Convention.inputs) ~(meta : Trace.meta)
+    (buf : B.t) (entry : int) : result =
+  let mem = Memmodel.create () in
+  let locals = Convention.bind inputs (B.ops buf entry) mem in
+  let t =
+    {
+      meta;
+      mem;
+      globals = Hashtbl.create 8;
+      frames = [ { stack = []; locals; fr_func = B.label buf (entry + 1) } ];
+      returns = [];
+      path = [];
+      pending = None;
+      finished = false;
+      imprecise = 0;
+    }
+  in
+  let cur = Cur.make buf in
+  Cur.seek cur (entry + 2);
+  while not (t.finished || Cur.at_end cur) do
+    step t cur;
+    Cur.advance cur
+  done;
+  { r_path = List.rev t.path; r_inputs = inputs; r_imprecise = t.imprecise }
+
+let arity_of (inputs : Convention.inputs) =
+  List.length inputs.Convention.in_params + 1
+
+(** Replay a full trace from the action function's entry.  [None] when
+    no call matches. *)
 let run ~(inputs : Convention.inputs) ~(meta : Trace.meta)
     ~(target_funcs : int list) (buf : B.t) : result option =
-  let arity = List.length inputs.Convention.in_params + 1 in
-  (* [cur] runs one event ahead of [pre] for the call_pre/begin pair. *)
-  let pre = Cur.make buf and cur = Cur.make buf in
-  let rec find_entry () =
-    Cur.seek cur (Cur.pos pre + 1);
-    if Cur.at_end cur then false
-    else if
-      Cur.kind pre = B.K_call_pre
-      && Cur.kind cur = B.K_func_begin
-      && List.mem (Cur.label cur) target_funcs
-      && Cur.op_count pre >= arity
-    then true
-    else begin
-      Cur.advance pre;
-      find_entry ()
-    end
-  in
-  if not (find_entry ()) then None
-  else begin
-    let mem = Memmodel.create () in
-    let locals = Convention.bind inputs (Cur.ops pre) mem in
-    let t =
-      {
-        meta;
-        mem;
-        globals = Hashtbl.create 8;
-        frames = [ { stack = []; locals; fr_func = Cur.label cur } ];
-        returns = [];
-        path = [];
-        pending = None;
-        finished = false;
-        imprecise = 0;
-      }
-    in
-    Cur.advance cur;
-    while not (t.finished || Cur.at_end cur) do
-      step t cur;
-      Cur.advance cur
-    done;
-    Some
-      { r_path = List.rev t.path; r_inputs = inputs; r_imprecise = t.imprecise }
-  end
+  Option.map
+    (replay_from ~inputs ~meta buf)
+    (find_entry ~arity:(arity_of inputs) ~target_funcs buf)
+
+(* ------------------------------------------------------------------ *)
+(* One replay per distinct region                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Memo = struct
+  (* A replay is a function of its inputs and of the region from its
+     entry on (the session's meta and candidate functions are fixed), up
+     to the fresh variables it mints.  An entry keeps where the region's
+     copy lies in the memo's arena and the first replay's result, whose
+     fresh variables a hit reuses; it is tied to the inputs record the
+     result is stated over. *)
+  type entry = {
+    me_inputs : Convention.inputs;
+    me_off : int;  (** the region's copy in the arena *)
+    me_result : result;
+  }
+
+  type t = {
+    mutable arena : int array;  (** region copies, [fill] words used *)
+    mutable fill : int;
+    table : (int, entry list) Hashtbl.t;  (** region hash -> entries *)
+  }
+
+  let max_words = 32_768
+
+  (* The arena of the domain's last released memo, which the next
+     [create] on the domain takes: sessions on a domain run one after
+     another, so once it has grown the arena puts nothing more in the
+     major heap. *)
+  let spare : int array ref Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> ref [||])
+
+  let create () =
+    let cell = Domain.DLS.get spare in
+    let arena = !cell in
+    cell := [||];
+    { arena; fill = 0; table = Hashtbl.create 64 }
+
+  let release t =
+    if Array.length t.arena > 0 then begin
+      Domain.DLS.get spare := t.arena;
+      t.arena <- [||]
+    end;
+    t.fill <- 0;
+    Hashtbl.reset t.table
+
+  let find t h inputs buf entry =
+    match Hashtbl.find_opt t.table h with
+    | None -> None
+    | Some entries ->
+        List.find_opt
+          (fun e ->
+            e.me_inputs == inputs && B.region_equal buf entry t.arena e.me_off)
+          entries
+
+  (* Append the region to the arena, growing it by doubling up to the
+     cap; [false] when it would pass the cap. *)
+  let store t buf entry =
+    let need = t.fill + B.region_words buf entry in
+    need <= max_words
+    && begin
+         if need > Array.length t.arena then begin
+           let bigger =
+             Array.make (min max_words (max need (2 * Array.length t.arena))) 0
+           in
+           Array.blit t.arena 0 bigger 0 t.fill;
+           t.arena <- bigger
+         end;
+         B.region_blit buf entry t.arena t.fill;
+         t.fill <- need;
+         true
+       end
+
+  let run t ~(inputs : Convention.inputs) ~(meta : Trace.meta)
+      ~(target_funcs : int list) (buf : B.t) : result option =
+    match find_entry ~arity:(arity_of inputs) ~target_funcs buf with
+    | None -> None
+    | Some entry when B.truncated buf -> Some (replay_from ~inputs ~meta buf entry)
+    | Some entry -> (
+        let h = B.region_hash buf entry in
+        match find t h inputs buf entry with
+        | Some e -> Some e.me_result
+        | None ->
+            let r = replay_from ~inputs ~meta buf entry in
+            let off = t.fill in
+            if store t buf entry then begin
+              let others =
+                Option.value ~default:[] (Hashtbl.find_opt t.table h)
+              in
+              let e = { me_inputs = inputs; me_off = off; me_result = r } in
+              Hashtbl.replace t.table h (e :: others)
+            end;
+            Some r)
+end

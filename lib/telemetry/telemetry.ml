@@ -68,18 +68,7 @@ external now_ns : unit -> (int[@untagged])
 (* Per-domain recorders                                                *)
 (* ------------------------------------------------------------------ *)
 
-let ring_bits = 14
-let ring_capacity = 1 lsl ring_bits (* 16384 spans, 512 KiB per domain *)
-let ring_mask = ring_capacity - 1
-
 type recorder = {
-  (* The span ring: four parallel int arrays, one slot per span, oldest
-     overwritten on wrap.  [ring_pos] counts spans ever recorded. *)
-  ring_stage : int array;
-  ring_target : int array;
-  ring_start : int array;
-  ring_dur : int array;
-  mutable ring_pos : int;
   (* Exact running aggregates, bumped in place on every span. *)
   stage_count : int array; (* [n_stages] *)
   stage_ns : int array;
@@ -90,11 +79,6 @@ type recorder = {
 
 let fresh_recorder () =
   {
-    ring_stage = Array.make ring_capacity 0;
-    ring_target = Array.make ring_capacity 0;
-    ring_start = Array.make ring_capacity 0;
-    ring_dur = Array.make ring_capacity 0;
-    ring_pos = 0;
     stage_count = Array.make n_stages 0;
     stage_ns = Array.make n_stages 0;
     tgt_count = Array.init n_stages (fun _ -> Array.make 1 0);
@@ -127,7 +111,6 @@ let reset () =
   Mutex.protect lock (fun () ->
       List.iter
         (fun r ->
-          r.ring_pos <- 0;
           Array.fill r.stage_count 0 n_stages 0;
           Array.fill r.stage_ns 0 n_stages 0;
           r.tgt_count <- Array.init n_stages (fun _ -> Array.make 1 0);
@@ -150,12 +133,6 @@ let stop st t0 =
     let dur = if dur < 0 then 0 else dur in
     let r = Domain.DLS.get key in
     let s = index st in
-    let slot = r.ring_pos land ring_mask in
-    r.ring_stage.(slot) <- s;
-    r.ring_target.(slot) <- r.cur_target;
-    r.ring_start.(slot) <- t0;
-    r.ring_dur.(slot) <- dur;
-    r.ring_pos <- r.ring_pos + 1;
     r.stage_count.(s) <- r.stage_count.(s) + 1;
     r.stage_ns.(s) <- r.stage_ns.(s) + dur;
     let row = r.tgt_count.(s) in
@@ -216,7 +193,6 @@ type snapshot = {
 let snapshot () =
   Mutex.protect lock (fun () ->
       let rs = !recorders in
-      let spans = List.fold_left (fun acc r -> acc + r.ring_pos) 0 rs in
       let count = Array.make n_stages 0 and ns = Array.make n_stages 0 in
       List.iter
         (fun r ->
@@ -225,6 +201,7 @@ let snapshot () =
             ns.(s) <- ns.(s) + r.stage_ns.(s)
           done)
         rs;
+      let spans = Array.fold_left ( + ) 0 count in
       let names = List.rev !target_names in
       let per_target =
         List.mapi

@@ -2,10 +2,10 @@
 
     Every expensive stage of a fuzzing run — module load, wasabi
     instrumentation, compilation, per-payload execution (split by tier),
-    the engine's trace scan, the oracle pass, the two solver tiers, corpus
-    writes and journal fsyncs — can be timed as a {e span}: a
-    [(stage, target, start, duration)] quadruple of unboxed integers
-    recorded into a per-domain preallocated ring buffer.
+    the engine's trace scan, the oracle pass, the two solver tiers and
+    the solver's verdict memo, corpus writes and journal fsyncs — can be
+    timed as a {e span}, whose duration is added to its stage's and its
+    [(stage, target)] pair's totals in a per-domain recorder.
 
     The contract is zero interference:
 
@@ -16,8 +16,8 @@
       instrumentation.
     - {b enabled}, the hot path still allocates nothing: the clock is a
       [[@noalloc] [@untagged]] external over [clock_gettime(MONOTONIC)],
-      spans land in int arrays preallocated per domain, and per-stage /
-      per-(stage, target) aggregates are bumped in place.  Recording
+      and the per-stage / per-(stage, target) aggregates, int arrays
+      preallocated per domain, are bumped in place.  Recording
       never touches scheduling-visible state — no locks on the hot path,
       no I/O, no effect on RNG, solver or chain state — so enabling
       telemetry cannot change a verdict.
@@ -41,8 +41,8 @@ type stage =
   | Solver_quick  (** solver calls answered without bit-blasting *)
   | Solver_blast  (** solver calls that reached bit-blasting *)
   | Solver_cache
-      (** retired: the solver has no verdict cache and nothing records
-          this stage; it keeps its index and name for existing readers *)
+      (** solver calls a session's verdict memo answered without solving
+          (a repeated query under the same budget) *)
   | Corpus_io  (** corpus shard append + index write *)
   | Journal_fsync  (** journal line write + fsync *)
 
@@ -90,7 +90,7 @@ val set_target : int -> unit
 (** {1 Snapshot and rendering} *)
 
 type snapshot = {
-  ts_spans : int;  (** total spans recorded, including ring-evicted ones *)
+  ts_spans : int;  (** total spans recorded *)
   ts_stages : (stage * int * int) list;
       (** per stage: (stage, span count, total ns); all stages listed *)
   ts_targets : (string * (stage * int * int) list) list;

@@ -153,16 +153,36 @@ module Buffer = struct
     mutable limit : int;  (** safety valve against pathological traces *)
   }
 
+  (* The tape and pool of the domain's last released collector: the
+     next [create] on the domain takes them instead of allocating (the
+     initial pool is over 256 words, so it would go straight to the
+     major heap, and both arrays would regrow from there). *)
+  let spare : (int array * int array) option ref Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> ref None)
+
   let create ?(limit = 2_000_000) () =
-    {
-      tape = Array.make 256 0;
-      n = 0;
-      pool = Array.make 384 0;
-      n_ops = 0;
-      open_ = false;
-      truncated_ = false;
-      limit;
-    }
+    let cell = Domain.DLS.get spare in
+    let tape, pool =
+      match !cell with
+      | Some arrays ->
+          cell := None;
+          arrays
+      | None -> (Array.make 256 0, Array.make 384 0)
+    in
+    { tape; n = 0; pool; n_ops = 0; open_ = false; truncated_ = false; limit }
+
+  (* A limit of 0 refuses every later event through the append path's
+     own check, and with no open event every operand is dropped. *)
+  let release t =
+    if Array.length t.tape > 0 then begin
+      Domain.DLS.get spare := Some (t.tape, t.pool);
+      t.tape <- [||];
+      t.pool <- [||];
+      t.n <- 0;
+      t.n_ops <- 0;
+      t.open_ <- false;
+      t.limit <- 0
+    end
 
   let length t = t.n
   let truncated t = t.truncated_
@@ -288,6 +308,14 @@ module Buffer = struct
       (Int64.shift_left (Int64.of_int t.pool.(base + 1)) 32)
       (Int64.of_int t.pool.(base))
 
+  (* [op_bits t i j = x] without boxing the operand. *)
+  let op_bits_equal t i j (x : int64) =
+    let base = (op_start t i + j) * 3 in
+    t.pool.(base) = Int64.to_int (Int64.logand x 0xFFFF_FFFFL)
+    && t.pool.(base + 1)
+       = Int64.to_int
+           (Int64.logand (Int64.shift_right_logical x 32) 0xFFFF_FFFFL)
+
   let op_i32 t i j : int32 = Int32.of_int t.pool.((op_start t i + j) * 3)
 
   let op t i j : Values.value =
@@ -302,6 +330,64 @@ module Buffer = struct
     let n = op_count t i in
     let rec go j acc = if j < 0 then acc else go (j - 1) (op t i j :: acc) in
     go (n - 1) []
+
+  (* ---------------- regions: an event suffix and its operands ------ *)
+
+  (* The region from event [from] to the end of the buffer, as flat
+     words: [events; operands; per event its tape word and its operand
+     start relative to the region's first operand; the region's operand
+     words].  Hash and comparison read the same words in place. *)
+
+  let[@inline] mix h x = (h lxor x) * 0x100000001b3
+
+  let region_hash t from =
+    let base = op_start t from in
+    let h = ref (mix (mix 0x4bf29ce484222325 (t.n - from)) (t.n_ops - base)) in
+    for i = from to t.n - 1 do
+      h := mix (mix !h t.tape.(i * 2)) (t.tape.((i * 2) + 1) - base)
+    done;
+    for k = base * 3 to (t.n_ops * 3) - 1 do
+      h := mix !h t.pool.(k)
+    done;
+    !h
+
+  let region_words t from =
+    2 + (2 * (t.n - from)) + (3 * (t.n_ops - op_start t from))
+
+  let region_blit t from (a : int array) off =
+    let base = op_start t from in
+    let events = t.n - from and operands = t.n_ops - base in
+    a.(off) <- events;
+    a.(off + 1) <- operands;
+    for k = 0 to events - 1 do
+      a.(off + 2 + (2 * k)) <- t.tape.((from + k) * 2);
+      a.(off + 3 + (2 * k)) <- t.tape.(((from + k) * 2) + 1) - base
+    done;
+    Array.blit t.pool (base * 3) a (off + 2 + (2 * events)) (3 * operands)
+
+  let region_equal t from (a : int array) off =
+    let base = op_start t from in
+    let events = t.n - from and operands = t.n_ops - base in
+    let same =
+      ref
+        (off + region_words t from <= Array.length a
+        && a.(off) = events
+        && a.(off + 1) = operands)
+    in
+    let k = ref 0 in
+    while !same && !k < events do
+      same :=
+        a.(off + 2 + (2 * !k)) = t.tape.((from + !k) * 2)
+        && a.(off + 3 + (2 * !k)) = t.tape.(((from + !k) * 2) + 1) - base;
+      incr k
+    done;
+    let ops = off + 2 + (2 * events) and pool_off = base * 3 in
+    k := 0;
+    while !same && !k < 3 * operands do
+      same := a.(ops + !k) = t.pool.(pool_off + !k);
+      incr k
+    done;
+    !same
 end
 
 (* ------------------------------------------------------------------ *)
@@ -412,3 +498,4 @@ let operand = Buffer.operand
 let func_begin = Buffer.func_begin
 let func_end = Buffer.func_end
 let reset = Buffer.reset
+let release = Buffer.release

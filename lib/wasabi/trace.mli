@@ -68,7 +68,16 @@ module Buffer : sig
   val create : ?limit:int -> unit -> t
   (** [limit] (default 2,000,000 events) is the safety valve against
       pathological traces; appends past it are refused and set
-      {!truncated}. *)
+      {!truncated}.  When the calling domain holds the arrays of a
+      {!release}d collector, the new one takes them over, emptied. *)
+
+  val release : t -> unit
+  (** Hand the collector's arrays to the calling domain as its spare,
+      which the domain's next {!create} takes.  The domain keeps one
+      spare; a later release replaces it.  The released collector is
+      empty and its limit is 0: every later event is refused and sets
+      {!truncated}, and operands are dropped.  Releasing twice is a
+      no-op.  The caller must hold no other use of the collector. *)
 
   (** {2 Append side (hook calls)} *)
 
@@ -116,6 +125,10 @@ module Buffer : sig
   (** Raw bits of the operand, zero-extended to 64 — identical to
       [Values.raw_bits (op t i j)] without decoding. *)
 
+  val op_bits_equal : t -> int -> int -> int64 -> bool
+  (** [op_bits_equal t i j x] is [op_bits t i j = x], without boxing the
+      operand. *)
+
   val op_i32 : t -> int -> int -> int32
   (** Low 32 bits as an int32 (meaningful for i32/f32-tagged operands). *)
 
@@ -125,6 +138,29 @@ module Buffer : sig
   val ops : t -> int -> Wasm.Values.value list
   (** All operands of event [i], materialised (the call_pre / call_post
       argument and result vectors). *)
+
+  (** {2 Regions}
+
+      The region from event [i] is events [i .. length-1] with their
+      operands: each event's kind and label, its operand start relative
+      to the region's first operand, and the operand words and tags.
+      Two buffers hold equal regions exactly when a reader starting at
+      [i] sees the same events and operands in both. *)
+
+  val region_hash : t -> int -> int
+  (** Hash of the region from event [i] (which must be an event of the
+      buffer).  Allocation-free; equal regions hash equally. *)
+
+  val region_words : t -> int -> int
+  (** Words a copy of the region from event [i] takes. *)
+
+  val region_blit : t -> int -> int array -> int -> unit
+  (** [region_blit t i a off] copies the region from event [i] into
+      [a], at [off .. off + region_words t i - 1]. *)
+
+  val region_equal : t -> int -> int array -> int -> bool
+  (** [region_equal t i a off]: does the region from event [i] equal
+      the copy at [off] in [a]?  Compares in place, allocation-free. *)
 end
 
 (** {1 Cursor: positioned forward iteration}
@@ -203,3 +239,4 @@ val operand : t -> Wasm.Values.value -> unit
 val func_begin : t -> int -> unit
 val func_end : t -> int -> unit
 val reset : t -> unit
+val release : t -> unit

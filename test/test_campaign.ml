@@ -908,6 +908,54 @@ let test_crash_states () =
            (List.map SeedCorpus.line_of_record
               (SeedCorpus.records (Campaign.Store.corpus s)))))
 
+(* A failed durable write names its store and file: a completion on a
+   store whose appenders are closed fails, and the message campaign and
+   serve print carries the context and the path, with no OCaml
+   constructor wrapped around it. *)
+let test_failed_write_names_file () =
+  let journal = temp_journal "closed" in
+  removing [ journal ] @@ fun () ->
+  let cfg = campaign_config ~journal ~jobs:1 () in
+  let store =
+    Campaign.Store.open_ ~context:"closed store" ~resume:false
+      ~header:
+        {
+          Campaign.Journal.jh_backend =
+            cfg.Campaign.Campaign.cc_engine.Core.Engine.cfg_backend;
+          jh_telemetry = false;
+        }
+      ~stamp:(Campaign.Campaign.stamp_of_config cfg)
+      ~journal ()
+  in
+  Campaign.Store.close store;
+  let spec = List.hd (test_targets ~count:1) in
+  let o =
+    Core.Engine.fuzz ~cfg:(Core.Engine.make_config ~rounds:1 ())
+      (spec.Campaign.Campaign.sp_load ())
+  in
+  let message () =
+    match
+      Campaign.Store.complete store ~name:spec.Campaign.Campaign.sp_name
+        ~elapsed:0. o
+    with
+    | _ -> Alcotest.fail "a write through a closed appender succeeded"
+    | exception e -> Campaign.Store.error_message e
+  in
+  let first = message () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%S names the store and the file" first)
+    true
+    (String.starts_with ~prefix:("closed store: " ^ journal ^ ": ") first);
+  List.iter
+    (fun msg ->
+      List.iter
+        (fun bad ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S has no %S" msg bad)
+            false (contains ~sub:bad msg))
+        [ "Unix_error"; "Failure(" ])
+    [ first; message () ]
+
 (* The corpus acceptance bar: a cold campaign fills the corpus; warm
    reruns preload it, reproduce the cold flag verdicts byte-for-byte
    (on this fixed workload) and stay byte-identical across --jobs. *)
@@ -1233,6 +1281,8 @@ let () =
             test_duplicate_names_rejected;
           Alcotest.test_case "every crash state resumes" `Quick
             test_crash_states;
+          Alcotest.test_case "a failed write names its file" `Quick
+            test_failed_write_names_file;
           Alcotest.test_case "telemetry off/on byte identity" `Quick
             test_telemetry_identity;
         ] );

@@ -751,6 +751,252 @@ let test_spare_pages_between_targets () =
   Alcotest.(check bool) "A before B = A on a fresh domain" true (first = fresh);
   Alcotest.(check bool) "A after B = A on a fresh domain" true (again = fresh)
 
+(* The trace collector goes the same way: a target that grows the
+   collector's arrays hands them to the next target, which must collect
+   exactly what it would into fresh ones.  A released collector refuses
+   every later event. *)
+let test_spare_collector_between_targets () =
+  let big =
+    {
+      base with
+      BG.Contracts.sp_checks =
+        BG.Verification.random_checks (Wasai_support.Rand.create 7L) ~depth:3;
+      sp_milestones =
+        BG.Verification.random_milestones (Wasai_support.Rand.create 9L)
+          ~depth:4;
+    }
+  in
+  let tgt spec account =
+    let m, abi = BG.Contracts.build spec in
+    { Core.Engine.tgt_account = n account; tgt_module = m; tgt_abi = abi }
+  in
+  let a = tgt base "victim" and b = tgt big "bigger" in
+  let run t =
+    let o = Core.Engine.fuzz ~cfg:(Core.Engine.make_config ~rounds:6 ()) t in
+    { o with
+      Core.Engine.out_timeline =
+        List.map (fun (r, _, br) -> (r, 0., br)) o.Core.Engine.out_timeline }
+  in
+  let on_fresh_domain f = Domain.join (Domain.spawn f) in
+  let fresh = on_fresh_domain (fun () -> run a) in
+  let after_b =
+    on_fresh_domain (fun () ->
+        ignore (run b);
+        run a)
+  in
+  Alcotest.(check bool) "A after B = A on a fresh domain" true (after_b = fresh);
+  let c = Wasabi.Trace.create () in
+  Wasabi.Trace.begin_instr c 0;
+  Wasabi.Trace.release c;
+  Wasabi.Trace.begin_instr c 1;
+  Wasabi.Trace.operand c (Wasm.Values.I32 1l);
+  Alcotest.(check int) "released collector holds nothing" 0
+    (Wasabi.Trace.Buffer.length c);
+  Alcotest.(check bool) "a stray append marks it truncated" true
+    (Wasabi.Trace.Buffer.truncated c)
+
+(* ------------------------------------------------------------------ *)
+(* One-pass oracle facts vs per-detector walks                          *)
+(* ------------------------------------------------------------------ *)
+
+module Oracle = Core.Oracle
+
+(* A hand-made instrumented module: the host APIs the detectors group,
+   one import they ignore, and a site for every call and i64 operator
+   the facts read, plus their non-i64 and non-import neighbours. *)
+let facts_meta =
+  let imports =
+    [
+      "require_auth"; "has_auth"; "db_store_i64"; "db_remove_i64";
+      "send_inline"; "tapos_block_num"; "tapos_block_prefix"; "prints";
+    ]
+  in
+  let m =
+    {
+      Wasm.Ast.empty_module with
+      Wasm.Ast.types = [| Wasm.Types.func_type [] |];
+      imports =
+        List.map
+          (fun name ->
+            {
+              Wasm.Ast.imp_module = "env";
+              imp_name = name;
+              idesc = Wasm.Ast.Func_import 0;
+            })
+          imports;
+    }
+  in
+  let instrs =
+    List.init (List.length imports + 1) (fun fi -> Wasm.Ast.Call fi)
+    @ Wasm.Ast.
+        [
+          Call_indirect 0;
+          Int_compare (Wasm.Types.I64, Eq);
+          Int_compare (Wasm.Types.I64, Ne);
+          Int_compare (Wasm.Types.I64, Lt_s);
+          Int_compare (Wasm.Types.I32, Eq);
+          Int_binary (Wasm.Types.I64, Xor);
+          Int_binary (Wasm.Types.I64, Sub);
+          Int_binary (Wasm.Types.I64, Mul);
+          Int_binary (Wasm.Types.I64, Add);
+          Int_binary (Wasm.Types.I32, Mul);
+          Int_binary (Wasm.Types.I32, Sub);
+          Nop;
+        ]
+  in
+  {
+    Wasabi.Trace.sites =
+      Array.of_list
+        (List.mapi
+           (fun i instr ->
+             { Wasabi.Trace.site_id = i; site_func = 0; site_instr = instr })
+           instrs);
+    instrumented = m;
+    original = m;
+    hook_base = List.length imports;
+    hook_count = 0;
+    orig_import_count = List.length imports;
+  }
+
+(* Small account values, so an i32 operand can carry a name's bits. *)
+let facts_victim = 5L
+let facts_agent = 7L
+let facts_fake_token = 11L
+
+let facts_env =
+  Oracle.make_env ~meta:facts_meta ~victim:facts_victim
+    ~fake_notif_agent:facts_agent ~fake_token:facts_fake_token ()
+
+(* The per-detector walks the one pass replaced, over boxed records. *)
+let ref_facts records : Oracle.facts =
+  let meta = facts_meta in
+  let func_imports = Wasm.Ast.num_func_imports meta.Wasabi.Trace.instrumented in
+  let instr site = (Wasabi.Trace.site_of meta site).Wasabi.Trace.site_instr in
+  let called_import = function
+    | Wasabi.Trace.R_call_pre { site; _ } -> (
+        match instr site with
+        | Wasm.Ast.Call fi when fi < func_imports -> Some fi
+        | _ -> None)
+    | _ -> None
+  in
+  let calls ids =
+    ids <> []
+    && List.exists
+         (fun r ->
+           match called_import r with
+           | Some fi -> List.mem fi ids
+           | None -> false)
+         records
+  in
+  let ids = Oracle.resolve_ids meta in
+  let effects = ids.Oracle.hi_inline_send @ ids.Oracle.hi_state_writes in
+  let unauthorised =
+    let seen_auth = ref false and hit = ref false in
+    List.iter
+      (fun r ->
+        match called_import r with
+        | Some fi ->
+            if List.mem fi ids.Oracle.hi_auth then seen_auth := true
+            else if (not !seen_auth) && List.mem fi effects then
+              hit := true
+        | None -> ())
+      records;
+    !hit
+  in
+  let compared x y =
+    List.exists
+      (function
+        | Wasabi.Trace.R_instr
+            { site; ops = [ Wasm.Values.I64 a; Wasm.Values.I64 b ] } -> (
+            match instr site with
+            | Wasm.Ast.Int_compare (Wasm.Types.I64, (Wasm.Ast.Eq | Wasm.Ast.Ne))
+            | Wasm.Ast.Int_binary (Wasm.Types.I64, (Wasm.Ast.Xor | Wasm.Ast.Sub))
+              ->
+                (a = x && b = y) || (a = y && b = x)
+            | _ -> false)
+        | _ -> false)
+      records
+  in
+  {
+    Oracle.fa_state_write = calls ids.Oracle.hi_state_writes;
+    fa_inline_send = calls ids.Oracle.hi_inline_send;
+    fa_blockinfo = calls ids.Oracle.hi_blockinfo;
+    fa_unauthorised_effect = unauthorised;
+    fa_agent_victim = compared facts_agent facts_victim;
+    fa_victim_token = compared facts_victim Name.eosio_token;
+    fa_fake_token_token = compared facts_fake_token Name.eosio_token;
+    fa_mul_overflow =
+      List.exists
+        (function
+          | Wasabi.Trace.R_instr
+              { site; ops = [ Wasm.Values.I64 a; Wasm.Values.I64 b ] } -> (
+              match instr site with
+              | Wasm.Ast.Int_binary (Wasm.Types.I64, Wasm.Ast.Mul) ->
+                  Oracle.i64_mul_overflows a b
+              | _ -> false)
+          | _ -> false)
+        records;
+  }
+
+let gen_fact_records =
+  let open QCheck.Gen in
+  let names = [ facts_victim; facts_agent; facts_fake_token; Name.eosio_token ] in
+  (* Values at the signed-overflow boundary of a 64-bit product. *)
+  let boundary =
+    [
+      0L; 1L; -1L; 2L; -2L; Int64.max_int; Int64.min_int; 3037000499L;
+      3037000500L; -3037000499L; -3037000500L; 0x1_0000_0000L; 0x8000_0000L;
+      0x4000_0000_0000_0000L;
+    ]
+  in
+  let value =
+    frequency
+      [ (3, oneofl names); (3, oneofl boundary); (1, map Int64.of_int int) ]
+  in
+  let operand =
+    frequency
+      [
+        (6, map (fun v -> Wasm.Values.I64 v) value);
+        (1, map (fun v -> Wasm.Values.I32 (Int64.to_int32 v)) value);
+        (1, map (fun v -> Wasm.Values.F64 (Int64.float_of_bits v)) value);
+        ( 1,
+          map
+            (fun v -> Wasm.Values.F32 (Int32.float_of_bits (Int64.to_int32 v)))
+            value );
+      ]
+  in
+  let site = int_bound (Array.length facts_meta.Wasabi.Trace.sites - 1) in
+  let ops =
+    frequency [ (6, list_repeat 2 operand); (1, list_size (int_bound 3) operand) ]
+  in
+  let record =
+    frequency
+      [
+        (4, map2 (fun site ops -> Wasabi.Trace.R_instr { site; ops }) site ops);
+        ( 3,
+          map2 (fun site args -> Wasabi.Trace.R_call_pre { site; args }) site ops
+        );
+        ( 1,
+          map2
+            (fun site results -> Wasabi.Trace.R_call_post { site; results })
+            site ops );
+        (1, map (fun f -> Wasabi.Trace.R_func_begin f) (int_bound 9));
+        (1, map (fun f -> Wasabi.Trace.R_func_end f) (int_bound 9));
+      ]
+  in
+  list_size (int_bound 24) record
+
+let qcheck_facts_vs_reference =
+  QCheck.Test.make ~name:"one-pass facts = per-detector walks" ~count:500
+    (QCheck.make
+       ~print:(fun records ->
+         String.concat "\n"
+           (List.map (Wasabi.Trace.string_of_record facts_meta) records))
+       gen_fact_records)
+    (fun records ->
+      let buf = Wasabi.Trace.Compat.of_records records in
+      Oracle.facts facts_env buf = ref_facts records)
+
 let () =
   Alcotest.run "wasai_core"
     [
@@ -808,6 +1054,9 @@ let () =
             test_adaptive_budget_bounds;
           Alcotest.test_case "spare pages between targets" `Quick
             test_spare_pages_between_targets;
+          Alcotest.test_case "spare collector between targets" `Quick
+            test_spare_collector_between_targets;
+          QCheck_alcotest.to_alcotest qcheck_facts_vs_reference;
           QCheck_alcotest.to_alcotest qcheck_fused_scan_equivalence;
         ] );
     ]

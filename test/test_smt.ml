@@ -816,11 +816,12 @@ let qcheck_solver_models_validate =
 (* Session                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Every session query is solved, so the counters say which tier
-   answered: a starved blast counts blasted and unknown on each ask; a
+(* The counters say which tier decided each query, as if every query
+   were solved: a starved blast counts blasted and unknown on each ask
+   (the second ask is a memo hit counted as its first tier); a
    constant-false query is refuted before any tier and counts nothing; a
    quick-path contradiction counts only as a query (a "miss"), and no
-   query is ever a hit. *)
+   query is ever counted as a hit. *)
 let test_session_counters () =
   let open Expr in
   let x = fresh_var ~name:"ux" 24 and y = fresh_var ~name:"uy" 24 in
@@ -997,6 +998,94 @@ let qcheck_arena_parity ?(sessions = 1) ~count width =
              expected && same_result fresh reused)
            qs))
 
+(* The session memo answers a repeated query with its first answer.  A
+   random stream over a small pool of queries, with repeats and the
+   session's budget changing between asks, must get from the session
+   exactly the verdicts and models sessionless checks give, and end with
+   the counters of first-tier counting: each ask counted as the tier
+   that decides its query, under its budget, in a fresh session. *)
+let qcheck_session_memo_as_fresh =
+  let width = 8 in
+  let x = Expr.fresh_var ~name:"mx" width in
+  let y = Expr.fresh_var ~name:"my" width in
+  let fx = Expr.fresh_var ~name:"mfx" 32 and fy = Expr.fresh_var ~name:"mfy" 32 in
+  let budgets = [| 1; 5; 200 |] in
+  let build (kind, e1, e2, xv, yv) =
+    let open Expr in
+    match kind with
+    | Pinned ->
+        let env = Hashtbl.create 2 in
+        Hashtbl.replace env x.vid xv;
+        Hashtbl.replace env y.vid yv;
+        [ eq (var x) (const width xv); eq e1 (const width (eval env e1)) ]
+    | Free -> [ cmp Ult e1 e2 ]
+    | Contra ->
+        let c = cmp Ult e1 e2 in
+        [ c; not_ c ]
+    | Starved ->
+        [
+          eq (binop Mul (var fx) (var fy)) (const 32 4292870399L);
+          cmp Ult (const 32 1L) (var fx);
+          cmp Ult (const 32 1L) (var fy);
+          cmp Ult (var fx) (const 32 0x10000L);
+          cmp Ult (var fy) (const 32 0x10000L);
+        ]
+  in
+  let gen_query =
+    QCheck.Gen.(
+      map3
+        (fun kind (e1, e2) (xv, yv) ->
+          build (kind, e1, e2, Int64.of_int xv, Int64.of_int yv))
+        (oneofl [ Pinned; Free; Contra; Starved ])
+        (pair (gen_expr width x y) (gen_expr width x y))
+        (pair int int))
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 4) gen_query)
+        (list_size (int_range 4 14) (pair (int_bound 3) (int_bound 2))))
+  in
+  let print (pool, stream) =
+    String.concat "\n"
+      (List.mapi
+         (fun i cs ->
+           Printf.sprintf "q%d: %s" i
+             (String.concat " && " (List.map Expr.to_string cs)))
+         pool)
+    ^ "\nstream: "
+    ^ String.concat " "
+        (List.map (fun (q, b) -> Printf.sprintf "q%d@%d" q budgets.(b)) stream)
+  in
+  QCheck.Test.make ~name:"session memo = fresh check, first-tier counts"
+    ~count:25 (QCheck.make ~print gen) (fun (pool, stream) ->
+      let pool = Array.of_list pool in
+      let stream =
+        List.map (fun (q, b) -> (q mod Array.length pool, budgets.(b))) stream
+      in
+      (* Each query's tier under each budget, from a fresh session; made
+         before the session under test, whose creation may compact the
+         intern table. *)
+      let tier_stats cs budget =
+        let s = Solver.Session.create ~conflict_budget:budget () in
+        ignore (Solver.check ~session:s cs);
+        Solver.Session.stats s
+      in
+      let expected =
+        List.fold_left
+          (fun acc (q, budget) ->
+            Solver.stats_add acc (tier_stats pool.(q) budget))
+          Solver.stats_zero stream
+      in
+      let session = Solver.Session.create () in
+      List.for_all
+        (fun (q, budget) ->
+          Solver.Session.set_conflict_budget session budget;
+          let fresh = Solver.check ~conflict_budget:budget pool.(q) in
+          same_result fresh (Solver.check ~session pool.(q)))
+        stream
+      && Solver.Session.stats session = expected)
+
 (* Random constraint sets over two 8-bit variables, all sent through one
    long-lived session (arena reused): Sat exactly when
    enumerating all 2^16 assignments finds a model, and every Sat model
@@ -1043,23 +1132,26 @@ let qcheck_session_brute_force =
 (* Steady-state blasting reuses the session's arena instead of building
    a context per query.  The query is shaped like a flipped transfer
    branch: a memo-length byte, an amount range and a flipped equality,
-   all left to bit-blasting.  Rebuilding the context per query allocates
-   about 22k minor words here; reusing the arena, whose gates add their
-   clauses without building lists, about 2k. *)
+   all left to bit-blasting.  The second query differs from the first
+   in its flipped constant, so the session's memo cannot answer it.
+   Rebuilding the context per query allocates about 22k minor words
+   here; reusing the arena, whose gates add their clauses without
+   building lists, about 2k. *)
 let test_arena_allocation_guard () =
   let open Expr in
   let len = fresh_var ~name:"memo_len" 32 in
   let amount = fresh_var ~name:"amount" 64 in
-  let cs =
+  let query flipped =
     [
       cmp Ult (extract 7 0 (var len)) (const 8 33L);
       cmp Slt (const 64 0L) (var amount);
       cmp Sle (var amount) (const 64 1_000_000L);
-      ne (var amount) (const 64 5_000L);
+      ne (var amount) (const 64 flipped);
     ]
   in
   let s = Solver.Session.create () in
-  ignore (Solver.check ~session:s cs);
+  ignore (Solver.check ~session:s (query 5_000L));
+  let cs = query 5_001L in
   let before = Gc.minor_words () in
   let r = Solver.check ~session:s cs in
   let words = Gc.minor_words () -. before in
@@ -1153,6 +1245,7 @@ let () =
           qc (qcheck_arena_parity ~count:3 64);
           qc (qcheck_arena_parity ~sessions:3 ~count:8 8);
           qc qcheck_session_brute_force;
+          qc qcheck_session_memo_as_fresh;
           Alcotest.test_case "steady-state allocation" `Quick
             test_arena_allocation_guard;
         ] );

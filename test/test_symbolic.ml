@@ -784,6 +784,187 @@ let qcheck_replay_buffer_roundtrip_identity =
       skeleton r1 = skeleton r2
       && r1.Sym.Replay.r_imprecise = r2.Sym.Replay.r_imprecise)
 
+(* ------------------------------------------------------------------ *)
+(* Replay memo                                                          *)
+(* ------------------------------------------------------------------ *)
+
+module R = Wasabi.Trace
+
+(* The entry event of a transfer replay, found by the rule
+   [Replay.run] states: the first call_pre into a candidate with at
+   least the action's arguments plus the receiver. *)
+let entry_of records candidates ~arity =
+  let a = Array.of_list records in
+  let rec go i =
+    if i + 1 >= Array.length a then Alcotest.fail "no entry"
+    else
+      match (a.(i), a.(i + 1)) with
+      | R.R_call_pre { args; _ }, R.R_func_begin f
+        when List.mem f candidates && List.length args >= arity ->
+          i
+      | _ -> go (i + 1)
+  in
+  go 0
+
+(* The records with operand [j] of event [i] changed, type kept. *)
+let bump records i j =
+  let change (v : Wasm.Values.value) : Wasm.Values.value =
+    match v with
+    | Wasm.Values.I32 x -> Wasm.Values.I32 (Int32.logxor x 1l)
+    | Wasm.Values.I64 x -> Wasm.Values.I64 (Int64.logxor x 1L)
+    | Wasm.Values.F32 f -> Wasm.Values.F32 (f +. 1.)
+    | Wasm.Values.F64 f -> Wasm.Values.F64 (f +. 1.)
+  in
+  let ops vs = List.mapi (fun k v -> if k = j then change v else v) vs in
+  List.mapi
+    (fun k r ->
+      if k <> i then r
+      else
+        match r with
+        | R.R_instr { site; ops = vs } -> R.R_instr { site; ops = ops vs }
+        | R.R_call_pre { site; args } -> R.R_call_pre { site; args = ops args }
+        | R.R_call_post { site; results } ->
+            R.R_call_post { site; results = ops results }
+        | r -> r)
+    records
+
+let operand_count = function
+  | R.R_instr { ops = vs; _ } | R.R_call_pre { args = vs; _ }
+  | R.R_call_post { results = vs; _ } ->
+      List.length vs
+  | R.R_func_begin _ | R.R_func_end _ -> 0
+
+let skeleton (r : Sym.Replay.result) =
+  ( List.map
+      (fun (cs : Sym.Replay.cond_state) ->
+        (cs.Sym.Replay.cs_site, cs.Sym.Replay.cs_taken, cs.Sym.Replay.cs_kind))
+      r.Sym.Replay.r_path,
+    r.Sym.Replay.r_imprecise )
+
+let memo_replay memo ~inputs buf meta candidates =
+  match
+    Sym.Replay.Memo.run memo ~inputs ~meta ~target_funcs:candidates buf
+  with
+  | Some r -> r
+  | None -> Alcotest.fail "no action-function entry in trace"
+
+(* A second buffer holding an equal region, over the same inputs,
+   answers with the first replay's result itself; so does one that
+   differs only before the entry.  Other inputs, and a truncated trace,
+   replay afresh.  The domain's next memo takes over a released memo's
+   arena and starts empty. *)
+let test_memo_hits_equal_regions () =
+  let buf, meta, candidates = trace_of_spec gated_spec in
+  let inputs = transfer_inputs () in
+  let memo = Sym.Replay.Memo.create () in
+  let records = R.Compat.to_list buf in
+  let r1 = memo_replay memo ~inputs buf meta candidates in
+  Alcotest.(check bool) "first = memo-free replay" true
+    (skeleton r1 = skeleton (replay_transfer ~inputs buf meta candidates));
+  let copy = R.Compat.of_records records in
+  Alcotest.(check bool) "equal region hits" true
+    (memo_replay memo ~inputs copy meta candidates == r1);
+  let arity = List.length inputs.Sym.Convention.in_params + 1 in
+  let entry = entry_of records candidates ~arity in
+  Alcotest.(check int) "equal regions hash equally"
+    (R.Buffer.region_hash buf entry)
+    (R.Buffer.region_hash copy entry);
+  let before =
+    List.concat
+      (List.mapi
+         (fun i r -> List.init (operand_count r) (fun j -> (i, j)))
+         (List.filteri (fun i _ -> i < entry) records))
+  in
+  Alcotest.(check bool) "operands before the entry" true (before <> []);
+  List.iter
+    (fun (i, j) ->
+      let changed = R.Compat.of_records (bump records i j) in
+      Alcotest.(check bool)
+        (Printf.sprintf "operand %d of event %d, before the entry: hit" j i)
+        true
+        (memo_replay memo ~inputs changed meta candidates == r1))
+    before;
+  let other = transfer_inputs () in
+  let r_other = memo_replay memo ~inputs:other copy meta candidates in
+  Alcotest.(check bool) "other inputs miss" true
+    (r_other != r1 && r_other.Sym.Replay.r_inputs == other);
+  let cut = R.Compat.of_records ~limit:(List.length records - 1) records in
+  let t1 = memo_replay memo ~inputs cut meta candidates in
+  let t2 = memo_replay memo ~inputs cut meta candidates in
+  Alcotest.(check bool) "a truncated trace is never stored" true (t1 != t2);
+  Sym.Replay.Memo.release memo;
+  let next = Sym.Replay.Memo.create () in
+  let r2 = memo_replay next ~inputs copy meta candidates in
+  Alcotest.(check bool) "the next memo starts empty" true (r2 != r1);
+  Alcotest.(check bool) "and answers from its own entries" true
+    (memo_replay next ~inputs buf meta candidates == r2);
+  Sym.Replay.Memo.release next
+
+(* Every operand from the entry to the end of the buffer is part of the
+   key: changing any one of them misses, and the miss replays to what a
+   memo-free replay of the changed trace gives. *)
+let test_memo_misses_changed_operands () =
+  let buf, meta, candidates = trace_of_spec gated_spec in
+  let inputs = transfer_inputs () in
+  let memo = Sym.Replay.Memo.create () in
+  let records = R.Compat.to_list buf in
+  let r1 = memo_replay memo ~inputs buf meta candidates in
+  let arity = List.length inputs.Sym.Convention.in_params + 1 in
+  let entry = entry_of records candidates ~arity in
+  let region =
+    List.concat
+      (List.mapi
+         (fun i r ->
+           if i < entry then []
+           else List.init (operand_count r) (fun j -> (i, j)))
+         records)
+  in
+  Alcotest.(check bool) "operands in the region" true (List.length region > 4);
+  let copy = Array.make (R.Buffer.region_words buf entry) 0 in
+  R.Buffer.region_blit buf entry copy 0;
+  Alcotest.(check bool) "a region equals its copy" true
+    (R.Buffer.region_equal buf entry copy 0);
+  List.iter
+    (fun (i, j) ->
+      let changed = R.Compat.of_records (bump records i j) in
+      Alcotest.(check bool)
+        (Printf.sprintf "operand %d of event %d: region differs" j i)
+        false
+        (R.Buffer.region_equal changed entry copy 0);
+      let r = memo_replay memo ~inputs changed meta candidates in
+      Alcotest.(check bool)
+        (Printf.sprintf "operand %d of event %d: miss" j i)
+        true (r != r1);
+      match
+        Sym.Replay.run ~inputs ~meta ~target_funcs:candidates changed
+      with
+      | Some fresh ->
+          Alcotest.(check bool)
+            (Printf.sprintf "operand %d of event %d: = memo-free replay" j i)
+            true
+            (skeleton r = skeleton fresh)
+      | None -> Alcotest.fail "the changed trace lost its entry")
+    region
+
+(* Flips over a hit, whose path reuses the first replay's fresh
+   variables, solve to the seeds a fresh replay's flips solve to. *)
+let qcheck_memo_flips_as_fresh =
+  QCheck.Test.make ~name:"flips over a memo hit = flips over a fresh replay"
+    ~count:15
+    QCheck.(pair (int_bound 1_000_000) (int_bound 1_000_000))
+    (fun case ->
+      let spec, amount, memo_text = random_transfer_case case in
+      let buf, meta, candidates = trace_of_spec ~amount ~memo:memo_text spec in
+      let inputs = transfer_inputs () in
+      let current = transfer_args ~amount ~memo:memo_text in
+      let memo = Sym.Replay.Memo.create () in
+      let first = memo_replay memo ~inputs buf meta candidates in
+      let copy = R.Compat.of_records (R.Compat.to_list buf) in
+      let hit = memo_replay memo ~inputs copy meta candidates in
+      let fresh = replay_transfer ~inputs copy meta candidates in
+      hit == first
+      && Sym.Flip.solve hit ~current = Sym.Flip.solve fresh ~current)
+
 let () =
   Alcotest.run "wasai_symbolic"
     [
@@ -826,6 +1007,11 @@ let () =
             test_flip_steady_state_allocation;
           Alcotest.test_case "shared inputs re-find their terms" `Quick
             test_shared_inputs_refind_terms;
+          Alcotest.test_case "memo: equal regions hit" `Quick
+            test_memo_hits_equal_regions;
+          Alcotest.test_case "memo: a changed operand misses" `Quick
+            test_memo_misses_changed_operands;
+          QCheck_alcotest.to_alcotest qcheck_memo_flips_as_fresh;
           QCheck_alcotest.to_alcotest qcheck_shared_inputs_solve_as_fresh;
         ] );
     ]
