@@ -220,16 +220,15 @@ let report_cmd list_oracles =
   end;
   Printf.printf "%-16s %-14s %s\n" "ORACLE" "FLAG" "JOURNAL";
   List.iter
-    (fun (d : Core.Oracle.def) ->
+    (fun f ->
       let policy =
-        if List.mem d.Core.Oracle.od_flag Core.Scanner.legacy_flags then
-          "always (legacy field)"
+        if List.mem f Core.Scanner.legacy_flags then "always (legacy field)"
         else "when fired (extension)"
       in
-      Printf.printf "%-16s %-14s %s\n" d.Core.Oracle.od_name
-        (Core.Scanner.string_of_flag d.Core.Oracle.od_flag)
+      Printf.printf "%-16s %-14s %s\n" (Core.Scanner.oracle_name f)
+        (Core.Scanner.string_of_flag f)
         policy)
-    Core.Oracle.builtins
+    Core.Scanner.all_flags
 
 (* ---- campaign -------------------------------------------------------- *)
 
@@ -315,15 +314,14 @@ let campaign_run_cmd common dir rounds backend resume shard seed corpus
   end;
   (* Log the armed detector set up front: which oracles a campaign ran
      under is part of its provenance. *)
-  let oracle_defs = Core.Oracle.builtins in
   Printf.eprintf "campaign: %d oracles armed: %s\n%!"
-    (List.length oracle_defs)
+    (List.length Core.Scanner.all_flags)
     (String.concat ", "
        (List.map
-          (fun (d : Core.Oracle.def) ->
-            Printf.sprintf "%s[%s]" d.Core.Oracle.od_name
-              (Core.Scanner.string_of_flag d.Core.Oracle.od_flag))
-          oracle_defs));
+          (fun f ->
+            Printf.sprintf "%s[%s]" (Core.Scanner.oracle_name f)
+              (Core.Scanner.string_of_flag f))
+          Core.Scanner.all_flags));
   let report =
     try Campaign.Campaign.run cfg targets with
     | Campaign.Journal.Malformed msg | Corpus.Malformed msg ->

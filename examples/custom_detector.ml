@@ -18,7 +18,7 @@ open Wasai_eosio
 
 let n = Name.of_string
 
-(* Oracle 1: any call to the send_deferred host API. *)
+(* Custom oracle 1: any call to the send_deferred host API. *)
 let uses_deferred meta : Core.Scanner.custom_oracle =
   {
     Core.Scanner.co_name = "uses-deferred";
@@ -27,10 +27,10 @@ let uses_deferred meta : Core.Scanner.custom_oracle =
         Core.Scanner.calls_env_import meta "send_deferred" records);
   }
 
-(* Oracle 2: an inline action whose serialised payload pays out more than
-   the threshold.  The buffer pointer/length are in the call's arguments;
-   here we settle for the cheap signal that send_inline ran on a
-   fake-token payload — money left for free. *)
+(* Custom oracle 2: an inline action whose serialised payload pays out
+   more than the threshold.  The buffer pointer/length are in the call's
+   arguments; here we settle for the cheap signal that send_inline ran
+   on a fake-token payload — money left for free. *)
 let unbounded_payout meta : Core.Scanner.custom_oracle =
   {
     Core.Scanner.co_name = "free-money";

@@ -29,26 +29,22 @@ let flagged (o : outcome) (f : Core.Scanner.flag) : bool option =
   match List.assoc_opt f o.ef_flags with Some v -> v | None -> None
 
 module B = Wasabi.Trace.Buffer
-module Cur = Wasabi.Trace.Cursor
 
 (* Import-call detection in a trace. *)
 let calls_import meta buf names =
   let ids = List.filter_map (fun n -> Wasabi.Trace.find_env_import meta n) names in
-  let cur = Cur.make buf in
-  let rec go () =
-    (not (Cur.at_end cur))
-    && ((Cur.kind cur = B.K_call_pre
-         &&
-         match
-           (Wasabi.Trace.site_of meta (Cur.label cur)).Wasabi.Trace.site_instr
-         with
-         | Wasm.Ast.Call fi -> List.mem fi ids
-         | _ -> false)
-       ||
-       (Cur.advance cur;
-        go ()))
+  let rec go i =
+    i < B.length buf
+    && ((B.kind buf i = B.K_call_pre
+        &&
+        match
+          (Wasabi.Trace.site_of meta (B.label buf i)).Wasabi.Trace.site_instr
+        with
+        | Wasm.Ast.Call fi -> List.mem fi ids
+        | _ -> false)
+       || go (i + 1))
   in
-  go ()
+  go 0
 
 (* "Provided services": a visible side effect of the victim. *)
 let visible_effect meta buf =
@@ -118,7 +114,7 @@ let fuzz ?(rounds = 60) ?(rng_seed = 2L) (target : Core.Engine.target) :
       (round, Unix.gettimeofday () -. t0, Hashtbl.length s.Core.Engine.branches)
       :: !timeline
   done;
-  (* Oracle flaw (§4.3): a sample where nothing ever executed successfully
+  (* The oracle flaw (§4.3): a sample where nothing ever executed successfully
      is reported as Fake EOS-vulnerable. *)
   if not !any_success then fake_eos := true;
   {

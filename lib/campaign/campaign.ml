@@ -27,14 +27,13 @@ type config = {
   cc_engine : Core.Engine.config;
   cc_journal : string option;
   cc_resume : bool;
-  cc_max_targets : int option;
   cc_progress : (Journal.entry -> unit) option;
   cc_shard : Shard.t;
   cc_corpus : string option;
   cc_telemetry : bool;
 }
 
-let make_config ~jobs ?journal ?(resume = false) ?max_targets ?progress
+let make_config ~jobs ?journal ?(resume = false) ?progress
     ?(shard = Shard.whole) ?corpus ?(telemetry = false) ~engine () =
   if jobs < 1 then
     invalid_arg (Printf.sprintf "Campaign.make_config: jobs %d < 1" jobs);
@@ -47,7 +46,6 @@ let make_config ~jobs ?journal ?(resume = false) ?max_targets ?progress
     cc_engine = engine;
     cc_journal = journal;
     cc_resume = resume;
-    cc_max_targets = max_targets;
     cc_progress = progress;
     cc_shard = shard;
     cc_corpus = corpus;
@@ -64,13 +62,6 @@ type report = {
   cr_corpus_preloaded : int;
   cr_corpus_added : int;
 }
-
-let take n xs =
-  let rec go n = function
-    | x :: rest when n > 0 -> x :: go (n - 1) rest
-    | _ -> []
-  in
-  go n xs
 
 (* The provenance every journal entry of this run carries; merge-time
    validation compares these across machines. *)
@@ -141,11 +132,6 @@ let run (cfg : config) (targets : target_spec list) : report =
   let remaining =
     order_targets
       (List.filter (fun t -> Store.find store t.sp_name = None) targets)
-  in
-  let remaining =
-    match cfg.cc_max_targets with
-    | Some n -> take (max 0 n) remaining
-    | None -> remaining
   in
   (* The corpus is read once, at open: the preload each target receives
      is a pure function of the corpus file at campaign start, identical
@@ -285,19 +271,13 @@ let plan (cfg : config) (targets : target_spec list) : plan =
   let corpus = Store.corpus store in
   let count = cfg.cc_shard.Shard.sh_count in
   (* Fresh member targets lead, in the exact order [run] would enqueue
-     them; everything else (done, foreign, capped out) follows in name
-     order for context. *)
+     them; everything else (done, foreign) follows in name order for
+     context. *)
   let fresh =
-    let ordered =
-      order_targets
-        (List.filter
-           (fun t ->
-             Shard.member cfg.cc_shard t.sp_name && not (done_ t.sp_name))
-           targets)
-    in
-    match cfg.cc_max_targets with
-    | Some n -> take (max 0 n) ordered
-    | None -> ordered
+    order_targets
+      (List.filter
+         (fun t -> Shard.member cfg.cc_shard t.sp_name && not (done_ t.sp_name))
+         targets)
   in
   let row ?order t =
     let member = Shard.member cfg.cc_shard t.sp_name in
@@ -355,7 +335,6 @@ let plan_text (p : plan) =
       let status =
         if not r.pr_member then "foreign"
         else if r.pr_done then "done (resume)"
-        else if r.pr_order = None then "capped"
         else "fuzz"
       in
       let order =

@@ -53,9 +53,6 @@ type config = {
   cc_resume : bool;
       (** skip targets already present in [cc_journal]; their journal
           entries are merged into the final report *)
-  cc_max_targets : int option;
-      (** stop after this many fresh targets (simulates an interrupted
-          campaign; also the smoke-test budget) *)
   cc_progress : (Journal.entry -> unit) option;
       (** called under the campaign lock after each completed target *)
   cc_shard : Shard.t;
@@ -79,7 +76,6 @@ val make_config :
   jobs:int ->
   ?journal:string ->
   ?resume:bool ->
-  ?max_targets:int ->
   ?progress:(Journal.entry -> unit) ->
   ?shard:Shard.t ->
   ?corpus:string ->
@@ -91,8 +87,8 @@ val make_config :
     construction time instead of deep inside {!run}.  Raises
     [Invalid_argument] when [jobs < 1] or when [resume] is requested
     without a [journal].  [resume] defaults to [false], [shard] to
-    {!Shard.whole}, [telemetry] to [false]; [journal], [max_targets],
-    [progress] and [corpus] default to absent. *)
+    {!Shard.whole}, [telemetry] to [false]; [journal], [progress] and
+    [corpus] default to absent. *)
 
 type report = {
   cr_results : Journal.entry list;  (** sorted by target name *)
@@ -167,8 +163,7 @@ type plan_row = {
   pr_done : bool;  (** member already satisfied by the resume journal *)
   pr_order : int option;
       (** 1-based position in the execution order, [None] when the target
-          would not be fuzzed (foreign shard, resumed, or capped by
-          [cc_max_targets]) *)
+          would not be fuzzed (foreign shard or resumed) *)
   pr_preload : int;  (** corpus seeds this target's queue would receive *)
 }
 

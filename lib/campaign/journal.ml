@@ -24,13 +24,15 @@
 
     Parsing is strict: a first line that is not a header, wrong magic,
     wrong field count, unknown keys, out-of-order flags, duplicate
-    exploit flags or unparseable numbers all reject the journal.  A
+    exploit flags, or a number or hex string in any spelling but the
+    one written ({!Wasai_support.Canonical}) all reject the journal.  A
     final line without its newline was never acknowledged and is
     skipped ({!Wasai_support.Fsutil.fold_lines}); {!Store} owns the
     writing side. *)
 
 module Core = Wasai_core
 module Solver = Wasai_smt.Solver
+module Canonical = Wasai_support.Canonical
 
 (** Campaign provenance of an entry: which shard produced it, under which
     engine configuration.  Merge validation keys on all three fields. *)
@@ -165,14 +167,18 @@ let line_of_entry (e : entry) =
 (* Strict parsing                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let keyed key conv field =
-  match String.index_opt field '=' with
-  | Some i when String.sub field 0 i = key -> (
-      let v = String.sub field (i + 1) (String.length field - i - 1) in
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "field %S: bad value %S" key v))
-  | _ -> Error (Printf.sprintf "expected field %S, got %S" key field)
+(* Every number is read in the one spelling [line_of_entry] writes. *)
+let keyed = Canonical.keyed
+let count = Canonical.count
+
+(* [elapsed=] as [%.6f] writes it, finite. *)
+let elapsed v =
+  match
+    Canonical.spelled ~parse:float_of_string_opt ~print:(Printf.sprintf "%.6f")
+      v
+  with
+  | Some x when Float.is_finite x -> Some x
+  | _ -> None
 
 let header_of_line (line : string) : (header, string) result =
   let ( let* ) = Result.bind in
@@ -210,7 +216,7 @@ let parse_flags (field : string) =
       | parts, [] -> Ok (List.rev acc, parts)
       | p :: parts, f :: flags -> (
           let name = Core.Scanner.string_of_flag f in
-          match keyed name int_of_string_opt p with
+          match keyed name count p with
           | Ok 0 -> take_legacy ((f, false) :: acc) parts flags
           | Ok 1 -> take_legacy ((f, true) :: acc) parts flags
           | Ok n -> Error (Printf.sprintf "flag %s: bad verdict %d" name n)
@@ -234,7 +240,7 @@ let parse_flags (field : string) =
                    field p)
           | f :: flags' -> (
               let name = Core.Scanner.string_of_flag f in
-              match keyed name int_of_string_opt p with
+              match keyed name count p with
               | Ok 1 -> take_ext (f :: fired) parts' flags'
               | Ok n ->
                   Error
@@ -262,7 +268,7 @@ let parse_solver (field : string) : (Solver.stats * int, string) result =
   let counter key part =
     match String.index_opt part ':' with
     | Some i when String.sub part 0 i = key ->
-        int_of_string_opt (String.sub part (i + 1) (String.length part - i - 1))
+        count (String.sub part (i + 1) (String.length part - i - 1))
     | _ -> None
   in
   match String.split_on_char ',' v with
@@ -292,8 +298,8 @@ let parse_stamp shard seed budget : (stamp, string) result =
     let* s = keyed "shard" Option.some shard in
     Shard.of_string s
   in
-  let* js_seed = keyed "seed" Int64.of_string_opt seed in
-  let* js_rounds = keyed "budget" int_of_string_opt budget in
+  let* js_seed = keyed "seed" Canonical.int64 seed in
+  let* js_rounds = keyed "budget" count budget in
   Ok { js_shard; js_seed; js_rounds }
 
 (* The exploit list: [-] for none, else [;]-separated
@@ -335,18 +341,18 @@ let entry_of_line (line : string) : (entry, string) result =
   match String.split_on_char '\t' line with
   | m :: _ when m <> magic -> Error (Printf.sprintf "bad magic %S" m)
   | [ _; name; flags; branches; rounds; seeds; adaptive; tx; sat; imprecise;
-      elapsed; solver; shard; seed; budget; exploits ] ->
+      elapsed_field; solver; shard; seed; budget; exploits ] ->
       if name = "" then Error "empty target name"
       else
         let* je_flags = parse_flags flags in
-        let* je_branches = keyed "branches" int_of_string_opt branches in
-        let* je_rounds = keyed "rounds" int_of_string_opt rounds in
-        let* je_seeds_total = keyed "seeds" int_of_string_opt seeds in
-        let* je_adaptive_seeds = keyed "adaptive" int_of_string_opt adaptive in
-        let* je_transactions = keyed "tx" int_of_string_opt tx in
-        let* je_solver_sat = keyed "sat" int_of_string_opt sat in
-        let* je_imprecise = keyed "imprecise" int_of_string_opt imprecise in
-        let* je_elapsed = keyed "elapsed" float_of_string_opt elapsed in
+        let* je_branches = keyed "branches" count branches in
+        let* je_rounds = keyed "rounds" count rounds in
+        let* je_seeds_total = keyed "seeds" count seeds in
+        let* je_adaptive_seeds = keyed "adaptive" count adaptive in
+        let* je_transactions = keyed "tx" count tx in
+        let* je_solver_sat = keyed "sat" count sat in
+        let* je_imprecise = keyed "imprecise" count imprecise in
+        let* je_elapsed = keyed "elapsed" elapsed elapsed_field in
         let* je_solver, je_final_budget = parse_solver solver in
         let* je_stamp = parse_stamp shard seed budget in
         let* je_exploits = parse_exploits exploits in

@@ -26,7 +26,8 @@ let of_string s =
   | Some slash -> (
       let index_s = String.sub s 0 slash in
       let count_s = String.sub s (slash + 1) (String.length s - slash - 1) in
-      match (int_of_string_opt index_s, int_of_string_opt count_s) with
+      let nat = Wasai_support.Canonical.count in
+      match (nat index_s, nat count_s) with
       | Some index, Some count -> (
           match make ~index ~count with
           | t -> Ok t

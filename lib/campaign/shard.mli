@@ -27,8 +27,8 @@ val to_string : t -> string
 (** ["i/N"], the [--shard] notation and the journal-stamp notation. *)
 
 val of_string : string -> (t, string) result
-(** Strict inverse of {!to_string}: exactly ["i/N"] with decimal [i], [N]
-    satisfying {!make}'s range checks. *)
+(** Strict inverse of {!to_string}: exactly ["i/N"] with [i], [N] in the
+    decimal spelling [%d] writes, satisfying {!make}'s range checks. *)
 
 val hash : string -> int64
 (** FNV-1a 64-bit of the raw bytes — the stable hash behind {!assign},

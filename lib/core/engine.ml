@@ -278,8 +278,8 @@ let setup (cfg : config) (target : target) : session =
       meta.Wasabi.Trace.instrumented
   in
   let scanner =
-    Scanner.create ~fake_token_account:fake_token ~meta
-      ~victim:target.tgt_account ~fake_notif_agent:fake_notif ()
+    Scanner.create ~meta ~victim:target.tgt_account
+      ~fake_notif_agent:fake_notif ()
   in
   (* Determinism contract: the per-target RNG seed is derived from the
      pair (cfg_rng_seed, tgt_account) alone — never from global state or

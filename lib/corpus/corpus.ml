@@ -30,11 +30,13 @@
     writing side).  A final line without its newline was never
     acknowledged and is skipped.  Parsing of every complete line is
     strict: wrong magic, wrong field count, unknown keys or tags,
-    unsorted covers, signature mismatches and unparseable numbers all
+    unsorted covers, signature mismatches, and numbers or hex strings in
+    any spelling but the one written ({!Wasai_support.Canonical}) all
     reject the line with its reason. *)
 
 module Trace = Wasai_wasabi.Trace
 module Solver = Wasai_smt.Solver
+module Canonical = Wasai_support.Canonical
 open Wasai_eosio
 
 type record = {
@@ -58,31 +60,6 @@ let magic = "wasai-corpus-v1"
 (* Serialisation                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let hex_encode (s : string) =
-  String.concat "" (List.map (Printf.sprintf "%02x") (List.init (String.length s) (fun i -> Char.code s.[i])))
-
-let hex_decode (s : string) : (string, string) result =
-  let n = String.length s in
-  if n mod 2 <> 0 then Error (Printf.sprintf "odd-length hex %S" s)
-  else
-    let digit c =
-      match c with
-      | '0' .. '9' -> Some (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-      | _ -> None
-    in
-    let buf = Buffer.create (n / 2) in
-    let rec go i =
-      if i >= n then Ok (Buffer.contents buf)
-      else
-        match (digit s.[i], digit s.[i + 1]) with
-        | Some hi, Some lo ->
-            Buffer.add_char buf (Char.chr ((hi lsl 4) lor lo));
-            go (i + 2)
-        | _ -> Error (Printf.sprintf "bad hex digit in %S" s)
-    in
-    go 0
-
 let wire_of_value (v : Abi.value) : string =
   match v with
   | Abi.V_name n -> "n:" ^ Name.to_string n
@@ -90,7 +67,7 @@ let wire_of_value (v : Abi.value) : string =
   | Abi.V_u32 x -> Printf.sprintf "w:%lx" x
   | Abi.V_asset a ->
       Printf.sprintf "a:%Lx:%Lx" a.Asset.amount (a.Asset.symbol : Asset.Symbol.t)
-  | Abi.V_string s -> "s:" ^ hex_encode s
+  | Abi.V_string s -> "s:" ^ Canonical.hex_of_string s
 
 let value_of_wire (item : string) : (Abi.value, string) result =
   let ( let* ) = Result.bind in
@@ -103,8 +80,10 @@ let value_of_wire (item : string) : (Abi.value, string) result =
     then Some (String.sub item (p + 1) (String.length item - p - 1))
     else None
   in
-  let int64_hex s =
-    if s = "" then None else Int64.of_string_opt ("0x" ^ s)
+  let int64_hex =
+    Canonical.spelled
+      ~parse:(fun s -> Int64.of_string_opt ("0x" ^ s))
+      ~print:(Printf.sprintf "%Lx")
   in
   match (payload "n", payload "u", payload "w", payload "a", payload "s") with
   | Some n, _, _, _, _ -> (
@@ -117,7 +96,11 @@ let value_of_wire (item : string) : (Abi.value, string) result =
       | Some x -> Ok (Abi.V_u64 x)
       | None -> Error (Printf.sprintf "bad u64 %S" u))
   | _, _, Some w, _, _ -> (
-      match if w = "" then None else Int32.of_string_opt ("0x" ^ w) with
+      match
+        Canonical.spelled
+          ~parse:(fun s -> Int32.of_string_opt ("0x" ^ s))
+          ~print:(Printf.sprintf "%lx") w
+      with
       | Some x -> Ok (Abi.V_u32 x)
       | None -> Error (Printf.sprintf "bad u32 %S" w))
   | _, _, _, Some a, _ -> (
@@ -129,7 +112,7 @@ let value_of_wire (item : string) : (Abi.value, string) result =
           | _ -> Error (Printf.sprintf "bad asset %S" a))
       | _ -> Error (Printf.sprintf "bad asset %S" a))
   | _, _, _, _, Some s ->
-      let* bytes = hex_decode s in
+      let* bytes = Canonical.string_of_hex s in
       if String.length bytes > 255 then
         Error (Printf.sprintf "string payload over 255 bytes (%d)" (String.length bytes))
       else Ok (Abi.V_string bytes)
@@ -179,14 +162,9 @@ let line_of_record (r : record) : string =
 (* Strict parsing                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let keyed key conv field =
-  match String.index_opt field '=' with
-  | Some i when String.sub field 0 i = key -> (
-      let v = String.sub field (i + 1) (String.length field - i - 1) in
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "field %S: bad value %S" key v))
-  | _ -> Error (Printf.sprintf "expected field %S, got %S" key field)
+(* Every number is read in the one spelling [line_of_record] writes. *)
+let keyed = Canonical.keyed
+let count = Canonical.count
 
 let parse_cover (v : string) : ((int * int32) list, string) result =
   let ( let* ) = Result.bind in
@@ -195,7 +173,11 @@ let parse_cover (v : string) : ((int * int32) list, string) result =
     | Some i -> (
         let site = String.sub item 0 i in
         let dir = String.sub item (i + 1) (String.length item - i - 1) in
-        match (int_of_string_opt site, Int32.of_string_opt dir) with
+        match
+          ( count site,
+            Canonical.spelled ~parse:Int32.of_string_opt ~print:Int32.to_string
+              dir )
+        with
         | Some site, Some dir -> Ok (site, dir)
         | _ -> Error (Printf.sprintf "bad edge %S" item))
     | None -> Error (Printf.sprintf "bad edge %S" item)
@@ -224,10 +206,9 @@ let parse_shard (v : string) : (int * int, string) result =
   match String.index_opt v '/' with
   | Some i -> (
       let idx = String.sub v 0 i in
-      let count = String.sub v (i + 1) (String.length v - i - 1) in
-      match (int_of_string_opt idx, int_of_string_opt count) with
-      | Some idx, Some count when count >= 1 && idx >= 0 && idx < count ->
-          Ok (idx, count)
+      let n = String.sub v (i + 1) (String.length v - i - 1) in
+      match (count idx, count n) with
+      | Some idx, Some n when n >= 1 && idx < n -> Ok (idx, n)
       | _ -> Error (Printf.sprintf "bad shard %S" v))
   | None -> Error (Printf.sprintf "bad shard %S" v)
 
@@ -235,7 +216,7 @@ let parse_solver (v : string) : (Solver.stats, string) result =
   let counter key part =
     match String.index_opt part ':' with
     | Some i when String.sub part 0 i = key ->
-        int_of_string_opt (String.sub part (i + 1) (String.length part - i - 1))
+        count (String.sub part (i + 1) (String.length part - i - 1))
     | _ -> None
   in
   match String.split_on_char ',' v with
@@ -254,8 +235,10 @@ let parse_solver (v : string) : (Solver.stats, string) result =
       | _ -> Error (Printf.sprintf "solver field %S: bad counters" v))
   | _ -> Error (Printf.sprintf "solver field %S: expected 5 counters" v)
 
-let sig_hex (v : string) : int64 option =
-  if String.length v = 16 then Int64.of_string_opt ("0x" ^ v) else None
+let sig_hex =
+  Canonical.spelled
+    ~parse:(fun v -> Int64.of_string_opt ("0x" ^ v))
+    ~print:(Printf.sprintf "%016Lx")
 
 let record_of_line (line : string) : (record, string) result =
   let ( let* ) = Result.bind in
@@ -278,13 +261,13 @@ let record_of_line (line : string) : (record, string) result =
         in
         let* rc_sig = keyed "sig" sig_hex sg in
         let* rc_cover = Result.bind (keyed "cover" Option.some cover) parse_cover in
-        let* rc_new_edges = keyed "new" int_of_string_opt new_ in
-        let* rc_round = keyed "round" int_of_string_opt round in
+        let* rc_new_edges = keyed "new" count new_ in
+        let* rc_round = keyed "round" count round in
         let* rc_shard = Result.bind (keyed "shard" Option.some shard) parse_shard in
-        let* rc_seed = keyed "seed" Int64.of_string_opt seed in
-        let* rc_rounds = keyed "budget" int_of_string_opt budget in
+        let* rc_seed = keyed "seed" Canonical.int64 seed in
+        let* rc_rounds = keyed "budget" count budget in
         let* rc_solver = Result.bind (keyed "solver" Option.some solver) parse_solver in
-        let* rc_solver_budget = keyed "sbudget" int_of_string_opt sbudget in
+        let* rc_solver_budget = keyed "sbudget" count sbudget in
         let* rc_args = Result.bind (keyed "args" Option.some args) args_of_wire in
         if rc_new_edges < 1 || rc_new_edges > List.length rc_cover then
           Error

@@ -108,9 +108,28 @@ let create_account chain name =
 let account chain name = Hashtbl.find_opt chain.accounts name
 let is_account chain name = Hashtbl.mem chain.accounts name
 
+(* Nodeos' [wasm_constraints]: at most 33 MiB of initial linear memory
+   ([Memory.max_pages]) and 1,024 table elements. *)
+let max_table_elements = 1024
+
 (** Deploy a Wasm contract (validated first, as Nodeos does on setcode). *)
 let set_code chain name (m : Wasm.Ast.module_) (abi : Abi.t) =
   Wasm.Validate.check_module m;
+  let refuse fmt =
+    Printf.ksprintf (fun s -> raise (Wasm.Validate.Invalid s)) fmt
+  in
+  List.iter
+    (fun (mt : Wasm.Types.memory_type) ->
+      if mt.mem_limits.lim_min > Wasm.Memory.max_pages then
+        refuse "initial memory of %d pages is over Nodeos' %d-page limit"
+          mt.mem_limits.lim_min Wasm.Memory.max_pages)
+    m.memories;
+  List.iter
+    (fun (tt : Wasm.Types.table_type) ->
+      if tt.tbl_limits.lim_min > max_table_elements then
+        refuse "table of %d elements is over Nodeos' %d-element limit"
+          tt.tbl_limits.lim_min max_table_elements)
+    m.tables;
   let a = create_account chain name in
   a.acc_contract <- Some (Wasm_contract m);
   a.acc_abi <- Some abi;

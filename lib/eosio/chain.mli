@@ -91,7 +91,11 @@ val account : t -> Name.t -> account option
 val is_account : t -> Name.t -> bool
 
 val set_code : t -> Name.t -> Wasai_wasm.Ast.module_ -> Abi.t -> unit
-(** Deploy a Wasm contract (validated first, as Nodeos does on setcode). *)
+(** Deploy a Wasm contract (validated first, as Nodeos does on setcode).
+    Raises [Wasai_wasm.Validate.Invalid] on an invalid module, and on
+    one Nodeos' [wasm_constraints] refuse: an initial linear memory over
+    {!Wasai_wasm.Memory.max_pages} pages (33 MiB) or a table over 1,024
+    elements. *)
 
 val set_native : t -> Name.t -> (context -> unit) -> Abi.t -> unit
 

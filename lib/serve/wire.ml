@@ -4,6 +4,7 @@
     a reason. *)
 
 module Journal = Wasai_campaign.Journal
+module Canonical = Wasai_support.Canonical
 
 let magic = "wasai-serve-v1"
 
@@ -22,37 +23,6 @@ let valid_target s =
   let n = String.length s in
   n >= 1 && n <= 12
   && String.for_all (function 'a' .. 'z' | '1' .. '5' | '.' -> true | _ -> false) s
-
-(* ------------------------------------------------------------------ *)
-(* Hex codec                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let hex_of_string s =
-  let digit n = "0123456789abcdef".[n] in
-  String.init
-    (2 * String.length s)
-    (fun i ->
-      let c = Char.code s.[i / 2] in
-      if i mod 2 = 0 then digit (c lsr 4) else digit (c land 0xf))
-
-exception Bad_hex
-
-let string_of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then Error "odd-length hex"
-  else
-    let nibble c =
-      match c with
-      | '0' .. '9' -> Char.code c - Char.code '0'
-      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-      | _ -> raise Bad_hex
-    in
-    match
-      String.init (n / 2) (fun i ->
-          Char.chr ((nibble s.[2 * i] lsl 4) lor nibble s.[(2 * i) + 1]))
-    with
-    | bytes -> Ok bytes
-    | exception Bad_hex -> Error "bad hex digit"
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                               *)
@@ -106,22 +76,9 @@ type response =
 (* Field helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* "key=1234" with a strict non-negative decimal payload. *)
+(* "key=1234": a non-negative count, read only as [%d] writes it. *)
 let keyed key n = Printf.sprintf "%s=%d" key n
-
-let parse_keyed key s =
-  let prefix = key ^ "=" in
-  let pn = String.length prefix in
-  if String.length s <= pn || not (String.starts_with ~prefix s) then
-    Error (Printf.sprintf "expected %s=<int>, got %S" key s)
-  else
-    let digits = String.sub s pn (String.length s - pn) in
-    if not (String.for_all (function '0' .. '9' -> true | _ -> false) digits)
-    then Error (Printf.sprintf "non-decimal %s value %S" key digits)
-    else
-      match int_of_string_opt digits with
-      | Some n -> Ok n
-      | None -> Error (Printf.sprintf "unparseable %s value %S" key digits)
+let parse_keyed key = Canonical.keyed key Canonical.count
 
 (* "key=token" where the token is opaque but must be tab/space-free and
    non-empty (the histogram wire rendering). *)
@@ -189,8 +146,10 @@ let line_of_request = function
           "SUBMIT";
           rq_tenant;
           rq_name;
-          hex_of_string rq_wasm;
-          (match rq_abi with Some abi -> hex_of_string abi | None -> "-");
+          Canonical.hex_of_string rq_wasm;
+          (match rq_abi with
+           | Some abi -> Canonical.hex_of_string abi
+           | None -> "-");
         ]
 
 let request_of_line line =
@@ -205,13 +164,13 @@ let request_of_line line =
   | [ _; "SUBMIT"; tenant; name; wasmhex; abihex ] -> (
       let* tenant = check_tenant tenant in
       let* name = check_target name in
-      let* wasm = string_of_hex wasmhex in
+      let* wasm = Canonical.string_of_hex wasmhex in
       if wasm = "" then Error "empty module bytes"
       else
         let* abi =
           if abihex = "-" then Ok None
           else
-            let* abi = string_of_hex abihex in
+            let* abi = Canonical.string_of_hex abihex in
             Ok (Some abi)
         in
         Ok
@@ -302,7 +261,7 @@ let line_of_response = function
   | MetricsReply { rp_body } ->
       (* The exposition is free multi-line text; the hex codec that
          carries module bytes on SUBMIT flattens it into one token. *)
-      String.concat "\t" [ magic; "METRICS"; hex_of_string rp_body ]
+      String.concat "\t" [ magic; "METRICS"; Canonical.hex_of_string rp_body ]
   | Bye { rp_completed } ->
       String.concat "\t" [ magic; "BYE"; keyed "completed" rp_completed ]
 
@@ -371,7 +330,7 @@ let response_of_line line =
              rp_backend = backend;
            })
   | [ _; "METRICS"; bodyhex ] ->
-      let* body = string_of_hex bodyhex in
+      let* body = Canonical.string_of_hex bodyhex in
       Ok (MetricsReply { rp_body = body })
   | [ _; "BYE"; completed ] ->
       let* completed = parse_keyed "completed" completed in

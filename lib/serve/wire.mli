@@ -3,8 +3,9 @@
 
     Like the journal and corpus grammars, every line is tab-separated,
     starts with a version magic, and is parsed {e strictly}: wrong magic,
-    wrong verb, wrong field count, malformed numbers, out-of-alphabet
-    tenant or target names and bad hex all reject with a reason instead
+    wrong verb, wrong field count, a number or hex string in any spelling
+    but the one written ({!Wasai_support.Canonical}), or out-of-alphabet
+    tenant or target names all reject with a reason instead
     of being guessed at — a daemon fed garbage answers [ERR] and hangs
     up, it never half-parses a submission.
 
@@ -63,12 +64,6 @@ val valid_tenant : string -> bool
 val valid_target : string -> bool
 (** Target names double as EOSIO deployment accounts: 1..12 chars of
     [a-z1-5.]. *)
-
-val hex_of_string : string -> string
-(** Lowercase hex of the raw bytes, the [wasmhex]/[abihex] codec. *)
-
-val string_of_hex : string -> (string, string) result
-(** Strict inverse: even length, digits [0-9a-f] only. *)
 
 type request =
   | Submit of {

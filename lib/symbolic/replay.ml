@@ -191,14 +191,13 @@ let callee_arity (t : t) (instr : Ast.instr) : int * int =
   | _ -> (0, 0)
 
 module B = Trace.Buffer
-module Cur = Trace.Cursor
 
-(* Step one executed instruction event.  Operand-consuming cases read
-   the buffer's operand pool directly through the cursor accessors —
-   the patterns mirror the historical [Values.value list] matches
-   exactly ([op_count] = the list length, tags = the constructors). *)
-let step_instr (t : t) (cur : Cur.t) =
-  let site = Cur.label cur in
+(* Step the instruction event [i].  Operand-consuming cases read the
+   buffer's operand pool directly — the patterns mirror the historical
+   [Values.value list] matches exactly ([op_count] = the list length,
+   tags = the constructors). *)
+let step_instr (t : t) (buf : B.t) (i : int) =
+  let site = B.label buf i in
   let instr = (Trace.site_of t.meta site).Trace.site_instr in
   match instr with
   | Ast.Const v -> push t (concrete_of_value v)
@@ -266,8 +265,8 @@ let step_instr (t : t) (cur : Cur.t) =
           push t (float_result 64))
   | Ast.Load lop ->
       ignore (pop t) (* symbolic address expression; addresses are concrete *);
-      if Cur.op_count cur = 1 then begin
-        let ea = Int64.to_int (Cur.op_bits cur 0) + Int32.to_int lop.Ast.l_offset in
+      if B.op_count buf i = 1 then begin
+        let ea = Int64.to_int (B.op_bits buf i 0) + Int32.to_int lop.Ast.l_offset in
         let bytes = Wasm.Memory.loadop_width lop in
         let raw = Memmodel.load t.mem ~addr:ea ~width_bytes:bytes in
         let target_w = width_of_numtype lop.Ast.l_ty in
@@ -285,8 +284,8 @@ let step_instr (t : t) (cur : Cur.t) =
   | Ast.Store sop ->
       let value = pop t in
       ignore (pop t);
-      if Cur.op_count cur = 2 then begin
-        let ea = Int64.to_int (Cur.op_bits cur 0) + Int32.to_int sop.Ast.s_offset in
+      if B.op_count buf i = 2 then begin
+        let ea = Int64.to_int (B.op_bits buf i 0) + Int32.to_int sop.Ast.s_offset in
         let bytes = Wasm.Memory.storeop_width sop in
         let value = coerce (width_of_numtype sop.Ast.s_ty) value in
         let truncated =
@@ -299,8 +298,8 @@ let step_instr (t : t) (cur : Cur.t) =
       else t.imprecise <- t.imprecise + 1
   | Ast.If _ | Ast.Br_if _ ->
       let cond = coerce 32 (pop t) in
-      if Cur.op_count cur = 1 && Cur.op_is_i32 cur 0 then begin
-        let c = Cur.op_i32 cur 0 in
+      if B.op_count buf i = 1 && B.op_is_i32 buf i 0 then begin
+        let c = B.op_i32 buf i 0 in
         let taken = c <> 0l in
         let as_taken = if taken then nonzero cond else Expr.not_ (nonzero cond) in
         record_cond t
@@ -308,12 +307,12 @@ let step_instr (t : t) (cur : Cur.t) =
       end
   | Ast.Br_table _ ->
       let idx = coerce 32 (pop t) in
-      if Cur.op_count cur = 1 && Cur.op_is_i32 cur 0 then
+      if B.op_count buf i = 1 && B.op_is_i32 buf i 0 then
         record_cond t
           {
             cs_site = site;
             cs_cond =
-              Expr.cmp Expr.Eq idx (Expr.const 32 (Int64.of_int32 (Cur.op_i32 cur 0)));
+              Expr.cmp Expr.Eq idx (Expr.const 32 (Int64.of_int32 (B.op_i32 buf i 0)));
             cs_taken = true;
             cs_kind = K_brtable;
           }
@@ -341,16 +340,16 @@ let host_call (t : t) (name : string) (sym_args : Expr.t list)
    | _ -> ());
   List.iter (fun v -> push t (concrete_of_value v)) concrete_results
 
-let step (t : t) (cur : Cur.t) =
-  match Cur.kind cur with
+let step (t : t) (buf : B.t) (i : int) =
+  match B.kind buf i with
   | B.K_func_begin ->
       let locals = Hashtbl.create 8 in
       (match t.pending with
        | Some pc ->
-           List.iteri (fun i e -> Hashtbl.replace locals i e) pc.pc_sym_args;
+           List.iteri (fun k e -> Hashtbl.replace locals k e) pc.pc_sym_args;
            t.pending <- None
        | None -> ());
-      t.frames <- { stack = []; locals; fr_func = Cur.label cur } :: t.frames
+      t.frames <- { stack = []; locals; fr_func = B.label buf i } :: t.frames
   | B.K_func_end -> (
       match t.frames with
       | [ _last ] -> t.finished <- true  (* target function returned *)
@@ -358,9 +357,9 @@ let step (t : t) (cur : Cur.t) =
           t.returns <- f.stack :: t.returns;
           t.frames <- rest
       | [] -> t.finished <- true)
-  | B.K_instr -> step_instr t cur
+  | B.K_instr -> step_instr t buf i
   | B.K_call_pre ->
-      let instr = (Trace.site_of t.meta (Cur.label cur)).Trace.site_instr in
+      let instr = (Trace.site_of t.meta (B.label buf i)).Trace.site_instr in
       let n_args, _ = callee_arity t instr in
       let sym_args =
         if n_args <= List.length (current_frame t).stack then pop_n t n_args
@@ -368,14 +367,14 @@ let step (t : t) (cur : Cur.t) =
           (* Fall back to the concrete argument values. *)
           t.imprecise <- t.imprecise + 1;
           (current_frame t).stack <- [];
-          List.map concrete_of_value (Cur.ops cur)
+          List.map concrete_of_value (B.ops buf i)
         end
       in
       t.pending <-
         Some
           { pc_sym_args = sym_args; pc_import = import_name_of_callee t instr }
   | B.K_call_post -> (
-      let results = Cur.ops cur in
+      let results = B.ops buf i in
       match t.pending with
       | Some pc ->
           (* No function_begin in between: host function. *)
@@ -391,7 +390,7 @@ let step (t : t) (cur : Cur.t) =
               let available = List.length rts in
               if available >= needed then
                 List.iter (fun e -> push t e)
-                  (List.rev (List.filteri (fun i _ -> i < needed) rts))
+                  (List.rev (List.filteri (fun k _ -> k < needed) rts))
               else List.iter (fun v -> push t (concrete_of_value v)) results
           | [] -> List.iter (fun v -> push t (concrete_of_value v)) results))
 
@@ -434,11 +433,10 @@ let replay_from ~(inputs : Convention.inputs) ~(meta : Trace.meta)
       imprecise = 0;
     }
   in
-  let cur = Cur.make buf in
-  Cur.seek cur (entry + 2);
-  while not (t.finished || Cur.at_end cur) do
-    step t cur;
-    Cur.advance cur
+  let i = ref (entry + 2) in
+  while not (t.finished || !i >= B.length buf) do
+    step t buf !i;
+    incr i
   done;
   { r_path = List.rev t.path; r_inputs = inputs; r_imprecise = t.imprecise }
 

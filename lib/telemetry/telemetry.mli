@@ -37,7 +37,7 @@ type stage =
   | Trace_scan
       (** the engine's fused edge scan of each payload's trace buffer
           ([Engine.scan_trace]) *)
-  | Oracle  (** the streaming detection pass *)
+  | Oracle  (** the scanner's pass over a payload ([Scanner.observe]) *)
   | Solver_quick  (** solver calls answered without bit-blasting *)
   | Solver_blast  (** solver calls that reached bit-blasting *)
   | Solver_cache

@@ -32,11 +32,6 @@ type meta = {
 
 let site_of (meta : meta) id = meta.sites.(id)
 
-(** Name of an imported function in the instrumented module, e.g.
-    "env.require_auth". *)
-let import_name (meta : meta) idx : string option =
-  Wasm.Ast.func_name_at meta.instrumented idx
-
 (** Absolute index of an [env] import by name, if the contract imports it. *)
 let find_env_import (meta : meta) (name : string) : int option =
   let rec go i = function
@@ -136,7 +131,7 @@ module Buffer = struct
 
      Appending an event or an operand is a bounds check plus two or
      three int stores: no per-event heap allocation.  [reset] rewinds
-     the write cursors but keeps the arrays, so steady-state collection
+     the write positions but keeps the arrays, so steady-state collection
      across payloads allocates nothing at all. *)
 
   type kind = K_instr | K_call_pre | K_call_post | K_func_begin | K_func_end
@@ -281,7 +276,7 @@ module Buffer = struct
     t.open_ <- false;
     t.truncated_ <- false
 
-  (* ---------------- read side (cursor accessors) ------------------ *)
+  (* ---------------- read side (by event index) -------------------- *)
 
   let kind t i =
     match t.tape.(i * 2) land 7 with
@@ -391,45 +386,13 @@ module Buffer = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Cursor: positioned forward iteration                                *)
-(* ------------------------------------------------------------------ *)
-
-module Cursor = struct
-  (* A cursor is a position into a buffer plus accessors for the event
-     under it — the streaming read API oracles and the replayer use
-     instead of materialising records.  Reads are the same bounds-checked
-     int loads as the raw [Buffer] accessors; no record is built. *)
-
-  type t = { cbuf : Buffer.t; mutable pos : int }
-
-  let make buf = { cbuf = buf; pos = 0 }
-  let buffer c = c.cbuf
-  let length c = Buffer.length c.cbuf
-  let pos c = c.pos
-  let seek c i = c.pos <- i
-  let reset c = c.pos <- 0
-  let at_end c = c.pos >= Buffer.length c.cbuf
-  let advance c = c.pos <- c.pos + 1
-  let kind c = Buffer.kind c.cbuf c.pos
-  let label c = Buffer.label c.cbuf c.pos
-  let op_count c = Buffer.op_count c.cbuf c.pos
-  let op c j = Buffer.op c.cbuf c.pos j
-  let ops c = Buffer.ops c.cbuf c.pos
-  let op_bits c j = Buffer.op_bits c.cbuf c.pos j
-  let op_i32 c j = Buffer.op_i32 c.cbuf c.pos j
-  let op_is_i32 c j = Buffer.op_is_i32 c.cbuf c.pos j
-  let op_is_i64 c j = Buffer.op_is_i64 c.cbuf c.pos j
-end
-
-(* ------------------------------------------------------------------ *)
 (* Compat: materialised structured records (test-only)                  *)
 (* ------------------------------------------------------------------ *)
 
 module Compat = struct
-  (* Boxed [record] views over the flat buffer, quarantined here so the
-     cursor API is the only streaming surface production code sees.
-     The equivalence property tests and debug printing are the intended
-     consumers. *)
+  (* Boxed [record] views over the flat buffer, quarantined here so
+     production code reads the buffer by event index.  The equivalence
+     property tests and debug printing are the intended consumers. *)
 
   let record_of t i : record =
     match Buffer.kind t i with
@@ -440,16 +403,6 @@ module Compat = struct
         R_call_post { site = Buffer.label t i; results = Buffer.ops t i }
     | Buffer.K_func_begin -> R_func_begin (Buffer.label t i)
     | Buffer.K_func_end -> R_func_end (Buffer.label t i)
-
-  let iter f t =
-    for i = 0 to Buffer.length t - 1 do
-      f (record_of t i)
-    done
-
-  let fold f acc t =
-    let acc = ref acc in
-    iter (fun r -> acc := f !acc r) t;
-    !acc
 
   let to_list t : record list =
     let rec go i acc =

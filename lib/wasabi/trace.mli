@@ -27,7 +27,6 @@ type meta = {
 }
 
 val site_of : meta -> int -> site
-val import_name : meta -> int -> string option
 
 val find_env_import : meta -> string -> int option
 (** Absolute index of an [env] import, if the contract imports it. *)
@@ -55,10 +54,10 @@ val string_of_record : meta -> record -> string
 
     The trace is collected into a growable int-array event tape plus an
     operand pool (raw i32/i64 words with a width tag) — hook appends are
-    O(1) with zero per-event heap allocation, and consumers stream over
-    the buffer with index cursors instead of materialising a record
-    list.  {!record} survives as the debug/compat view
-    ({!Buffer.to_list} / {!Buffer.record_of}). *)
+    O(1) with zero per-event heap allocation, and consumers read the
+    buffer by event index instead of materialising a record list.
+    {!record} survives as the debug/compat view ({!Compat.to_list} /
+    {!Compat.record_of}). *)
 
 module Buffer : sig
   type kind = K_instr | K_call_pre | K_call_post | K_func_begin | K_func_end
@@ -98,10 +97,10 @@ module Buffer : sig
   val operand_f64 : t -> float -> unit
 
   val reset : t -> unit
-  (** Rewind the write cursors, keeping capacity: steady-state
+  (** Rewind the write positions, keeping capacity: steady-state
       collection across payloads allocates nothing. *)
 
-  (** {2 Read side (cursor accessors, event index [0 .. length-1])} *)
+  (** {2 Read side (by event index [0 .. length-1])} *)
 
   val length : t -> int
 
@@ -163,60 +162,15 @@ module Buffer : sig
       the copy at [off] in [a]?  Compares in place, allocation-free. *)
 end
 
-(** {1 Cursor: positioned forward iteration}
-
-    The streaming read API over {!Buffer}: a mutable position plus
-    accessors for the event under it.  No record materialisation — each
-    accessor is the corresponding O(1) {!Buffer} read at the current
-    position.  Oracles receive one cursor per payload and advance it
-    themselves; {!Cursor.seek} supports the replayer's look-ahead. *)
-
-module Cursor : sig
-  type t
-
-  val make : Buffer.t -> t
-  (** Cursor at position 0.  The cursor aliases the buffer: a
-      {!Buffer.reset} invalidates outstanding cursors. *)
-
-  val buffer : t -> Buffer.t
-  val length : t -> int
-
-  val pos : t -> int
-  val seek : t -> int -> unit
-  val reset : t -> unit
-  val at_end : t -> bool
-  val advance : t -> unit
-
-  (** Accessors for the event at [pos] (valid while [not (at_end c)]). *)
-
-  val kind : t -> Buffer.kind
-  val label : t -> int
-  val op_count : t -> int
-  val op : t -> int -> Wasm.Values.value
-
-  val ops : t -> Wasm.Values.value list
-  (** All operands of the current event, materialised (the call_pre /
-      call_post argument and result vectors). *)
-
-  val op_bits : t -> int -> int64
-  val op_i32 : t -> int -> int32
-  val op_is_i32 : t -> int -> bool
-  val op_is_i64 : t -> int -> bool
-end
-
 (** {1 Compat: materialised structured records (test-only)}
 
-    Boxed {!record} views over the flat buffer, quarantined so the
-    cursor API is the only streaming surface production code sees.  The
-    equivalence property tests and debug printing are the intended
-    consumers; analysis code streams with {!Cursor}. *)
+    Boxed {!record} views over the flat buffer, the reference the
+    equivalence property tests compare against.  Analysis code reads
+    {!Buffer} by event index. *)
 
 module Compat : sig
   val record_of : Buffer.t -> int -> record
   (** Build a boxed record for one event. *)
-
-  val iter : (record -> unit) -> Buffer.t -> unit
-  val fold : ('a -> record -> 'a) -> 'a -> Buffer.t -> 'a
 
   val to_list : Buffer.t -> record list
   (** Materialise the whole tape as a record list. *)

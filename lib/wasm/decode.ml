@@ -355,11 +355,20 @@ let export s : Ast.export =
 
 type code_entry = { ce_locals : Types.value_type list; ce_body : Ast.instr list }
 
+(* A function may declare at most this many locals, as in wasmparser
+   and V8: the runs are counted before any is expanded, so a run of
+   2^32 - 1 locals is refused instead of allocated. *)
+let max_locals = 50_000
+
 let code s : code_entry =
   let size = u32 s in
   let endp = s.pos + size in
+  let declared = ref 0 in
   let runs = vec (fun s ->
       let n = u32 s in
+      declared := !declared + n;
+      if !declared > max_locals then
+        error s.pos "function declares more than %d locals" max_locals;
       let t = value_type s in
       (n, t)) s
   in

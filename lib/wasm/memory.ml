@@ -64,13 +64,15 @@ let[@inline] mark_dirty t hi = if hi > t.dirty_hi then t.dirty_hi <- hi
 let size_pages t = t.pages
 let size_bytes t = t.pages * page_size
 
+let max_pages = 528
+
 (** Grow by [delta] pages; returns the previous size in pages, or [-1l] on
     failure (the Wasm [memory.grow] contract). *)
 let grow t delta =
   if not t.live then trap_released ();
   let old = t.pages in
   let target = old + delta in
-  let limit = match t.max_pages with Some m -> m | None -> 0x10000 in
+  let limit = min max_pages (Option.value t.max_pages ~default:max_pages) in
   if delta < 0 || target > limit then -1l
   else begin
     (* New pages are zero, so neither watermark moves. *)

@@ -22,9 +22,14 @@ val release : t -> unit
 val size_pages : t -> int
 val size_bytes : t -> int
 
+val max_pages : int
+(** 528 pages: Nodeos' 33 MiB of linear memory. *)
+
 val grow : t -> int -> int32
 (** Grow by N pages; returns the previous size, or [-1l] on failure (the
-    [memory.grow] contract). *)
+    [memory.grow] contract).  It fails past the declared maximum, and
+    past {!max_pages} whether or not a maximum is declared: a contract
+    cannot make the host allocate more than Nodeos would. *)
 
 val check_bounds : t -> int -> int -> unit
 val load_byte : t -> int -> int

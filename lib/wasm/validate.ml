@@ -292,6 +292,26 @@ let check_const_expr (_m : Ast.module_) (e : Ast.instr list)
   | [ Ast.Global_get _ ] -> ()
   | _ -> invalid "non-constant initializer expression"
 
+(* The spec's limits rule: the minimum is at most the maximum, and a
+   memory spans at most 2^16 pages (4 GiB). *)
+let check_limits what ~unit ~bound (l : Types.limits) =
+  let check n =
+    if n > bound then
+      invalid "%s: %d %s is over the limit of %d" what n unit bound
+  in
+  check l.lim_min;
+  Option.iter check l.lim_max;
+  match l.lim_max with
+  | Some max when l.lim_min > max ->
+      invalid "%s: minimum %d is over the maximum %d" what l.lim_min max
+  | _ -> ()
+
+let check_memory_type (mt : Types.memory_type) =
+  check_limits "memory" ~unit:"pages" ~bound:0x10000 mt.mem_limits
+
+let check_table_type (tt : Types.table_type) =
+  check_limits "table" ~unit:"elements" ~bound:0xFFFF_FFFF tt.tbl_limits
+
 (** Validate a whole module; raises {!Invalid} on the first error. *)
 let check_module (m : Ast.module_) =
   let n_funcs = Ast.num_func_imports m + Array.length m.funcs in
@@ -304,8 +324,12 @@ let check_module (m : Ast.module_) =
       | Ast.Func_import ti when ti < 0 || ti >= n_types ->
           invalid "import %s.%s: unknown type index %d" i.imp_module i.imp_name
             ti
+      | Ast.Memory_import mt -> check_memory_type mt
+      | Ast.Table_import tt -> check_table_type tt
       | _ -> ())
     m.imports;
+  List.iter check_memory_type m.memories;
+  List.iter check_table_type m.tables;
   Array.iteri
     (fun k (f : Ast.func) ->
       if f.ftype < 0 || f.ftype >= n_types then

@@ -799,7 +799,7 @@ let test_spare_collector_between_targets () =
 (* One-pass oracle facts vs per-detector walks                          *)
 (* ------------------------------------------------------------------ *)
 
-module Oracle = Core.Oracle
+module Scanner = Core.Scanner
 
 (* A hand-made instrumented module: the host APIs the detectors group,
    one import they ignore, and a site for every call and i64 operator
@@ -864,11 +864,11 @@ let facts_agent = 7L
 let facts_fake_token = 11L
 
 let facts_env =
-  Oracle.make_env ~meta:facts_meta ~victim:facts_victim
+  Scanner.make_env ~meta:facts_meta ~victim:facts_victim
     ~fake_notif_agent:facts_agent ~fake_token:facts_fake_token ()
 
 (* The per-detector walks the one pass replaced, over boxed records. *)
-let ref_facts records : Oracle.facts =
+let ref_facts records : Scanner.facts =
   let meta = facts_meta in
   let func_imports = Wasm.Ast.num_func_imports meta.Wasabi.Trace.instrumented in
   let instr site = (Wasabi.Trace.site_of meta site).Wasabi.Trace.site_instr in
@@ -888,15 +888,15 @@ let ref_facts records : Oracle.facts =
            | None -> false)
          records
   in
-  let ids = Oracle.resolve_ids meta in
-  let effects = ids.Oracle.hi_inline_send @ ids.Oracle.hi_state_writes in
+  let ids = Scanner.resolve_ids meta in
+  let effects = ids.Scanner.hi_inline_send @ ids.Scanner.hi_state_writes in
   let unauthorised =
     let seen_auth = ref false and hit = ref false in
     List.iter
       (fun r ->
         match called_import r with
         | Some fi ->
-            if List.mem fi ids.Oracle.hi_auth then seen_auth := true
+            if List.mem fi ids.Scanner.hi_auth then seen_auth := true
             else if (not !seen_auth) && List.mem fi effects then
               hit := true
         | None -> ())
@@ -918,9 +918,9 @@ let ref_facts records : Oracle.facts =
       records
   in
   {
-    Oracle.fa_state_write = calls ids.Oracle.hi_state_writes;
-    fa_inline_send = calls ids.Oracle.hi_inline_send;
-    fa_blockinfo = calls ids.Oracle.hi_blockinfo;
+    Scanner.fa_state_write = calls ids.Scanner.hi_state_writes;
+    fa_inline_send = calls ids.Scanner.hi_inline_send;
+    fa_blockinfo = calls ids.Scanner.hi_blockinfo;
     fa_unauthorised_effect = unauthorised;
     fa_agent_victim = compared facts_agent facts_victim;
     fa_victim_token = compared facts_victim Name.eosio_token;
@@ -932,7 +932,7 @@ let ref_facts records : Oracle.facts =
               { site; ops = [ Wasm.Values.I64 a; Wasm.Values.I64 b ] } -> (
               match instr site with
               | Wasm.Ast.Int_binary (Wasm.Types.I64, Wasm.Ast.Mul) ->
-                  Oracle.i64_mul_overflows a b
+                  Scanner.i64_mul_overflows a b
               | _ -> false)
           | _ -> false)
         records;
@@ -995,7 +995,115 @@ let qcheck_facts_vs_reference =
        gen_fact_records)
     (fun records ->
       let buf = Wasabi.Trace.Compat.of_records records in
-      Oracle.facts facts_env buf = ref_facts records)
+      Scanner.facts facts_env buf = ref_facts records)
+
+(* ------------------------------------------------------------------ *)
+(* The session scanner over scripted traces                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Sticky fires, first-fire evidence in flag order, FakeNotif's
+   exculpatory guard on either side of its fire, and a custom oracle
+   that stays fired, over hand-written traces of an instrumented
+   generated contract. *)
+let test_scanner_session () =
+  let spec =
+    { base with BG.Contracts.sp_blockinfo = true; sp_payout_inline = true }
+  in
+  let m, _ = BG.Contracts.build spec in
+  let _, meta = Wasabi.Instrument.instrument m in
+  let victim = spec.BG.Contracts.sp_account and agent = n "fake.notif" in
+  let site_where p =
+    match
+      List.find_opt
+        (fun (s : Wasabi.Trace.site) -> p s.Wasabi.Trace.site_instr)
+        (Array.to_list meta.Wasabi.Trace.sites)
+    with
+    | Some s -> s.Wasabi.Trace.site_id
+    | None -> Alcotest.fail "no such site in the instrumented contract"
+  in
+  let call name =
+    let fi = Option.get (Wasabi.Trace.find_env_import meta name) in
+    Wasabi.Trace.R_call_pre
+      { site = site_where (( = ) (Wasm.Ast.Call fi)); args = [] }
+  in
+  let guard =
+    Wasabi.Trace.R_instr
+      {
+        site =
+          site_where
+            (( = ) (Wasm.Ast.Int_compare (Wasm.Types.I64, Wasm.Ast.Eq)));
+        ops = [ Wasm.Values.I64 agent; Wasm.Values.I64 victim ];
+      }
+  in
+  let action =
+    List.hd
+      (Wasai_symbolic.Convention.find_action_functions
+         meta.Wasabi.Trace.instrumented)
+  in
+  (* Every scripted payload enters the action function first. *)
+  let trace records =
+    Wasabi.Trace.Compat.of_records (Wasabi.Trace.R_func_begin action :: records)
+  in
+  let payload data =
+    {
+      Action.act_account = victim;
+      act_name = n "transfer";
+      act_data = data;
+      act_auth = [ n "attacker" ];
+    }
+  in
+  let observe sc ~channel data records =
+    Scanner.observe ~payload:(payload data) ~executed:[ action ] sc ~channel
+      (trace records)
+  in
+  let data_of sc f =
+    Option.map
+      (fun e -> e.Scanner.ev_payload.Action.act_data)
+      (Scanner.evidence_for sc f)
+  in
+  let create () = Scanner.create ~meta ~victim ~fake_notif_agent:agent () in
+  let sc = create () in
+  Scanner.register_custom sc
+    {
+      Scanner.co_name = "tapos";
+      co_detect =
+        (fun _ buf -> Scanner.calls_env_import meta "tapos_block_num" buf);
+    };
+  (* One payload fires BlockinfoDep and Rollback: evidence in flag
+     order, whatever order the trace called them in. *)
+  observe sc ~channel:Scanner.Ch_genuine "one"
+    [ call "require_auth"; call "send_inline"; call "tapos_block_num" ];
+  Alcotest.(check (list string))
+    "evidence in flag order" [ "BlockinfoDep"; "Rollback" ]
+    (List.map (fun (f, _) -> Scanner.string_of_flag f) sc.Scanner.evidence);
+  (* A later fire of the same flag keeps the first evidence. *)
+  observe sc ~channel:(Scanner.Ch_action (n "deposit")) "two"
+    [ call "require_auth"; call "send_inline" ];
+  Alcotest.(check (option string)) "first evidence kept" (Some "one")
+    (data_of sc Scanner.Rollback);
+  Alcotest.(check bool) "fires are sticky" true
+    (Scanner.verdict sc Scanner.Blockinfo_dep);
+  Alcotest.(check (list (pair string bool)))
+    "a custom oracle stays fired" [ ("tapos", true) ]
+    (Scanner.custom_report sc);
+  (* FakeNotif fires on a forwarded notification that ran the
+     eosponser, until some payload compares the agent with the victim. *)
+  observe sc ~channel:Scanner.Ch_fake_notif "three" [];
+  Alcotest.(check bool) "FakeNotif fired" true
+    (Scanner.verdict sc Scanner.Fake_notif);
+  Alcotest.(check (option string)) "FakeNotif evidence" (Some "three")
+    (data_of sc Scanner.Fake_notif);
+  observe sc ~channel:Scanner.Ch_genuine "four" [ guard ];
+  Alcotest.(check bool) "a later guard clears FakeNotif" false
+    (Scanner.verdict sc Scanner.Fake_notif);
+  let sc = create () in
+  observe sc ~channel:Scanner.Ch_genuine "five" [ guard ];
+  observe sc ~channel:Scanner.Ch_fake_notif "six" [];
+  Alcotest.(check bool) "an earlier guard clears FakeNotif" false
+    (Scanner.verdict sc Scanner.Fake_notif);
+  Alcotest.(check (list (pair string bool)))
+    "only the custom oracles registered" []
+    (Scanner.custom_report sc)
 
 let () =
   Alcotest.run "wasai_core"
@@ -1057,6 +1165,8 @@ let () =
           Alcotest.test_case "spare collector between targets" `Quick
             test_spare_collector_between_targets;
           QCheck_alcotest.to_alcotest qcheck_facts_vs_reference;
+          Alcotest.test_case "session scanner over scripted traces" `Quick
+            test_scanner_session;
           QCheck_alcotest.to_alcotest qcheck_fused_scan_equivalence;
         ] );
     ]

@@ -102,6 +102,37 @@ let test_strict_rejections () =
   reject ~why:"hex" (swap_field line 12 "args=s:0g");
   reject ~why:"u64" (swap_field line 12 "args=u:")
 
+(* A number or hex string is read only in the spelling the writer
+   prints: every other spelling of the same value is rejected, so an
+   accepted line always re-renders to its own bytes. *)
+let test_one_spelling () =
+  let r = record ~args:[ Abi.V_u64 42L; Abi.V_string "j" ] () in
+  let line = Corpus.line_of_record r in
+  Alcotest.(check string) "the written spelling re-renders to itself" line
+    (Corpus.line_of_record (roundtrip r));
+  let sig_field = List.nth (String.split_on_char '\t' line) 3 in
+  let upper = "sig=" ^ String.uppercase_ascii (String.sub sig_field 4 16) in
+  Alcotest.(check bool) "the signature has hex letters" true
+    (upper <> sig_field);
+  reject ~why:"sig" (swap_field line 3 upper);
+  List.iter
+    (fun cover -> reject ~why:"edge" (swap_field line 4 cover))
+    [ "cover=1:00,1:1,7:0"; "cover=01:0,1:1,7:0"; "cover=1:+0,1:1,7:0";
+      "cover=0x1:0,1:1,7:0" ];
+  List.iter
+    (fun (i, field, why) -> reject ~why (swap_field line i field))
+    [
+      (5, "new=03", "new"); (5, "new=0x3", "new"); (5, "new=+3", "new");
+      (6, "round=3_0", "round"); (7, "shard=00/2", "shard");
+      (8, "seed=0x63", "seed"); (8, "seed=099", "seed"); (8, "seed=+99", "seed");
+      (9, "budget=024", "budget"); (9, "budget=-24", "budget");
+      (10, "solver=q:03,b:2,u:1,h:5,m:4", "counters");
+      (11, "sbudget=2_0000", "sbudget");
+      (12, "args=u:2A,s:6a", "u64"); (12, "args=u:02a,s:6a", "u64");
+      (12, "args=u:2a,s:6A", "hex"); (12, "args=w:07", "u32");
+      (12, "args=a:2710:4F4345", "asset");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* In-memory corpus: dedupe, canonical order                            *)
 (* ------------------------------------------------------------------ *)
@@ -314,6 +345,7 @@ let () =
             test_line_roundtrip;
           Alcotest.test_case "empty args" `Quick test_empty_args_roundtrip;
           Alcotest.test_case "strict rejections" `Quick test_strict_rejections;
+          Alcotest.test_case "one spelling per number" `Quick test_one_spelling;
         ] );
       ( "corpus",
         [

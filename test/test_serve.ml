@@ -85,17 +85,19 @@ let batch_campaign_report ~rounds contracts =
 (* Wire grammar                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The one hex codec the wire shares with the journal and the corpus. *)
 let test_wire_hex () =
+  let module Canonical = Wasai_support.Canonical in
   let all = String.init 256 Char.chr in
-  (match Serve.Wire.string_of_hex (Serve.Wire.hex_of_string all) with
+  (match Canonical.string_of_hex (Canonical.hex_of_string all) with
    | Ok s -> Alcotest.(check string) "all bytes round-trip" all s
    | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "odd length rejected" true
-    (Result.is_error (Serve.Wire.string_of_hex "abc"));
+    (Result.is_error (Canonical.string_of_hex "abc"));
   Alcotest.(check bool) "bad digit rejected" true
-    (Result.is_error (Serve.Wire.string_of_hex "zz"));
+    (Result.is_error (Canonical.string_of_hex "zz"));
   Alcotest.(check bool) "uppercase rejected (canonical form only)" true
-    (Result.is_error (Serve.Wire.string_of_hex "AB"))
+    (Result.is_error (Canonical.string_of_hex "AB"))
 
 let test_wire_names () =
   Alcotest.(check bool) "tenant ok" true (Serve.Wire.valid_tenant "alice-02");
@@ -290,6 +292,13 @@ let test_wire_response_strict () =
       ("stats without uptime/backend", "wasai-serve-v1\tSTATS\ta\tsubmitted=1\tcompleted=1\trejected=0\tqwait=n:1\tlatency=n:1");
       ("metrics with odd-length hex", "wasai-serve-v1\tMETRICS\tabc");
       ("metrics with non-hex body", "wasai-serve-v1\tMETRICS\tzz");
+      ("metrics with uppercase hex", "wasai-serve-v1\tMETRICS\tAB");
+      (* a count is read only as [%d] writes it *)
+      ("leading zero", "wasai-serve-v1\tBYE\tcompleted=07");
+      ("hex count", "wasai-serve-v1\tBYE\tcompleted=0x10");
+      ("underscore in count", "wasai-serve-v1\tBYE\tcompleted=1_000");
+      ("plus sign", "wasai-serve-v1\tPONG\tjobs=+5\ttenants=0");
+      ("negative count", "wasai-serve-v1\tPONG\tjobs=-3\ttenants=0");
     ]
   in
   List.iter
@@ -602,6 +611,60 @@ let test_serve_long_malformed_line () =
               | _ -> Alcotest.fail ("expected one protocol ERR, got " ^ err))
           | _ -> Alcotest.fail ("expected exactly one reply line: " ^ reply)))
 
+(* Hostile module bytes in a SUBMIT: the worker refuses each before it
+   allocates (a memory past the spec's 65,536 pages, one past Nodeos'
+   528, 2^32 - 1 declared locals), answers ERR with the reason, and
+   keeps serving. *)
+let test_serve_hostile_modules () =
+  with_scratch "hostile" @@ fun dir ->
+  let cfg =
+    Serve.Serve.make_config ~root:(Filename.concat dir "root")
+      ~socket:(Filename.concat dir "s.sock") ~jobs:1 ~depth:4
+      ~engine:(engine 6) ()
+  in
+  let header = "\x00asm\x01\x00\x00\x00" in
+  let hostile =
+    [
+      ("hugemem", header ^ "\x05\x05\x01\x00\x81\x80\x04", "65536");
+      ("bigmem", header ^ "\x05\x04\x01\x00\x91\x04", "528-page");
+      ( "locals",
+        header ^ "\x01\x04\x01\x60\x00\x00\x03\x02\x01\x00"
+        ^ "\x0a\x0a\x01\x08\x01\xff\xff\xff\xff\x0f\x7f\x0b",
+        "50000 locals" );
+    ]
+  in
+  with_daemon cfg (fun _ ->
+      let c = connect_retry cfg.Serve.Serve.sv_socket in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          let batch =
+            Serve.Client.submit_batch c ~tenant:"eve"
+              (List.map
+                 (fun (name, wasm, _) ->
+                   {
+                     Serve.Client.ct_name = name;
+                     ct_wasm = wasm;
+                     ct_abi = None;
+                   })
+                 hostile)
+          in
+          Alcotest.(check int) "no verdicts" 0
+            (List.length batch.Serve.Client.bt_verdicts);
+          List.iter
+            (fun (name, _, reason) ->
+              match List.assoc_opt name batch.Serve.Client.bt_errors with
+              | Some got ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: %S names %S" name got reason)
+                    true (contains ~sub:reason got)
+              | None -> Alcotest.failf "%s: no ERR" name)
+            hostile;
+          Serve.Client.send c Serve.Wire.Ping;
+          match Serve.Client.next c with
+          | Serve.Wire.Pong _ -> ()
+          | _ -> Alcotest.fail "expected PONG after the refusals"))
+
 (* ------------------------------------------------------------------ *)
 (* Restart safety                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -748,6 +811,8 @@ let () =
             test_serve_backpressure;
           Alcotest.test_case "16 MiB malformed line answered promptly" `Quick
             test_serve_long_malformed_line;
+          Alcotest.test_case "hostile modules answered ERR" `Quick
+            test_serve_hostile_modules;
         ] );
       ( "restart",
         [

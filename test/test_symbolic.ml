@@ -744,7 +744,7 @@ let test_shared_inputs_refind_terms () =
     Alcotest.failf "second replay allocated %.0f minor words (bound %.0f)"
       words bound
 
-(* Cursor-based replay must walk the same path whether it reads the live
+(* Replay must walk the same path whether it reads the live
    buffer or one rebuilt from the compat record view: the of_records
    round-trip pins the buffer encoding as information-preserving for
    replay.  cs_cond carries fresh variable ids (instance-dependent), so

@@ -502,7 +502,7 @@ let apply_to_ref rc = function
 
 (* The buffer must agree with the reference collector on arbitrary hook
    streams and arbitrary (small) event limits — including the
-   truncation-edge behaviours — and its cursor accessors must be
+   truncation-edge behaviours — and its read accessors must be
    consistent with its own compat view. *)
 let qcheck_buffer_matches_reference =
   QCheck.Test.make
@@ -521,7 +521,7 @@ let qcheck_buffer_matches_reference =
       got = expected
       && B.truncated buf = rc.Ref_collector.trunc
       && B.length buf = List.length expected
-      (* Cursor accessors agree with the compat view. *)
+      (* Read accessors agree with the compat view. *)
       && (let ok = ref true in
           List.iteri
             (fun i r ->

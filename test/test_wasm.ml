@@ -629,6 +629,119 @@ let test_decode_rejects_garbage () =
   rejected "custom section name past its section rejected"
     ("\x00asm\x01\x00\x00\x00" ^ "\x00\x01\x05hello")
 
+(* ------------------------------------------------------------------ *)
+(* Hostile modules: what a few bytes can make the host allocate        *)
+(* ------------------------------------------------------------------ *)
+
+let wasm_header = "\x00asm\x01\x00\x00\x00"
+
+(* One function of type [] -> [] whose locals are [runs] (the number of
+   runs, then each run's LEB128 count and value type), with an empty
+   body. *)
+let module_with_locals runs =
+  let entry = runs ^ "\x0b" in
+  let entry = String.make 1 (Char.chr (String.length entry)) ^ entry in
+  let code = "\x01" ^ entry in
+  wasm_header ^ "\x01\x04\x01\x60\x00\x00" ^ "\x03\x02\x01\x00"
+  ^ "\x0a" ^ String.make 1 (Char.chr (String.length code)) ^ code
+
+let rejects_with what fragment f =
+  let contains s =
+    let n = String.length fragment in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = fragment || go (i + 1))
+    in
+    go 0
+  in
+  match f () with
+  | _ -> Alcotest.failf "%s accepted" what
+  | exception (Decode.Decode_error (_, msg) | Validate.Invalid msg) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %S" what msg fragment)
+        true (contains msg)
+
+(* A run of 2^32 - 1 locals is refused before it is expanded, and so is
+   a sum of runs past 50,000; 50,000 are still accepted. *)
+let test_hostile_locals () =
+  rejects_with "2^32 - 1 locals" "50000 locals" (fun () ->
+      Decode.decode (module_with_locals "\x01\xff\xff\xff\xff\x0f\x7f"));
+  (* 50,000 = 0xc350 (LEB128 d0 86 03), then one more *)
+  rejects_with "50,001 locals over two runs" "50000 locals" (fun () ->
+      Decode.decode (module_with_locals "\x02\xd0\x86\x03\x7f\x01\x7e"));
+  let m = Decode.decode (module_with_locals "\x01\xd0\x86\x03\x7f") in
+  Alcotest.(check int) "50,000 locals accepted" 50_000
+    (List.length m.Ast.funcs.(0).Ast.locals)
+
+let mem_module ?max min =
+  {
+    Ast.empty_module with
+    Ast.memories = [ { Types.mem_limits = { lim_min = min; lim_max = max } } ];
+  }
+
+let table_module ?max min =
+  {
+    Ast.empty_module with
+    Ast.tables = [ { Types.tbl_limits = { lim_min = min; lim_max = max } } ];
+  }
+
+(* The spec's limits rule: min <= max, and a memory spans at most 2^16
+   pages. *)
+let test_hostile_limits () =
+  let invalid what m =
+    rejects_with what "over the" (fun () -> Validate.check_module m)
+  in
+  invalid "memory over 65,536 pages" (mem_module 0x10001);
+  invalid "memory maximum over 65,536 pages" (mem_module ~max:0x10001 1);
+  invalid "memory minimum over its maximum" (mem_module ~max:1 2);
+  invalid "table minimum over its maximum" (table_module ~max:1 2);
+  invalid "imported memory over 65,536 pages"
+    {
+      Ast.empty_module with
+      Ast.imports =
+        [
+          {
+            Ast.imp_module = "env";
+            imp_name = "memory";
+            idesc =
+              Ast.Memory_import
+                { Types.mem_limits = { lim_min = 0x10001; lim_max = None } };
+          };
+        ];
+    };
+  Validate.check_module (mem_module ~max:0x10000 0x10000);
+  Validate.check_module (table_module 0xFFFF_FFFF)
+
+(* What Nodeos' [wasm_constraints] refuse on setcode: over 33 MiB of
+   initial linear memory, over 1,024 table elements. *)
+let test_hostile_setcode () =
+  let open Wasai_eosio in
+  let chain = Chain.create () in
+  let deploy m () =
+    Chain.set_code chain (Name.of_string "victim") m Abi.default_profitable
+  in
+  rejects_with "529 pages of memory" "528-page" (deploy (mem_module 529));
+  rejects_with "1,025 table elements" "1024-element"
+    (deploy (table_module 1025));
+  deploy (mem_module 528) ();
+  deploy (table_module ~max:4096 1024) ()
+
+(* [memory.grow] gives no memory more than 528 pages, declared maximum
+   or not. *)
+let test_hostile_grow () =
+  let m =
+    Memory.create { Types.mem_limits = { lim_min = 1; lim_max = None } }
+  in
+  Alcotest.(check int32) "past 528 pages fails" (-1l) (Memory.grow m 528);
+  Alcotest.(check int32) "up to 528 pages grows" 1l (Memory.grow m 527);
+  Alcotest.(check int32) "528 pages is the cap" (-1l) (Memory.grow m 1);
+  Memory.release m;
+  let m =
+    Memory.create { Types.mem_limits = { lim_min = 1; lim_max = Some 0x10000 } }
+  in
+  Alcotest.(check int32) "a declared maximum does not lift it" (-1l)
+    (Memory.grow m 528);
+  Memory.release m
+
 let test_leb128_negative () =
   (* Signed LEB128 for negative constants must roundtrip. *)
   let open Builder.I in
@@ -897,6 +1010,15 @@ let () =
           qc qcheck_eval_matches_fold;
           qc qcheck_leb64;
           qc qcheck_sleb64;
+        ] );
+      ( "hostile",
+        [
+          Alcotest.test_case "locals bounded before expansion" `Quick
+            test_hostile_locals;
+          Alcotest.test_case "limits rule" `Quick test_hostile_limits;
+          Alcotest.test_case "setcode refuses over Nodeos limits" `Quick
+            test_hostile_setcode;
+          Alcotest.test_case "grow stops at 528 pages" `Quick test_hostile_grow;
         ] );
       ( "wat",
         [
