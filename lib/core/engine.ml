@@ -176,9 +176,10 @@ type session = {
   inputs : Sym.Convention.inputs list;
       (** each ABI action's symbolic inputs and the state built from
           them, shared by all its payloads *)
-  replays : Sym.Replay.Memo.t;
+  replays : Sym.Flip.outcome Sym.Replay.Memo.t;
       (** this run's replay memo: each distinct trace region is replayed
-          once per action's inputs *)
+          once per action's inputs, and each entry keeps the last flip
+          outcome of its result *)
   exec_stage : Telemetry.stage;
       (** the telemetry stage payload execution is attributed to — fixed
           per session by the resolved execution backend *)
@@ -616,10 +617,12 @@ let feedback (s : session) (seed : Seed.t) (buf : B.t)
           ~target_funcs:s.scanner.Scanner.action_candidates buf
       with
       | None -> ()
-      | Some result ->
+      | Some entry ->
+          let result = Sym.Replay.Memo.result entry in
           s.imprecise <- s.imprecise + result.Sym.Replay.r_imprecise;
           (* Skip flips whose target branch direction is already
-             covered: the coverage map doubles as frontier tracking. *)
+             covered: the coverage map doubles as frontier tracking.  It
+             only grows, so its size names its contents. *)
           let skip (c : Sym.Flip.candidate) =
             match c.Sym.Flip.cand_flipped_dir with
             | Some dir ->
@@ -628,8 +631,10 @@ let feedback (s : session) (seed : Seed.t) (buf : B.t)
             | None -> false
           in
           let solved =
-            Sym.Flip.solve ~session:s.solver ~max_solved:s.cfg.cfg_max_flips
-              ~skip result ~current:observed_args
+            Sym.Flip.solve_memo ~session:s.solver
+              ~max_solved:s.cfg.cfg_max_flips ~skip
+              ~coverage:(Hashtbl.length s.branches) entry
+              ~current:observed_args
           in
           List.iter
             (fun (sol : Sym.Flip.solved_seed) ->
@@ -681,7 +686,7 @@ let fuzz_session ~(oracles : Wasabi.Trace.meta -> Scanner.custom_oracle list)
     (* The coverage map grows only through this seed's scans, so its
        growth is the count of edges new to this run. *)
     let before = Hashtbl.length s.branches in
-    let cov = Hashtbl.create 32 in
+    let edges = ref [] (* each execution's edges *) in
     (* A corpus replay re-executes a prior run's transaction for its
        coverage and table effects; it must not shift this run's block
        clock, or every later trace that reads block info diverges from
@@ -697,7 +702,7 @@ let fuzz_session ~(oracles : Wasabi.Trace.meta -> Scanner.custom_oracle list)
     List.iter
       (fun channel ->
         let ex = run_one s seed channel in
-        List.iter (fun e -> Hashtbl.replace cov e ()) ex.ex_scan.sc_edges;
+        edges := ex.ex_scan.sc_edges :: !edges;
         (* Imported (corpus-replayed) seeds contribute coverage and chain
            state but no flip derivation: the producing run already paid
            the solver for every flip reachable from these traces, so
@@ -712,11 +717,9 @@ let fuzz_session ~(oracles : Wasabi.Trace.meta -> Scanner.custom_oracle list)
          s.chain.Chain.block_prefix <- bp;
          s.chain.Chain.head_time_us <- ht
      | None -> ());
-    let cover =
-      List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) cov [])
-    in
     let fresh = Hashtbl.length s.branches - before in
     if fresh > 0 then
+      let cover = List.sort_uniq compare (List.concat !edges) in
       interesting :=
         {
           is_round = round;

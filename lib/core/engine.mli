@@ -165,9 +165,10 @@ type session = {
       (** each ABI action's symbolic inputs, minted after [solver] and
           shared, with the state built from them, by every payload of
           the action in this run *)
-  replays : Wasai_symbolic.Replay.Memo.t;
+  replays : Wasai_symbolic.Flip.outcome Wasai_symbolic.Replay.Memo.t;
       (** this run's replay memo: each distinct trace region is replayed
-          once per action's inputs *)
+          once per action's inputs, and each entry keeps the last flip
+          outcome of its result *)
   exec_stage : Wasai_telemetry.Telemetry.stage;
       (** the telemetry stage payload execution is attributed to — fixed
           per session by the resolved execution backend *)

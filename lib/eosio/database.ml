@@ -1,9 +1,10 @@
 (** The chain's key-value store behind the [db_*_i64] host API.
 
     Rows live in tables addressed by (code, scope, table); each row is an
-    id → bytes binding.  Values are held in immutable maps so that a
-    snapshot is a shallow hashtable copy — that is what makes whole-
-    transaction rollback (the Rollback vulnerability's substrate) cheap.
+    id → bytes binding.  The whole store is one immutable map of
+    immutable maps, so a snapshot is the current map itself and a
+    rollback assigns it back — whole-transaction rollback (the Rollback
+    vulnerability's substrate) copies nothing.
 
     Every operation is reported to [on_access]; WASAI's Engine listens to
     build the database-dependency graph (§3.3.2 of the paper). *)
@@ -21,20 +22,33 @@ type access = {
   acc_table : Name.t;
 }
 
+module Table_map = Map.Make (struct
+  type t = table_key
+
+  let compare a b =
+    let c = Int64.compare a.tk_code b.tk_code in
+    if c <> 0 then c
+    else
+      let c = Int64.compare a.tk_scope b.tk_scope in
+      if c <> 0 then c else Int64.compare a.tk_table b.tk_table
+end)
+
 type iterator_target = { it_key : table_key; it_id : int64 }
 
+type tables = string I64Map.t Table_map.t
+
 type t = {
-  mutable tables : (table_key, string I64Map.t) Hashtbl.t;
+  mutable tables : tables;
   iterators : (int, iterator_target) Hashtbl.t;
   mutable next_iterator : int;
   mutable on_access : (access -> unit) option;
 }
 
-type snapshot = (table_key, string I64Map.t) Hashtbl.t
+type snapshot = tables
 
 let create () =
   {
-    tables = Hashtbl.create 64;
+    tables = Table_map.empty;
     iterators = Hashtbl.create 64;
     next_iterator = 0;
     on_access = None;
@@ -46,13 +60,22 @@ let notify db kind key =
   | Some f -> f { acc_kind = kind; acc_code = key.tk_code; acc_table = key.tk_table }
 
 let table db key =
-  match Hashtbl.find_opt db.tables key with
+  match Table_map.find_opt key db.tables with
   | Some m -> m
   | None -> I64Map.empty
 
 let set_table db key m =
-  if I64Map.is_empty m then Hashtbl.remove db.tables key
-  else Hashtbl.replace db.tables key m
+  db.tables <-
+    (if I64Map.is_empty m then Table_map.remove key db.tables
+     else Table_map.add key m db.tables)
+
+(* Bind [id] to [data], leaving the store untouched when the row already
+   holds those bytes. *)
+let write_row db key id data =
+  let m = table db key in
+  match I64Map.find_opt id m with
+  | Some old when String.equal old data -> ()
+  | _ -> set_table db key (I64Map.add id data m)
 
 let fresh_iterator db target =
   let it = db.next_iterator in
@@ -104,9 +127,9 @@ let get db it : string =
 let update db it ~(data : string) =
   let t = iterator_target db it in
   notify db Write t.it_key;
-  let m = table db t.it_key in
-  if not (I64Map.mem t.it_id m) then Values.trap "db_update_i64: stale iterator";
-  set_table db t.it_key (I64Map.add t.it_id data m)
+  if not (I64Map.mem t.it_id (table db t.it_key)) then
+    Values.trap "db_update_i64: stale iterator";
+  write_row db t.it_key t.it_id data
 
 let remove db it =
   let t = iterator_target db it in
@@ -139,7 +162,7 @@ let get_row db ~code ~scope ~tbl ~id : string option =
 let put_row db ~code ~scope ~tbl ~id ~(data : string) =
   let key = { tk_code = code; tk_scope = scope; tk_table = tbl } in
   notify db Write key;
-  set_table db key (I64Map.add id data (table db key))
+  write_row db key id data
 
 let delete_row db ~code ~scope ~tbl ~id =
   let key = { tk_code = code; tk_scope = scope; tk_table = tbl } in
@@ -238,16 +261,16 @@ let idx64_lowerbound db ~code ~scope ~tbl ~(secondary : int64) : int * int64 =
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Cheap snapshot: values are immutable, so copying the table map
-    suffices. *)
-let snapshot db : snapshot = Hashtbl.copy db.tables
+(* The store is immutable: a snapshot is the current map, and later
+   writes build new maps beside it. *)
+let snapshot db : snapshot = db.tables
 
 let restore db (s : snapshot) =
-  db.tables <- Hashtbl.copy s;
+  db.tables <- s;
   Hashtbl.reset db.iterators
 
 (** Wipe all state (fresh local chain). *)
 let clear db =
-  Hashtbl.reset db.tables;
+  db.tables <- Table_map.empty;
   Hashtbl.reset db.iterators;
   db.next_iterator <- 0

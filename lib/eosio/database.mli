@@ -1,8 +1,9 @@
 (** The chain's key-value store behind the [db_*_i64] host API.
 
     Rows live in tables addressed by (code, scope, table); each row is an
-    id → bytes binding.  Values are immutable maps, so a snapshot is a
-    shallow copy — which is what makes whole-transaction rollback cheap.
+    id → bytes binding.  The store is one immutable map from table to
+    immutable row map, so a snapshot is that map itself and {!restore}
+    assigns it back: whole-transaction rollback copies nothing.
 
     Every operation is reported to [on_access]; WASAI's Engine listens to
     build the database-dependency graph (§3.3.2). *)
@@ -19,10 +20,13 @@ type access = {
   acc_table : Name.t;
 }
 
+module Table_map : Map.S with type key = table_key
+(** Ordered by code, then scope, then table. *)
+
 type iterator_target = { it_key : table_key; it_id : int64 }
 
 type t = {
-  mutable tables : (table_key, string I64Map.t) Hashtbl.t;
+  mutable tables : string I64Map.t Table_map.t;
   iterators : (int, iterator_target) Hashtbl.t;
   mutable next_iterator : int;
   mutable on_access : (access -> unit) option;
@@ -47,6 +51,9 @@ val lowerbound :
 
 val get : t -> int -> string
 val update : t -> int -> data:string -> unit
+(** Reported as a write like any other; a row that already holds
+    [data]'s bytes is left as it is. *)
+
 val remove : t -> int -> unit
 
 val next : t -> int -> int * int64
@@ -64,6 +71,8 @@ val get_row :
 
 val put_row :
   t -> code:Name.t -> scope:Name.t -> tbl:Name.t -> id:int64 -> data:string -> unit
+(** Insert or overwrite; like {!update}, a write of the bytes the row
+    already holds is reported and changes nothing. *)
 
 val delete_row : t -> code:Name.t -> scope:Name.t -> tbl:Name.t -> id:int64 -> unit
 val rows : t -> code:Name.t -> scope:Name.t -> tbl:Name.t -> (int64 * string) list
@@ -98,5 +107,10 @@ val idx64_lowerbound :
 (** {1 Snapshots} *)
 
 val snapshot : t -> snapshot
+(** The current store, in constant time. *)
+
 val restore : t -> snapshot -> unit
+(** Make a snapshot the current store again and invalidate every
+    iterator.  A snapshot stays valid after it is restored. *)
+
 val clear : t -> unit

@@ -82,9 +82,11 @@ let do_transfer (ctx : Chain.context) (args : Abi.value list) =
       let token = ctx.Chain.ctx_receiver in
       let symbol = quantity.Asset.symbol in
       assert_ (not (Name.equal from to_)) "cannot transfer to self";
-      assert_
-        (List.exists (Name.equal from) ctx.Chain.ctx_action.Action.act_auth)
-        (Printf.sprintf "transfer: missing authority of %s" (Name.to_string from));
+      if not (List.exists (Name.equal from) ctx.Chain.ctx_action.Action.act_auth)
+      then
+        raise
+          (Chain.Assert_failed
+             ("transfer: missing authority of " ^ Name.to_string from));
       assert_ (Chain.is_account chain to_) "to account does not exist";
       assert_ (Int64.compare quantity.Asset.amount 0L > 0)
         "must transfer positive quantity";

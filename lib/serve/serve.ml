@@ -105,6 +105,8 @@ type t = {
   listen_fd : Unix.file_descr;
   wake_r : Unix.file_descr;  (** self-pipe: workers nudge the select loop *)
   wake_w : Unix.file_descr;
+  wakers : int Atomic.t;  (** {!wake} calls that may still write [wake_w] *)
+  wake_closed : bool Atomic.t;  (** set before [wake_w] is closed *)
   conns : (int, conn) Hashtbl.t;
   read_buf : Bytes.t;
       (** every [read_conn] fills this; only the I/O loop reads *)
@@ -112,11 +114,30 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
+(* Nonblocking and best-effort: one pending byte already guarantees a
+   wakeup, so a full pipe can be ignored.  {!request_stop} may wake the
+   loop from another thread or a signal handler while the loop shuts
+   down and closes the pipe, so a wake counts itself in [wakers] before
+   it looks at [wake_closed], and [close_wake] closes the write end only
+   once no wake is in flight: a late wake writes nothing, and never into
+   a descriptor the process has since reused. *)
 let wake t =
-  (* Nonblocking and best-effort: one pending byte already guarantees a
-     wakeup, so a full pipe can be ignored. *)
-  try ignore (Unix.write_substring t.wake_w "x" 0 1)
-  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) -> ()
+  Atomic.incr t.wakers;
+  Fun.protect
+    ~finally:(fun () -> Atomic.decr t.wakers)
+    (fun () ->
+      if not (Atomic.get t.wake_closed) then
+        try ignore (Unix.write_substring t.wake_w "x" 0 1)
+        with
+        | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _)
+        -> ())
+
+let close_wake t =
+  Atomic.set t.wake_closed true;
+  while Atomic.get t.wakers > 0 do
+    Unix.sleepf 0.001
+  done;
+  try Unix.close t.wake_w with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Tenant registry                                                     *)
@@ -483,6 +504,8 @@ let create cfg : t =
       listen_fd;
       wake_r;
       wake_w;
+      wakers = Atomic.make 0;
+      wake_closed = Atomic.make false;
       conns = Hashtbl.create 16;
       read_buf = Bytes.create 65536;
       next_conn = 0;
@@ -721,7 +744,7 @@ let serve t =
           Hashtbl.iter (fun _ c -> close_conn t c) (Hashtbl.copy t.conns);
           (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
           (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-          (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
+          close_wake t;
           Mutex.protect t.lock (fun () ->
               Hashtbl.iter (fun _ tn -> Store.close tn.tn_store) t.tenants);
           (* A real kill -9 leaves the socket file behind; the simulated

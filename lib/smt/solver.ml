@@ -162,6 +162,9 @@ let domain_arena () =
    quick-path contradiction is its own tier: it counts only as a query. *)
 type tier = Quick | Contradiction | Blasted
 
+(* A query's tier and answer, or [None] for a constant-false query. *)
+type decided = (tier * result) option
+
 (* Decide a conjunction with no constant-false member.  [arena] supplies
    the bit-blasting context, only when the quick path leaves a residue. *)
 let decide ~budget ~arena (constraints : Expr.t list) : result * tier =
@@ -239,6 +242,9 @@ module Session = struct
         | Unknown -> t.sx_unknown <- t.sx_unknown + 1
         | Sat _ | Unsat -> ())
 
+  let recount t (d : decided) =
+    Option.iter (fun (tier, result) -> count t tier result) d
+
   (* The key is exact: node tags are process-unique and never reused,
      the session lives on one domain, and the intern table is compacted
      only when a session is created, so within a session equal tags are
@@ -284,8 +290,10 @@ let stage_of_tier = function
   | Quick | Contradiction -> Wasai_telemetry.Telemetry.Solver_quick
   | Blasted -> Wasai_telemetry.Telemetry.Solver_blast
 
-(** Decide the conjunction of [constraints]. *)
-let check ?session ?conflict_budget (constraints : Expr.t list) : result =
+(** Decide the conjunction of [constraints], and say how it was
+    counted. *)
+let check_decided ?session ?conflict_budget (constraints : Expr.t list) :
+    result * decided =
   let module T = Wasai_telemetry.Telemetry in
   let t0 = T.start () in
   let budget =
@@ -296,27 +304,30 @@ let check ?session ?conflict_budget (constraints : Expr.t list) : result =
   in
   if List.exists Expr.is_false constraints then begin
     T.stop T.Solver_quick t0;
-    Unsat
+    (Unsat, None)
   end
   else
     match session with
     | None ->
         let result, tier = decide ~budget ~arena:Bitblast.create constraints in
         T.stop (stage_of_tier tier) t0;
-        result
+        (result, Some (tier, result))
     | Some s -> (
         let h = Session.key_hash budget constraints in
         match Session.find s h budget constraints with
         | Some e ->
             Session.count s e.Session.me_tier e.Session.me_result;
             T.stop T.Solver_cache t0;
-            e.Session.me_result
+            (e.Session.me_result, Some (e.Session.me_tier, e.Session.me_result))
         | None ->
             let result, tier = decide ~budget ~arena:domain_arena constraints in
             Session.count s tier result;
             Session.add s h budget constraints result tier;
             T.stop (stage_of_tier tier) t0;
-            result)
+            (result, Some (tier, result)))
+
+let check ?session ?conflict_budget constraints =
+  fst (check_decided ?session ?conflict_budget constraints)
 
 (** Verify a model against constraints (defence in depth for the solver,
     used by the tests; the engine does not re-check models). *)

@@ -16,8 +16,10 @@
     SAT arena, the only mutable solver state outside a session, which no
     two domains share.  Flip queries repeat: 3,440 of deep-verify's
     5,373 queries per perfbench trial are a constraint list the same
-    session already decided under the same budget, and the memo answers
-    them without solving. *)
+    session already decided under the same budget.  The engine's reuse
+    of a repeated region's flip outcome counts 2,986 of them again
+    without posing them ({!Session.recount}), and the memo answers the
+    other 454 without solving. *)
 
 type model = (int, int64) Hashtbl.t
 (** Expression variable id -> value. *)
@@ -46,6 +48,11 @@ type stats = {
 
 val stats_zero : stats
 val stats_add : stats -> stats -> stats
+
+type decided
+(** How {!check_decided} answered one query: the tier that decided it
+    and its answer, as the session counters saw them.  A constant-false
+    query is decided by no tier and counts as nothing. *)
 
 module Session : sig
   type t
@@ -80,6 +87,11 @@ module Session : sig
       Raises [Invalid_argument] when the budget is < 1. *)
 
   val stats : t -> stats
+
+  val recount : t -> decided -> unit
+  (** Count a query decided earlier in this session again, as the tier
+      that decided it, without posing it: the counters advance exactly
+      as {!check} of that query would advance them. *)
 end
 
 val check : ?session:Session.t -> ?conflict_budget:int -> Expr.t list -> result
@@ -96,6 +108,11 @@ val check : ?session:Session.t -> ?conflict_budget:int -> Expr.t list -> result
     A session's Sat models are read-only: a repeated query returns the
     very table the first answer held.  A sessionless model is a fresh
     table the caller owns. *)
+
+val check_decided :
+  ?session:Session.t -> ?conflict_budget:int -> Expr.t list -> result * decided
+(** {!check}, also saying how the query was decided, for
+    {!Session.recount}. *)
 
 val validate_model : Expr.t list -> model -> bool
 (** Re-evaluate the constraints under a model.  Defence in depth for the

@@ -70,12 +70,14 @@ type solved_seed = {
   seed_flipped_site : int;
 }
 
-(** Solve candidates (up to [max_solved]), concretising each model into a
-    fresh argument vector.  [current] is the executed seed's arguments,
-    used for unconstrained parameters. *)
-let solve ?session ?conflict_budget ?(max_solved = 8)
+(* Solve candidates (up to [max_solved]), concretising each model into a
+   fresh argument vector, and say how each posed query was decided, in
+   order.  [current] is the executed seed's arguments, used for
+   unconstrained parameters. *)
+let solve_decided ?session ?conflict_budget ?(max_solved = 8)
     ?(skip = fun (_ : candidate) -> false) (r : Replay.result)
-    ~(current : Wasai_eosio.Abi.value list) : solved_seed list =
+    ~(current : Wasai_eosio.Abi.value list) :
+    solved_seed list * Solver.decided list =
   (* Standalone calls (no session) keep the historical 20k default; with
      a session and no override, the session's budget applies. *)
   let conflict_budget =
@@ -85,6 +87,7 @@ let solve ?session ?conflict_budget ?(max_solved = 8)
   in
   let inp = r.Replay.r_inputs in
   let solved = ref [] in
+  let decided = ref [] in
   let count = ref 0 in
   (* A query is built only for a candidate that is kept. *)
   List.iter
@@ -111,10 +114,12 @@ let solve ?session ?conflict_budget ?(max_solved = 8)
             && not (Hashtbl.mem free p.Convention.pn_vars.(i).Expr.vid)
           then constraints := pin :: !constraints
         done;
-        match
-          Solver.check ?session ?conflict_budget
+        let answer, d =
+          Solver.check_decided ?session ?conflict_budget
             (inp.Convention.in_sanity @ !constraints)
-        with
+        in
+        decided := d :: !decided;
+        match answer with
         | Solver.Sat model ->
             incr count;
             let args = Convention.concretize inp model ~current in
@@ -122,4 +127,50 @@ let solve ?session ?conflict_budget ?(max_solved = 8)
               { seed_args = args; seed_flipped_site = c.cand_site } :: !solved
         | Solver.Unsat | Solver.Unknown -> ())
     (candidates r);
-  List.rev !solved
+  (List.rev !solved, List.rev !decided)
+
+let solve ?session ?conflict_budget ?max_solved ?skip r ~current =
+  fst (solve_decided ?session ?conflict_budget ?max_solved ?skip r ~current)
+
+(* ------------------------------------------------------------------ *)
+(* One flip outcome per repeated region                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The last flip over a memoised replay result: what it ran under, its
+   seeds, and how each query it posed was decided. *)
+type outcome = {
+  oc_current : Wasai_eosio.Abi.value list;
+  oc_coverage : int;
+  oc_budget : int;
+  oc_seeds : solved_seed list;
+  oc_decided : Solver.decided list;
+}
+
+(* The flip is a function of the result, [current], the skip decisions
+   and the conflict budget ([max_solved] is the caller's constant), and
+   the session answers a query it has decided with that answer, so an
+   outcome recorded under equal [current], [coverage] and budget is what
+   solving again would give. *)
+let solve_memo ~session ~max_solved ~skip ~coverage
+    (e : outcome Replay.Memo.entry) ~current =
+  let budget = Solver.Session.conflict_budget session in
+  match Replay.Memo.note e with
+  | Some oc
+    when oc.oc_coverage = coverage && oc.oc_budget = budget
+         && (oc.oc_current == current || oc.oc_current = current) ->
+      List.iter (Solver.Session.recount session) oc.oc_decided;
+      oc.oc_seeds
+  | _ ->
+      let seeds, decided =
+        solve_decided ~session ~max_solved ~skip (Replay.Memo.result e)
+          ~current
+      in
+      Replay.Memo.set_note e
+        {
+          oc_current = current;
+          oc_coverage = coverage;
+          oc_budget = budget;
+          oc_seeds = seeds;
+          oc_decided = decided;
+        };
+      seeds

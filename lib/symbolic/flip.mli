@@ -43,3 +43,28 @@ val solve :
     standalone conflict budget of 20_000 applies unless overridden.
     The pins of [current] are kept in the inputs ({!Convention.pins})
     for the next payload that observes the same vector. *)
+
+(** {1 One flip outcome per repeated region} *)
+
+type outcome
+(** The last flip over a memoised replay result: the observed arguments,
+    coverage size and conflict budget it ran under, its seeds, and how
+    the session decided each query it posed. *)
+
+val solve_memo :
+  session:Wasai_smt.Solver.Session.t ->
+  max_solved:int ->
+  skip:(candidate -> bool) ->
+  coverage:int ->
+  outcome Replay.Memo.entry ->
+  current:Wasai_eosio.Abi.value list ->
+  solved_seed list
+(** [solve ~session ~max_solved ~skip (Replay.Memo.result e) ~current],
+    kept as [e]'s note.  When the note's flip ran under an equal
+    [current], equal [coverage] and the session's present conflict
+    budget, its seeds are returned and the session counts each of its
+    queries again ({!Wasai_smt.Solver.Session.recount}) instead of
+    posing them; no solver span is recorded.  [coverage] stands for
+    [skip]: two calls with equal [coverage] must get equal answers from
+    [skip] (the engine passes the size of its coverage map, which only
+    grows).  [max_solved] must be the same on every call. *)

@@ -461,18 +461,23 @@ module Memo = struct
      to the fresh variables it mints.  An entry keeps where the region's
      copy lies in the memo's arena and the first replay's result, whose
      fresh variables a hit reuses; it is tied to the inputs record the
-     result is stated over. *)
-  type entry = {
+     result is stated over.  Its note is the caller's. *)
+  type 'a entry = {
     me_inputs : Convention.inputs;
-    me_off : int;  (** the region's copy in the arena *)
+    me_off : int;  (** the region's copy in the arena; -1 when not held *)
     me_result : result;
+    mutable me_note : 'a option;
   }
 
-  type t = {
+  type 'a t = {
     mutable arena : int array;  (** region copies, [fill] words used *)
     mutable fill : int;
-    table : (int, entry list) Hashtbl.t;  (** region hash -> entries *)
+    table : (int, 'a entry list) Hashtbl.t;  (** region hash -> entries *)
   }
+
+  let result e = e.me_result
+  let note e = e.me_note
+  let set_note e x = e.me_note <- Some x
 
   let max_words = 32_768
 
@@ -524,15 +529,19 @@ module Memo = struct
          true
        end
 
+  let unheld inputs r =
+    { me_inputs = inputs; me_off = -1; me_result = r; me_note = None }
+
   let run t ~(inputs : Convention.inputs) ~(meta : Trace.meta)
-      ~(target_funcs : int list) (buf : B.t) : result option =
+      ~(target_funcs : int list) (buf : B.t) : 'a entry option =
     match find_entry ~arity:(arity_of inputs) ~target_funcs buf with
     | None -> None
-    | Some entry when B.truncated buf -> Some (replay_from ~inputs ~meta buf entry)
+    | Some entry when B.truncated buf ->
+        Some (unheld inputs (replay_from ~inputs ~meta buf entry))
     | Some entry -> (
         let h = B.region_hash buf entry in
         match find t h inputs buf entry with
-        | Some e -> Some e.me_result
+        | Some e -> Some e
         | None ->
             let r = replay_from ~inputs ~meta buf entry in
             let off = t.fill in
@@ -540,8 +549,9 @@ module Memo = struct
               let others =
                 Option.value ~default:[] (Hashtbl.find_opt t.table h)
               in
-              let e = { me_inputs = inputs; me_off = off; me_result = r } in
-              Hashtbl.replace t.table h (e :: others)
-            end;
-            Some r)
+              let e = { (unheld inputs r) with me_off = off } in
+              Hashtbl.replace t.table h (e :: others);
+              Some e
+            end
+            else Some (unheld inputs r))
 end

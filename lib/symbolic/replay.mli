@@ -54,29 +54,46 @@ val run :
     once full, a memo still answers from what it holds and stores
     nothing more.  {!Memo.release} hands the arena to the calling
     domain, whose next {!Memo.create} takes it over, so the sessions of
-    a domain reuse one arena. *)
-module Memo : sig
-  type t
+    a domain reuse one arena.
 
-  val create : unit -> t
+    Each entry also holds one note of type ['a] for its caller, which
+    the engine uses to keep the last flip outcome of the entry's result
+    ({!Flip.solve_memo}). *)
+module Memo : sig
+  type 'a t
+
+  type 'a entry
+  (** A replay's result and its note. *)
+
+  val create : unit -> 'a t
   (** An empty memo.  It takes over the arena of the memo the calling
       domain last released, if any. *)
 
-  val release : t -> unit
+  val release : 'a t -> unit
   (** Empty the memo and hand its arena to the calling domain for its
       next {!create}.  A released memo that is used again starts a new
       arena.  The caller must hold no other use of the memo. *)
 
   val run :
-    t ->
+    'a t ->
     inputs:Convention.inputs ->
     meta:Trace.meta ->
     target_funcs:int list ->
     Trace.Buffer.t ->
-    result option
+    'a entry option
   (** {!run}, answered from the memo when an earlier call over the same
       inputs record replayed an equal region (a hash match that does not
-      compare equal is a miss).  A truncated trace is replayed and never
-      stored.  [meta] and [target_funcs] must be the same on every call,
-      as they are within one engine session. *)
+      compare equal is a miss): then the entry is the one that call
+      returned, note included.  A miss returns the entry it stores,
+      with no note.  A truncated trace, or a miss once the memo is full,
+      is replayed into an entry the memo does not hold: its note starts
+      empty and no later call sees it.  [meta] and [target_funcs] must
+      be the same on every call, as they are within one engine
+      session. *)
+
+  val result : 'a entry -> result
+  val note : 'a entry -> 'a option
+
+  val set_note : 'a entry -> 'a -> unit
+  (** Replace the entry's note. *)
 end

@@ -21,26 +21,67 @@ type ctrl_frame = {
   mutable unreachable : bool;
 }
 
-type ctx = {
+(* What a body's instructions look up in their module, built once per
+   module: the function and global index spaces (imports first), and
+   whether a memory exists. *)
+type env = {
   module_ : Ast.module_;
+  func_types : Types.func_type array;
+  global_types : Types.global_type array;
+  has_memory : bool;
+}
+
+type ctx = {
+  env : env;
   locals : Types.value_type array;
   mutable opds : operand list;
+  mutable height : int;  (** [List.length opds] *)
   mutable ctrls : ctrl_frame list;
 }
 
-let push_opd ctx o = ctx.opds <- o :: ctx.opds
+(* One pass over the imports.  Imported function types index [m.types]:
+   call only after the imports' and functions' type indices are
+   checked. *)
+let make_env (m : Ast.module_) =
+  let funcs, globals, memory_import =
+    List.fold_left
+      (fun (fs, gs, mem) (i : Ast.import) ->
+        match i.idesc with
+        | Ast.Func_import ti -> (m.types.(ti) :: fs, gs, mem)
+        | Ast.Global_import g -> (fs, g :: gs, mem)
+        | Ast.Memory_import _ -> (fs, gs, true)
+        | Ast.Table_import _ -> (fs, gs, mem))
+      ([], [], false) m.imports
+  in
+  {
+    module_ = m;
+    func_types =
+      Array.append
+        (Array.of_list (List.rev funcs))
+        (Array.map (fun (f : Ast.func) -> m.types.(f.ftype)) m.funcs);
+    global_types =
+      Array.append
+        (Array.of_list (List.rev globals))
+        (Array.map (fun (g : Ast.global) -> g.gtype) m.globals);
+    has_memory = memory_import || m.memories <> [];
+  }
+
+let push_opd ctx o =
+  ctx.opds <- o :: ctx.opds;
+  ctx.height <- ctx.height + 1
 
 let pop_opd ctx : operand =
   match ctx.ctrls with
   | [] -> invalid "control stack empty"
   | frame :: _ -> (
-      if List.length ctx.opds = frame.height then
+      if ctx.height = frame.height then
         if frame.unreachable then Unknown
         else invalid "operand stack underflow"
       else
         match ctx.opds with
         | o :: rest ->
             ctx.opds <- rest;
+            ctx.height <- ctx.height - 1;
             o
         | [] -> invalid "operand stack underflow")
 
@@ -55,7 +96,7 @@ let pop_expect ctx (t : Types.value_type) =
 
 let push_ctrl ctx label_types end_types =
   ctx.ctrls <-
-    { label_types; end_types; height = List.length ctx.opds; unreachable = false }
+    { label_types; end_types; height = ctx.height; unreachable = false }
     :: ctx.ctrls
 
 let pop_ctrl ctx : ctrl_frame =
@@ -63,7 +104,7 @@ let pop_ctrl ctx : ctrl_frame =
   | [] -> invalid "control stack empty"
   | frame :: rest ->
       List.iter (fun t -> pop_expect ctx t) (List.rev frame.end_types);
-      if List.length ctx.opds <> frame.height then
+      if ctx.height <> frame.height then
         invalid "values remaining on stack at end of block";
       ctx.ctrls <- rest;
       frame
@@ -76,7 +117,8 @@ let set_unreachable ctx =
       let rec drop opds n = if n <= 0 then opds else
           match opds with [] -> [] | _ :: r -> drop r (n - 1)
       in
-      ctx.opds <- drop ctx.opds (List.length ctx.opds - frame.height);
+      ctx.opds <- drop ctx.opds (ctx.height - frame.height);
+      ctx.height <- frame.height;
       frame.unreachable <- true
 
 let label_types_at ctx n =
@@ -88,29 +130,12 @@ let block_type_types : Ast.block_type -> Types.value_type list = function
   | None -> []
   | Some t -> [ t ]
 
-let num_globals ctx =
-  Array.length ctx.module_.globals
-  + List.length
-      (List.filter
-         (fun (i : Ast.import) ->
-           match i.idesc with Ast.Global_import _ -> true | _ -> false)
-         ctx.module_.imports)
-
 let global_type_at ctx n : Types.global_type =
-  let imported =
-    List.filter_map
-      (fun (i : Ast.import) ->
-        match i.idesc with Ast.Global_import g -> Some g | _ -> None)
-      ctx.module_.imports
-  in
-  let n_imp = List.length imported in
-  if n < n_imp then List.nth imported n
-  else if n - n_imp < Array.length ctx.module_.globals then
-    ctx.module_.globals.(n - n_imp).gtype
-  else invalid "unknown global %d" n
+  if n >= Array.length ctx.env.global_types then invalid "unknown global %d" n;
+  ctx.env.global_types.(n)
 
 let rec check_instr ctx (i : Ast.instr) =
-  let m = ctx.module_ in
+  let m = ctx.env.module_ in
   match i with
   | Ast.Unreachable -> set_unreachable ctx
   | Ast.Nop -> ()
@@ -162,9 +187,9 @@ let rec check_instr ctx (i : Ast.instr) =
       List.iter (fun t -> pop_expect ctx t) (List.rev frame.end_types);
       set_unreachable ctx
   | Ast.Call fi ->
-      let n_funcs = Ast.num_func_imports m + Array.length m.funcs in
-      if fi < 0 || fi >= n_funcs then invalid "unknown function %d" fi;
-      let ft = Ast.func_type_at m fi in
+      if fi < 0 || fi >= Array.length ctx.env.func_types then
+        invalid "unknown function %d" fi;
+      let ft = ctx.env.func_types.(fi) in
       List.iter (fun t -> pop_expect ctx t) (List.rev ft.params);
       List.iter (fun t -> push_opd ctx (Known t)) ft.results
   | Ast.Call_indirect ti ->
@@ -195,22 +220,17 @@ let rec check_instr ctx (i : Ast.instr) =
       if n < 0 || n >= Array.length ctx.locals then invalid "unknown local %d" n;
       pop_expect ctx ctx.locals.(n);
       push_opd ctx (Known ctx.locals.(n))
-  | Ast.Global_get n ->
-      if n >= num_globals ctx then invalid "unknown global %d" n;
-      push_opd ctx (Known (global_type_at ctx n).gt_type)
+  | Ast.Global_get n -> push_opd ctx (Known (global_type_at ctx n).gt_type)
   | Ast.Global_set n ->
-      if n >= num_globals ctx then invalid "unknown global %d" n;
       let gt = global_type_at ctx n in
       if gt.gt_mut <> Types.Mutable then invalid "global %d is immutable" n;
       pop_expect ctx gt.gt_type
   | Ast.Load op ->
-      if m.memories = [] && not (has_memory_import m) then
-        invalid "load without memory";
+      if not ctx.env.has_memory then invalid "load without memory";
       pop_expect ctx Types.I32;
       push_opd ctx (Known op.l_ty)
   | Ast.Store op ->
-      if m.memories = [] && not (has_memory_import m) then
-        invalid "store without memory";
+      if not ctx.env.has_memory then invalid "store without memory";
       pop_expect ctx op.s_ty;
       pop_expect ctx Types.I32
   | Ast.Memory_size -> push_opd ctx (Known Types.I32)
@@ -260,23 +280,17 @@ and cvtop_types : Ast.cvtop -> Types.value_type * Types.value_type = function
   | Ast.F32_reinterpret_i32 -> (Types.I32, Types.F32)
   | Ast.F64_reinterpret_i64 -> (Types.I64, Types.F64)
 
-and has_memory_import (m : Ast.module_) =
-  List.exists
-    (fun (i : Ast.import) ->
-      match i.idesc with Ast.Memory_import _ -> true | _ -> false)
-    m.imports
-
 and check_body ctx body = List.iter (check_instr ctx) body
 
-let check_func (m : Ast.module_) (f : Ast.func) =
-  if f.ftype < 0 || f.ftype >= Array.length m.types then
-    invalid "unknown type index %d" f.ftype;
-  let ft = m.types.(f.ftype) in
+(* [f]'s type index is checked by [check_module]. *)
+let check_func env (f : Ast.func) =
+  let ft = env.module_.types.(f.ftype) in
   let ctx =
     {
-      module_ = m;
+      env;
       locals = Array.of_list (ft.params @ f.locals);
       opds = [];
+      height = 0;
       ctrls = [];
     }
   in
@@ -335,9 +349,10 @@ let check_module (m : Ast.module_) =
       if f.ftype < 0 || f.ftype >= n_types then
         invalid "function %d: unknown type index %d" k f.ftype)
     m.funcs;
+  let env = make_env m in
   Array.iter
     (fun (f : Ast.func) ->
-      try check_func m f
+      try check_func env f
       with Invalid msg ->
         invalid "in function %s: %s"
           (match f.fname with Some n -> n | None -> "<anon>")
@@ -353,7 +368,7 @@ let check_module (m : Ast.module_) =
       | Ast.Table_export i ->
           if i <> 0 || m.tables = [] then invalid "export %s: unknown table" e.ename
       | Ast.Memory_export i ->
-          if i <> 0 || (m.memories = [] && not (has_memory_import m)) then
+          if i <> 0 || not env.has_memory then
             invalid "export %s: unknown memory" e.ename
       | Ast.Global_export i ->
           if i < 0 || i >= Array.length m.globals then
@@ -371,7 +386,7 @@ let check_module (m : Ast.module_) =
   match m.start with
   | Some fi ->
       if fi < 0 || fi >= n_funcs then invalid "start: unknown function %d" fi;
-      let ft = Ast.func_type_at m fi in
+      let ft = env.func_types.(fi) in
       if ft.params <> [] || ft.results <> [] then
         invalid "start function must have type [] -> []"
   | None -> ()

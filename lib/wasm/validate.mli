@@ -5,7 +5,6 @@
 
 exception Invalid of string
 
-val check_func : Ast.module_ -> Ast.func -> unit
 val check_module : Ast.module_ -> unit
 (** Raises {!Invalid} on the first error. *)
 

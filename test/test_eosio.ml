@@ -244,6 +244,213 @@ let test_db_access_log () =
   Alcotest.(check bool) "write then read" true
     (kinds = [ Database.Write; Database.Read ])
 
+(* The database against a plain reference model: rows as a list of
+   (table, id, bytes), snapshots as list values, and the accesses each
+   operation must report.  Bytes come from a three-value alphabet, so
+   many writes store the bytes a row already holds: such a write must
+   report the same access and leave the same rows as any other write,
+   and it must leave the store itself untouched. *)
+type db_op =
+  | Op_store of int * int64 * string  (** table, id, bytes *)
+  | Op_put of int * int64 * string
+  | Op_update of int * int64 * string  (** through [find] *)
+  | Op_remove of int * int64  (** through [find] *)
+  | Op_delete of int * int64
+  | Op_get of int * int64
+  | Op_idx_store of int * int64 * int64  (** table, primary, secondary *)
+  | Op_idx_remove of int * int64
+  | Op_idx_update of int * int64 * int64
+  | Op_snapshot
+  | Op_restore of int  (** a snapshot, counted from the newest *)
+  | Op_clear
+
+let db_tables =
+  [| ("alice", "alice", "t"); ("alice", "bob", "t"); ("bob", "alice", "t");
+     ("alice", "alice", "u") |]
+
+let show_db_op = function
+  | Op_store (t, id, d) -> Printf.sprintf "store %d %Ld %S" t id d
+  | Op_put (t, id, d) -> Printf.sprintf "put %d %Ld %S" t id d
+  | Op_update (t, id, d) -> Printf.sprintf "update %d %Ld %S" t id d
+  | Op_remove (t, id) -> Printf.sprintf "remove %d %Ld" t id
+  | Op_delete (t, id) -> Printf.sprintf "delete %d %Ld" t id
+  | Op_get (t, id) -> Printf.sprintf "get %d %Ld" t id
+  | Op_idx_store (t, p, s) -> Printf.sprintf "idx_store %d %Ld %Ld" t p s
+  | Op_idx_remove (t, p) -> Printf.sprintf "idx_remove %d %Ld" t p
+  | Op_idx_update (t, p, s) -> Printf.sprintf "idx_update %d %Ld %Ld" t p s
+  | Op_snapshot -> "snapshot"
+  | Op_restore i -> Printf.sprintf "restore %d" i
+  | Op_clear -> "clear"
+
+let gen_db_ops =
+  let open QCheck.Gen in
+  let tbl = int_bound (Array.length db_tables - 1) in
+  let id = map Int64.of_int (int_bound 3) in
+  let bytes = oneofl [ ""; "a"; "b" ] in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (3, map3 (fun t i d -> Op_store (t, i, d)) tbl id bytes);
+         (4, map3 (fun t i d -> Op_put (t, i, d)) tbl id bytes);
+         (3, map3 (fun t i d -> Op_update (t, i, d)) tbl id bytes);
+         (1, map2 (fun t i -> Op_remove (t, i)) tbl id);
+         (1, map2 (fun t i -> Op_delete (t, i)) tbl id);
+         (2, map2 (fun t i -> Op_get (t, i)) tbl id);
+         (2, map3 (fun t p s -> Op_idx_store (t, p, s)) tbl id id);
+         (1, map2 (fun t p -> Op_idx_remove (t, p)) tbl id);
+         (1, map3 (fun t p s -> Op_idx_update (t, p, s)) tbl id id);
+         (2, return Op_snapshot);
+         (2, map (fun i -> Op_restore i) (int_bound 3));
+         (1, return Op_clear);
+       ])
+
+let qcheck_db_reference_model =
+  let le64 v =
+    String.init 8 (fun i ->
+        Char.chr
+          (Int64.to_int
+             (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map show_db_op ops))
+      gen_db_ops
+  in
+  QCheck.Test.make ~name:"database = reference model" ~count:300 arb
+    (fun ops ->
+      let db = Database.create () in
+      let log = ref [] in
+      db.Database.on_access <-
+        Some
+          (fun a ->
+            log :=
+              (a.Database.acc_kind, a.Database.acc_code, a.Database.acc_table)
+              :: !log);
+      let key t =
+        let c, s, tb = db_tables.(t) in
+        (n c, n s, n tb)
+      in
+      let idx_key t =
+        let c, s, tb = key t in
+        (c, s, Int64.logxor tb Int64.min_int)
+      in
+      (* Equal bytes in a new string: an unchanged store must come from
+         comparing bytes, not from [Map.add] seeing the same value. *)
+      let copy d = Bytes.to_string (Bytes.of_string d) in
+      let model = ref [] and snaps = ref [] in
+      let find k id = List.assoc_opt (k, id) !model in
+      let set k id d = model := ((k, id), d) :: List.remove_assoc (k, id) !model in
+      let del k id = model := List.remove_assoc (k, id) !model in
+      let write (c, _, tb) = (Database.Write, c, tb)
+      and read (c, _, tb) = (Database.Read, c, tb) in
+      let rows_of_db () =
+        List.concat_map
+          (fun ((k : Database.table_key), m) ->
+            List.map
+              (fun (id, d) -> (((k.tk_code, k.tk_scope, k.tk_table), id), d))
+              (Database.I64Map.bindings m))
+          (Database.Table_map.bindings db.Database.tables)
+      in
+      let step op =
+        log := [];
+        let before = Database.snapshot db in
+        let untouched = ref false in
+        let expected =
+          match op with
+          | Op_store (t, id, d) ->
+              let ((c, s, tb) as k) = key t in
+              let dup = find k id <> None in
+              let trapped =
+                match Database.store db ~code:c ~scope:s ~tbl:tb ~id ~data:d with
+                | _ -> false
+                | exception Wasm.Values.Trap _ -> true
+              in
+              if trapped <> dup then failwith "store: trap differs";
+              if not dup then set k id d;
+              [ write k ]
+          | Op_put (t, id, d) ->
+              let ((c, s, tb) as k) = key t in
+              untouched := find k id = Some d;
+              Database.put_row db ~code:c ~scope:s ~tbl:tb ~id ~data:(copy d);
+              set k id d;
+              [ write k ]
+          | Op_update (t, id, d) -> (
+              let ((c, s, tb) as k) = key t in
+              let it = Database.find db ~code:c ~scope:s ~tbl:tb ~id in
+              match find k id with
+              | None ->
+                  if it <> -1 then failwith "find: hit on a missing row";
+                  [ read k ]
+              | Some old ->
+                  untouched := old = d;
+                  Database.update db it ~data:(copy d);
+                  set k id d;
+                  [ read k; write k ])
+          | Op_remove (t, id) -> (
+              let ((c, s, tb) as k) = key t in
+              let it = Database.find db ~code:c ~scope:s ~tbl:tb ~id in
+              match find k id with
+              | None ->
+                  if it <> -1 then failwith "find: hit on a missing row";
+                  [ read k ]
+              | Some _ ->
+                  Database.remove db it;
+                  del k id;
+                  [ read k; write k ])
+          | Op_delete (t, id) ->
+              let ((c, s, tb) as k) = key t in
+              Database.delete_row db ~code:c ~scope:s ~tbl:tb ~id;
+              del k id;
+              [ write k ]
+          | Op_get (t, id) ->
+              let ((c, s, tb) as k) = key t in
+              if Database.get_row db ~code:c ~scope:s ~tbl:tb ~id <> find k id
+              then failwith "get_row differs";
+              [ read k ]
+          | Op_idx_store (t, primary, secondary) ->
+              let c, s, tb = key t in
+              ignore
+                (Database.idx64_store db ~code:c ~scope:s ~tbl:tb ~primary
+                   ~secondary);
+              set (idx_key t) primary (le64 secondary);
+              [ write (idx_key t) ]
+          | Op_idx_remove (t, primary) ->
+              let c, s, tb = key t in
+              Database.idx64_remove db ~code:c ~scope:s ~tbl:tb ~primary;
+              del (idx_key t) primary;
+              [ write (idx_key t) ]
+          | Op_idx_update (t, primary, secondary) ->
+              let c, s, tb = key t in
+              Database.idx64_update db ~code:c ~scope:s ~tbl:tb ~primary
+                ~secondary;
+              set (idx_key t) primary (le64 secondary);
+              [ write (idx_key t); write (idx_key t) ]
+          | Op_snapshot ->
+              snaps := (Database.snapshot db, !model) :: !snaps;
+              []
+          | Op_restore i ->
+              (match List.nth_opt !snaps (i mod max 1 (List.length !snaps)) with
+               | Some (snap, m) ->
+                   Database.restore db snap;
+                   model := m;
+                   if Hashtbl.length db.Database.iterators <> 0 then
+                     failwith "restore kept iterators"
+               | None -> ());
+              []
+          | Op_clear ->
+              Database.clear db;
+              model := [];
+              []
+        in
+        List.rev !log = expected
+        && List.sort compare (rows_of_db ()) = List.sort compare !model
+        && List.for_all
+             (fun (_, m) -> not (Database.I64Map.is_empty m))
+             (Database.Table_map.bindings db.Database.tables)
+        && ((not !untouched) || Database.snapshot db == before)
+      in
+      List.for_all step ops)
+
 (* ------------------------------------------------------------------ *)
 (* Chain + token                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -603,6 +810,7 @@ let () =
           Alcotest.test_case "snapshot/restore" `Quick test_db_snapshot;
           Alcotest.test_case "secondary index" `Quick test_db_secondary_index;
           Alcotest.test_case "access log" `Quick test_db_access_log;
+          qc qcheck_db_reference_model;
         ] );
       ( "chain",
         [

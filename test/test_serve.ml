@@ -611,6 +611,31 @@ let test_serve_long_malformed_line () =
               | _ -> Alcotest.fail ("expected one protocol ERR, got " ^ err))
           | _ -> Alcotest.fail ("expected exactly one reply line: " ^ reply)))
 
+(* A stop requested while, or after, the I/O loop shuts down (a signal
+   handler, or a client thread racing a SHUTDOWN) finds the self-pipe
+   closed: it must write nothing rather than raise EBADF, or write into
+   whatever the closed descriptor's number now names. *)
+let test_serve_stop_after_shutdown () =
+  with_scratch "stop" @@ fun dir ->
+  let cfg =
+    Serve.Serve.make_config ~root:(Filename.concat dir "root")
+      ~socket:(Filename.concat dir "s.sock") ~jobs:1 ~depth:4
+      ~engine:(engine 6) ()
+  in
+  let t = Serve.Serve.create cfg in
+  let d = Domain.spawn (fun () -> Serve.Serve.serve t) in
+  Serve.Serve.request_stop t;
+  Domain.join d;
+  let reused = Filename.concat dir "reused" in
+  let fd = Unix.openfile reused [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Serve.Serve.request_stop t;
+      Serve.Serve.request_abort t);
+  Alcotest.(check int) "nothing written to a reused descriptor" 0
+    (Unix.stat reused).Unix.st_size
+
 (* Hostile module bytes in a SUBMIT: the worker refuses each before it
    allocates (a memory past the spec's 65,536 pages, one past Nodeos'
    528, 2^32 - 1 declared locals), answers ERR with the reason, and
@@ -813,6 +838,8 @@ let () =
             test_serve_long_malformed_line;
           Alcotest.test_case "hostile modules answered ERR" `Quick
             test_serve_hostile_modules;
+          Alcotest.test_case "stop after shutdown writes nothing" `Quick
+            test_serve_stop_after_shutdown;
         ] );
       ( "restart",
         [

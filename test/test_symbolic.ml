@@ -841,12 +841,15 @@ let skeleton (r : Sym.Replay.result) =
       r.Sym.Replay.r_path,
     r.Sym.Replay.r_imprecise )
 
-let memo_replay memo ~inputs buf meta candidates =
+let memo_entry memo ~inputs buf meta candidates =
   match
     Sym.Replay.Memo.run memo ~inputs ~meta ~target_funcs:candidates buf
   with
-  | Some r -> r
+  | Some e -> e
   | None -> Alcotest.fail "no action-function entry in trace"
+
+let memo_replay memo ~inputs buf meta candidates =
+  Sym.Replay.Memo.result (memo_entry memo ~inputs buf meta candidates)
 
 (* A second buffer holding an equal region, over the same inputs,
    answers with the first replay's result itself; so does one that
@@ -965,6 +968,126 @@ let qcheck_memo_flips_as_fresh =
       hit == first
       && Sym.Flip.solve hit ~current = Sym.Flip.solve fresh ~current)
 
+(* Solver spans recorded while [f] runs. *)
+let solver_spans f =
+  let module T = Wasai_telemetry.Telemetry in
+  T.reset ();
+  T.enable ();
+  let x = Fun.protect ~finally:T.disable f in
+  let spans =
+    List.fold_left
+      (fun acc (st, count, _) ->
+        match st with
+        | T.Solver_quick | T.Solver_blast | T.Solver_cache -> acc + count
+        | _ -> acc)
+      0 (T.snapshot ()).T.ts_stages
+  in
+  T.reset ();
+  (x, spans)
+
+(* A payload that repeats a region under the same observed arguments,
+   coverage and budget gets the entry's last flip outcome: the same
+   seeds, no query posed (no solver span), and the session counts the
+   queries again.  A change of any of the three solves afresh. *)
+let test_flip_reuse_poses_no_query () =
+  let buf, meta, candidates = trace_of_spec gated_spec in
+  let session = Solver.Session.create () in
+  let inputs = transfer_inputs () in
+  let memo = Sym.Replay.Memo.create () in
+  let flip ?(coverage = 0) ?(memo_text = "hi") () =
+    Sym.Flip.solve_memo ~session ~max_solved:6
+      ~skip:(fun _ -> false)
+      ~coverage
+      (memo_entry memo ~inputs buf meta candidates)
+      ~current:(transfer_args ~amount:77L ~memo:memo_text)
+  in
+  let first, posed = solver_spans flip in
+  let st = Solver.Session.stats session in
+  Alcotest.(check bool) "the first flip solves" true (first <> [] && posed > 0);
+  let again, spans = solver_spans flip in
+  Alcotest.(check bool) "the repeat returns the recorded seeds" true
+    (again == first);
+  Alcotest.(check int) "and poses no query" 0 spans;
+  Alcotest.(check bool) "the counters advance as a solve's" true
+    (Solver.Session.stats session = Solver.stats_add st st);
+  let resolves f = snd (solver_spans f) > 0 in
+  Alcotest.(check bool) "other coverage solves" true
+    (resolves (flip ~coverage:1));
+  Alcotest.(check bool) "other arguments solve" true
+    (resolves (flip ~coverage:1 ~memo_text:"ho"));
+  Solver.Session.set_conflict_budget session 7;
+  Alcotest.(check bool) "another budget solves" true
+    (resolves (flip ~coverage:1 ~memo_text:"ho"));
+  Sym.Replay.Memo.release memo
+
+(* Over a random sequence of one contract's payloads, with coverage
+   growing and the budget moving between them, every flip through the
+   entry's note returns what a fresh solve of its result returns, and
+   the session's counters stay equal to those of a session that solves
+   every flip. *)
+let qcheck_flip_reuse_as_fresh =
+  QCheck.Test.make ~name:"flip outcome reuse = fresh solve" ~count:15
+    QCheck.(pair (int_bound 1_000_000) (int_bound 1_000_000))
+    (fun case ->
+      let spec, _, _ = random_transfer_case case in
+      let rng = Wasai_support.Rand.create (Int64.of_int (snd case)) in
+      (* Sessions before inputs, as [Engine.setup] orders them. *)
+      let reusing = Solver.Session.create ~conflict_budget:20_000 () in
+      let solving = Solver.Session.create ~conflict_budget:20_000 () in
+      let inputs = transfer_inputs () in
+      let memo = Sym.Replay.Memo.create () in
+      let payloads =
+        Array.init 3 (fun _ ->
+            let amount =
+              Int64.of_int (1 + Wasai_support.Rand.int rng 1_000_000)
+            in
+            let text =
+              Wasai_support.Rand.ascii_string rng (Wasai_support.Rand.int rng 12)
+            in
+            (trace_of_spec ~amount ~memo:text spec, amount, text))
+      in
+      let coverage = Hashtbl.create 16 in
+      let skip (c : Sym.Flip.candidate) =
+        match c.Sym.Flip.cand_flipped_dir with
+        | Some dir -> Hashtbl.mem coverage (c.Sym.Flip.cand_site, dir)
+        | None -> false
+      in
+      let step () =
+        let (buf, meta, candidates), amount, text =
+          payloads.(Wasai_support.Rand.int rng 3)
+        in
+        let text = if Wasai_support.Rand.bool rng then text else text ^ "!" in
+        let current = transfer_args ~amount ~memo:text in
+        if Wasai_support.Rand.int rng 4 = 0 then begin
+          let b = [| 20_000; 2_000; 1 |].(Wasai_support.Rand.int rng 3) in
+          Solver.Session.set_conflict_budget reusing b;
+          Solver.Session.set_conflict_budget solving b
+        end;
+        let e = memo_entry memo ~inputs buf meta candidates in
+        let r = Sym.Replay.Memo.result e in
+        let seeds =
+          Sym.Flip.solve_memo ~session:reusing ~max_solved:6 ~skip
+            ~coverage:(Hashtbl.length coverage) e ~current
+        in
+        let fresh =
+          Sym.Flip.solve ~session:solving ~max_solved:6 ~skip r ~current
+        in
+        if Wasai_support.Rand.int rng 3 = 0 then
+          List.iter
+            (fun (cs : Sym.Replay.cond_state) ->
+              Hashtbl.replace coverage
+                ( cs.Sym.Replay.cs_site,
+                  cs.Sym.Replay.cs_taken <> Wasai_support.Rand.bool rng )
+                ())
+            r.Sym.Replay.r_path;
+        seeds = fresh
+        && Solver.Session.stats reusing = Solver.Session.stats solving
+      in
+      let rec steps k = k = 0 || (step () && steps (k - 1)) in
+      let ok = steps 16 in
+      Sym.Replay.Memo.release memo;
+      ok)
+
 let () =
   Alcotest.run "wasai_symbolic"
     [
@@ -1012,6 +1135,9 @@ let () =
           Alcotest.test_case "memo: a changed operand misses" `Quick
             test_memo_misses_changed_operands;
           QCheck_alcotest.to_alcotest qcheck_memo_flips_as_fresh;
+          Alcotest.test_case "flip reuse poses no query" `Quick
+            test_flip_reuse_poses_no_query;
+          QCheck_alcotest.to_alcotest qcheck_flip_reuse_as_fresh;
           QCheck_alcotest.to_alcotest qcheck_shared_inputs_solve_as_fresh;
         ] );
     ]

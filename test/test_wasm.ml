@@ -554,6 +554,96 @@ let test_validate_rejects_bad_import_type () =
   in
   expect_invalid "import type index" (Decode.decode bin)
 
+(* Every index-space and memory rejection of a function body, with its
+   exact message.  The module lays its index spaces out as an
+   instrumented one does: function 0 is the import env.h : [i32] -> [],
+   function 1 is f : [i32] -> [] with one i64 local; global 0 is the
+   immutable i32 import env.g, global 1 a local immutable i32 and
+   global 2 a local mutable i64.  A memory, a table, or an imported
+   memory is added where a case asks for one.  The accepted cases pin
+   the same layout from the other side. *)
+let test_validate_rejection_messages () =
+  let open Builder.I in
+  let lim = { Types.lim_min = 1; lim_max = None } in
+  let import name desc = { Ast.imp_module = "env"; imp_name = name; idesc = desc } in
+  let module_with ?(memory = false) ?(memory_import = false) ?(table = false)
+      body =
+    let b = Builder.create () in
+    ignore (Builder.import_func b ~module_:"env" ~name:"h" (ft [ Types.I32 ] ~results:[]));
+    ignore (Builder.add_global b ~mut:Types.Immutable (Values.I32 0l));
+    ignore (Builder.add_global b ~mut:Types.Mutable (Values.I64 0L));
+    if memory then Builder.add_memory b 1;
+    if table then Builder.add_table b 1;
+    let idx =
+      Builder.add_func b ~name:"f" ~locals:[ Types.I64 ]
+        (ft [ Types.I32 ] ~results:[]) body
+    in
+    Builder.export_func b "f" idx;
+    let m = Builder.build b in
+    let extra =
+      import "g" (Ast.Global_import { Types.gt_mut = Types.Immutable; gt_type = Types.I32 })
+      :: (if memory_import then [ import "memory" (Ast.Memory_import { Types.mem_limits = lim }) ]
+          else [])
+    in
+    { m with Ast.imports = m.Ast.imports @ extra }
+  in
+  let cases =
+    [
+      ("call in range", module_with [ local_get 0; call 0 ], None);
+      ("call past the functions", module_with [ call 2 ], Some "unknown function 2");
+      ( "call argument type",
+        module_with [ i64 1L; call 0 ],
+        Some "type mismatch: expected i32, got i64" );
+      ( "global.get of each global",
+        module_with [ global_get 0; drop; global_get 1; drop; global_get 2; drop ],
+        None );
+      ("global.get past the globals", module_with [ global_get 3; drop ], Some "unknown global 3");
+      ("global.set of the mutable global", module_with [ i64 1L; global_set 2 ], None);
+      ( "global.set type",
+        module_with [ i32 1; global_set 2 ],
+        Some "type mismatch: expected i64, got i32" );
+      ("global.set past the globals", module_with [ i32 1; global_set 3 ], Some "unknown global 3");
+      ( "global.set of the imported immutable global",
+        module_with [ i32 1; global_set 0 ],
+        Some "global 0 is immutable" );
+      ( "global.set of a local immutable global",
+        module_with [ i32 1; global_set 1 ],
+        Some "global 1 is immutable" );
+      ("local.get of each local", module_with [ local_get 0; drop; local_get 1; drop ], None);
+      ("local.get past the locals", module_with [ local_get 2; drop ], Some "unknown local 2");
+      ("local.set past the locals", module_with [ i32 1; local_set 2 ], Some "unknown local 2");
+      ("local.tee past the locals", module_with [ i32 1; local_tee 2; drop ], Some "unknown local 2");
+      ( "call_indirect without a table",
+        module_with [ i32 1; local_get 0; call_indirect 0 ],
+        Some "call_indirect without table" );
+      ( "call_indirect of an unknown type",
+        module_with ~table:true [ local_get 0; call_indirect 9 ],
+        Some "unknown type 9" );
+      ( "call_indirect of a known type",
+        module_with ~table:true [ i32 1; local_get 0; call_indirect 0 ],
+        None );
+      ("load without memory", module_with [ local_get 0; i32_load (); drop ], Some "load without memory");
+      ( "store without memory",
+        module_with [ local_get 0; i32 1; i32_store () ],
+        Some "store without memory" );
+      ("load with a memory", module_with ~memory:true [ local_get 0; i32_load (); drop ], None);
+      ( "store with an imported memory",
+        module_with ~memory_import:true [ local_get 0; i32 1; i32_store () ],
+        None );
+    ]
+  in
+  List.iter
+    (fun (what, m, expected) ->
+      let got =
+        match Validate.check_module m with
+        | () -> None
+        | exception Validate.Invalid msg -> Some msg
+      in
+      Alcotest.(check (option string)) what
+        (Option.map (fun msg -> "in function f: " ^ msg) expected)
+        got)
+    cases
+
 let test_validate_unreachable_polymorphism () =
   let open Builder.I in
   (* After unreachable, any stack shape must be accepted. *)
@@ -994,6 +1084,8 @@ let () =
             test_validate_rejects_bad_local;
           Alcotest.test_case "rejects bad import type" `Quick
             test_validate_rejects_bad_import_type;
+          Alcotest.test_case "rejection messages" `Quick
+            test_validate_rejection_messages;
           Alcotest.test_case "unreachable polymorphism" `Quick
             test_validate_unreachable_polymorphism;
           Alcotest.test_case "rejects leftover values" `Quick
