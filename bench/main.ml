@@ -392,12 +392,19 @@ let campaign_exp (opts : options) =
   Printf.printf "hardware: %d recommended domain(s)\n%!"
     (Domain.recommended_domain_count ());
   let targets = campaign_targets ~count () in
+  (* The process's CPU seconds, user plus system, over all its domains. *)
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
   let runs =
     List.map
       (fun jobs ->
+        let cpu0 = cpu () in
         let r = Campaign.Campaign.run (campaign_config ~rounds ~jobs ()) targets in
-        Printf.printf "  jobs=%d  wall=%.2fs  %s\n%!" jobs
+        Printf.printf "  jobs=%d  wall=%.2fs  cpu=%.2fs  %s\n%!" jobs
           r.Campaign.Campaign.cr_wall
+          (cpu () -. cpu0)
           (Metrics.Histogram.to_string (Campaign.Campaign.latency_histogram r));
         (jobs, r))
       [ 1; 2; 4 ]

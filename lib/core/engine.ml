@@ -215,7 +215,29 @@ let agent_apply ~victim (ctx : Chain.context) =
    attackers on a test chain issue themselves arbitrary balances. *)
 let funding = 0x1000_0000_0000_0000L (* 2^60 units each *)
 
+(* The nursery policy of [setup] (engine.mli).  One target allocates
+   about 150k–250k minor words: in the runtime's default 256k-word minor
+   heap nearly every target met a collection in mid-life, which promoted
+   all it keeps alive (instrumented module, compiled closures, symbolic
+   inputs) only for it to die in the major heap.  Raised at a domain's
+   first setup, not at process start, where a larger nursery slows
+   start-up. *)
+let nursery_words = 1 lsl 20 (* 8 MiB *)
+
+let nursery_raised : bool ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref false)
+
+let raise_nursery () =
+  let raised = Domain.DLS.get nursery_raised in
+  if not !raised then begin
+    raised := true;
+    let gc = Gc.get () in
+    if gc.Gc.minor_heap_size < nursery_words then
+      Gc.set { gc with Gc.minor_heap_size = nursery_words }
+  end
+
 let setup (cfg : config) (target : target) : session =
+  raise_nursery ();
   let chain = Host.create_chain ~fuel_per_action:cfg.cfg_fuel () in
   Token.bootstrap chain ~treasury ~supply:0x4000_0000_0000_0000L;
   List.iter

@@ -192,7 +192,17 @@ type session = {
 val setup : config -> target -> session
 (** Instrument, deploy and boot the local chain with the adversary
     auxiliaries (token, fake token, forwarding agent).  The session's
-    RNG is the per-target stream [Rand.mix cfg_rng_seed tgt_account]. *)
+    RNG is the per-target stream [Rand.mix cfg_rng_seed tgt_account].
+
+    The first [setup] on a domain raises that domain's minor heap to at
+    least 1M words (8 MiB), a nursery that holds a whole target's
+    allocation, so what a target keeps alive dies there instead of being
+    promoted to the major heap.  It never lowers a larger size (from
+    [OCAMLRUNPARAM=s=] or the caller's [Gc.set]), and later setups on
+    the domain leave the size alone.  [Gc.set] resizes only the calling
+    domain, and a domain spawned later starts at the runtime default,
+    so every fuzzing domain (campaign and serve workers, the EOSFuzzer
+    baseline) raises its own here.  No outcome depends on the size. *)
 
 val payload : session -> Seed.t -> Scanner.channel -> Action.t * Abi.value list
 (** The action pushed for a seed on a channel, plus the argument vector

@@ -730,16 +730,20 @@ let probe_target name ~poke =
     tgt_abi = { Abi.abi_actions = [ { Abi.act_name = n "go"; act_params = [] } ] };
   }
 
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+(* [Engine.fuzz] with the timeline's elapsed seconds zeroed, the one
+   part of an outcome the clock decides. *)
+let fuzz_untimed ~rounds t =
+  let o = Core.Engine.fuzz ~cfg:(Core.Engine.make_config ~rounds ()) t in
+  { o with
+    Core.Engine.out_timeline =
+      List.map (fun (r, _, br) -> (r, 0., br)) o.Core.Engine.out_timeline }
+
 let test_spare_pages_between_targets () =
   let a = probe_target "reader" ~poke:false in
   let b = probe_target "poker" ~poke:true in
-  let run t =
-    let o = Core.Engine.fuzz ~cfg:(Core.Engine.make_config ~rounds:4 ()) t in
-    { o with
-      Core.Engine.out_timeline =
-        List.map (fun (r, _, br) -> (r, 0., br)) o.Core.Engine.out_timeline }
-  in
-  let on_fresh_domain f = Domain.join (Domain.spawn f) in
+  let run = fuzz_untimed ~rounds:4 in
   let fresh = on_fresh_domain (fun () -> run a) in
   let first, again =
     on_fresh_domain (fun () ->
@@ -771,13 +775,7 @@ let test_spare_collector_between_targets () =
     { Core.Engine.tgt_account = n account; tgt_module = m; tgt_abi = abi }
   in
   let a = tgt base "victim" and b = tgt big "bigger" in
-  let run t =
-    let o = Core.Engine.fuzz ~cfg:(Core.Engine.make_config ~rounds:6 ()) t in
-    { o with
-      Core.Engine.out_timeline =
-        List.map (fun (r, _, br) -> (r, 0., br)) o.Core.Engine.out_timeline }
-  in
-  let on_fresh_domain f = Domain.join (Domain.spawn f) in
+  let run = fuzz_untimed ~rounds:6 in
   let fresh = on_fresh_domain (fun () -> run a) in
   let after_b =
     on_fresh_domain (fun () ->
@@ -794,6 +792,85 @@ let test_spare_collector_between_targets () =
     (Wasabi.Trace.Buffer.length c);
   Alcotest.(check bool) "a stray append marks it truncated" true
     (Wasabi.Trace.Buffer.truncated c)
+
+(* A domain's first [Engine.setup] raises its nursery (minor heap) to at
+   least 1M words and never lowers it.  [Gc.set] resizes only the
+   calling domain, and a domain spawned later starts at the runtime
+   default whatever its parent set: the design raises the nursery per
+   domain because of this, so a runtime that changes it fails here. *)
+let minor_heap () = (Gc.get ()).Gc.minor_heap_size
+let set_minor_heap words = Gc.set { (Gc.get ()) with Gc.minor_heap_size = words }
+let nursery = 1 lsl 20
+let big_nursery = 4 lsl 20
+
+let test_nursery_policy () =
+  let setup () =
+    ignore
+      (Core.Engine.setup (Core.Engine.make_config ~rounds:1 ())
+         (probe_target "reader" ~poke:false))
+  in
+  let first_setup () =
+    let before = minor_heap () in
+    setup ();
+    (before, minor_heap ())
+  in
+  let default = on_fresh_domain minor_heap in
+  let raised = max default nursery in
+  Alcotest.(check (pair int int)) "a fresh domain's first setup raises it"
+    (default, raised) (on_fresh_domain first_setup);
+  Alcotest.(check int) "a larger nursery is kept" big_nursery
+    (on_fresh_domain (fun () ->
+         set_minor_heap big_nursery;
+         setup ();
+         minor_heap ()));
+  let main = minor_heap () in
+  let child, parent =
+    on_fresh_domain (fun () ->
+        set_minor_heap big_nursery;
+        setup ();
+        let child = on_fresh_domain first_setup in
+        (child, minor_heap ()))
+  in
+  Alcotest.(check (pair int int))
+    "a domain spawned later starts at the default until its first setup"
+    (default, raised) child;
+  Alcotest.(check int) "its parent keeps its own" big_nursery parent;
+  Alcotest.(check int) "the main domain is untouched" main (minor_heap ())
+
+(* Outcomes do not depend on the nursery: the same targets fuzzed on a
+   domain preset to 4M words, on one left at the default (which its
+   first setup raises), and on one whose nursery is cut to 32k words
+   after its first setup, so that minor collections fall in mid-target. *)
+let test_nursery_outcomes () =
+  let targets =
+    List.map target_of_sample
+      (BG.Corpus.coverage_set ~count:3 ()
+      @ [ List.hd (BG.Corpus.verification ~scale:400 ()) ])
+  in
+  let run = fuzz_untimed ~rounds:8 in
+  let large =
+    on_fresh_domain (fun () ->
+        set_minor_heap big_nursery;
+        List.map run targets)
+  in
+  let default = on_fresh_domain (fun () -> List.map run targets) in
+  let small =
+    on_fresh_domain (fun () ->
+        ignore
+          (Core.Engine.setup (Core.Engine.make_config ()) (List.hd targets));
+        set_minor_heap (32 lsl 10);
+        List.map run targets)
+  in
+  List.iteri
+    (fun i (t : Core.Engine.target) ->
+      let name = Name.to_string t.Core.Engine.tgt_account in
+      let large = List.nth large i in
+      Alcotest.(check bool) (name ^ ": explores branches") true
+        (large.Core.Engine.out_branches > 0);
+      Alcotest.(check bool) (name ^ ": 4M = default") true
+        (large = List.nth default i);
+      Alcotest.(check bool) (name ^ ": 4M = 32k") true (large = List.nth small i))
+    targets
 
 (* ------------------------------------------------------------------ *)
 (* One-pass oracle facts vs per-detector walks                          *)
@@ -1164,6 +1241,10 @@ let () =
             test_spare_pages_between_targets;
           Alcotest.test_case "spare collector between targets" `Quick
             test_spare_collector_between_targets;
+          Alcotest.test_case "nursery raised at a domain's first setup" `Quick
+            test_nursery_policy;
+          Alcotest.test_case "outcomes independent of the nursery" `Quick
+            test_nursery_outcomes;
           QCheck_alcotest.to_alcotest qcheck_facts_vs_reference;
           Alcotest.test_case "session scanner over scripted traces" `Quick
             test_scanner_session;

@@ -877,6 +877,37 @@ let qcheck_roundtrip =
       let m = module_of_func [] [ Types.I64 ] body in
       roundtrip m = m)
 
+(* [Engine.setup] encodes each target and decodes it again before
+   instrumenting it, so what it fuzzes is the generated module only if
+   the round trip is the identity on every module the benchmark
+   generators produce. *)
+let test_roundtrip_generators () =
+  let module BG = Wasai_benchgen in
+  let of_samples = List.map (fun (s : BG.Corpus.sample) -> s.BG.Corpus.smp_module) in
+  let corpora =
+    [
+      ("ground_truth", of_samples (BG.Corpus.ground_truth ~scale:4 ()));
+      ("extension", of_samples (BG.Corpus.extension ~scale:2 ()));
+      ("obfuscated", of_samples (BG.Corpus.obfuscated ~scale:4 ()));
+      ("verification", of_samples (BG.Corpus.verification ~scale:4 ()));
+      ("coverage_set", of_samples (BG.Corpus.coverage_set ~count:60 ()));
+      ( "mainnet",
+        List.concat_map
+          (fun (d : BG.Mainnet.deployed) ->
+            d.BG.Mainnet.dep_module
+            :: Option.to_list (Option.map fst (BG.Mainnet.latest_version d)))
+          (BG.Mainnet.generate ~count:300 ()) );
+    ]
+  in
+  List.iter
+    (fun (name, modules) ->
+      let differ = List.filter (fun m -> roundtrip m <> m) modules in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: of %d modules, round trips that differ" name
+           (List.length modules))
+        0 (List.length differ))
+    corpora
+
 let qcheck_eval_matches_fold =
   (* Interpreting a random constant expression matches direct evaluation. *)
   QCheck.Test.make ~name:"interp matches OCaml fold on arithmetic" ~count:200
@@ -1096,6 +1127,8 @@ let () =
         [
           Alcotest.test_case "roundtrip simple" `Quick test_roundtrip_simple;
           Alcotest.test_case "roundtrip rich" `Quick test_roundtrip_rich;
+          Alcotest.test_case "roundtrip of every generated module" `Quick
+            test_roundtrip_generators;
           Alcotest.test_case "rejects garbage" `Quick test_decode_rejects_garbage;
           Alcotest.test_case "negative LEB128" `Quick test_leb128_negative;
           qc qcheck_roundtrip;
