@@ -22,8 +22,7 @@
     RNG from its account name (see {!Core.Engine.fuzz}) — and the report
     is canonicalised by target name, so {!verdicts_text} and
     {!evidence_text} are byte-identical for any [cc_jobs], any
-    scheduling, and any sharding of the same target set, provided
-    [cc_engine.cfg_time_limit = None]. *)
+    scheduling, and any sharding of the same target set. *)
 
 module Core = Wasai_core
 module Solver = Wasai_smt.Solver

@@ -17,13 +17,7 @@ open Wasai_eosio
 
 type config = {
   cfg_rounds : int;  (** iteration budget, standing in for the 5-min timeout *)
-  cfg_time_limit : float option;
-      (** optional wall-clock cap in seconds (the paper's per-contract
-          timeout); whichever of rounds/time runs out first stops the loop *)
   cfg_rng_seed : int64;
-  cfg_solver_budget : int;  (** SAT conflicts, standing in for 3,000 ms *)
-  cfg_max_flips : int;  (** solved branches per execution *)
-  cfg_fuel : int;
   cfg_feedback : bool;  (** symbolic feedback (off = blind fuzzing ablation) *)
   cfg_preload : (Name.t * Abi.value list) list;
       (** corpus seeds injected into the pool before fresh generation *)
@@ -34,55 +28,29 @@ type config = {
 let default_config =
   {
     cfg_rounds = 60;
-    cfg_time_limit = None;
     cfg_rng_seed = 1L;
-    cfg_solver_budget = 20_000;
-    cfg_max_flips = 6;
-    cfg_fuel = 30_000_000;
     cfg_feedback = true;
     cfg_preload = [];
     cfg_backend = Exec_backend.Auto;
   }
 
-type config_error =
-  | Bad_rounds of int
-  | Bad_time_limit of float
-  | Bad_solver_budget of int
-  | Bad_max_flips of int
-  | Bad_fuel of int
-  | Bad_preload
+type config_error = Bad_rounds of int | Bad_preload
 
 exception Invalid_config of config_error
 
 let string_of_config_error = function
   | Bad_rounds n -> Printf.sprintf "cfg_rounds must be >= 1 (got %d)" n
-  | Bad_time_limit t ->
-      Printf.sprintf "cfg_time_limit must be > 0 (got %g)" t
-  | Bad_solver_budget n ->
-      Printf.sprintf "cfg_solver_budget must be >= 1 (got %d)" n
-  | Bad_max_flips n -> Printf.sprintf "cfg_max_flips must be >= 1 (got %d)" n
-  | Bad_fuel n -> Printf.sprintf "cfg_fuel must be >= 1 (got %d)" n
   | Bad_preload -> "cfg_preload given explicitly but holds no seeds"
 
 (* Validating constructor: every CLI/bench/test entry point builds its
    config here so a nonsensical knob fails loudly at startup instead of
    producing a silently-degenerate run (0 rounds looks like "nothing
-   vulnerable"; 0 fuel makes every payload an exhaustion). *)
-let make_config ?(rounds = default_config.cfg_rounds) ?time_limit
+   vulnerable"). *)
+let make_config ?(rounds = default_config.cfg_rounds)
     ?(rng_seed = default_config.cfg_rng_seed)
-    ?(solver_budget = default_config.cfg_solver_budget)
-    ?(max_flips = default_config.cfg_max_flips)
-    ?(fuel = default_config.cfg_fuel)
     ?(feedback = default_config.cfg_feedback) ?preload
     ?(backend = default_config.cfg_backend) () =
   if rounds < 1 then raise (Invalid_config (Bad_rounds rounds));
-  (match time_limit with
-  | Some t when t <= 0.0 -> raise (Invalid_config (Bad_time_limit t))
-  | _ -> ());
-  if solver_budget < 1 then
-    raise (Invalid_config (Bad_solver_budget solver_budget));
-  if max_flips < 1 then raise (Invalid_config (Bad_max_flips max_flips));
-  if fuel < 1 then raise (Invalid_config (Bad_fuel fuel));
   let preload =
     match preload with
     | None -> []
@@ -91,15 +59,22 @@ let make_config ?(rounds = default_config.cfg_rounds) ?time_limit
   in
   {
     cfg_rounds = rounds;
-    cfg_time_limit = time_limit;
     cfg_rng_seed = rng_seed;
-    cfg_solver_budget = solver_budget;
-    cfg_max_flips = max_flips;
-    cfg_fuel = fuel;
     cfg_feedback = feedback;
     cfg_preload = preload;
     cfg_backend = backend;
   }
+
+(* SAT conflicts per flip query at the start of a run, standing in for
+   the paper's 3,000 ms Z3 cap; the adaptive budget retunes it per
+   round. *)
+let solver_budget = 20_000
+
+(* Solved branches per execution. *)
+let max_flips = 6
+
+(* Instruction fuel per action. *)
+let fuel = 30_000_000
 
 type target = {
   tgt_account : Name.t;
@@ -164,7 +139,7 @@ type session = {
   cfg : config;
   target : target;
   chain : Chain.t;
-  collector : Wasabi.Trace.t;
+  collector : Wasabi.Trace.Buffer.t;
   meta : Wasabi.Trace.meta;
   scanner : Scanner.t;
   dbg : Dbg.t;
@@ -238,7 +213,7 @@ let raise_nursery () =
 
 let setup (cfg : config) (target : target) : session =
   raise_nursery ();
-  let chain = Host.create_chain ~fuel_per_action:cfg.cfg_fuel () in
+  let chain = Host.create_chain ~fuel_per_action:fuel () in
   Token.bootstrap chain ~treasury ~supply:0x4000_0000_0000_0000L;
   List.iter
     (fun a -> ignore (Chain.create_account chain a))
@@ -288,7 +263,7 @@ let setup (cfg : config) (target : target) : session =
   Telemetry.stop Telemetry.Instrument t_instr;
   Chain.set_code chain target.tgt_account meta.Wasabi.Trace.instrumented
     target.tgt_abi;
-  let collector = Wasabi.Trace.create () in
+  let collector = Wasabi.Trace.Buffer.create () in
   Chain.register_extension chain
     (Wasabi.Instrument.runtime_extension collector ~target:target.tgt_account);
   (* The executor must be installed after [set_code] (deploying resets
@@ -355,9 +330,7 @@ let setup (cfg : config) (target : target) : session =
      domain's SAT arena.  Creating it compacts the hash-cons table, so
      the inputs are minted after it: they, and everything built from
      them, are this session's own and never outlive it. *)
-  let solver =
-    Solver.Session.create ~conflict_budget:cfg.cfg_solver_budget ()
-  in
+  let solver = Solver.Session.create ~conflict_budget:solver_budget () in
   let inputs =
     List.map (Sym.Convention.inputs ~max_amount:funding)
       target.tgt_abi.Abi.abi_actions
@@ -597,7 +570,7 @@ let run_one (s : session) (seed : Seed.t) (channel : Scanner.channel) :
   let action, observed_args = payload s seed channel in
   replenish s;
   s.current_action <- seed.Seed.sd_action;
-  Wasabi.Trace.reset s.collector;
+  Wasabi.Trace.Buffer.reset s.collector;
   (* One exec span per payload (not per export invocation): inline
      actions and notifications re-enter the contract within the same
      transaction, and nested spans would double-count the overlap. *)
@@ -654,7 +627,7 @@ let feedback (s : session) (seed : Seed.t) (buf : B.t)
           in
           let solved =
             Sym.Flip.solve_memo ~session:s.solver
-              ~max_solved:s.cfg.cfg_max_flips ~skip
+              ~max_solved:max_flips ~skip
               ~coverage:(Hashtbl.length s.branches) entry
               ~current:observed_args
           in
@@ -694,12 +667,6 @@ let fuzz_session ~(oracles : Wasabi.Trace.meta -> Scanner.custom_oracle list)
   let t0 = Unix.gettimeofday () in
   let timeline = ref [] in
   let actions = Array.of_list target.tgt_abi.Abi.abi_actions in
-  let out_of_time () =
-    match cfg.cfg_time_limit with
-    | None -> false
-    | Some limit -> Unix.gettimeofday () -. t0 >= limit
-  in
-  let rounds_run = ref 0 in
   (* Interesting-seed capture (the corpus feed) and verdict-round
      tracking.  Every input to either — traces, coverage, scanner state —
      is a deterministic function of the target, so both are too. *)
@@ -760,12 +727,10 @@ let fuzz_session ~(oracles : Wasabi.Trace.meta -> Scanner.custom_oracle list)
      hard to be worth full-price retries — and double (up to 4x the
      configured budget) on a round whose fresh-seed queue drained early,
      when there is slack to buy precision with. *)
-  let min_budget = max 1 (cfg.cfg_solver_budget / 16) in
-  let max_budget = cfg.cfg_solver_budget * 4 in
+  let min_budget = max 1 (solver_budget / 16) in
+  let max_budget = solver_budget * 4 in
   let last_unknown = ref 0 in
   for round = 0 to cfg.cfg_rounds - 1 do
-   if not (out_of_time ()) then begin
-    incr rounds_run;
     (* Algorithm 1 line 4: select an action for transaction dependency. *)
     let def = actions.(round mod Array.length actions) in
     let phi = def.Abi.act_name in
@@ -844,7 +809,6 @@ let fuzz_session ~(oracles : Wasabi.Trace.meta -> Scanner.custom_oracle list)
     end;
     timeline :=
       (round, Unix.gettimeofday () -. t0, Hashtbl.length s.branches) :: !timeline
-   end
   done;
   let flags = Scanner.report s.scanner in
   {
@@ -859,7 +823,7 @@ let fuzz_session ~(oracles : Wasabi.Trace.meta -> Scanner.custom_oracle list)
         flags;
     out_branches = Hashtbl.length s.branches;
     out_timeline = List.rev !timeline;
-    out_rounds = !rounds_run;
+    out_rounds = cfg.cfg_rounds;
     out_seeds_total = Seed.total s.pool;
     out_adaptive_seeds = s.adaptive_seeds;
     out_transactions = s.transactions;
@@ -884,7 +848,7 @@ let fuzz ?(cfg = default_config) ?(oracles = fun _ -> []) (target : target) :
   Fun.protect
     ~finally:(fun () ->
       s.release_exec ();
-      Wasabi.Trace.release s.collector;
+      Wasabi.Trace.Buffer.release s.collector;
       Sym.Replay.Memo.release s.replays)
     (fun () -> fuzz_session ~oracles s)
 

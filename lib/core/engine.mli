@@ -14,15 +14,9 @@ open Wasai_eosio
 
 type config = {
   cfg_rounds : int;  (** iteration budget (stands in for the 5-min timeout) *)
-  cfg_time_limit : float option;
-      (** optional wall-clock cap in seconds (the paper's per-contract
-          timeout); whichever of rounds/time runs out first stops the loop *)
   cfg_rng_seed : int64;
       (** root seed; the per-target RNG is seeded from
           [Rand.mix cfg_rng_seed tgt_account], see {!fuzz} *)
-  cfg_solver_budget : int;  (** SAT conflicts (stands in for 3,000 ms) *)
-  cfg_max_flips : int;  (** solved branches per execution *)
-  cfg_fuel : int;
   cfg_feedback : bool;  (** symbolic feedback (off = blind fuzzing) *)
   cfg_preload : (Name.t * Abi.value list) list;
       (** corpus seeds injected into the pool before fresh generation, at
@@ -40,13 +34,7 @@ type config = {
 val default_config : config
 
 (** Typed validation failures of {!make_config}. *)
-type config_error =
-  | Bad_rounds of int
-  | Bad_time_limit of float
-  | Bad_solver_budget of int
-  | Bad_max_flips of int
-  | Bad_fuel of int
-  | Bad_preload
+type config_error = Bad_rounds of int | Bad_preload
 
 exception Invalid_config of config_error
 
@@ -54,23 +42,25 @@ val string_of_config_error : config_error -> string
 
 val make_config :
   ?rounds:int ->
-  ?time_limit:float ->
   ?rng_seed:int64 ->
-  ?solver_budget:int ->
-  ?max_flips:int ->
-  ?fuel:int ->
   ?feedback:bool ->
   ?preload:(Name.t * Abi.value list) list ->
   ?backend:Exec_backend.choice ->
   unit ->
   config
 (** Validating constructor over {!default_config}: raises
-    {!Invalid_config} when a knob is nonsensical — [rounds], [fuel],
-    [solver_budget] or [max_flips] below 1, a non-positive
-    [time_limit], or an explicit [preload] with no seeds (a warm-corpus
-    run that would silently fuzz cold).  Every CLI/bench/test entry
+    {!Invalid_config} when a knob is nonsensical — [rounds] below 1, or
+    an explicit [preload] with no seeds (a warm-corpus run that would
+    silently fuzz cold).  Every CLI/bench/test entry
     point builds its config here so bad knobs fail loudly at startup
     instead of producing a silently-degenerate run. *)
+
+val solver_budget : int
+(** SAT conflicts per flip query at the start of every run, 20,000,
+    standing in for the paper's 3,000 ms Z3 cap; the adaptive budget
+    retunes it per round (see [out_final_budget]).  A run also solves
+    at most 6 branches per execution and gives each action 30,000,000
+    instructions of fuel. *)
 
 type target = {
   tgt_account : Name.t;
@@ -117,10 +107,10 @@ type outcome = {
           the corpus benchmark compares warm vs cold *)
   out_final_budget : int;
       (** the solver conflict budget after per-round adaptive retuning:
-          halved (floored at 1/16 of [cfg_solver_budget]) on rounds
+          halved (floored at 1/16 of {!solver_budget}) on rounds
           producing new Unknowns, doubled (capped at 4x) on rounds whose
-          fresh-seed queue drained early; equals [cfg_solver_budget]
-          when [cfg_feedback] is off *)
+          fresh-seed queue drained early; equals {!solver_budget} when
+          [cfg_feedback] is off *)
   out_truncated : int;
       (** payloads whose trace hit the collector's event limit and was
           cut short; 0 on healthy targets — reports print a warning when
@@ -150,7 +140,7 @@ type session = {
   cfg : config;
   target : target;
   chain : Chain.t;
-  collector : Wasabi.Trace.t;
+  collector : Wasabi.Trace.Buffer.t;
   meta : Wasabi.Trace.meta;
   scanner : Scanner.t;
   dbg : Dbg.t;
@@ -248,13 +238,13 @@ val fuzz :
 (** Fuzz one contract to completion; [oracles] builds additional
     detectors from the instrumentation metadata (the §5 extension
     interface).  However the run ends, its pooled linear memory
-    ([release_exec]), its collector's arrays ({!Wasabi.Trace.release})
+    ([release_exec]), its collector's arrays ({!Wasabi.Trace.Buffer.release})
     and its replay memo's arena go to the domain's spares, which the
     next target on the domain takes over.
 
-    Determinism contract: given a fixed [cfg] (with [cfg_time_limit =
-    None]) and a fixed target, every field of the outcome except
-    [out_timeline]'s elapsed-seconds component is a pure function of
+    Determinism contract: given a fixed [cfg] and a fixed target, every
+    field of the outcome except [out_timeline]'s elapsed-seconds
+    component is a pure function of
     [(cfg_rng_seed, tgt_account, tgt_module, tgt_abi)].  The per-target
     RNG is seeded with [Rand.mix cfg_rng_seed tgt_account] — never from
     global or sequential state — so fuzzing many targets concurrently

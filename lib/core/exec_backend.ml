@@ -27,7 +27,7 @@ let apply_args (ctx : Chain.context) =
    fast path drops the guard, which is sound because the engine installs
    the compiled executor only on the target account — the receiver of
    every action that reaches it. *)
-let fast_hooks (collector : Wasabi.Trace.t) :
+let fast_hooks (collector : Wasabi.Trace.Buffer.t) :
     string -> string -> Wasm.Compile.fast_host option =
   let module B = Wasabi.Trace.Buffer in
   fun mod_name item ->

@@ -23,7 +23,7 @@ val of_string : string -> (choice, string) result
 
 val install :
   choice ->
-  ?collector:Wasabi.Trace.t ->
+  ?collector:Wasabi.Trace.Buffer.t ->
   Wasai_eosio.Chain.t ->
   Wasai_eosio.Name.t ->
   Wasm.Ast.module_ ->

@@ -98,7 +98,6 @@ type t = {
   queue : job Work_queue.t;
   completions : (int * Wire.response) Queue.t;
   outstanding : int Atomic.t;  (** admitted jobs not yet completed *)
-  aborting : bool Atomic.t;
   stop_flag : bool Atomic.t;
       (** set by {!request_stop} (possibly from a signal handler, hence
           no lock); the I/O loop turns it into [Work_queue.close] *)
@@ -243,30 +242,25 @@ let worker (t : t) () =
     match Work_queue.take t.queue with
     | None -> ()
     | Some jb ->
-        (if Atomic.get t.aborting then
-           (* Simulated kill -9: the job dies un-journaled, exactly as a
-              queued submission would under a real SIGKILL. *)
-           Mutex.protect t.lock (fun () -> drop_inflight t jb)
-         else
-           let started = Unix.gettimeofday () in
-           let outcome = try Ok (run_job t jb) with e -> Error e in
-           let elapsed = Unix.gettimeofday () -. started in
-           Mutex.protect t.lock (fun () ->
-               drop_inflight t jb;
-               let tn = Hashtbl.find t.tenants jb.jb_tenant in
-               (* A failed fuzz and a failed durable write both answer ERR
-                  for this name alone: the worker lives on. *)
-               match
-                 Result.bind outcome (fun o ->
-                     try Ok (Store.complete tn.tn_store ~name:jb.jb_name ~elapsed o)
-                     with e -> Error e)
-               with
-               | Ok (entry, _) -> finish_submission t jb ~started tn entry
-               | Error e ->
-                   let reason = Store.error_message e in
-                   Queue.add
-                     (jb.jb_conn, Wire.Err { rp_name = Some jb.jb_name; rp_reason = reason })
-                     t.completions));
+        let started = Unix.gettimeofday () in
+        let outcome = try Ok (run_job t jb) with e -> Error e in
+        let elapsed = Unix.gettimeofday () -. started in
+        Mutex.protect t.lock (fun () ->
+            drop_inflight t jb;
+            let tn = Hashtbl.find t.tenants jb.jb_tenant in
+            (* A failed fuzz and a failed durable write both answer ERR
+               for this name alone: the worker lives on. *)
+            match
+              Result.bind outcome (fun o ->
+                  try Ok (Store.complete tn.tn_store ~name:jb.jb_name ~elapsed o)
+                  with e -> Error e)
+            with
+            | Ok (entry, _) -> finish_submission t jb ~started tn entry
+            | Error e ->
+                let reason = Store.error_message e in
+                Queue.add
+                  (jb.jb_conn, Wire.Err { rp_name = Some jb.jb_name; rp_reason = reason })
+                  t.completions);
         (* Completion is enqueued before the decrement, so once the loop
            observes outstanding = 0 every verdict is already visible. *)
         Atomic.decr t.outstanding;
@@ -461,10 +455,6 @@ let request_stop t =
   Atomic.set t.stop_flag true;
   wake t
 
-let request_abort t =
-  Atomic.set t.aborting true;
-  request_stop t
-
 let create cfg : t =
   Fsutil.mkdir_p cfg.sv_root;
   (* Without [sv_resume], the first tenant holding a non-empty journal
@@ -499,7 +489,6 @@ let create cfg : t =
       queue = Work_queue.create ();
       completions = Queue.create ();
       outstanding = Atomic.make 0;
-      aborting = Atomic.make false;
       stop_flag = Atomic.make false;
       listen_fd;
       wake_r;
@@ -747,11 +736,7 @@ let serve t =
           close_wake t;
           Mutex.protect t.lock (fun () ->
               Hashtbl.iter (fun _ tn -> Store.close tn.tn_store) t.tenants);
-          (* A real kill -9 leaves the socket file behind; the simulated
-             one does too, so resume tests exercise the stale-socket
-             path. *)
-          if not (Atomic.get t.aborting) then (
-            try Unix.unlink t.cfg.sv_socket with Unix.Unix_error _ -> ());
+          (try Unix.unlink t.cfg.sv_socket with Unix.Unix_error _ -> ());
           finished := true
         end
       done)

@@ -83,22 +83,14 @@ val create : config -> t
 
 val serve : t -> unit
 (** Run the I/O loop until a stop is requested ([SHUTDOWN] on the wire,
-    {!request_stop}, or {!request_abort}), then drain: workers finish
-    (graceful) or drop (abort) the backlog, pending responses are
-    flushed, connections and the socket are closed.  The socket file is
-    unlinked on graceful stop and deliberately left behind on abort
-    (a [kill -9] would not have cleaned up either). *)
+    or {!request_stop}), then drain: workers finish the backlog, pending
+    responses are flushed, connections and the socket are closed, and
+    the socket file is unlinked. *)
 
 val request_stop : t -> unit
 (** Graceful stop from another domain (e.g. a signal handler): admitted
     submissions still run to completion and their verdicts are
     streamed; further submissions are refused.  Idempotent. *)
-
-val request_abort : t -> unit
-(** Simulated [kill -9] for tests: queued submissions are dropped
-    without journaling anything (running ones finish — a real kill may
-    also land after a line's fsync), and {!serve} returns without
-    cleanup.  Idempotent. *)
 
 (** {2 Tenant reports}
 

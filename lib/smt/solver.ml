@@ -10,7 +10,7 @@
        conflict budget standing in for the paper's 3,000 ms Z3 cap.
 
     Accounting is per {!Session}: each engine run (one target) owns a
-    session carrying its conflict budget, counters and verdict memo.
+    session carrying its conflict budget and counters.
     Blasted session queries reuse one bit-blasting arena per domain, so
     campaign workers never contend on shared state. *)
 
@@ -165,35 +165,18 @@ type tier = Quick | Contradiction | Blasted
 (* A query's tier and answer, or [None] for a constant-false query. *)
 type decided = (tier * result) option
 
-(* Decide a conjunction with no constant-false member.  [arena] supplies
-   the bit-blasting context, only when the quick path leaves a residue. *)
-let decide ~budget ~arena (constraints : Expr.t list) : result * tier =
-  match quick_path constraints with
-  | `Solved model -> (Sat model, Quick)
-  | `Contradiction -> (Unsat, Contradiction)
-  | `Residual (residual, model) ->
-      (blast_check ~conflict_budget:budget (arena ()) residual model, Blasted)
-
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
 module Session = struct
-  (* A decided query: its key is the conflict budget followed by the
-     constraints' node tags, in order. *)
-  type entry = { me_key : int array; me_result : result; me_tier : tier }
-
   type t = {
     mutable sx_budget : int;
     mutable sx_quick : int;
     mutable sx_blasted : int;
     mutable sx_unknown : int;
     mutable sx_queries : int;  (** queries that reached the quick path *)
-    sx_memo : (int, entry list) Hashtbl.t;  (** key hash -> entries *)
-    mutable sx_memo_words : int;  (** key words stored in [sx_memo] *)
   }
-
-  let memo_max_words = 32_768
 
   let create ?(conflict_budget = default_conflict_budget) () =
     (* One session is one target's run: nodes interned by earlier
@@ -207,8 +190,6 @@ module Session = struct
       sx_blasted = 0;
       sx_unknown = 0;
       sx_queries = 0;
-      sx_memo = Hashtbl.create 64;
-      sx_memo_words = 0;
     }
 
   let conflict_budget t = t.sx_budget
@@ -229,8 +210,7 @@ module Session = struct
       st_cache_misses = t.sx_queries;
     }
 
-  (* A memo hit counts as the tier that first decided the query, so the
-     counters read as if every query had been solved. *)
+  (* Count one query as the tier that decided it. *)
   let count t tier result =
     t.sx_queries <- t.sx_queries + 1;
     match tier with
@@ -244,46 +224,6 @@ module Session = struct
 
   let recount t (d : decided) =
     Option.iter (fun (tier, result) -> count t tier result) d
-
-  (* The key is exact: node tags are process-unique and never reused,
-     the session lives on one domain, and the intern table is compacted
-     only when a session is created, so within a session equal tags are
-     one node. *)
-  let key_hash budget (constraints : Expr.t list) =
-    List.fold_left
-      (fun h (c : Expr.t) ->
-        ((h * 0x100000001b3) lxor c.Expr.tag) land max_int)
-      budget constraints
-
-  let key_matches key budget constraints =
-    let n = Array.length key in
-    let rec go i = function
-      | [] -> i = n
-      | (c : Expr.t) :: rest ->
-          i < n && key.(i) = c.Expr.tag && go (i + 1) rest
-    in
-    key.(0) = budget && go 1 constraints
-
-  let find t h budget constraints =
-    match Hashtbl.find_opt t.sx_memo h with
-    | None -> None
-    | Some entries ->
-        List.find_opt (fun e -> key_matches e.me_key budget constraints) entries
-
-  (* Remember a decided query, unless its key would take the memo past
-     [memo_max_words]: a full memo still answers what it holds. *)
-  let add t h budget constraints result tier =
-    let words = 1 + List.length constraints in
-    if t.sx_memo_words + words <= memo_max_words then begin
-      let key =
-        Array.of_list
-          (budget :: List.map (fun (c : Expr.t) -> c.Expr.tag) constraints)
-      in
-      let entry = { me_key = key; me_result = result; me_tier = tier } in
-      let others = Option.value ~default:[] (Hashtbl.find_opt t.sx_memo h) in
-      Hashtbl.replace t.sx_memo h (entry :: others);
-      t.sx_memo_words <- t.sx_memo_words + words
-    end
 end
 
 let stage_of_tier = function
@@ -307,24 +247,21 @@ let check_decided ?session ?conflict_budget (constraints : Expr.t list) :
     (Unsat, None)
   end
   else
-    match session with
-    | None ->
-        let result, tier = decide ~budget ~arena:Bitblast.create constraints in
-        T.stop (stage_of_tier tier) t0;
-        (result, Some (tier, result))
-    | Some s -> (
-        let h = Session.key_hash budget constraints in
-        match Session.find s h budget constraints with
-        | Some e ->
-            Session.count s e.Session.me_tier e.Session.me_result;
-            T.stop T.Solver_cache t0;
-            (e.Session.me_result, Some (e.Session.me_tier, e.Session.me_result))
-        | None ->
-            let result, tier = decide ~budget ~arena:domain_arena constraints in
-            Session.count s tier result;
-            Session.add s h budget constraints result tier;
-            T.stop (stage_of_tier tier) t0;
-            (result, Some (tier, result)))
+    let result, tier =
+      match quick_path constraints with
+      | `Solved model -> (Sat model, Quick)
+      | `Contradiction -> (Unsat, Contradiction)
+      | `Residual (residual, model) ->
+          let ctx =
+            match session with
+            | Some _ -> domain_arena ()
+            | None -> Bitblast.create ()
+          in
+          (blast_check ~conflict_budget:budget ctx residual model, Blasted)
+    in
+    Option.iter (fun s -> Session.count s tier result) session;
+    T.stop (stage_of_tier tier) t0;
+    (result, Some (tier, result))
 
 let check ?session ?conflict_budget constraints =
   fst (check_decided ?session ?conflict_budget constraints)

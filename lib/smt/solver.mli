@@ -11,15 +11,15 @@
     ([x != c]) still blast: SAT picks their value.
 
     All accounting is per {!Session}.  A session belongs to one engine
-    run on one domain; it carries the conflict budget, the solve
-    counters and a verdict memo.  Its blasted queries reuse the domain's
-    SAT arena, the only mutable solver state outside a session, which no
-    two domains share.  Flip queries repeat: 3,440 of deep-verify's
-    5,373 queries per perfbench trial are a constraint list the same
-    session already decided under the same budget.  The engine's reuse
-    of a repeated region's flip outcome counts 2,986 of them again
-    without posing them ({!Session.recount}), and the memo answers the
-    other 454 without solving. *)
+    run on one domain; it carries the conflict budget and the solve
+    counters.  Its blasted queries reuse the domain's SAT arena, the
+    only mutable solver state outside a session, which no two domains
+    share.  Every query a session is asked is solved: the quick path is
+    a pure function of the constraint list, and a reset arena is a fresh
+    one, so under a fixed budget a repeated query gets the same tier,
+    answer and model each time.  The engine's reuse of a repeated
+    region's flip outcome rests on that: it counts the recorded queries
+    again ({!Session.recount}) instead of posing them. *)
 
 type model = (int, int64) Hashtbl.t
 (** Expression variable id -> value. *)
@@ -33,18 +33,14 @@ type stats = {
   st_quick : int;  (** decided by the propagation quick-path *)
   st_blasted : int;  (** decided by bit-blasting + CDCL *)
   st_unknown : int;  (** blasted and still undecided at the budget *)
-  st_cache_hits : int;
-      (** always 0: memo hits count as their first tier; kept for the
-          journal and corpus lines *)
+  st_cache_hits : int;  (** always 0; kept for the journal and corpus lines *)
   st_cache_misses : int;
       (** queries that were not constant-false: those the quick path saw *)
 }
-(** Immutable snapshot of a session's counters.  Each query counts as
-    the tier that first decided it, whether it was solved or answered
-    from the session's memo, so the counters equal those of solving every
-    query.  A query with a constant-false constraint is answered Unsat
-    before any tier and counts as none of these; a quick-path
-    contradiction counts only in [st_cache_misses]. *)
+(** Immutable snapshot of a session's counters: each query counts as
+    the tier that decided it.  A query with a constant-false constraint
+    is answered Unsat before any tier and counts as none of these; a
+    quick-path contradiction counts only in [st_cache_misses]. *)
 
 val stats_zero : stats
 val stats_add : stats -> stats -> stats
@@ -56,14 +52,8 @@ type decided
 
 module Session : sig
   type t
-  (** Per-engine-run solver context: conflict budget, counters and
-      verdict memo.  The memo is keyed on the query's conflict budget
-      and its constraints' node tags, in order.  The key is exact: tags
-      are never reused, a session lives on one domain, and the domain's
-      intern table is compacted only when a session is created.  The
-      memo stores keys of at most 32,768 words in all (a word per
-      constraint plus one); once full, it still answers what it holds
-      and solves the rest without remembering them.  Its blasted queries go to the domain's bit-blasting context
+  (** Per-engine-run solver context: conflict budget and counters.  Its
+      blasted queries go to the domain's bit-blasting context
       ({!Bitblast.ctx} and its {!Sat} solver), made by the domain's first
       blasted session query and {!Bitblast.reset} before every later one,
       in this session or a later one, so steady-state blasting reuses its
@@ -90,24 +80,19 @@ module Session : sig
 
   val recount : t -> decided -> unit
   (** Count a query decided earlier in this session again, as the tier
-      that decided it, without posing it: the counters advance exactly
-      as {!check} of that query would advance them. *)
+      that decided it, without posing it: under the budget it was
+      decided with, the counters advance exactly as {!check} of that
+      query would advance them. *)
 end
 
 val check : ?session:Session.t -> ?conflict_budget:int -> Expr.t list -> result
 (** Decide the conjunction of constraints: the quick path first, then
     bit-blasting of what it leaves.  A constant-false constraint is
-    refuted first, before any memo or tier.  With [~session], the
-    session's budget applies unless [?conflict_budget] overrides it; a
-    query the session already decided under the same budget is answered
-    with its first answer, counted as the tier that decided it and
-    timed as a [Solver_cache] span; any other query is solved, blasts on
-    the domain's arena, and is remembered.  Without a session nothing is
-    remembered and every blasted query builds a fresh context.
-
-    A session's Sat models are read-only: a repeated query returns the
-    very table the first answer held.  A sessionless model is a fresh
-    table the caller owns. *)
+    refuted first, before any tier.  With [~session], the session's
+    budget applies unless [?conflict_budget] overrides it, the query is
+    counted as the tier that decides it, and a blasted query runs on the
+    domain's arena.  Without a session every blasted query builds a
+    fresh context.  A Sat model is a fresh table the caller owns. *)
 
 val check_decided :
   ?session:Session.t -> ?conflict_budget:int -> Expr.t list -> result * decided

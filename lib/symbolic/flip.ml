@@ -148,9 +148,10 @@ type outcome = {
 
 (* The flip is a function of the result, [current], the skip decisions
    and the conflict budget ([max_solved] is the caller's constant), and
-   the session answers a query it has decided with that answer, so an
-   outcome recorded under equal [current], [coverage] and budget is what
-   solving again would give. *)
+   the solver is deterministic under a fixed budget (the quick path is
+   pure, and a reset arena is a fresh one), so an outcome recorded under
+   equal [current], [coverage] and budget is what solving again would
+   give. *)
 let solve_memo ~session ~max_solved ~skip ~coverage
     (e : outcome Replay.Memo.entry) ~current =
   let budget = Solver.Session.conflict_budget session in

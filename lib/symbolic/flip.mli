@@ -64,7 +64,9 @@ val solve_memo :
     [current], equal [coverage] and the session's present conflict
     budget, its seeds are returned and the session counts each of its
     queries again ({!Wasai_smt.Solver.Session.recount}) instead of
-    posing them; no solver span is recorded.  [coverage] stands for
+    posing them; no solver span is recorded.  The seeds are what
+    solving again would give, since the solver is deterministic under a
+    fixed budget ({!Wasai_smt.Solver}).  [coverage] stands for
     [skip]: two calls with equal [coverage] must get equal answers from
     [skip] (the engine passes the size of its coverage map, which only
     grows).  [max_solved] must be the same on every call. *)

@@ -2,8 +2,8 @@
 
     Every expensive stage of a fuzzing run — module load, wasabi
     instrumentation, compilation, per-payload execution (split by tier),
-    the engine's trace scan, the oracle pass, the two solver tiers and
-    the solver's verdict memo, corpus writes and journal fsyncs — can be
+    the engine's trace scan, the oracle pass, the two solver tiers,
+    corpus writes and journal fsyncs — can be
     timed as a {e span}, whose duration is added to its stage's and its
     [(stage, target)] pair's totals in a per-domain recorder.
 
@@ -41,8 +41,8 @@ type stage =
   | Solver_quick  (** solver calls answered without bit-blasting *)
   | Solver_blast  (** solver calls that reached bit-blasting *)
   | Solver_cache
-      (** solver calls a session's verdict memo answered without solving
-          (a repeated query under the same budget) *)
+      (** records nothing: every solver call is a [Solver_quick] or
+          [Solver_blast] span; kept because perfbench lists it *)
   | Corpus_io  (** corpus shard append + index write *)
   | Journal_fsync  (** journal line write + fsync *)
 

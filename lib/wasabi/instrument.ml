@@ -387,7 +387,7 @@ module Interp = Wasm.Interp
 (** Chain extension binding the hook imports to a trace collector.
     [target] restricts collection to one contract account — the fuzzing
     target — so auxiliary contracts stay silent even if instrumented. *)
-let runtime_extension (collector : Trace.t) ~(target : Wasai_eosio.Name.t) :
+let runtime_extension (collector : Trace.Buffer.t) ~(target : Wasai_eosio.Name.t) :
     Wasai_eosio.Chain.extension =
  fun chain mod_name item ->
   if mod_name <> "wasai" then None
@@ -407,29 +407,29 @@ let runtime_extension (collector : Trace.t) ~(target : Wasai_eosio.Name.t) :
     match item with
     | "site" ->
         mk "site" [ Types.I32 ] (fun _ args ->
-            if_target (fun a -> Trace.begin_instr collector (arg0_i32 a)) args)
+            if_target (fun a -> Trace.Buffer.begin_instr collector (arg0_i32 a)) args)
     | "op_i32" ->
         mk "op_i32" [ Types.I32 ] (fun _ args ->
-            if_target (fun a -> Trace.operand collector (List.hd a)) args)
+            if_target (fun a -> Trace.Buffer.operand collector (List.hd a)) args)
     | "op_i64" ->
         mk "op_i64" [ Types.I64 ] (fun _ args ->
-            if_target (fun a -> Trace.operand collector (List.hd a)) args)
+            if_target (fun a -> Trace.Buffer.operand collector (List.hd a)) args)
     | "op_f32" ->
         mk "op_f32" [ Types.F32 ] (fun _ args ->
-            if_target (fun a -> Trace.operand collector (List.hd a)) args)
+            if_target (fun a -> Trace.Buffer.operand collector (List.hd a)) args)
     | "op_f64" ->
         mk "op_f64" [ Types.F64 ] (fun _ args ->
-            if_target (fun a -> Trace.operand collector (List.hd a)) args)
+            if_target (fun a -> Trace.Buffer.operand collector (List.hd a)) args)
     | "call_pre" ->
         mk "call_pre" [ Types.I32 ] (fun _ args ->
-            if_target (fun a -> Trace.begin_call_pre collector (arg0_i32 a)) args)
+            if_target (fun a -> Trace.Buffer.begin_call_pre collector (arg0_i32 a)) args)
     | "call_post" ->
         mk "call_post" [ Types.I32 ] (fun _ args ->
-            if_target (fun a -> Trace.begin_call_post collector (arg0_i32 a)) args)
+            if_target (fun a -> Trace.Buffer.begin_call_post collector (arg0_i32 a)) args)
     | "func_begin" ->
         mk "func_begin" [ Types.I32 ] (fun _ args ->
-            if_target (fun a -> Trace.func_begin collector (arg0_i32 a)) args)
+            if_target (fun a -> Trace.Buffer.func_begin collector (arg0_i32 a)) args)
     | "func_end" ->
         mk "func_end" [ Types.I32 ] (fun _ args ->
-            if_target (fun a -> Trace.func_end collector (arg0_i32 a)) args)
+            if_target (fun a -> Trace.Buffer.func_end collector (arg0_i32 a)) args)
     | _ -> None

@@ -438,17 +438,3 @@ module Compat = struct
     Buffer.reset c;
     r
 end
-
-(* Hook-facing aliases: the instrumenter's runtime extension drives the
-   collector through these. *)
-type t = Buffer.t
-
-let create = Buffer.create
-let begin_instr = Buffer.begin_instr
-let begin_call_pre = Buffer.begin_call_pre
-let begin_call_post = Buffer.begin_call_post
-let operand = Buffer.operand
-let func_begin = Buffer.func_begin
-let func_end = Buffer.func_end
-let reset = Buffer.reset
-let release = Buffer.release

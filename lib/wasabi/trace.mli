@@ -182,15 +182,3 @@ module Compat : sig
   val drain : Buffer.t -> record list
   (** Materialise the collected trace (oldest first) and reset. *)
 end
-
-type t = Buffer.t
-
-val create : ?limit:int -> unit -> t
-val begin_instr : t -> int -> unit
-val begin_call_pre : t -> int -> unit
-val begin_call_post : t -> int -> unit
-val operand : t -> Wasm.Values.value -> unit
-val func_begin : t -> int -> unit
-val func_end : t -> int -> unit
-val reset : t -> unit
-val release : t -> unit

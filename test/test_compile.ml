@@ -306,7 +306,7 @@ let test_push_action_allocation () =
   in
   let act, _ = Core.Engine.payload sess seed Core.Scanner.Ch_genuine in
   let push () =
-    Wasabi.Trace.reset sess.Core.Engine.collector;
+    Wasabi.Trace.Buffer.reset sess.Core.Engine.collector;
     ignore (Chain.push_action sess.Core.Engine.chain act)
   in
   for _ = 1 to 5 do
@@ -654,18 +654,6 @@ let test_make_config () =
   rejects "rounds=0"
     (fun () -> Core.Engine.make_config ~rounds:0 ())
     (Core.Engine.Bad_rounds 0);
-  rejects "time_limit=0"
-    (fun () -> Core.Engine.make_config ~time_limit:0.0 ())
-    (Core.Engine.Bad_time_limit 0.0);
-  rejects "solver_budget=-1"
-    (fun () -> Core.Engine.make_config ~solver_budget:(-1) ())
-    (Core.Engine.Bad_solver_budget (-1));
-  rejects "max_flips=0"
-    (fun () -> Core.Engine.make_config ~max_flips:0 ())
-    (Core.Engine.Bad_max_flips 0);
-  rejects "fuel=0"
-    (fun () -> Core.Engine.make_config ~fuel:0 ())
-    (Core.Engine.Bad_fuel 0);
   rejects "empty preload"
     (fun () -> Core.Engine.make_config ~preload:[] ())
     Core.Engine.Bad_preload;

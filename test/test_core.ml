@@ -394,24 +394,6 @@ let test_exploit_payloads () =
         in
         contains 0)
 
-let test_time_limit () =
-  (* A zero wall-clock budget stops the loop immediately.  Built as a raw
-     record on purpose: [make_config] rejects [time_limit <= 0], and this
-     test exercises exactly the degenerate engine behaviour the
-     validation exists to keep out of real runs. *)
-  let m, abi = BG.Contracts.build base in
-  let o =
-    Core.Engine.fuzz
-      ~cfg:
-        {
-          Core.Engine.default_config with
-          Core.Engine.cfg_rounds = 1000;
-          cfg_time_limit = Some 0.0;
-        }
-      { Core.Engine.tgt_account = n "victim"; tgt_module = m; tgt_abi = abi }
-  in
-  Alcotest.(check int) "no rounds under a zero budget" 0 o.Core.Engine.out_rounds
-
 let test_outcome_accounting () =
   let o = fuzz { base with BG.Contracts.sp_fake_eos_guard = false } in
   Alcotest.(check bool) "transactions ran" true (o.Core.Engine.out_transactions > 0);
@@ -693,7 +675,7 @@ let test_adaptive_budget_bounds () =
     (Core.Engine.make_config ~rounds:(12) ())
   in
   let o = Core.Engine.fuzz ~cfg tgt in
-  let b = cfg.Core.Engine.cfg_solver_budget in
+  let b = Core.Engine.solver_budget in
   Alcotest.(check bool) "final budget within [b/16, 4b]" true
     (o.Core.Engine.out_final_budget >= max 1 (b / 16)
     && o.Core.Engine.out_final_budget <= 4 * b);
@@ -783,11 +765,11 @@ let test_spare_collector_between_targets () =
         run a)
   in
   Alcotest.(check bool) "A after B = A on a fresh domain" true (after_b = fresh);
-  let c = Wasabi.Trace.create () in
-  Wasabi.Trace.begin_instr c 0;
-  Wasabi.Trace.release c;
-  Wasabi.Trace.begin_instr c 1;
-  Wasabi.Trace.operand c (Wasm.Values.I32 1l);
+  let c = Wasabi.Trace.Buffer.create () in
+  Wasabi.Trace.Buffer.begin_instr c 0;
+  Wasabi.Trace.Buffer.release c;
+  Wasabi.Trace.Buffer.begin_instr c 1;
+  Wasabi.Trace.Buffer.operand c (Wasm.Values.I32 1l);
   Alcotest.(check int) "released collector holds nothing" 0
     (Wasabi.Trace.Buffer.length c);
   Alcotest.(check bool) "a stray append marks it truncated" true
@@ -1229,7 +1211,6 @@ let () =
             test_obfuscated_detection_stable;
           Alcotest.test_case "exploit payloads produced" `Quick
             test_exploit_payloads;
-          Alcotest.test_case "wall-clock budget" `Quick test_time_limit;
           Alcotest.test_case "outcome accounting" `Quick test_outcome_accounting;
           Alcotest.test_case "truncation warning" `Quick test_truncation_warning;
           Alcotest.test_case "preloaded warm run" `Quick test_preload_warm_run;

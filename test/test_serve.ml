@@ -630,9 +630,7 @@ let test_serve_stop_after_shutdown () =
   let fd = Unix.openfile reused [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      Serve.Serve.request_stop t;
-      Serve.Serve.request_abort t);
+    (fun () -> Serve.Serve.request_stop t);
   Alcotest.(check int) "nothing written to a reused descriptor" 0
     (Unix.stat reused).Unix.st_size
 
@@ -694,93 +692,10 @@ let test_serve_hostile_modules () =
 (* Restart safety                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let run_uninterrupted ~dir ~rounds contracts =
-  let cfg =
-    Serve.Serve.make_config ~root:(Filename.concat dir "root-uninterrupted")
-      ~socket:(Filename.concat dir "u.sock") ~jobs:2 ~depth:16
-      ~engine:(engine rounds) ()
-  in
-  with_daemon cfg (fun _ ->
-      let c = connect_retry cfg.Serve.Serve.sv_socket in
-      Fun.protect
-        ~finally:(fun () -> Serve.Client.close c)
-        (fun () ->
-          ignore
-            (Serve.Client.submit_batch c ~tenant:"alice"
-               (client_contracts contracts))));
-  Serve.Serve.tenant_report ~root:cfg.Serve.Serve.sv_root
-    ~engine:(engine rounds) "alice"
-
-(* In-process kill -9: abort drops the queued backlog un-journaled, the
-   resumed daemon replays the journal and re-fuzzes only the rest. *)
-let test_abort_resume_identity () =
-  with_scratch "abort" @@ fun dir ->
-  let rounds = 6 in
-  let contracts = sample_contracts ~count:6 in
-  let reference = run_uninterrupted ~dir ~rounds contracts in
-  let root = Filename.concat dir "root" in
-  let socket = Filename.concat dir "s.sock" in
-  let cfg =
-    Serve.Serve.make_config ~root ~socket ~jobs:1 ~depth:16
-      ~engine:(engine rounds) ()
-  in
-  (* phase 1: submit everything, abort after the first verdict *)
-  let t = Serve.Serve.create cfg in
-  let d = Domain.spawn (fun () -> Serve.Serve.serve t) in
-  let c = connect_retry socket in
-  List.iter
-    (fun (name, wasm, abi) ->
-      Serve.Client.send c
-        (Serve.Wire.Submit
-           { rq_tenant = "alice"; rq_name = name; rq_wasm = wasm; rq_abi = Some abi; rq_slices = 1 }))
-    contracts;
-  let rec await_first_verdict () =
-    match Serve.Client.next c with
-    | Serve.Wire.Verdict _ -> ()
-    | _ -> await_first_verdict ()
-  in
-  await_first_verdict ();
-  Serve.Serve.request_abort t;
-  Domain.join d;
-  Serve.Client.close c;
-  let journaled =
-    List.length
-      (Serve.Serve.tenant_entries ~root ~engine:(engine rounds) "alice")
-  in
-  Alcotest.(check bool) "aborted mid-queue" true
-    (journaled >= 1 && journaled < List.length contracts);
-  (* phase 2: restart with resume, resubmit everything *)
-  let cfg2 =
-    Serve.Serve.make_config ~root ~socket ~jobs:2 ~depth:16 ~resume:true
-      ~engine:(engine rounds) ()
-  in
-  with_daemon cfg2 (fun _ ->
-      let c = connect_retry socket in
-      Fun.protect
-        ~finally:(fun () -> Serve.Client.close c)
-        (fun () ->
-          let batch =
-            Serve.Client.submit_batch c ~tenant:"alice"
-              (client_contracts contracts)
-          in
-          let cached =
-            List.length
-              (List.filter
-                 (fun (_, k, _) -> k = Serve.Wire.Cached)
-                 batch.Serve.Client.bt_verdicts)
-          in
-          Alcotest.(check int) "journaled targets replay from cache" journaled
-            cached));
-  let resumed =
-    Serve.Serve.tenant_report ~root ~engine:(engine rounds) "alice"
-  in
-  Alcotest.(check string)
-    "resumed report byte-identical to uninterrupted run" reference resumed
-
-(* The real fork + SIGKILL variant lives in test_serve_kill.ml: OCaml 5
-   forbids Unix.fork once any domain has been spawned, and the daemon
-   tests above spawn domains in this process, so the kill test needs a
-   process where the fork happens first. *)
+(* The kill -9 + resume byte-identity test lives in test_serve_kill.ml:
+   OCaml 5 forbids Unix.fork once any domain has been spawned, and the
+   daemon tests above spawn domains in this process, so the kill test
+   needs a process where the fork happens first. *)
 
 (* A resumed daemon must reject journals stamped under a different
    engine configuration — Campaign.merge's validation discipline. *)
@@ -843,8 +758,6 @@ let () =
         ] );
       ( "restart",
         [
-          Alcotest.test_case "abort + resume byte-identity" `Quick
-            test_abort_resume_identity;
           Alcotest.test_case "mismatched stamp rejected on resume" `Quick
             test_resume_rejects_mismatched_stamp;
         ] );

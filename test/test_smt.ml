@@ -816,10 +816,8 @@ let qcheck_solver_models_validate =
 (* Session                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The counters say which tier decided each query, as if every query
-   were solved: a starved blast counts blasted and unknown on each ask
-   (the second ask is a memo hit counted as its first tier); a
-   constant-false query is refuted before any tier and counts nothing; a
+(* The counters say which tier decided each query: a starved blast
+   counts blasted and unknown on each ask; a constant-false query is refuted before any tier and counts nothing; a
    quick-path contradiction counts only as a query (a "miss"), and no
    query is ever counted as a hit. *)
 let test_session_counters () =
@@ -998,13 +996,12 @@ let qcheck_arena_parity ?(sessions = 1) ~count width =
              expected && same_result fresh reused)
            qs))
 
-(* The session memo answers a repeated query with its first answer.  A
-   random stream over a small pool of queries, with repeats and the
-   session's budget changing between asks, must get from the session
-   exactly the verdicts and models sessionless checks give, and end with
-   the counters of first-tier counting: each ask counted as the tier
-   that decides its query, under its budget, in a fresh session. *)
-let qcheck_session_memo_as_fresh =
+(* A session solves every ask, repeats included.  A random stream over a
+   small pool of queries, with repeats and the session's budget changing
+   between asks, must get from the session exactly the verdicts and
+   models sessionless checks give, and end with each ask counted as the
+   tier that decides its query, under its budget, in a fresh session. *)
+let qcheck_session_repeats_as_fresh =
   let width = 8 in
   let x = Expr.fresh_var ~name:"mx" width in
   let y = Expr.fresh_var ~name:"my" width in
@@ -1057,7 +1054,7 @@ let qcheck_session_memo_as_fresh =
     ^ String.concat " "
         (List.map (fun (q, b) -> Printf.sprintf "q%d@%d" q budgets.(b)) stream)
   in
-  QCheck.Test.make ~name:"session memo = fresh check, first-tier counts"
+  QCheck.Test.make ~name:"session repeats = fresh check, per-ask counts"
     ~count:25 (QCheck.make ~print gen) (fun (pool, stream) ->
       let pool = Array.of_list pool in
       let stream =
@@ -1129,14 +1126,13 @@ let qcheck_session_brute_force =
       | Solver.Unsat -> not (satisfiable cs)
       | Solver.Unknown -> false)
 
-(* Steady-state blasting reuses the session's arena instead of building
+(* Steady-state blasting reuses the domain's arena instead of building
    a context per query.  The query is shaped like a flipped transfer
    branch: a memo-length byte, an amount range and a flipped equality,
-   all left to bit-blasting.  The second query differs from the first
-   in its flipped constant, so the session's memo cannot answer it.
-   Rebuilding the context per query allocates about 22k minor words
-   here; reusing the arena, whose gates add their clauses without
-   building lists, about 2k. *)
+   all left to bit-blasting; the second query differs from the first
+   in its flipped constant.  Rebuilding the context per query allocates
+   about 22k minor words here; reusing the arena, whose gates add their
+   clauses without building lists, about 2k. *)
 let test_arena_allocation_guard () =
   let open Expr in
   let len = fresh_var ~name:"memo_len" 32 in
@@ -1245,7 +1241,7 @@ let () =
           qc (qcheck_arena_parity ~count:3 64);
           qc (qcheck_arena_parity ~sessions:3 ~count:8 8);
           qc qcheck_session_brute_force;
-          qc qcheck_session_memo_as_fresh;
+          qc qcheck_session_repeats_as_fresh;
           Alcotest.test_case "steady-state allocation" `Quick
             test_arena_allocation_guard;
         ] );

@@ -264,7 +264,7 @@ let trace_of_spec ?(amount = 77L) ?(memo = "hi") spec =
     ~symbol:Asset.Symbol.eos 500_000_0000L;
   let _, meta = Wasabi.Instrument.instrument m in
   Chain.set_code chain (n "victim") meta.Wasabi.Trace.instrumented abi;
-  let collector = Wasabi.Trace.create () in
+  let collector = Wasabi.Trace.Buffer.create () in
   Chain.register_extension chain
     (Wasabi.Instrument.runtime_extension collector ~target:(n "victim"));
   ignore
@@ -388,7 +388,7 @@ let test_replay_obfuscated () =
           ~memo:""));
   let _, meta = Wasabi.Instrument.instrument obf in
   Chain.set_code chain (n "victim") meta.Wasabi.Trace.instrumented abi;
-  let collector = Wasabi.Trace.create () in
+  let collector = Wasabi.Trace.Buffer.create () in
   Chain.register_extension chain
     (Wasabi.Instrument.runtime_extension collector ~target:(n "victim"));
   ignore
@@ -506,7 +506,7 @@ let test_brtable_and_select_replay () =
           ~memo:""));
   let _, meta = Wasabi.Instrument.instrument m in
   Chain.set_code chain (n "victim") meta.Wasabi.Trace.instrumented abi;
-  let collector = Wasabi.Trace.create () in
+  let collector = Wasabi.Trace.Buffer.create () in
   Chain.register_extension chain
     (Wasabi.Instrument.runtime_extension collector ~target:(n "victim"));
   (* amount = 6: (6 & 3) = 2 -> the select case, bit 2 set -> from. *)
@@ -978,7 +978,7 @@ let solver_spans f =
     List.fold_left
       (fun acc (st, count, _) ->
         match st with
-        | T.Solver_quick | T.Solver_blast | T.Solver_cache -> acc + count
+        | T.Solver_quick | T.Solver_blast -> acc + count
         | _ -> acc)
       0 (T.snapshot ()).T.ts_stages
   in

@@ -90,7 +90,7 @@ let test_hook_imports_present () =
    contract and return (tx result, console, trace records). *)
 let run_contract ?(instrument = true) () =
   let chain = Host.create_chain () in
-  let collector = Wasabi.Trace.create () in
+  let collector = Wasabi.Trace.Buffer.create () in
   let m = build_test_contract () in
   let meta =
     if instrument then begin
@@ -201,7 +201,7 @@ let test_trace_only_target () =
      victim's instructions may appear in the trace. *)
   let chain = Host.create_chain () in
   Token.bootstrap chain ~treasury:(n "treasury") ~supply:1_000_0000L;
-  let collector = Wasabi.Trace.create () in
+  let collector = Wasabi.Trace.Buffer.create () in
   let m = build_test_contract () in
   let m', meta = Wasabi.Instrument.instrument m in
   Chain.register_extension chain
@@ -279,7 +279,7 @@ let qcheck_trace_complete =
       let m', meta = Wasabi.Instrument.instrument m in
       Wasai_wasm.Validate.check_module m';
       (* Run the instrumented module with a local collector. *)
-      let collector = Wasabi.Trace.create () in
+      let collector = Wasabi.Trace.Buffer.create () in
       let resolver mod_name item =
         if mod_name <> "wasai" then None
         else
@@ -292,7 +292,7 @@ let qcheck_trace_complete =
           match item with
           | "site" ->
               mk Wasai_wasm.Types.I32 (fun _ args ->
-                  Wasabi.Trace.begin_instr collector
+                  Wasabi.Trace.Buffer.begin_instr collector
                     (Int32.to_int (Wasm.Values.as_i32 (List.hd args)));
                   [])
           | "op_i32" | "op_i64" | "op_f32" | "op_f64" ->
@@ -304,26 +304,26 @@ let qcheck_trace_complete =
                 | _ -> Wasai_wasm.Types.F64
               in
               mk ty (fun _ args ->
-                  Wasabi.Trace.operand collector (List.hd args);
+                  Wasabi.Trace.Buffer.operand collector (List.hd args);
                   [])
           | "call_pre" ->
               mk Wasai_wasm.Types.I32 (fun _ args ->
-                  Wasabi.Trace.begin_call_pre collector
+                  Wasabi.Trace.Buffer.begin_call_pre collector
                     (Int32.to_int (Wasm.Values.as_i32 (List.hd args)));
                   [])
           | "call_post" ->
               mk Wasai_wasm.Types.I32 (fun _ args ->
-                  Wasabi.Trace.begin_call_post collector
+                  Wasabi.Trace.Buffer.begin_call_post collector
                     (Int32.to_int (Wasm.Values.as_i32 (List.hd args)));
                   [])
           | "func_begin" ->
               mk Wasai_wasm.Types.I32 (fun _ args ->
-                  Wasabi.Trace.func_begin collector
+                  Wasabi.Trace.Buffer.func_begin collector
                     (Int32.to_int (Wasm.Values.as_i32 (List.hd args)));
                   [])
           | "func_end" ->
               mk Wasai_wasm.Types.I32 (fun _ args ->
-                  Wasabi.Trace.func_end collector
+                  Wasabi.Trace.Buffer.func_end collector
                     (Int32.to_int (Wasm.Values.as_i32 (List.hd args)));
                   [])
           | _ -> None
